@@ -146,6 +146,17 @@ stage test "serve-smoke" serve_smoke
 stage test "chaos-parity" python -m repro chaos-parity \
     --seed 0 --process-scenarios 1 --sim-scenarios 8
 
+# 2g. perf-smoke: the repo benchmark (BENCHMARK.json, perf/README.md)
+# at toy sizes — every workload, both passes, every metric emitted and
+# every check green — plus the benchmark's own tests, so a change that
+# breaks a front door the benchmark drives fails here, not in the
+# driver.  ~25 s; nothing under perf/ is edited by this gate.
+perf_smoke() {
+    python3 -m perf run --scale smoke > /dev/null \
+        && python -m pytest perf/tests -q
+}
+stage test "perf-smoke" perf_smoke
+
 # 3. ruff (style/pyflakes), if installed
 if command -v ruff >/dev/null 2>&1; then
     stage lint "ruff" ruff check src tests

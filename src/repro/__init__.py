@@ -28,41 +28,7 @@ Subpackages:
   detection for the framework's concurrency and cost-model invariants.
 """
 
-from repro.core import (
-    HCCMF,
-    HCCConfig,
-    CommConfig,
-    PartitionStrategy,
-    TransmitMode,
-    CommBackendKind,
-    TrainResult,
-    TimeCostModel,
-    PartitionPlan,
-    dp0,
-    dp1,
-    dp2,
-    computing_power,
-    utilization,
-)
-from repro.data import (
-    RatingMatrix,
-    DatasetSpec,
-    NETFLIX,
-    YAHOO_R1,
-    R1_STAR,
-    YAHOO_R2,
-    MOVIELENS_20M,
-    generate_low_rank,
-)
-from repro.hardware import (
-    Platform,
-    Processor,
-    paper_workstation,
-    single_processor,
-)
-from repro.mf import MFModel, HogwildSGD, FPSGD, CuMFSGD
-from repro.obs import Telemetry
-from repro.parallel import SharedMemoryTrainer
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -101,3 +67,21 @@ __all__ = [
     "Telemetry",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": (
+        "HCCMF", "HCCConfig", "CommConfig", "PartitionStrategy", "TransmitMode",
+        "CommBackendKind", "TrainResult", "TimeCostModel", "PartitionPlan", "dp0",
+        "dp1", "dp2", "computing_power", "utilization",
+    ),
+    "repro.data": (
+        "RatingMatrix", "DatasetSpec", "NETFLIX", "YAHOO_R1", "R1_STAR", "YAHOO_R2",
+        "MOVIELENS_20M", "generate_low_rank",
+    ),
+    "repro.hardware": (
+        "Platform", "Processor", "paper_workstation", "single_processor",
+    ),
+    "repro.mf": ("MFModel", "HogwildSGD", "FPSGD", "CuMFSGD"),
+    "repro.obs": ("Telemetry",),
+    "repro.parallel": ("SharedMemoryTrainer",),
+})

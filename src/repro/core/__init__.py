@@ -9,45 +9,7 @@ row-grid assignments.
 Public entry point: :class:`repro.core.framework.HCCMF`.
 """
 
-from repro.core.config import (
-    HCCConfig,
-    CommConfig,
-    PartitionStrategy,
-    CommBackendKind,
-    TransmitMode,
-)
-from repro.core.compression import (
-    compress_fp16,
-    decompress_fp16,
-    roundtrip_error,
-    FP16_RELATIVE_ERROR_BOUND,
-)
-from repro.core.comm import CommModel, CommPlan, PullBuffer, PushBuffer
-from repro.core.cost_model import TimeCostModel, EpochCost, WorkerCost, Regime
-from repro.core.partition import (
-    PartitionPlan,
-    dp0,
-    dp1,
-    dp2,
-    even_partition,
-    exposed_sync_time,
-)
-from repro.core.server import ParameterServer
-from repro.core.worker import WorkerRuntime
-from repro.core.framework import HCCMF, TrainResult
-from repro.core.autotune import autotune, tuned_config, TunedConfig, TuningReport
-from repro.core.checkpoint import (
-    Checkpoint,
-    CheckpointVersionError,
-    save_checkpoint,
-    load_checkpoint,
-    read_checkpoint_meta,
-    resume_hogwild,
-)
-from repro.core.adaptive import AdaptiveRepartitioner, SlowdownEvent, simulate_adaptive_run, AdaptiveRunResult
-from repro.core.convergence import epochs_to_target, time_to_target, speedup_at_target, fit_exponential, ExponentialFit
-from repro.core.theorem import equalizing_partition, makespan, verify_theorem1, Theorem1Report
-from repro.core.metrics import computing_power, ideal_computing_power, utilization, speedup
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HCCConfig",
@@ -105,3 +67,41 @@ __all__ = [
     "utilization",
     "speedup",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": (
+        "HCCConfig", "CommConfig", "PartitionStrategy", "CommBackendKind",
+        "TransmitMode",
+    ),
+    "repro.core.compression": (
+        "compress_fp16", "decompress_fp16", "roundtrip_error",
+        "FP16_RELATIVE_ERROR_BOUND",
+    ),
+    "repro.core.comm": ("CommModel", "CommPlan", "PullBuffer", "PushBuffer"),
+    "repro.core.cost_model": ("TimeCostModel", "EpochCost", "WorkerCost", "Regime"),
+    "repro.core.partition": (
+        "PartitionPlan", "dp0", "dp1", "dp2", "even_partition", "exposed_sync_time",
+    ),
+    "repro.core.server": ("ParameterServer",),
+    "repro.core.worker": ("WorkerRuntime",),
+    "repro.core.framework": ("HCCMF", "TrainResult"),
+    "repro.core.autotune": ("autotune", "tuned_config", "TunedConfig", "TuningReport"),
+    "repro.core.checkpoint": (
+        "Checkpoint", "CheckpointVersionError", "save_checkpoint",
+        "load_checkpoint", "read_checkpoint_meta", "resume_hogwild",
+    ),
+    "repro.core.adaptive": (
+        "AdaptiveRepartitioner", "SlowdownEvent", "simulate_adaptive_run",
+        "AdaptiveRunResult",
+    ),
+    "repro.core.convergence": (
+        "epochs_to_target", "time_to_target", "speedup_at_target",
+        "fit_exponential", "ExponentialFit",
+    ),
+    "repro.core.theorem": (
+        "equalizing_partition", "makespan", "verify_theorem1", "Theorem1Report",
+    ),
+    "repro.core.metrics": (
+        "computing_power", "ideal_computing_power", "utilization", "speedup",
+    ),
+})

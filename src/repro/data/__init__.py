@@ -6,51 +6,7 @@ evaluation datasets (Table 3), and the row/column grid partitioning
 machinery used by the server's ``DataManager`` (paper section 3.3).
 """
 
-from repro.data.ratings import RatingMatrix
-from repro.data.synthetic import (
-    SyntheticConfig,
-    generate_low_rank,
-    sample_sparsity_pattern,
-)
-from repro.data.datasets import (
-    DatasetSpec,
-    NETFLIX,
-    YAHOO_R1,
-    R1_STAR,
-    YAHOO_R2,
-    MOVIELENS_20M,
-    DATASETS,
-    get_dataset,
-)
-from repro.data.io import (
-    load_text,
-    save_text,
-    load_movielens_csv,
-    load_npz,
-    save_npz,
-)
-from repro.data.analysis import (
-    DatasetProfile,
-    profile,
-    profile_spec,
-    render_profile,
-    gini,
-    conflict_probability,
-)
-from repro.data.streaming import (
-    stream_text_batches,
-    count_statistics,
-    external_shuffle,
-    StreamStats,
-)
-from repro.data.grid import (
-    GridKind,
-    GridAssignment,
-    choose_grid,
-    partition_rows,
-    partition_entries,
-    block_sort,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RatingMatrix",
@@ -87,3 +43,29 @@ __all__ = [
     "partition_entries",
     "block_sort",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.data.ratings": ("RatingMatrix",),
+    "repro.data.synthetic": (
+        "SyntheticConfig", "generate_low_rank", "sample_sparsity_pattern",
+    ),
+    "repro.data.datasets": (
+        "DatasetSpec", "NETFLIX", "YAHOO_R1", "R1_STAR", "YAHOO_R2",
+        "MOVIELENS_20M", "DATASETS", "get_dataset",
+    ),
+    "repro.data.io": (
+        "load_text", "save_text", "load_movielens_csv", "load_npz", "save_npz",
+    ),
+    "repro.data.analysis": (
+        "DatasetProfile", "profile", "profile_spec", "render_profile", "gini",
+        "conflict_probability",
+    ),
+    "repro.data.streaming": (
+        "stream_text_batches", "count_statistics", "external_shuffle",
+        "StreamStats",
+    ),
+    "repro.data.grid": (
+        "GridKind", "GridAssignment", "choose_grid", "partition_rows",
+        "partition_entries", "block_sort",
+    ),
+})

@@ -16,10 +16,12 @@ workers can never alias each other's training order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 import numpy as np
-from scipy import sparse as sp
+
+if TYPE_CHECKING:  # pragma: no cover - scipy loads only where it is used
+    from scipy import sparse as sp
 
 
 def _as_index_array(a) -> np.ndarray:
@@ -130,13 +132,17 @@ class RatingMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "RatingMatrix":
+        from scipy import sparse as sp
+
         coo = sp.coo_matrix(mat)
         return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
 
-    def to_scipy_coo(self) -> sp.coo_matrix:
+    def to_scipy_coo(self) -> "sp.coo_matrix":
+        from scipy import sparse as sp
+
         return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=self.shape)
 
-    def to_scipy_csr(self) -> sp.csr_matrix:
+    def to_scipy_csr(self) -> "sp.csr_matrix":
         return self.to_scipy_coo().tocsr()
 
     def to_dense(self) -> np.ndarray:

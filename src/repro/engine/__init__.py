@@ -20,42 +20,7 @@ this layer; new epoch-loop code belongs here (enforced by hcclint rule
 HCC111).
 """
 
-from repro.engine.backends import (
-    DEFAULT_BARRIER_TIMEOUT_S,
-    ProcessBackend,
-    SimBackend,
-    WirePayloadError,
-    WorkerSyncError,
-)
-from repro.engine.channels import (
-    Channel,
-    DoubleBufferChannel,
-    Fp16Channel,
-    QOnlyChannel,
-    QRotateChannel,
-    WireTraffic,
-    channel_for,
-)
-from repro.engine.partitions import (
-    CostModelProvider,
-    EvenProvider,
-    FixedPlanProvider,
-    FractionsProvider,
-    PartitionProvider,
-    as_provider,
-    provider_from,
-)
-from repro.engine.pipeline import (
-    RECOVERABLE_ERRORS,
-    STAGES,
-    AdditiveDeltaSync,
-    ComputeBackend,
-    EngineResult,
-    EpochEngine,
-    StageEvent,
-    SyncPolicy,
-    WeightedAverageSync,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdditiveDeltaSync",
@@ -87,3 +52,23 @@ __all__ = [
     "channel_for",
     "provider_from",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.backends": (
+        "DEFAULT_BARRIER_TIMEOUT_S", "ProcessBackend", "SimBackend",
+        "WirePayloadError", "WorkerSyncError",
+    ),
+    "repro.engine.channels": (
+        "Channel", "DoubleBufferChannel", "Fp16Channel", "QOnlyChannel",
+        "QRotateChannel", "WireTraffic", "channel_for",
+    ),
+    "repro.engine.partitions": (
+        "CostModelProvider", "EvenProvider", "FixedPlanProvider",
+        "FractionsProvider", "PartitionProvider", "as_provider", "provider_from",
+    ),
+    "repro.engine.pipeline": (
+        "RECOVERABLE_ERRORS", "STAGES", "AdditiveDeltaSync", "ComputeBackend",
+        "EngineResult", "EpochEngine", "StageEvent", "SyncPolicy",
+        "WeightedAverageSync",
+    ),
+})

@@ -13,7 +13,9 @@ protocol:
   is the server, every worker is an OS process (paper 3.5), and all
   feature traffic crosses :class:`~repro.parallel.shm.SharedArray`
   segments whose dtype is the channel stack's wire format, so Q-only
-  payloads, FP16 wire and double-buffered pulls run for real.
+  payloads, FP16 wire and double-buffered pulls run for real.  What a
+  worker process runs lives in :mod:`repro.engine.worker_proc`, which
+  imports far less than this module does.
 
 Both backends execute the identical stage sequence under
 :class:`~repro.engine.pipeline.EpochEngine`; the ``engine-parity`` CI
@@ -26,7 +28,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -34,11 +36,11 @@ import numpy as np
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.engine.channels import Channel
+from repro.engine.worker_proc import HANDSHAKE_STAMP, barrier_stamp, worker_main
 from repro.hardware.timeline import Phase, Span, Timeline
-from repro.mf.kernels import ConflictPolicy, sgd_batch_update
 from repro.mf.model import MFModel
-from repro.parallel.shm import SharedArray, SharedArraySpec
-from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, FaultPlan, fault_at
+from repro.parallel.shm import SharedArray
+from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, FaultPlan
 from repro.resilience.health import HealthReport, classify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,14 +59,14 @@ _SPANS_PER_EPOCH = 6
 #: reaping straggler worker processes
 _TERMINATE_GRACE_S = 5.0
 
-#: extra time workers wait on barriers beyond the server's timeout —
-#: the server must always be the first to detect a broken rendezvous
-#: (see _worker_main)
-_WORKER_PATIENCE_S = 30.0
-
 
 class WorkerSyncError(RuntimeError):
-    """A barrier rendezvous failed; names the ranks that never arrived."""
+    """A rendezvous failed; names the ranks that never arrived.
+
+    ``point`` is ``"start"`` or ``"end"`` for an epoch barrier, and
+    ``"bootstrap"`` for the attach handshake ``ProcessBackend.open``
+    waits for before it returns.
+    """
 
     def __init__(self, point: str, epoch: int, missing_ranks: tuple[int, ...],
                  timeout_s: float):
@@ -72,10 +74,14 @@ class WorkerSyncError(RuntimeError):
         self.epoch = epoch
         self.missing_ranks = missing_ranks
         names = ", ".join(f"worker-{r}" for r in missing_ranks) or "unknown rank"
+        if point == "bootstrap":
+            what = (f"a worker process failed during start-up: {names} did "
+                    f"not attach and stamp its handshake")
+        else:
+            what = (f"a worker process failed mid-epoch: {names} did not "
+                    f"reach the {point} barrier of epoch {epoch}")
         super().__init__(
-            f"a worker process failed mid-epoch: {names} did not reach the "
-            f"{point} barrier of epoch {epoch} within {timeout_s:.0f}s; "
-            f"shared state has been cleaned up"
+            f"{what} within {timeout_s:.0f}s; shared state has been cleaned up"
         )
 
 
@@ -461,202 +467,6 @@ class SimBackend:
 # ---------------------------------------------------------------------------
 # process backend (OS workers over shared memory)
 # ---------------------------------------------------------------------------
-def _train_shard(
-    model: MFModel,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    rng: np.random.Generator,
-    batch_size: int,
-    lr: float,
-    reg: float,
-) -> None:
-    """One epoch of batched SGD over this worker's shard."""
-    n = len(vals)
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        sel = order[lo : lo + batch_size]
-        sgd_batch_update(
-            model, rows[sel], cols[sel], vals[sel], lr, reg,
-            policy=ConflictPolicy.ATOMIC,
-        )
-
-
-def _pre_epoch_faults(
-    faults: tuple[Fault, ...], global_epoch: int, worker_id: int, start_barrier
-) -> None:
-    """Worker-side kill / start-delay injection at the top of an epoch.
-
-    Neither kill flavor touches the barrier: a real crashed process
-    cannot abort a rendezvous, so peers find out the honest way — the
-    server's barrier wait times out and the health plane reads the
-    stamps and exit codes.
-    """
-    kill = fault_at(faults, KILL, global_epoch)
-    if kill is not None:
-        if kill.hard:
-            # SIGKILL-like: no interpreter teardown at all
-            os._exit(13)
-        raise RuntimeError(f"injected failure in worker {worker_id}")
-    _maybe_delay(faults, global_epoch, "start")
-
-
-def _maybe_delay(faults: tuple[Fault, ...], global_epoch: int, point: str) -> None:
-    delay = fault_at(faults, DELAY, global_epoch)
-    if delay is not None and delay.point == point:
-        # an injected straggler, by definition  # hcclint: disable=blocking-call
-        time.sleep(delay.seconds)
-
-
-def _encode_push(
-    channel: Channel,
-    q_trained: np.ndarray,
-    pull_buf: SharedArray,
-    push_buf: SharedArray,
-    faults: tuple[Fault, ...],
-    global_epoch: int,
-) -> None:
-    """The worker's single push encode, with drop/corrupt injection."""
-    if fault_at(faults, DROP, global_epoch) is not None:
-        # dropped payload: the wire still carries the epoch base (the
-        # pull buffer's exact bits), so the server merges a zero delta
-        np.copyto(push_buf.array, pull_buf.array)
-    else:
-        channel.encode(q_trained, push_buf.array)
-    if fault_at(faults, CORRUPT, global_epoch) is not None:
-        push_buf.array[...] = np.nan
-
-
-def _null_stage(name: str):
-    """Disabled-profiling stand-in for WorkerStageProfiles.stage."""
-    return nullcontext()
-
-
-def _worker_main(
-    worker_id: int,
-    p_spec: SharedArraySpec,
-    pull_specs: tuple[SharedArraySpec, ...],
-    push_spec: SharedArraySpec,
-    progress_spec: SharedArraySpec,
-    channel: Channel,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    epochs: int,
-    lr: float,
-    reg: float,
-    batch_size: int,
-    seed: int,
-    start_barrier,
-    end_barrier,
-    barrier_timeout_s: float,
-    span_spec=None,
-    epoch_offset: int = 0,
-    faults: tuple[Fault, ...] = (),
-    profile_dir: "str | None" = None,
-) -> None:
-    """Worker process body: epochs of pull -> train -> push.
-
-    The channel stack travels into the process by pickling (channels are
-    stateless) and owns the wire codec: ``decode`` is the worker's
-    single per-epoch copy out of the shared pull buffer, ``encode`` its
-    single copy into the push buffer.  ``pull_specs`` carries
-    ``channel.depth`` rotating buffers (Strategy 3).  Before each
-    barrier the worker stamps ``progress[worker_id]`` so the server can
-    name missing ranks on a broken rendezvous.  ``span_spec`` switches
-    on the instrumented variant.
-
-    ``epoch_offset`` is how many *global* epochs already completed
-    before this spawn (checkpoint resume, recovery restart): stamps and
-    barriers count local epochs, while the RNG stream discards the
-    completed epochs' permutation draws and fault injection
-    (``faults``, this rank's slice of a
-    :class:`~repro.resilience.faults.FaultPlan`) keys on global epochs.
-    ``profile_dir`` switches on per-stage cProfile accumulation; the
-    worker dumps one ``.pstats`` file per stage there before exiting.
-    """
-    rng = np.random.default_rng(seed + 1000 * (worker_id + 1))
-    # replay: one permutation draw per completed epoch (mirrors
-    # _train_shard) so a warm-started run continues the exact sample
-    # order of the straight-through run
-    for _ in range(epoch_offset):
-        rng.permutation(len(vals))
-    # workers outwait the server on every rendezvous: the server is the
-    # sole failure detector, and at its timeout the survivors must still
-    # be alive (blocked here) for the health plane to tell a dead rank
-    # from collateral damage; teardown reaps them right after
-    barrier_timeout_s = barrier_timeout_s + _WORKER_PATIENCE_S
-    # ExitStack closes every attached segment even if a later attach
-    # fails partway through (a bare attach-then-try would leak the
-    # earlier mappings on that path)
-    with ExitStack() as stack:
-        p_shared = stack.enter_context(SharedArray.attach(p_spec))
-        pull_bufs = [
-            stack.enter_context(SharedArray.attach(spec)) for spec in pull_specs
-        ]
-        push_buf = stack.enter_context(SharedArray.attach(push_spec))
-        progress = stack.enter_context(SharedArray.attach(progress_spec))
-        rec = None
-        if span_spec is not None:
-            # imported here so the uninstrumented path never touches
-            # repro.obs (and to avoid an import cycle via repro.parallel)
-            from repro.obs.spans import SpanRecorder, SpanRing
-
-            rec = SpanRecorder(stack.enter_context(SpanRing.attach(span_spec)))
-        prof = None
-        if profile_dir is not None:
-            from repro.obs.profile import WorkerStageProfiles
-
-            prof = WorkerStageProfiles()
-        stage_cm = prof.stage if prof is not None else _null_stage
-        for epoch in range(epochs):
-            global_epoch = epoch_offset + epoch
-            if faults:
-                _pre_epoch_faults(faults, global_epoch, worker_id, start_barrier)
-            pull_buf = pull_bufs[epoch % len(pull_bufs)]
-            progress.array[worker_id] = 2 * epoch + 1
-            if rec is None:
-                start_barrier.wait(timeout=barrier_timeout_s)
-                # pull: the worker's single per-epoch copy out of the
-                # shared pull buffer, decoded off the wire (paper 3.5)
-                with stage_cm("pull"):
-                    q_local = channel.decode(pull_buf.array)
-                model = MFModel(p_shared.array, q_local)
-                with stage_cm("compute"):
-                    _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
-                # push: one encode into this worker's shared push buffer
-                with stage_cm("push"):
-                    _encode_push(
-                        channel, model.Q, pull_buf, push_buf, faults, global_epoch
-                    )
-                if faults:
-                    _maybe_delay(faults, global_epoch, "end")
-                progress.array[worker_id] = 2 * epoch + 2
-                end_barrier.wait(timeout=barrier_timeout_s)
-            else:
-                t0 = time.perf_counter()
-                start_barrier.wait(timeout=barrier_timeout_s)
-                rec.record(Phase.BARRIER, epoch, t0, time.perf_counter())
-                with rec.span(Phase.PULL, epoch), stage_cm("pull"):
-                    # the same single per-epoch pull decode, timed
-                    q_local = channel.decode(pull_buf.array)
-                model = MFModel(p_shared.array, q_local)
-                with rec.span(Phase.COMPUTE, epoch), stage_cm("compute"):
-                    _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
-                with rec.span(Phase.PUSH, epoch), stage_cm("push"):
-                    _encode_push(
-                        channel, model.Q, pull_buf, push_buf, faults, global_epoch
-                    )
-                if faults:
-                    _maybe_delay(faults, global_epoch, "end")
-                t1 = time.perf_counter()
-                progress.array[worker_id] = 2 * epoch + 2
-                end_barrier.wait(timeout=barrier_timeout_s)
-                rec.record(Phase.BARRIER, epoch, t1, time.perf_counter())
-        if prof is not None:
-            prof.dump(profile_dir, worker_id)
-
-
 class ProcessBackend:
     """OS worker processes over shared memory (wall-clock plane).
 
@@ -762,16 +572,11 @@ class ProcessBackend:
                 "q-rotate channels have no pull/push/sync stages; the "
                 "rotation loop runs only on the sim plane"
             )
-        data = self.ratings.shuffle(self.seed)
-        assignments = partition_rows(data, plan.fractions, GridKind.ROW)
-        init = (
-            self.initial_model
-            if self.initial_model is not None
-            else MFModel.init_for(data, self.k, seed=self.seed)
-        )
+        ratings = self.ratings
+        warm = self.initial_model
+        k = warm.k if warm is not None else self.k
         ctx = mp.get_context("spawn")
 
-        self.data = data
         self._channel = channel
         self._sync_policy = sync_policy
         self._fractions = plan.fractions
@@ -779,13 +584,10 @@ class ProcessBackend:
         self._registry = telemetry.registry if telemetry is not None else None
         self._start_barrier = ctx.Barrier(self.n_workers + 1)
         self._end_barrier = ctx.Barrier(self.n_workers + 1)
-        # once-per-run server-side snapshot  # hcclint: disable=hot-copy
-        self.model = MFModel(init.P.copy(), init.Q.copy())
         self._q_base: np.ndarray | None = None
         self._epochs = epochs
         self._procs: list = []
         self._rings: list = []
-        self._shard_nnz: list[int] = []
         self._server_spans: list[tuple[Phase, int, float, float]] = []
         self._attempt += 1
         if self._run_origin is None:
@@ -804,23 +606,36 @@ class ProcessBackend:
         # still destroyed instead of leaking until reboot
         self._stack = ExitStack()
         try:
+            # every size follows from (m, n, nnz, k, n_workers), so all
+            # segments exist — and all workers are spawned, with specs
+            # only — before the server touches a single rating
             wire = channel.wire_dtype
-            self._p_shared = SharedArray.create(init.P.shape, "float32")
+            self._p_shared = SharedArray.create((ratings.m, k), "float32")
             self._stack.callback(self._p_shared.unlink)
             self._pull_bufs = []
             for _ in range(max(1, channel.depth)):
-                buf = SharedArray.create(init.Q.shape, wire)
+                buf = SharedArray.create((k, ratings.n), wire)
                 self._stack.callback(buf.unlink)
                 self._pull_bufs.append(buf)
             self._push_bufs = []
             for _ in range(self.n_workers):
-                buf = SharedArray.create(init.Q.shape, wire)
+                buf = SharedArray.create((k, ratings.n), wire)
                 self._stack.callback(buf.unlink)
                 self._push_bufs.append(buf)
-            # per-rank barrier progress stamps, read only to diagnose a
-            # broken rendezvous (no synchronization on the happy path)
+            # per-rank progress stamps: the attach handshake, then one
+            # per barrier, read only to diagnose a broken rendezvous (no
+            # synchronization on the happy path)
             self._progress = SharedArray.create((self.n_workers,), "int64")
             self._stack.callback(self._progress.unlink)
+            # the ratings, placed once where every worker can address
+            # them (paper 3.5): shard i is [offsets[i], offsets[i+1])
+            self._shard_segs = []
+            for dtype in ("int64", "int64", "float32"):
+                seg = SharedArray.create((max(1, ratings.nnz),), dtype)
+                self._stack.callback(seg.unlink)
+                self._shard_segs.append(seg)
+            self._offsets = SharedArray.create((self.n_workers + 1,), "int64")
+            self._stack.callback(self._offsets.unlink)
             if telemetry is not None:
                 from repro.obs.spans import SpanRing
 
@@ -832,25 +647,21 @@ class ProcessBackend:
                     )
                     self._stack.callback(ring.unlink)
                     self._rings.append(ring)
-            np.copyto(self._p_shared.array, init.P)
             # LIFO: registered last so stragglers die before any unlink
             self._stack.callback(self._terminate_stragglers, self._procs)
 
-            for wid, a in enumerate(assignments):
-                shard = a.extract(data).sort_by_row()
-                self._shard_nnz.append(shard.nnz)
+            for wid in range(self.n_workers):
                 proc = ctx.Process(
-                    target=_worker_main,
+                    target=worker_main,
                     args=(
                         wid,
                         self._p_shared.spec,
                         tuple(buf.spec for buf in self._pull_bufs),
                         self._push_bufs[wid].spec,
                         self._progress.spec,
+                        tuple(seg.spec for seg in self._shard_segs),
+                        self._offsets.spec,
                         channel,
-                        shard.rows,
-                        shard.cols,
-                        shard.vals,
                         epochs,
                         self.lr,
                         self.reg,
@@ -868,10 +679,74 @@ class ProcessBackend:
                 )
                 proc.start()
                 self._procs.append(proc)
+
+            # the server's own preparation overlaps the workers'
+            # interpreter bootstrap; the first start barrier publishes
+            # everything written here
+            data = ratings.shuffle(self.seed)
+            assignments = partition_rows(data, plan.fractions, GridKind.ROW)
+            self._shard_nnz = [a.nnz for a in assignments]
+            self._offsets.array[1:] = np.cumsum(self._shard_nnz)
+            for a, lo in zip(assignments, self._offsets.array):
+                # a.extract(data).sort_by_row(), written straight into
+                # the shard's slice of the shared segments
+                by_row = a.entries[
+                    np.lexsort((data.cols[a.entries], data.rows[a.entries]))
+                ]
+                for seg, column in zip(
+                    self._shard_segs, (data.rows, data.cols, data.vals)
+                ):
+                    seg.array[lo : lo + a.nnz] = column[by_row]
+            self.data = data
+            if warm is None:
+                self.model = MFModel.init_for(data, self.k, seed=self.seed)
+            else:
+                # once-per-run server-side snapshot  # hcclint: disable=hot-copy
+                self.model = MFModel(warm.P.copy(), warm.Q.copy())
+            np.copyto(self._p_shared.array, self.model.P)
+            self._wait_stamps(HANDSHAKE_STAMP, "bootstrap", 0, exits_count=False)
         except BaseException:
             self._stack.close()
             self._stack = None
             raise
+
+    def _missing(self, expected: int, exits_count: bool) -> tuple[int, ...]:
+        """Ranks whose stamp is short of ``expected``.
+
+        With ``exits_count`` a rank also counts as missing when its
+        process already exited abnormally: a killed worker may have
+        stamped *before* dying, and the stamps alone would misname it.
+        """
+        stamps = self._progress.array
+        return tuple(
+            rank
+            for rank in range(self.n_workers)
+            if stamps[rank] < expected
+            or (exits_count and self._procs[rank].exitcode not in (None, 0))
+        )
+
+    def _wait_stamps(
+        self, expected: int, point: str, epoch: int, exits_count: bool = True
+    ) -> None:
+        """Poll stamps and exit codes until every rank reached ``expected``.
+
+        Bounded by ``barrier_timeout_s``.  A missing rank whose process
+        already exited can never arrive, so a dead worker is detected
+        as soon as its exit code lands (milliseconds) — the full
+        timeout only applies to stragglers, which might still make it.
+        """
+        deadline = time.perf_counter() + self.barrier_timeout_s
+        while True:
+            missing = self._missing(expected, exits_count)
+            if not missing:
+                return
+            dead = any(self._procs[rank].exitcode is not None for rank in missing)
+            if dead or time.perf_counter() >= deadline:
+                raise WorkerSyncError(
+                    point, epoch, missing, self.barrier_timeout_s
+                )
+            # liveness poll, not a lock wait: bounded by the deadline
+            time.sleep(0.002)  # hcclint: disable=blocking-call
 
     def _await(self, barrier, point: str, epoch: int) -> None:
         """Rendezvous with every worker, detecting failures server-side.
@@ -881,50 +756,20 @@ class ProcessBackend:
         blocked survivor with ``BrokenBarrierError`` — destroying the
         exact evidence (who is still alive and waiting) the health plane
         needs.  So the server first watches the progress stamps and
-        process states from outside, and only enters the barrier once
-        every rank has stamped this rendezvous; workers wait with a
-        longer timeout (``_WORKER_PATIENCE_S``), so at detection time
-        the survivors are still blocked, classifiable, and are then
-        reaped by ``close()``.
+        process states from outside (:meth:`_wait_stamps`), and only
+        enters the barrier once every rank has stamped this rendezvous;
+        workers wait with a longer timeout (``WORKER_PATIENCE_S``), so
+        at detection time the survivors are still blocked, classifiable,
+        and are then reaped by ``close()``.
         """
-        expected = 2 * epoch + (1 if point == "start" else 2)
-        stamps = self._progress.array
-        deadline = time.perf_counter() + self.barrier_timeout_s
-
-        def _missing() -> tuple[int, ...]:
-            # a killed worker may have stamped *before* dying, so a rank
-            # also counts as missing when its process already exited
-            # abnormally — progress stamps alone would misname it
-            return tuple(
-                rank
-                for rank in range(self.n_workers)
-                if stamps[rank] < expected
-                or self._procs[rank].exitcode not in (None, 0)
-            )
-
-        while True:
-            missing = _missing()
-            if not missing:
-                break
-            # a rank whose process already exited can never arrive, so a
-            # dead worker is detected as soon as its exit code lands
-            # (milliseconds) — the full timeout only applies to
-            # stragglers, which might still make it
-            dead = any(
-                self._procs[rank].exitcode not in (None, 0)
-                for rank in missing
-            )
-            if dead or time.perf_counter() >= deadline:
-                raise WorkerSyncError(
-                    point, epoch, missing, self.barrier_timeout_s
-                )
-            # liveness poll, not a lock wait: bounded by the deadline
-            time.sleep(0.002)  # hcclint: disable=blocking-call
+        expected = barrier_stamp(epoch, point)
+        self._wait_stamps(expected, point, epoch)
         try:
             barrier.wait(timeout=self.barrier_timeout_s)
         except threading.BrokenBarrierError as exc:
             raise WorkerSyncError(
-                point, epoch, _missing(), self.barrier_timeout_s
+                point, epoch, self._missing(expected, exits_count=True),
+                self.barrier_timeout_s,
             ) from exc
 
     # -- stages ----------------------------------------------------------

@@ -1,0 +1,241 @@
+"""The process plane's child side: what one worker process runs.
+
+Kept apart from :mod:`repro.engine.backends` so that a spawned worker
+imports only what it executes — numpy, the SGD kernel and model, the
+shared-memory and channel layers, the fault script and the timeline
+phases.  ``repro.obs`` loads only when the server ships a span-ring or
+profile spec (docs/engine.md, "Process-plane start-up").
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from contextlib import ExitStack, nullcontext
+
+import numpy as np
+
+from repro.engine.channels import Channel
+from repro.hardware.timeline import Phase
+from repro.mf.kernels import ConflictPolicy, sgd_batch_update
+from repro.mf.model import MFModel
+from repro.parallel.shm import SharedArray, SharedArraySpec
+from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, fault_at
+
+#: extra time workers wait on barriers beyond the server's timeout —
+#: the server must always be the first to detect a broken rendezvous
+#: (see worker_main)
+WORKER_PATIENCE_S = 30.0
+
+#: ``progress[rank]`` once a worker has attached every segment — the
+#: "attached and alive" handshake ``ProcessBackend.open`` waits for
+HANDSHAKE_STAMP = 1
+
+
+def barrier_stamp(epoch: int, point: str) -> int:
+    """The value ``progress[rank]`` holds from one rendezvous onwards."""
+    return 2 * epoch + (2 if point == "start" else 3)
+
+
+class _NullRecorder:
+    """Stands in for the span recorder and the stage profiler when off.
+
+    One worker loop serves instrumented and plain runs; with telemetry
+    and profiling off every scope is this shared no-op, and nothing
+    from ``repro.obs`` is ever imported.
+    """
+
+    _scope = nullcontext()
+
+    def span(self, phase: Phase, epoch: int):
+        return self._scope
+
+    def stage(self, name: str):
+        return self._scope
+
+    def dump(self, directory: "str | None", worker_id: int) -> None:
+        pass
+
+
+def _train_shard(
+    model: MFModel,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    rng: np.random.Generator,
+    batch_size: int,
+    lr: float,
+    reg: float,
+) -> None:
+    """One epoch of batched SGD over this worker's shard."""
+    n = len(vals)
+    order = rng.permutation(n)
+    for lo in range(0, n, batch_size):
+        sel = order[lo : lo + batch_size]
+        sgd_batch_update(
+            model, rows[sel], cols[sel], vals[sel], lr, reg,
+            policy=ConflictPolicy.ATOMIC,
+        )
+
+
+def _pre_epoch_faults(
+    faults: tuple[Fault, ...], global_epoch: int, worker_id: int
+) -> None:
+    """Worker-side kill / start-delay injection at the top of an epoch.
+
+    Neither kill flavor touches the barrier: a real crashed process
+    cannot abort a rendezvous, so peers find out the honest way — the
+    server's barrier wait times out and the health plane reads the
+    stamps and exit codes.
+    """
+    kill = fault_at(faults, KILL, global_epoch)
+    if kill is not None:
+        if kill.hard:
+            # SIGKILL-like: no interpreter teardown at all
+            os._exit(13)
+        raise RuntimeError(f"injected failure in worker {worker_id}")
+    _maybe_delay(faults, global_epoch, "start")
+
+
+def _maybe_delay(faults: tuple[Fault, ...], global_epoch: int, point: str) -> None:
+    delay = fault_at(faults, DELAY, global_epoch)
+    if delay is not None and delay.point == point:
+        # an injected straggler, by definition  # hcclint: disable=blocking-call
+        time.sleep(delay.seconds)
+
+
+def _encode_push(
+    channel: Channel,
+    q_trained: np.ndarray,
+    pull_buf: SharedArray,
+    push_buf: SharedArray,
+    faults: tuple[Fault, ...],
+    global_epoch: int,
+) -> None:
+    """The worker's single push encode, with drop/corrupt injection."""
+    if fault_at(faults, DROP, global_epoch) is not None:
+        # dropped payload: the wire still carries the epoch base (the
+        # pull buffer's exact bits), so the server merges a zero delta
+        np.copyto(push_buf.array, pull_buf.array)
+    else:
+        channel.encode(q_trained, push_buf.array)
+    if fault_at(faults, CORRUPT, global_epoch) is not None:
+        push_buf.array[...] = np.nan
+
+
+def worker_main(
+    worker_id: int,
+    p_spec: SharedArraySpec,
+    pull_specs: tuple[SharedArraySpec, ...],
+    push_spec: SharedArraySpec,
+    progress_spec: SharedArraySpec,
+    shard_specs: tuple[SharedArraySpec, SharedArraySpec, SharedArraySpec],
+    offsets_spec: SharedArraySpec,
+    channel: Channel,
+    epochs: int,
+    lr: float,
+    reg: float,
+    batch_size: int,
+    seed: int,
+    start_barrier,
+    end_barrier,
+    barrier_timeout_s: float,
+    span_spec=None,
+    epoch_offset: int = 0,
+    faults: tuple[Fault, ...] = (),
+    profile_dir: "str | None" = None,
+) -> None:
+    """Worker process body: epochs of pull -> train -> push.
+
+    Everything arrives as a spec: the worker is spawned before the
+    server has shuffled, partitioned or sorted anything, attaches while
+    the server does that, and stamps ``HANDSHAKE_STAMP``.  The ratings
+    live in one ``rows``/``cols``/``vals`` segment set (``shard_specs``)
+    shared by all workers; this rank's ``[lo, hi)`` slice of it is read
+    from ``offsets_spec`` after the first start barrier, which is what
+    publishes the server's writes, and trained on as zero-copy views.
+
+    The channel stack travels into the process by pickling (channels are
+    stateless) and owns the wire codec: ``decode`` is the worker's
+    single per-epoch copy out of the shared pull buffer, ``encode`` its
+    single copy into the push buffer.  ``pull_specs`` carries
+    ``channel.depth`` rotating buffers (Strategy 3).  Before each
+    barrier the worker stamps ``progress[worker_id]`` so the server can
+    name missing ranks on a broken rendezvous.
+
+    ``epoch_offset`` is how many *global* epochs already completed
+    before this spawn (checkpoint resume, recovery restart): stamps and
+    barriers count local epochs, while the RNG stream discards the
+    completed epochs' permutation draws and fault injection
+    (``faults``, this rank's slice of a
+    :class:`~repro.resilience.faults.FaultPlan`) keys on global epochs.
+    ``span_spec`` switches on span recording into a shared ring and
+    ``profile_dir`` per-stage cProfile accumulation (one ``.pstats``
+    file per stage, dumped there before exiting); both wrap the same
+    loop body.
+    """
+    rng = np.random.default_rng(seed + 1000 * (worker_id + 1))
+    # workers outwait the server on every rendezvous: the server is the
+    # sole failure detector, and at its timeout the survivors must still
+    # be alive (blocked here) for the health plane to tell a dead rank
+    # from collateral damage; teardown reaps them right after
+    patience_s = barrier_timeout_s + WORKER_PATIENCE_S
+    # ExitStack closes every attached segment even if a later attach
+    # fails partway through (a bare attach-then-try would leak the
+    # earlier mappings on that path)
+    with ExitStack() as stack:
+        p_shared = stack.enter_context(SharedArray.attach(p_spec))
+        pull_bufs = [
+            stack.enter_context(SharedArray.attach(spec)) for spec in pull_specs
+        ]
+        push_buf = stack.enter_context(SharedArray.attach(push_spec))
+        progress = stack.enter_context(SharedArray.attach(progress_spec))
+        shard = [
+            stack.enter_context(SharedArray.attach(spec)) for spec in shard_specs
+        ]
+        offsets = stack.enter_context(SharedArray.attach(offsets_spec))
+        rec = prof = _NullRecorder()
+        if span_spec is not None:
+            from repro.obs.spans import SpanRecorder, SpanRing
+
+            rec = SpanRecorder(stack.enter_context(SpanRing.attach(span_spec)))
+        if profile_dir is not None:
+            from repro.obs.profile import WorkerStageProfiles
+
+            prof = WorkerStageProfiles()
+        progress.array[worker_id] = HANDSHAKE_STAMP
+        rows = cols = vals = None
+        for epoch in range(epochs):
+            global_epoch = epoch_offset + epoch
+            if faults:
+                _pre_epoch_faults(faults, global_epoch, worker_id)
+            pull_buf = pull_bufs[epoch % len(pull_bufs)]
+            with rec.span(Phase.BARRIER, epoch):
+                progress.array[worker_id] = barrier_stamp(epoch, "start")
+                start_barrier.wait(timeout=patience_s)
+            if vals is None:
+                lo, hi = offsets.array[worker_id : worker_id + 2]
+                rows, cols, vals = (seg.array[lo:hi] for seg in shard)
+                # replay: one permutation draw per completed epoch
+                # (mirrors _train_shard) so a warm-started run continues
+                # the exact sample order of the straight-through run
+                for _ in range(epoch_offset):
+                    rng.permutation(len(vals))
+            # pull: the worker's single per-epoch copy out of the shared
+            # pull buffer, decoded off the wire (paper 3.5)
+            with rec.span(Phase.PULL, epoch), prof.stage("pull"):
+                q_local = channel.decode(pull_buf.array)
+            model = MFModel(p_shared.array, q_local)
+            with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
+                _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
+            # push: one encode into this worker's shared push buffer
+            with rec.span(Phase.PUSH, epoch), prof.stage("push"):
+                _encode_push(
+                    channel, model.Q, pull_buf, push_buf, faults, global_epoch
+                )
+            if faults:
+                _maybe_delay(faults, global_epoch, "end")
+            with rec.span(Phase.BARRIER, epoch):
+                progress.array[worker_id] = barrier_stamp(epoch, "end")
+                end_barrier.wait(timeout=patience_s)
+        prof.dump(profile_dir, worker_id)

@@ -13,36 +13,7 @@ See DESIGN.md section 2 for the substitution rationale and section 5
 for the calibration details.
 """
 
-from repro.hardware.specs import (
-    ProcessorKind,
-    ProcessorSpec,
-    BusSpec,
-    BusKind,
-    XEON_6242,
-    XEON_6242L_10T,
-    RTX_2080,
-    RTX_2080S,
-    TESLA_V100,
-    PCIE3_X16,
-    UPI,
-    QPI,
-    SHARED_MEMORY,
-    PROCESSOR_CATALOG,
-    BUS_CATALOG,
-)
-from repro.hardware.calibration import (
-    table2_bandwidth,
-    table4_rate,
-    locality_factor,
-    REFERENCE_K,
-)
-from repro.hardware.processor import Processor
-from repro.hardware.topology import Platform, paper_workstation, single_processor
-from repro.hardware.timeline import Phase, Span, Timeline
-from repro.hardware.streams import pipeline_schedule, PipelineResult
-from repro.hardware.profiler import measure_copy_bandwidth_gbs, measure_update_rate
-from repro.hardware.trace import export_chrome_trace, timeline_to_trace_events
-from repro.hardware.energy import EnergyReport, processor_energy, run_energy, IDLE_POWER_FRACTION
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ProcessorKind",
@@ -82,3 +53,23 @@ __all__ = [
     "run_energy",
     "IDLE_POWER_FRACTION",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hardware.specs": (
+        "ProcessorKind", "ProcessorSpec", "BusSpec", "BusKind", "XEON_6242",
+        "XEON_6242L_10T", "RTX_2080", "RTX_2080S", "TESLA_V100", "PCIE3_X16", "UPI",
+        "QPI", "SHARED_MEMORY", "PROCESSOR_CATALOG", "BUS_CATALOG",
+    ),
+    "repro.hardware.calibration": (
+        "table2_bandwidth", "table4_rate", "locality_factor", "REFERENCE_K",
+    ),
+    "repro.hardware.processor": ("Processor",),
+    "repro.hardware.topology": ("Platform", "paper_workstation", "single_processor"),
+    "repro.hardware.timeline": ("Phase", "Span", "Timeline"),
+    "repro.hardware.streams": ("pipeline_schedule", "PipelineResult"),
+    "repro.hardware.profiler": ("measure_copy_bandwidth_gbs", "measure_update_rate"),
+    "repro.hardware.trace": ("export_chrome_trace", "timeline_to_trace_events"),
+    "repro.hardware.energy": (
+        "EnergyReport", "processor_energy", "run_energy", "IDLE_POWER_FRACTION",
+    ),
+})

@@ -14,8 +14,7 @@ an RTX 2080 Super on PCI-E 3.0 x16, CPU_1 over UPI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.hardware.processor import Processor
 from repro.hardware.specs import (
@@ -29,13 +28,22 @@ from repro.hardware.specs import (
     XEON_6242,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - networkx loads with the first Platform
+    import networkx as nx
+
+
+def _empty_graph() -> "nx.Graph":
+    import networkx as nx
+
+    return nx.Graph()
+
 
 @dataclass
 class Platform:
     """A multi-CPU/GPU machine: one server plus worker processors."""
 
     server: Processor
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: nx.Graph = field(default_factory=_empty_graph)
     _workers: list[Processor] = field(default_factory=list)
     _channels: dict[str, str | None] = field(default_factory=dict)
 

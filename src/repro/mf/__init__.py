@@ -16,27 +16,7 @@ All kernels are vectorized NumPy with explicit conflict policies so the
 FPSGD) match the originals even though the instruction set differs.
 """
 
-from repro.mf.model import MFModel
-from repro.mf.loss import rmse, regularized_loss
-from repro.mf.kernels import sgd_batch_update, sgd_epoch, conflict_stats, ConflictPolicy
-from repro.mf.sgd import SerialSGD, HogwildSGD, TrainHistory
-from repro.mf.fpsgd import FPSGD, BlockGrid, BlockScheduler
-from repro.mf.cumf import CuMFSGD
-from repro.mf.dsgd import DSGD, dsgd_epoch_time, stratum_schedule
-from repro.mf.nomad import NOMAD
-from repro.mf.hsgd import HSGD
-from repro.mf.als import ALS, als_flops_per_rating
-from repro.mf.biased import BiasedMF
-from repro.mf.search import SearchSpace, SearchReport, SearchResult, grid_search
-from repro.mf.ccd import CCDPlusPlus, fold_in_user
-from repro.mf.schedules import ConstantLR, InverseTimeDecay, ExponentialDecay, BoldDriver
-from repro.mf.evaluation import (
-    mae,
-    recommend_top_n,
-    evaluate_ranking,
-    candidate_ndcg,
-    RankingReport,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MFModel",
@@ -77,3 +57,28 @@ __all__ = [
     "candidate_ndcg",
     "RankingReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mf.model": ("MFModel",),
+    "repro.mf.loss": ("rmse", "regularized_loss"),
+    "repro.mf.kernels": (
+        "sgd_batch_update", "sgd_epoch", "conflict_stats", "ConflictPolicy",
+    ),
+    "repro.mf.sgd": ("SerialSGD", "HogwildSGD", "TrainHistory"),
+    "repro.mf.fpsgd": ("FPSGD", "BlockGrid", "BlockScheduler"),
+    "repro.mf.cumf": ("CuMFSGD",),
+    "repro.mf.dsgd": ("DSGD", "dsgd_epoch_time", "stratum_schedule"),
+    "repro.mf.nomad": ("NOMAD",),
+    "repro.mf.hsgd": ("HSGD",),
+    "repro.mf.als": ("ALS", "als_flops_per_rating"),
+    "repro.mf.biased": ("BiasedMF",),
+    "repro.mf.search": ("SearchSpace", "SearchReport", "SearchResult", "grid_search"),
+    "repro.mf.ccd": ("CCDPlusPlus", "fold_in_user"),
+    "repro.mf.schedules": (
+        "ConstantLR", "InverseTimeDecay", "ExponentialDecay", "BoldDriver",
+    ),
+    "repro.mf.evaluation": (
+        "mae", "recommend_top_n", "evaluate_ranking", "candidate_ndcg",
+        "RankingReport",
+    ),
+})

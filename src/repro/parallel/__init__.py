@@ -11,9 +11,7 @@ This is the wall-clock execution plane; the calibrated timing plane
 (:mod:`repro.hardware`) models the paper's actual CPU+GPU testbed.
 """
 
-from repro.parallel.shm import SharedArray, SharedArraySpec
-from repro.parallel.executor import SharedMemoryTrainer, ParallelTrainResult
-from repro.parallel.tuning import MeasuredPartition, measure_partition
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SharedArray",
@@ -23,3 +21,9 @@ __all__ = [
     "MeasuredPartition",
     "measure_partition",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.shm": ("SharedArray", "SharedArraySpec"),
+    "repro.parallel.executor": ("SharedMemoryTrainer", "ParallelTrainResult"),
+    "repro.parallel.tuning": ("MeasuredPartition", "measure_partition"),
+})

@@ -53,9 +53,9 @@ class SharedArray:
         shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
         try:
             spec = SharedArraySpec(shm.name, tuple(int(s) for s in shape), spec_dtype)
-            arr = cls(shm, spec, owner=True)
-            arr.array[...] = 0
-            return arr
+            # no zero-fill: the kernel hands a fresh segment out zeroed,
+            # and writing it again would touch every page a second time
+            return cls(shm, spec, owner=True)
         except BaseException:
             # a failure between creating the segment and handing
             # ownership to the caller would leak it until reboot

@@ -21,15 +21,7 @@ The engine (:mod:`repro.engine.pipeline`) consumes all three; nothing
 here imports the engine, so the dependency points one way.
 """
 
-from repro.resilience.faults import Fault, FaultPlan
-from repro.resilience.health import HealthReport, WorkerHealth, WorkerState, classify
-from repro.resilience.policy import (
-    RecoveryAction,
-    ResilienceSummary,
-    TrainingAborted,
-    decide,
-    redistribute,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Fault",
@@ -44,3 +36,14 @@ __all__ = [
     "decide",
     "redistribute",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.faults": ("Fault", "FaultPlan"),
+    "repro.resilience.health": (
+        "HealthReport", "WorkerHealth", "WorkerState", "classify",
+    ),
+    "repro.resilience.policy": (
+        "RecoveryAction", "ResilienceSummary", "TrainingAborted", "decide",
+        "redistribute",
+    ),
+})

@@ -13,6 +13,15 @@ class TestSharedArray:
             assert arr.array.dtype == np.float32
             np.testing.assert_array_equal(arr.array, 0.0)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float16", "int64"])
+    def test_fresh_segment_reads_zero_without_a_fill(self, dtype):
+        """create() relies on the kernel zeroing new segments: every
+        wire dtype (and the int64 stamps/offsets) must read all-zero,
+        past the first page too."""
+        with SharedArray.create((3, 5000), dtype) as arr:
+            assert arr.array.dtype == np.dtype(dtype)
+            assert not arr.array.any()
+
     def test_attach_sees_writes(self):
         owner = SharedArray.create((3, 3), "float32")
         try:
