@@ -2,7 +2,8 @@
 # Pre-PR gate: hcclint (+ flow rules) + dynamic checks + ruff + mypy + pytest.
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast  skip the pytest stage (lint/type gates only)
+#   --fast  skip the tier-1 pytest stage (lint/type gates, the smoke
+#           stages and the memory-budget tests still run)
 #
 # ruff and mypy are part of the dev extra (pip install -e ".[dev]"); when
 # they are not installed the stage is reported as SKIPPED rather than
@@ -156,6 +157,14 @@ perf_smoke() {
         && python -m pytest perf/tests -q
 }
 stage test "perf-smoke" perf_smoke
+
+# 2h. memory-budget: the epoch path's tracemalloc budgets and the
+# bit-identity of the blocked residual, fused codec and merge_delta
+# against their full-array references (docs/engine.md, "Memory on the
+# epoch path").  A few seconds, so it also runs under --fast and a
+# budget breach gets its own line in the table below rather than one
+# dot among the tier-1 tests.
+stage test "memory-budget" python -m pytest tests/test_memory_budget.py -q
 
 # 3. ruff (style/pyflakes), if installed
 if command -v ruff >/dev/null 2>&1; then

@@ -408,6 +408,14 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import read_metrics_jsonl
 
     shown = False
+    events: list = []
+    samples: list = []
+    if args.metrics:
+        try:
+            events, samples = read_metrics_jsonl(args.metrics)
+        except OSError as exc:
+            print(f"cannot read metrics: {exc}", file=sys.stderr)
+            return 2
     if getattr(args, "hotpaths", None):
         from repro.obs.profile import StageProfileReport
 
@@ -436,15 +444,15 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
                     if total > 0
                 )
                 print(f"  {worker:12s} {totals}")
+            # the run's own memory figure, beside where its time went
+            for line in samples:
+                if line["name"] == "peak_rss_mb":
+                    print(f"  {'peak RSS':12s} {line['value']:.1f} MB "
+                          "(high-water mark of the server or any worker)")
         else:
             print(f"trace: {args.trace}  (no spans)")
         shown = True
     if args.metrics:
-        try:
-            events, samples = read_metrics_jsonl(args.metrics)
-        except OSError as exc:
-            print(f"cannot read metrics: {exc}", file=sys.stderr)
-            return 2
         print(f"metrics: {args.metrics}  ({len(events)} events, "
               f"{len(samples)} samples)")
         for line in samples:

@@ -121,6 +121,28 @@ class CommModel:
 BufferObserver = Callable[[str, "int | None"], None]
 
 
+def _encode(channel, values: np.ndarray, wire: np.ndarray) -> None:
+    """Payload -> wire buffer, through the channel stack when there is one."""
+    if channel is not None:
+        channel.encode(values, wire)
+    elif wire.dtype == np.float16:
+        compress_fp16(values, out=wire)
+    else:
+        np.copyto(wire, values)
+
+
+def _decode(channel, wire: np.ndarray, out: "np.ndarray | None") -> np.ndarray:
+    """Wire buffer -> FP32 payload, into ``out`` when the caller keeps one."""
+    if channel is not None:
+        return channel.decode(wire, out)
+    if wire.dtype == np.float16:
+        return decompress_fp16(wire, out=out)
+    if out is None:
+        return wire.copy()
+    np.copyto(out, wire)
+    return out
+
+
 class PullBuffer:
     """Server-side buffer that workers map and read (one copy to fill).
 
@@ -159,38 +181,32 @@ class PullBuffer:
         """Server -> buffer (the single per-epoch copy)."""
         if values.shape != self._buf.shape:
             raise ValueError(f"shape mismatch: {values.shape} vs {self._buf.shape}")
-        if self.channel is not None:
-            self.channel.encode(values, self._buf)
-        elif self.fp16:
-            np.copyto(self._buf, compress_fp16(values))
-        else:
-            np.copyto(self._buf, values.astype(np.float32, copy=False))
+        _encode(self.channel, values, self._buf)
         self.copies_in += 1
         if self.observer is not None:
             self.observer("deposit", None)
 
-    def _decode(self) -> np.ndarray:
-        if self.channel is not None:
-            return self.channel.decode(self._buf)
-        if self.fp16:
-            return decompress_fp16(self._buf)
-        return self._buf.copy()
+    def read(
+        self, worker: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Worker view of the buffer contents, decoded to FP32 into ``out``.
 
-    def read(self, worker: int | None = None) -> np.ndarray:
-        """Worker view of the buffer contents, decompressed to FP32."""
+        A worker that keeps its local Q across epochs passes it as
+        ``out``; without one the copy is a fresh array.
+        """
         self.reads += 1
         if self.observer is not None:
             self.observer("read", worker)
-        return self._decode()
+        return _decode(self.channel, self._buf, out)
 
-    def epoch_base(self) -> np.ndarray:
+    def epoch_base(self, out: np.ndarray | None = None) -> np.ndarray:
         """The wire-accurate merge base: what workers will decode.
 
         A server-side bookkeeping view — deliberately *not* counted as a
         worker read, so the one-copy accounting the race detector checks
         stays exact.
         """
-        return self._decode()
+        return _decode(self.channel, self._buf, out)
 
 
 class PushBuffer:
@@ -229,23 +245,19 @@ class PushBuffer:
     def deposit(self, values: np.ndarray) -> None:
         if values.shape != self._buf.shape:
             raise ValueError(f"shape mismatch: {values.shape} vs {self._buf.shape}")
-        if self.channel is not None:
-            self.channel.encode(values, self._buf)
-        elif self.fp16:
-            np.copyto(self._buf, compress_fp16(values))
-        else:
-            np.copyto(self._buf, values.astype(np.float32, copy=False))
+        _encode(self.channel, values, self._buf)
         self.copies_in += 1
         if self.observer is not None:
             self.observer("deposit", self.worker_id)
 
     def consume(self) -> np.ndarray:
-        """Server-side view for the sync merge (FP32)."""
+        """The pushed payload, still on the wire, for the sync merge.
+
+        Always the buffer itself: the merge widens a binary16 wire while
+        it subtracts (:func:`repro.core.server.merge_delta`), so
+        consumption is zero-copy for every wire format.
+        """
         self.consumed += 1
         if self.observer is not None:
             self.observer("consume", None)
-        if self._buf.dtype == np.float32:
-            return self._buf  # in-place consumption: zero-copy
-        if self.channel is not None:
-            return self.channel.decode(self._buf)
-        return decompress_fp16(self._buf)
+        return self._buf

@@ -23,24 +23,34 @@ FP16_RELATIVE_ERROR_BOUND = 2.0 ** -11
 FP16_MAX = 65504.0
 
 
-def compress_fp16(arr: np.ndarray) -> np.ndarray:
+def compress_fp16(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Convert an FP32 array to FP16 for transmission.
 
     Values whose magnitude exceeds the FP16 range are clamped to the
     largest finite half-precision value rather than becoming inf — a
     transmitted inf would destroy the receiving feature matrix.
+
+    ``out`` is the wire buffer to fill (a fresh one when omitted).
+    Clamp and narrowing cast are one pass: the clip runs in FP32 and
+    NumPy casts its result into ``out`` a buffer-full at a time, so no
+    full-size temporary exists on either side of the cast.
     """
     arr = np.asarray(arr, dtype=np.float32)
-    clipped = np.clip(arr, -FP16_MAX, FP16_MAX)
-    return clipped.astype(np.float16)
+    if out is None:
+        out = np.empty(arr.shape, dtype=np.float16)
+    np.clip(arr, -FP16_MAX, FP16_MAX, out=out, casting="unsafe")
+    return out
 
 
-def decompress_fp16(arr: np.ndarray) -> np.ndarray:
-    """Convert a received FP16 buffer back to FP32."""
+def decompress_fp16(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Convert a received FP16 buffer back to FP32 (into ``out`` if given)."""
     arr = np.asarray(arr)
     if arr.dtype != np.float16:
         raise TypeError(f"expected float16 buffer, got {arr.dtype}")
-    return arr.astype(np.float32)
+    if out is None:
+        return arr.astype(np.float32)
+    np.copyto(out, arr)
+    return out
 
 
 def roundtrip_error(arr: np.ndarray) -> float:

@@ -20,6 +20,11 @@ available for entry-level partitions whose shards overlap.
 
 With a row grid the P rows are worker-exclusive, so workers write them
 in place ("transmit Q only", Strategy 1): the server never merges P.
+
+:func:`merge_delta` is that merge, written once for both planes: the
+in-process :class:`ParameterServer` and the process plane's server
+(:class:`~repro.engine.backends.ProcessBackend`) call the same function
+on their push buffers.
 """
 
 from __future__ import annotations
@@ -30,6 +35,49 @@ import numpy as np
 
 from repro.core.comm import PullBuffer, PushBuffer
 from repro.mf.model import MFModel
+
+
+#: values per block of :func:`merge_delta`: three FP32 streams of
+#: 256 KB each, so a merge of any k x n stays cache-resident
+_MERGE_BLOCK = 1 << 16
+
+
+def merge_scratch() -> np.ndarray:
+    """The block buffer :func:`merge_delta` computes deltas in.
+
+    A server allocates it once per run and hands it to every merge.
+    """
+    return np.empty(_MERGE_BLOCK, dtype=np.float32)
+
+
+def merge_delta(
+    Q: np.ndarray,
+    wire: np.ndarray,
+    q_base: np.ndarray,
+    weight: float,
+    scratch: np.ndarray,
+) -> None:
+    """``Q += weight * (wire - q_base)`` in place, one scratch block at a time.
+
+    ``wire`` is a worker's push buffer as it crossed — FP32 or binary16.
+    Widening binary16 is exact, and the subtraction does it while it
+    reads, so decode and subtract are one pass into ``scratch`` and the
+    add is the second: the three memory operations plus multiply-add
+    per value that Eq. 3 charges, with no array beyond ``scratch``
+    (1-D FP32; its length is the block size).  Validate the payload
+    *before* calling: a merge is not undone.
+    """
+    if not Q.flags.c_contiguous:
+        raise ValueError("Q must be C-contiguous to be merged in place")
+    q_flat, wire_flat, base_flat = Q.reshape(-1), wire.reshape(-1), q_base.reshape(-1)
+    w = np.float32(weight)
+    for lo in range(0, q_flat.size, len(scratch)):
+        hi = min(lo + len(scratch), q_flat.size)
+        delta = scratch[: hi - lo]
+        np.subtract(wire_flat[lo:hi], base_flat[lo:hi], out=delta)
+        if weight != 1.0:
+            np.multiply(delta, w, out=delta)
+        np.add(q_flat[lo:hi], delta, out=q_flat[lo:hi])
 
 
 class ParameterServer:
@@ -61,7 +109,10 @@ class ParameterServer:
                        channel=channel)
             for i in range(n_workers)
         ]
-        self._q_base: np.ndarray | None = None
+        # allocated once: the epoch base and the merge's block buffer
+        # are rewritten in place every epoch
+        self._q_base = np.empty(model.Q.shape, dtype=np.float32)
+        self._merge_scratch = merge_scratch()
         self.sync_count = 0
         self.epochs_started = 0
         #: optional repro.obs MetricsRegistry (duck-typed — core never
@@ -80,20 +131,24 @@ class ParameterServer:
         the pull side cancels out of the delta merge.
         """
         self.pull_buffer.deposit(self.model.Q)
-        self._q_base = self.pull_buffer.epoch_base()
+        self.pull_buffer.epoch_base(out=self._q_base)
         self.epochs_started += 1
 
-    def pull(self, worker: int | None = None) -> np.ndarray:
-        """A worker's pull: the epoch-base global Q (FP32).
+    def pull(
+        self, worker: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A worker's pull: the epoch-base global Q (FP32), into ``out``.
 
         When the wire is FP16 the returned matrix has gone through the
         compress/decompress round-trip, exactly what a worker would see.
         ``worker`` attributes the read when the buffer is instrumented
-        (see :func:`repro.analysis.race.attach_to_server`).
+        (see :func:`repro.analysis.race.attach_to_server`); ``out`` is
+        the worker's local Q when it keeps one across epochs (a fresh
+        array otherwise).
         """
-        if self._q_base is None:
+        if not self.epochs_started:
             raise RuntimeError("pull before begin_epoch")
-        out = self.pull_buffer.read(worker=worker)
+        out = self.pull_buffer.read(worker=worker, out=out)
         if self.metrics is not None:
             # wire-accurate accounting: the buffer's footprint is what
             # actually crossed, so FP16 stacks report half the bytes
@@ -107,7 +162,7 @@ class ParameterServer:
 
     def push(self, worker_id: int, q_local: np.ndarray) -> None:
         """A worker's push: deposit into its own push buffer (one copy)."""
-        if self._q_base is None:
+        if not self.epochs_started:
             raise RuntimeError("push before begin_epoch")
         if not (0 <= worker_id < self.n_workers):
             raise IndexError(f"worker_id {worker_id} out of range")
@@ -120,18 +175,15 @@ class ParameterServer:
 
     def sync(self, worker_id: int, weight: float = 1.0) -> None:
         """The server's merge of one worker's pushed result."""
-        if self._q_base is None:
+        if not self.epochs_started:
             raise RuntimeError("sync before begin_epoch")
         if not (0.0 <= weight <= 1.0):
             raise ValueError("weight must be in [0, 1]")
         if not (0 <= worker_id < self.n_workers):
             raise IndexError(f"worker_id {worker_id} out of range")
-        received = self.push_buffers[worker_id].consume()
+        wire = self.push_buffers[worker_id].consume()
         t0 = time.perf_counter() if self.metrics is not None else 0.0
-        # three memory ops + multiply-add per value, as Eq. 3 charges:
-        # read global, read delta, write global
-        delta = received.astype(np.float32) - self._q_base
-        self.model.Q += np.float32(weight) * delta
+        merge_delta(self.model.Q, wire, self._q_base, weight, self._merge_scratch)
         self.sync_count += 1
         if self.metrics is not None:
             t1 = time.perf_counter()
@@ -147,7 +199,7 @@ class ParameterServer:
         pipeline stages; this combined form serves callers that want
         the classic interleaved step.
         """
-        if self._q_base is None:
+        if not self.epochs_started:
             raise RuntimeError("push before begin_epoch")
         if not (0.0 <= weight <= 1.0):
             raise ValueError("weight must be in [0, 1]")
@@ -157,6 +209,6 @@ class ParameterServer:
     # ------------------------------------------------------------------
     @property
     def q_base(self) -> np.ndarray:
-        if self._q_base is None:
+        if not self.epochs_started:
             raise RuntimeError("no epoch in progress")
         return self._q_base

@@ -88,13 +88,19 @@ class WorkerRuntime:
             raise RuntimeError("P was copied; in-place row updates would be lost")
 
         t0 = time.perf_counter() if self.metrics is not None else 0.0
-        order = self.rng.permutation(self.data.nnz)
-        shuffled = self.data.take(order)
+        data = self.data
+        order = self.rng.permutation(data.nnz)
         total_sq = 0.0
-        for rows, cols, vals in shuffled.batches(self.batch_size):
-            mse = sgd_batch_update(model, rows, cols, vals, lr, reg, self.policy)
-            total_sq += mse * len(rows)
-            self.updates_applied += len(rows)
+        # per-batch gathers in the epoch's sample order: the shard is
+        # never copied whole
+        for lo in range(0, data.nnz, self.batch_size):
+            sel = order[lo : lo + self.batch_size]
+            mse = sgd_batch_update(
+                model, data.rows[sel], data.cols[sel], data.vals[sel],
+                lr, reg, self.policy,
+            )
+            total_sq += mse * len(sel)
+            self.updates_applied += len(sel)
         if self.metrics is not None:
             worker = f"worker-{self.worker_id}"
             self.metrics.counter("updates_total", "SGD updates applied").inc(

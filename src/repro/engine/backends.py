@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from repro.core.server import ParameterServer, merge_delta, merge_scratch
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.engine.channels import Channel
@@ -190,7 +191,6 @@ class SimBackend:
     # -- lifecycle -------------------------------------------------------
     def open(self, plan, channel: Channel, sync_policy: "SyncPolicy",
              telemetry, epochs: int) -> None:
-        from repro.core.server import ParameterServer
         from repro.core.worker import WorkerRuntime
 
         data = self.ratings
@@ -256,7 +256,10 @@ class SimBackend:
         else:
             self._timeline = None
             self._t_origin = 0.0
-        self._q_locals: list[np.ndarray] = []
+        # each worker's local Q, allocated once: every pull decodes into it
+        self._q_locals = [
+            np.empty(self.model.Q.shape, dtype=np.float32) for _ in self.runtimes
+        ]
         self._q_news: list[np.ndarray] = []
 
     def _now(self) -> float:
@@ -318,17 +321,15 @@ class SimBackend:
         if self.fault_plan:
             self._inject_epoch_top(epoch)
         self.server.begin_epoch()
-        self._q_locals = []
-        for rt in self.runtimes:
+        for rt, q_local in zip(self.runtimes, self._q_locals):
             if self._timed:
                 t0 = self._now()
-            q_local = self.server.pull(worker=rt.worker_id)
+            self.server.pull(worker=rt.worker_id, out=q_local)
             if self._timed:
                 self._timeline.add(
                     f"worker-{rt.worker_id}", Phase.PULL, t0, self._now(),
                     epoch + self.epoch_offset, self._attempt,
                 )
-            self._q_locals.append(q_local)
         nbytes = self.server.pull_buffer.nbytes
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
 
@@ -460,8 +461,14 @@ class SimBackend:
             telemetry.timeline = self._timeline
 
     def close(self) -> None:
+        # everything sized by the run goes with it — the server's wire
+        # buffers and epoch base, the workers' local Qs and shards —
+        # so a backend kept for its ``model`` (publish, serving) holds
+        # the factors and nothing else
         self._q_locals = []
         self._q_news = []
+        self.server = None
+        self.runtimes = []
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +591,10 @@ class ProcessBackend:
         self._registry = telemetry.registry if telemetry is not None else None
         self._start_barrier = ctx.Barrier(self.n_workers + 1)
         self._end_barrier = ctx.Barrier(self.n_workers + 1)
-        self._q_base: np.ndarray | None = None
+        # the epoch base and the merge's block buffer, allocated once and
+        # rewritten in place every epoch; close() drops them
+        self._q_base = np.empty((k, ratings.n), dtype=np.float32)
+        self._merge_scratch = merge_scratch()
         self._epochs = epochs
         self._procs: list = []
         self._rings: list = []
@@ -778,7 +788,7 @@ class ProcessBackend:
         self._channel.encode(self.model.Q, buf.array)
         # the merge base is the exact matrix workers decode off the wire,
         # so pull-side quantization error cancels out of the deltas
-        self._q_base = self._channel.decode(buf.array)
+        self._channel.decode(buf.array, out=self._q_base)
         self._await(self._start_barrier, "start", epoch)
         nbytes = buf.array.nbytes
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
@@ -797,30 +807,24 @@ class ProcessBackend:
         timed = self._telemetry is not None
         if timed:
             m0 = time.perf_counter()
-        # validate every push *before* merging any of them: the epoch's
-        # sync is all-or-nothing, so a garbage payload (torn write from
-        # a dying worker, injected corruption) leaves the model at the
-        # last cleanly-synced epoch — the state a retry restarts from
-        decoded: list[np.ndarray] = []
+        # validate every push *before* merging any of them, as it lies
+        # on the wire: the epoch's sync is all-or-nothing, so a garbage
+        # payload (torn write from a dying worker, injected corruption)
+        # leaves the model at the last cleanly-synced epoch — the state
+        # a retry restarts from
         for wid, buf in enumerate(self._push_bufs):
-            wire = buf.array
-            received = (
-                wire if wire.dtype == np.float32 else self._channel.decode(wire)
-            )
-            if not self._channel.payload_ok(received):
+            if not self._channel.payload_ok(buf.array):
                 raise WirePayloadError(wid, epoch)
-            decoded.append(received)
         np.copyto(self.model.P, self._p_shared.array)
-        q_base = self._q_base
-        for wid, received in enumerate(decoded):
-            weight = self._sync_policy.weight(wid, self._fractions)
+        for wid, buf in enumerate(self._push_bufs):
             # additive delta merge: workers trained on disjoint row-grid
             # shards, so their Q deltas are distinct SGD steps and all
             # of them apply
-            if weight == 1.0:
-                self.model.Q += received - q_base
-            else:
-                self.model.Q += np.float32(weight) * (received - q_base)
+            merge_delta(
+                self.model.Q, buf.array, self._q_base,
+                self._sync_policy.weight(wid, self._fractions),
+                self._merge_scratch,
+            )
         if timed:
             m1 = time.perf_counter()
             self._server_spans.append((Phase.SYNC, epoch, m0, m1))
@@ -893,6 +897,10 @@ class ProcessBackend:
             self._finalize_telemetry(telemetry)
 
     def close(self) -> None:
+        # the per-epoch buffers are sized k x n; a backend kept for its
+        # model (publish, serving) must not keep them alive
+        self._q_base = None
+        self._merge_scratch = None
         if self._stack is not None:
             # failure path (finalize never ran): the attempt's spans
             # would die with the rings' unlink, so reap the stragglers

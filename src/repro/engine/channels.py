@@ -40,6 +40,9 @@ import numpy as np
 from repro.core.compression import compress_fp16, decompress_fp16
 from repro.core.config import CommConfig, TransmitMode
 
+#: wire values per block of :meth:`Channel.payload_ok`'s finiteness scan
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class WireTraffic:
@@ -77,7 +80,13 @@ class Channel:
     # -- wire format ----------------------------------------------------
     @property
     def wire_dtype(self) -> str:
-        """NumPy dtype name of buffers on the wire."""
+        """NumPy dtype name of buffers on the wire.
+
+        An IEEE float format that widens to FP32 exactly: the server's
+        merge reads a push buffer as it crossed and lets the subtraction
+        widen it (:func:`repro.core.server.merge_delta`), which equals
+        :meth:`decode` for such a format and for no other.
+        """
         return self.inner.wire_dtype if self.inner is not None else "float32"
 
     @property
@@ -89,30 +98,42 @@ class Channel:
         return self.wire_dtype == "float16"
 
     def encode(self, values: np.ndarray, out: np.ndarray) -> None:
-        """FP32 payload -> wire buffer (the sender's single copy)."""
+        """FP32 payload -> wire buffer ``out`` (the sender's single copy)."""
         if self.inner is not None:
             self.inner.encode(values, out)
         else:
-            np.copyto(out, values.astype(np.float32, copy=False))
+            np.copyto(out, values)
 
-    def decode(self, wire: np.ndarray) -> np.ndarray:
-        """Wire buffer -> fresh FP32 payload (the receiver's single copy)."""
+    def decode(self, wire: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Wire buffer -> FP32 payload (the receiver's single copy).
+
+        The copy lands in ``out`` — epoch loops pass a buffer they
+        allocated once — or in a fresh array when ``out`` is omitted.
+        """
         if self.inner is not None:
-            return self.inner.decode(wire)
-        return np.array(wire, dtype=np.float32, copy=True)
+            return self.inner.decode(wire, out)
+        if out is None:
+            return np.array(wire, dtype=np.float32, copy=True)
+        np.copyto(out, wire)
+        return out
 
     def payload_ok(self, received: np.ndarray) -> bool:
-        """Is a decoded payload structurally sane to merge?
+        """Is a payload — decoded, or still on the wire — sane to merge?
 
         The server validates *every* push before merging *any* of them
         (all-or-nothing epoch sync), so one garbage payload — a torn
         write from a dying worker, an injected corruption — can never
-        leave the global Q half-merged.  The base check is finiteness;
+        leave the global Q half-merged.  The base check is finiteness,
+        taken block by block so the mask it builds stays block-sized;
         middlewares may narrow it further.
         """
         if self.inner is not None:
             return self.inner.payload_ok(received)
-        return bool(np.isfinite(received).all())
+        flat = received.reshape(-1)
+        return all(
+            np.isfinite(flat[lo : lo + _BLOCK]).all()
+            for lo in range(0, flat.size, _BLOCK)
+        )
 
     # -- traffic accounting ---------------------------------------------
     def traffic(self, m: int, n: int, k: int) -> WireTraffic:
@@ -211,10 +232,10 @@ class Fp16Channel(Channel):
         return "float16"
 
     def encode(self, values: np.ndarray, out: np.ndarray) -> None:
-        np.copyto(out, compress_fp16(values))
+        compress_fp16(values, out=out)
 
-    def decode(self, wire: np.ndarray) -> np.ndarray:
-        return decompress_fp16(wire)
+    def decode(self, wire: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return decompress_fp16(wire, out=out)
 
 
 class DoubleBufferChannel(Channel):

@@ -50,6 +50,17 @@ STAGES = ("pull", "compute", "push", "sync")
 RECOVERABLE_ERRORS = (WorkerSyncError, WirePayloadError)
 
 
+def _peak_rss_mb() -> float:
+    """``ru_maxrss`` of this process or its reaped children, whichever is larger."""
+    import resource  # POSIX only, like the shared-memory plane; read once per run
+
+    kb = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    return kb / 1024.0
+
+
 # ---------------------------------------------------------------------------
 # sync policies (how worker results merge into the global model)
 # ---------------------------------------------------------------------------
@@ -315,6 +326,14 @@ class EpochEngine:
                                 done, rmse_history, summary, registry
                             )
                     self.backend.finalize(self.telemetry)
+                    if registry is not None:
+                        # after finalize: the workers have been joined, so
+                        # their high-water mark is in RUSAGE_CHILDREN
+                        registry.gauge(
+                            "peak_rss_mb",
+                            "resident-set high-water mark of the run: max "
+                            "of this process and its reaped workers",
+                        ).set(_peak_rss_mb())
                 except RECOVERABLE_ERRORS as err:
                     if self.recovery is None:
                         raise

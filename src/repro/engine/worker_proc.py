@@ -203,6 +203,10 @@ def worker_main(
             from repro.obs.profile import WorkerStageProfiles
 
             prof = WorkerStageProfiles()
+        # the local Q, allocated once: every epoch's pull decodes into it
+        model = MFModel(
+            p_shared.array, np.empty(pull_bufs[0].array.shape, dtype=np.float32)
+        )
         progress.array[worker_id] = HANDSHAKE_STAMP
         rows = cols = vals = None
         for epoch in range(epochs):
@@ -224,8 +228,7 @@ def worker_main(
             # pull: the worker's single per-epoch copy out of the shared
             # pull buffer, decoded off the wire (paper 3.5)
             with rec.span(Phase.PULL, epoch), prof.stage("pull"):
-                q_local = channel.decode(pull_buf.array)
-            model = MFModel(p_shared.array, q_local)
+                channel.decode(pull_buf.array, out=model.Q)
             with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
                 _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
             # push: one encode into this worker's shared push buffer

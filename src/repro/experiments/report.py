@@ -195,6 +195,32 @@ def _ablations_section(w) -> None:
         w("\n```\n\n")
 
 
+def _wall_clock_notes_section(w) -> None:
+    """Host measurements the platform model cannot regenerate (static text)."""
+    w("## Wall-clock notes (this host, not the platform model)\n\n")
+    w("### FP16 wire on a bus-less host (Strategy 2, paper 3.4)\n\n")
+    w("**Sim-plane evidence only.**  Every FP16 gain above (Table 5,\n")
+    w("Figure 6) is the platform model pricing half the bytes over PCI-E.\n")
+    w("The process plane has no bus: its wire is\n")
+    w("shared memory, where FP16 saves no transfer time and still pays the\n")
+    w("conversion.  With the codec fused into one pass per direction\n")
+    w("(`compress_fp16(arr, out=)`, `decode(wire, out=)`, merge straight off\n")
+    w("the wire), `ProcessBackend` at n = 120 k, k = 64, 2 workers (the\n")
+    w("`proc_wide_sync` matrix, seed 0, median of 8 steady epochs, `pull`\n")
+    w("entry to `sync` return, four alternating runs a side on a 2-vCPU\n")
+    w("host) reads:\n\n")
+    w("| wire | s/epoch, fused codec | s/epoch, before (clip, astype, copyto) |\n")
+    w("|---|---|---|\n")
+    w("| FP32 (`q-only`) | 0.29 - 0.34 | 0.28 - 0.37 |\n")
+    w("| FP16 (`fp16(q-only)`) | 0.36 - 0.41 | 0.40 - 0.42 |\n\n")
+    w("FP16 narrowed the gap and still loses by about 0.06 s an epoch\n")
+    w("(four conversions of 7.7 M values and a binary16 finiteness scan\n")
+    w("against four `memcpy`s), at an RMSE equal to five digits (0.832967\n")
+    w("against 0.832963 after 10 epochs).  On this substrate Strategy 2 is a\n")
+    w("cost, so its benefit is claimed for the simulated PCI-E platforms\n")
+    w("only (perf/README.md, sizing fact 4, records the earlier figure).\n\n")
+
+
 #: section id -> writer, in report order
 SECTIONS: dict[str, Callable] = {
     "fig3": _fig3_section,
@@ -230,4 +256,5 @@ def build_markdown_report(
             section(w)
     if include_ablations:
         _ablations_section(w)
+    _wall_clock_notes_section(w)
     return out.getvalue()

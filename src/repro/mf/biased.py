@@ -59,7 +59,13 @@ class BiasedMF:
         return self.mu + self.user_bias[rows] + self.item_bias[cols] + interaction
 
     def rmse(self, ratings: RatingMatrix) -> float:
-        err = ratings.vals - self.predict(ratings.rows, ratings.cols)
+        if self.model is None:
+            raise RuntimeError("fit() first")
+        # the interaction part through the model's blocked residual; the
+        # bias terms are O(nnz) gathers
+        err = self.model.residual(ratings) - (
+            self.mu + self.user_bias[ratings.rows] + self.item_bias[ratings.cols]
+        )
         return float(np.sqrt(np.mean(np.square(err, dtype=np.float64))))
 
     # ------------------------------------------------------------------

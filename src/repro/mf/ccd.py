@@ -70,10 +70,9 @@ class CCDPlusPlus:
         eval_data = eval_data if eval_data is not None else ratings
         self.model = MFModel.init_for(ratings, self.k, seed=self.seed)
         rows, cols = ratings.rows, ratings.cols
-        vals = ratings.vals.astype(np.float64)
 
         # residual r_ij = R_ij - p_i . q_j, maintained incrementally
-        residual = vals - self.model.predict(rows, cols).astype(np.float64)
+        residual = self.model.residual(ratings).astype(np.float64)
 
         for _ in range(epochs):
             for f in range(self.k):

@@ -22,8 +22,7 @@ def mae(model: MFModel, ratings: RatingMatrix) -> float:
     """Mean absolute error over observed entries."""
     if ratings.nnz == 0:
         return 0.0
-    err = ratings.vals - model.predict(ratings.rows, ratings.cols)
-    return float(np.mean(np.abs(err)))
+    return float(np.mean(np.abs(model.residual(ratings))))
 
 
 def recommend_top_n(

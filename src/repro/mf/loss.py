@@ -31,8 +31,7 @@ def regularized_loss(
     """The full training objective (squared error + L2 penalties)."""
     if reg_q is None:
         reg_q = reg_p
-    err = ratings.vals - model.predict(ratings.rows, ratings.cols)
-    sq = float(np.sum(np.square(err, dtype=np.float64)))
+    sq = float(np.sum(np.square(model.residual(ratings), dtype=np.float64)))
     pen = reg_p * float(np.sum(np.square(model.P, dtype=np.float64)))
     pen += reg_q * float(np.sum(np.square(model.Q, dtype=np.float64)))
     return sq + pen
@@ -40,4 +39,4 @@ def regularized_loss(
 
 def per_entry_errors(model: MFModel, ratings: RatingMatrix) -> np.ndarray:
     """Signed prediction errors ``r_ij - p_i.q_j`` for each observed entry."""
-    return ratings.vals - model.predict(ratings.rows, ratings.cols)
+    return model.residual(ratings)

@@ -14,6 +14,36 @@ import numpy as np
 
 from repro.data.ratings import RatingMatrix
 
+#: coordinate pairs per block of the blocked passes (predict, residual):
+#: the two factor gathers of one block are ``2 * 8192 * k`` floats, 4 MB
+#: at k = 64, so a pass over any number of ratings keeps a cache-sized
+#: working set instead of materialising ``P[rows]`` and ``Q[:, cols]``
+_BLOCK = 8192
+
+#: float64 values drawn per block by :meth:`MFModel.init` (512 KB)
+_INIT_BLOCK = 1 << 16
+
+
+def _scaled_normal(
+    rng: np.random.Generator, shape: tuple[int, int], base: float
+) -> np.ndarray:
+    """``base * (1 + 0.1 * N(0, 1))`` as float32, drawn row block by row block.
+
+    The generator fills a ``(rows, cols)`` request in row-major order
+    from one stream, so drawing the rows in blocks yields the same
+    values as drawing the whole matrix; only one block ever exists in
+    float64.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    step = max(1, _INIT_BLOCK // max(1, shape[1]))
+    for lo in range(0, shape[0], step):
+        block = rng.standard_normal((min(step, shape[0] - lo), shape[1]))
+        block *= 0.1
+        block += 1.0
+        block *= base
+        out[lo : lo + step] = block
+    return out
+
 
 @dataclass
 class MFModel:
@@ -67,9 +97,9 @@ class MFModel:
             raise ValueError("mean_rating must be positive")
         rng = np.random.default_rng(seed)
         base = np.sqrt(mean_rating / k)
-        p = base * (1.0 + 0.1 * rng.standard_normal((m, k)))
-        q = base * (1.0 + 0.1 * rng.standard_normal((k, n)))
-        return cls(p.astype(np.float32), q.astype(np.float32))
+        p = _scaled_normal(rng, (m, k), base)
+        q = _scaled_normal(rng, (k, n), base)
+        return cls(p, q)
 
     @classmethod
     def init_for(cls, ratings: RatingMatrix, k: int, seed: int = 0) -> "MFModel":
@@ -77,9 +107,38 @@ class MFModel:
         return cls.init(ratings.m, ratings.n, k, mean_rating=max(mean, 1e-3), seed=seed)
 
     # ------------------------------------------------------------------
+    def _predict_blocks(self, rows: np.ndarray, cols: np.ndarray):
+        """Yield ``(slice, predictions)`` over ``_BLOCK``-sized runs of pairs.
+
+        Each element of an ``einsum("ij,ji->i")`` is its own dot product,
+        so a block's values carry the bits the same call over all pairs
+        at once would give them.
+        """
+        for lo in range(0, len(rows), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            yield block, np.einsum(
+                "ij,ji->i", self.P[rows[block]], self.Q[:, cols[block]],
+                optimize=True,
+            )
+
     def predict(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Predicted ratings for coordinate pairs: ``sum_k P[r,k] Q[k,c]``."""
-        return np.einsum("ij,ji->i", self.P[rows], self.Q[:, cols], optimize=True)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        out = np.empty(len(rows), dtype=np.float32)
+        for block, predicted in self._predict_blocks(rows, cols):
+            out[block] = predicted
+        return out
+
+    def residual(self, ratings: RatingMatrix) -> np.ndarray:
+        """Signed errors ``r_ij - p_i . q_j`` of the observed entries (float32).
+
+        The one residual every error metric reduces: nothing larger
+        than this O(nnz) vector and one block of gathers is allocated.
+        """
+        err = np.empty(ratings.nnz, dtype=np.float32)
+        for block, predicted in self._predict_blocks(ratings.rows, ratings.cols):
+            np.subtract(ratings.vals[block], predicted, out=err[block])
+        return err
 
     def predict_dense(self) -> np.ndarray:
         """Full predicted rating matrix R_p = P @ Q (small models only)."""
@@ -89,7 +148,7 @@ class MFModel:
         """Root mean square error over the observed entries."""
         if ratings.nnz == 0:
             return 0.0
-        err = ratings.vals - self.predict(ratings.rows, ratings.cols)
+        err = self.residual(ratings)
         # metric reduction deliberately widens; never feeds the FP32 model
         return float(np.sqrt(np.mean(np.square(err, dtype=np.float64))))  # hcclint: disable=kernel-promotion
 

@@ -246,6 +246,9 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         assert "spans," in out  # "trace: ... (N spans, makespan ...)"
         assert "epoch_rmse" in out
+        # the run's own memory figure, beside the stage breakdown
+        assert "peak RSS" in out and " MB " in out
+        assert "peak_rss_mb{}" in out
 
     def test_obs_report_missing_file(self, capsys, tmp_path):
         assert main(["obs-report", "--trace", str(tmp_path / "no.json")]) == 2

@@ -53,6 +53,21 @@ class TestRunEpoch:
         assert mse > 0
         assert not np.allclose(q_new, model.Q)
 
+    def test_sample_order_is_the_permuted_shard_in_batches(self, setup):
+        """Per-batch indexing trains the batches ``take(order)`` would give."""
+        from repro.mf.kernels import sgd_batch_update
+
+        data, assignments, model = setup
+        rt = WorkerRuntime(0, Processor(XEON_6242), assignments[0], data,
+                           batch_size=512, seed=1)
+        want = model.copy()
+        shuffled = rt.data.take(np.random.default_rng(1).permutation(rt.nnz))
+        for rows, cols, vals in shuffled.batches(512):
+            sgd_batch_update(want, rows, cols, vals, 0.01, 0.01, rt.policy)
+        q_new, _ = rt.run_epoch(model.P, model.Q.copy(), lr=0.01, reg=0.01)
+        np.testing.assert_array_equal(q_new.view(np.uint32), want.Q.view(np.uint32))
+        np.testing.assert_array_equal(model.P.view(np.uint32), want.P.view(np.uint32))
+
     def test_reduces_local_loss(self, setup):
         data, assignments, model = setup
         rt = WorkerRuntime(0, Processor(XEON_6242), assignments[0], data, seed=1)

@@ -1,0 +1,357 @@
+"""Memory on the epoch path (docs/engine.md, "Memory on the epoch path").
+
+Every full-size pass of an epoch — evaluate, the wire codec, validate,
+merge — is blocked or writes into a buffer allocated once at ``open()``.
+Two kinds of test pin that: ``tracemalloc`` budgets (nothing O(nnz * k)
+or O(k * n) is allocated per epoch) and bit-identity against the
+full-array formulas the blocked code replaced, which stay here as the
+reference implementations.
+"""
+
+import resource
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro.mf.model as model_mod
+from repro.core.compression import FP16_MAX, compress_fp16
+from repro.core.partition import PartitionPlan
+from repro.core.server import ParameterServer, merge_delta, merge_scratch
+from repro.data.ratings import RatingMatrix
+from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
+from repro.engine.channels import Channel, Fp16Channel, QOnlyChannel
+from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.hardware.topology import paper_workstation
+from repro.mf.model import MFModel
+from repro.obs import Telemetry
+from repro.resilience.faults import FaultPlan
+
+BLOCK = model_mod._BLOCK
+PLAN = PartitionPlan("dp0", (0.5, 0.5))
+
+
+def random_ratings(nnz: int, m: int, n: int, seed: int = 0) -> RatingMatrix:
+    rng = np.random.default_rng(seed)
+    return RatingMatrix(
+        m, n, rng.integers(0, m, nnz), rng.integers(0, n, nnz),
+        rng.uniform(1.0, 5.0, nnz),
+    )
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(f"u{a.dtype.itemsize}")
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc high-water mark of ``fn()`` above where it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# evaluate: blocked residual
+# ---------------------------------------------------------------------------
+def full_array_predict(model: MFModel, ratings: RatingMatrix) -> np.ndarray:
+    """The unblocked form: gathers P[rows] and Q[:, cols] whole."""
+    return np.einsum(
+        "ij,ji->i", model.P[ratings.rows], model.Q[:, ratings.cols], optimize=True
+    )
+
+
+def full_array_residual(model: MFModel, ratings: RatingMatrix) -> np.ndarray:
+    return ratings.vals - full_array_predict(model, ratings)
+
+
+class TestBlockedResidual:
+    @pytest.mark.parametrize(
+        "nnz", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+    )
+    @pytest.mark.parametrize("k", [8, 33])
+    def test_bit_identical_to_full_array(self, nnz, k):
+        ratings = random_ratings(nnz, 900, 700, seed=nnz)
+        model = MFModel.init(900, 700, k, seed=1)
+        got = model.residual(ratings)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(
+            bits(got), bits(full_array_residual(model, ratings))
+        )
+        np.testing.assert_array_equal(
+            bits(model.predict(ratings.rows, ratings.cols)),
+            bits(full_array_predict(model, ratings)),
+        )
+
+    def test_rmse_is_the_float64_reduction_of_the_residual(self):
+        ratings = random_ratings(3 * BLOCK + 7, 900, 700)
+        model = MFModel.init(900, 700, 16, seed=2)
+        err = full_array_residual(model, ratings)
+        want = float(np.sqrt(np.mean(np.square(err, dtype=np.float64))))
+        assert model.rmse(ratings) == want
+
+    def test_rmse_peak_does_not_grow_with_k(self):
+        nnz = 200_000
+        ratings = random_ratings(nnz, 20_000, 3_000)
+        peaks = {}
+        for k in (8, 64):
+            model = MFModel.init(20_000, 3_000, k)
+            model.rmse(ratings)     # first call pays einsum's one-time caches
+            peaks[k] = peak_bytes(lambda: model.rmse(ratings))
+        one_block = 2 * BLOCK * 64 * 4      # both factor gathers at k = 64
+        assert abs(peaks[64] - peaks[8]) <= one_block
+        # the float32 error vector plus its float64 squares, never the
+        # 2 * nnz * k * 4 B (102 MB at k = 64) of whole-array gathers
+        assert max(peaks.values()) <= 16 * nnz + one_block
+
+
+class TestInitPeak:
+    @pytest.mark.parametrize("m,n,k", [(4099, 1031, 32), (37, 100_003, 8), (1, 1, 1)])
+    def test_blockwise_draw_is_bit_identical(self, m, n, k):
+        """Row counts here are not multiples of the init block."""
+        rng = np.random.default_rng(5)
+        base = np.sqrt(3.5 / k)
+        p = (base * (1.0 + 0.1 * rng.standard_normal((m, k)))).astype(np.float32)
+        q = (base * (1.0 + 0.1 * rng.standard_normal((k, n)))).astype(np.float32)
+        model = MFModel.init(m, n, k, mean_rating=3.5, seed=5)
+        np.testing.assert_array_equal(bits(model.P), bits(p))
+        np.testing.assert_array_equal(bits(model.Q), bits(q))
+
+    def test_no_full_size_float64_temporary(self):
+        m, n, k = 3_000, 60_000, 32
+        resident = 4 * k * (m + n)
+        peak = peak_bytes(lambda: MFModel.init(m, n, k))
+        assert peak <= resident + 4 * model_mod._INIT_BLOCK * 8
+
+
+# ---------------------------------------------------------------------------
+# codec and validation
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def awkward_values():
+    """Normal values plus everything the FP16 clamp has to handle."""
+    values = np.random.default_rng(3).standard_normal((7, 1001)).astype(np.float32)
+    values[0, :8] = [np.inf, -np.inf, 1e9, -1e9, FP16_MAX, -FP16_MAX, 65520.0, 1e-9]
+    values[1, 0] = np.nan
+    return values
+
+
+class TestFusedCodec:
+    def test_fp16_encode_matches_clip_then_astype(self, awkward_values):
+        want = np.clip(awkward_values, -FP16_MAX, FP16_MAX).astype(np.float16)
+        wire = np.empty(awkward_values.shape, dtype=np.float16)
+        Fp16Channel(QOnlyChannel()).encode(awkward_values, wire)
+        np.testing.assert_array_equal(bits(wire), bits(want))
+        np.testing.assert_array_equal(bits(compress_fp16(awkward_values)), bits(want))
+        assert np.isfinite(wire[0]).all()       # +-inf and over-range clamp
+
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_decode_into_out_equals_fresh_decode(self, channel, awkward_values):
+        wire = np.empty(awkward_values.shape, dtype=channel.wire_dtype)
+        channel.encode(awkward_values, wire)
+        out = np.empty(awkward_values.shape, dtype=np.float32)
+        assert channel.decode(wire, out=out) is out
+        fresh = channel.decode(wire)
+        assert fresh is not wire and fresh.dtype == np.float32
+        np.testing.assert_array_equal(bits(out), bits(fresh))
+
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_codec_allocates_no_full_size_temporary(self, channel):
+        values = np.ones((64, 20_000), dtype=np.float32)
+        wire = np.empty(values.shape, dtype=channel.wire_dtype)
+        out = np.empty(values.shape, dtype=np.float32)
+
+        def roundtrip():
+            channel.encode(values, wire)
+            channel.decode(wire, out=out)
+            assert channel.payload_ok(wire)
+
+        roundtrip()
+        assert peak_bytes(roundtrip) < wire.nbytes // 8
+
+    @pytest.mark.parametrize("dtype", ["float32", "float16"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_payload_ok_finds_a_bad_value_in_any_block(self, dtype, bad):
+        payload = np.ones((3, 70_000), dtype=dtype)     # > 3 validation blocks
+        assert Channel().payload_ok(payload)
+        for where in [(0, 0), (1, 65_535), (2, 69_999)]:
+            payload[where] = bad
+            assert not Channel().payload_ok(payload)
+            payload[where] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# merge
+# ---------------------------------------------------------------------------
+def reference_merge(Q, wire, q_base, weight):
+    """The formula both servers used to spell out, whole-array."""
+    received = wire.astype(np.float32)
+    return Q + np.float32(weight) * (received - q_base)
+
+
+class TestMergeDelta:
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    @pytest.mark.parametrize("wire_dtype", ["float32", "float16"])
+    @pytest.mark.parametrize("block", [None, 1, 1000, 7 * 1013])
+    def test_bit_identical_to_reference_formula(self, weight, wire_dtype, block):
+        rng = np.random.default_rng(11)
+        shape = (7, 1013)
+        q_base = rng.standard_normal(shape).astype(np.float32)
+        Q = q_base.copy()
+        trained = q_base + 0.01 * rng.standard_normal(shape).astype(np.float32)
+        wire = trained.astype(wire_dtype)
+        want = reference_merge(Q, wire, q_base, weight)
+        scratch = (
+            merge_scratch() if block is None else np.empty(block, dtype=np.float32)
+        )
+        merge_delta(Q, wire, q_base, weight, scratch)
+        np.testing.assert_array_equal(bits(Q), bits(want))
+
+    def test_rejects_a_q_it_could_not_update_in_place(self):
+        Q = np.zeros((4, 6), dtype=np.float32)[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            merge_delta(Q, np.zeros((4, 3), np.float32), np.zeros((4, 3), np.float32),
+                        1.0, merge_scratch())
+
+
+# ---------------------------------------------------------------------------
+# the servers: nothing O(k * n) per epoch, nothing k x n kept after close
+# ---------------------------------------------------------------------------
+K, N = 16, 40_000
+KN_BYTES = 4 * K * N
+
+
+def arrays_of_shape(obj, shape, seen=None):
+    """Every ndarray of ``shape`` reachable from an object's attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.shape == shape else []
+    if isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif hasattr(obj, "__dict__") and type(obj).__module__.startswith("repro."):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [a for child in children for a in arrays_of_shape(child, shape, seen)]
+
+
+class TestParameterServer:
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_epoch_allocates_nothing_sized_k_by_n(self, channel):
+        model = MFModel.init(50, N, K)
+        server = ParameterServer(model, 2, channel=channel)
+        locals_ = [np.empty(model.Q.shape, dtype=np.float32) for _ in range(2)]
+
+        def epoch():
+            server.begin_epoch()
+            for wid, q_local in enumerate(locals_):
+                server.pull(worker=wid, out=q_local)
+                q_local += np.float32(0.01)
+                server.push(wid, q_local)
+            for wid in range(2):
+                server.sync(wid, 1.0)
+
+        epoch()
+        assert peak_bytes(epoch) < KN_BYTES // 8
+
+
+class TestProcessBackend:
+    @pytest.fixture
+    def ratings(self):
+        return random_ratings(6_000, 300, N)
+
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_pull_and_sync_allocate_nothing_sized_k_by_n(self, ratings, channel):
+        backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
+        backend.open(PLAN, channel, AdditiveDeltaSync(), None, 3)
+        try:
+            peaks = []
+            for epoch in range(3):
+                peaks.append(peak_bytes(lambda: backend.pull(epoch)))
+                backend.compute(epoch)
+                backend.push(epoch)
+                peaks.append(peak_bytes(lambda: backend.sync(epoch)))
+                backend.evaluate(epoch)
+            backend.finalize(None)
+        finally:
+            backend.close()
+        # after the first epoch (one-time caches), every pull and sync
+        assert max(peaks[2:]) < KN_BYTES // 8
+
+    def test_run_records_its_peak_rss(self, ratings):
+        def high_water_mb():
+            return max(
+                resource.getrusage(who).ru_maxrss
+                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+            ) / 1024.0
+
+        telemetry = Telemetry()
+        backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
+        before = high_water_mb()
+        EpochEngine(backend, channel=QOnlyChannel(), telemetry=telemetry).run(1)
+        gauge = telemetry.registry.get("peak_rss_mb").value()
+        assert 0 < before <= gauge <= high_water_mb()
+
+    def test_close_drops_every_k_by_n_buffer(self, ratings):
+        backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
+        backend.open(PLAN, Fp16Channel(QOnlyChannel()), AdditiveDeltaSync(), None, 1)
+        try:
+            for stage in ("pull", "compute", "push", "sync"):
+                getattr(backend, stage)(0)
+            assert len(arrays_of_shape(backend, (K, N))) > 1     # base, wires, Q
+            backend.finalize(None)
+        finally:
+            backend.close()
+        kept = arrays_of_shape(backend, (K, N))
+        assert [id(a) for a in kept] == [id(backend.model.Q)]
+
+    def test_non_finite_push_is_refused_before_any_merge(self, ratings):
+        backend = ProcessBackend(
+            ratings, k=K, n_workers=2, barrier_timeout_s=60.0,
+            fault_plan=FaultPlan().corrupt_payload(1, epoch=1),
+        )
+        backend.open(PLAN, Fp16Channel(QOnlyChannel()), AdditiveDeltaSync(), None, 2)
+        try:
+            for stage in ("pull", "compute", "push", "sync"):
+                getattr(backend, stage)(0)
+            backend.pull(1)
+            backend.compute(1)
+            backend.push(1)
+            q_before = backend.model.Q.copy()
+            p_before = backend.model.P.copy()
+            with pytest.raises(WirePayloadError) as ei:
+                backend.sync(1)
+            assert ei.value.rank == 1
+            # worker 0's payload was fine and must not have been merged
+            np.testing.assert_array_equal(bits(backend.model.Q), bits(q_before))
+            np.testing.assert_array_equal(bits(backend.model.P), bits(p_before))
+        finally:
+            backend.close()
+
+
+class TestSimBackend:
+    def test_close_drops_every_k_by_n_buffer(self):
+        platform = paper_workstation()
+        ratings = random_ratings(6_000, 300, N)
+        backend = SimBackend(platform, ratings, k=K)
+        fractions = tuple(1.0 / platform.n_workers for _ in platform.workers)
+        backend.open(
+            PartitionPlan("even", fractions), QOnlyChannel(), AdditiveDeltaSync(),
+            None, 1,
+        )
+        for stage in ("pull", "compute", "push", "sync"):
+            getattr(backend, stage)(0)
+        assert len(arrays_of_shape(backend, (K, N))) > 1
+        backend.finalize(None)
+        backend.close()
+        kept = arrays_of_shape(backend, (K, N))
+        assert [id(a) for a in kept] == [id(backend.model.Q)]
