@@ -10,7 +10,7 @@ delta merge.
 Run:  python examples/multiprocess_training.py
 """
 
-from repro import NETFLIX, SharedMemoryTrainer
+from repro import NETFLIX, EpochEngine, ProcessBackend, QOnlyChannel
 
 
 def main() -> None:
@@ -18,10 +18,10 @@ def main() -> None:
     print(f"training data: {ratings}\n")
 
     for n_workers in (1, 2, 4):
-        trainer = SharedMemoryTrainer(
+        backend = ProcessBackend(
             ratings, k=16, n_workers=n_workers, lr=0.01, reg=0.01, seed=7
         )
-        result = trainer.train(epochs=6)
+        result = EpochEngine(backend, channel=QOnlyChannel()).run(epochs=6)
         curve = " -> ".join(f"{r:.3f}" for r in result.rmse_history)
         print(f"{n_workers} worker process(es): "
               f"{result.elapsed_seconds:6.2f}s wall, "

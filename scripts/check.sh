@@ -79,10 +79,7 @@ skipped() {  # skipped <lint|test> <name> <reason>
 stage lint "hcclint" python -m repro lint \
     --baseline .hcclint-baseline.json src
 
-# 1b. hcclint over the telemetry plane alone (timing rules, HCC110)
-stage lint "hcclint-obs" python -m repro lint src/repro/obs
-
-# 1c. flow-lint: the flow-sensitive HCC2xx rules (CFG + dataflow over
+# 1b. flow-lint: the flow-sensitive HCC2xx rules (CFG + dataflow over
 # resource lifecycle, exception safety, dtype taint, stage protocol)
 stage lint "flow-lint" python -m repro lint \
     --flow --select HCC2 --baseline .hcclint-baseline.json src

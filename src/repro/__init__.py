@@ -20,7 +20,9 @@ Subpackages:
 * :mod:`repro.mf` — SGD-based MF algorithms (Hogwild, FPSGD, CuMF_SGD).
 * :mod:`repro.hardware` — the calibrated multi-CPU/GPU platform model.
 * :mod:`repro.data` — rating matrices, synthetic datasets, grids.
-* :mod:`repro.parallel` — real shared-memory multi-process execution.
+* :mod:`repro.engine` — the one epoch loop (``EpochEngine``) over the
+  sim and the multi-process backends.
+* :mod:`repro.parallel` — shared-memory segments, wall-clock DP0/DP1.
 * :mod:`repro.obs` — runtime telemetry: span tracing of real runs,
   metrics registry, cost-model drift reports.
 * :mod:`repro.experiments` — regenerates every paper table and figure.
@@ -63,7 +65,9 @@ __all__ = [
     "HogwildSGD",
     "FPSGD",
     "CuMFSGD",
-    "SharedMemoryTrainer",
+    "EpochEngine",
+    "ProcessBackend",
+    "QOnlyChannel",
     "Telemetry",
     "__version__",
 ]
@@ -83,5 +87,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.mf": ("MFModel", "HogwildSGD", "FPSGD", "CuMFSGD"),
     "repro.obs": ("Telemetry",),
-    "repro.parallel": ("SharedMemoryTrainer",),
+    "repro.engine": ("EpochEngine", "ProcessBackend", "QOnlyChannel"),
 })

@@ -21,8 +21,8 @@ HOT_PATH_MODULES = frozenset(
     {
         "repro/core/worker.py",
         "repro/engine/backends.py",
+        "repro/engine/worker_proc.py",
         "repro/mf/kernels.py",
-        "repro/parallel/executor.py",
     }
 )
 
@@ -42,7 +42,7 @@ WORKER_LOOP_MODULES = frozenset(
         "repro/core/worker.py",
         "repro/core/server.py",
         "repro/engine/backends.py",
-        "repro/parallel/executor.py",
+        "repro/engine/worker_proc.py",
     }
 )
 
@@ -64,7 +64,6 @@ PQ_OWNER_MODULES = frozenset(
         "repro/core/framework.py",
         "repro/core/checkpoint.py",
         "repro/engine/backends.py",
-        "repro/parallel/executor.py",
     }
 )
 
@@ -78,7 +77,7 @@ TIMING_MODULES = frozenset(
     {
         "repro/hardware/profiler.py",
         "repro/engine/backends.py",
-        "repro/parallel/executor.py",
+        "repro/engine/worker_proc.py",
         "repro/core/server.py",
         "repro/core/worker.py",
         # the perf-trajectory plane measures everything it reports; the
@@ -98,7 +97,6 @@ EPOCH_LOOP_GUARDED_MODULES = frozenset(
         "repro/core/framework.py",
         "repro/core/server.py",
         "repro/core/worker.py",
-        "repro/parallel/executor.py",
         "repro/parallel/tuning.py",
     }
 )

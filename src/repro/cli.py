@@ -175,9 +175,8 @@ def _train_process(args: argparse.Namespace) -> int:
     """The wall-clock executor: real worker processes over shared memory."""
     from repro.core.config import CommConfig, TransmitMode
     from repro.data.datasets import get_dataset
-    from repro.engine import channel_for
+    from repro.engine import EpochEngine, ProcessBackend, channel_for
     from repro.obs import Telemetry
-    from repro.parallel.executor import SharedMemoryTrainer
 
     if args.timing_only:
         print("--executor process always trains numerically "
@@ -218,17 +217,12 @@ def _train_process(args: argparse.Namespace) -> int:
               f"(calibration {measured.calibration_seconds:.2f}s)")
     instrumented = bool(args.trace or args.metrics or args.drift)
     telemetry = Telemetry() if instrumented else None
-    trainer = SharedMemoryTrainer(
-        ratings,
-        k=args.k,
-        n_workers=args.workers,
-        lr=args.lr,
-        seed=args.seed,
-        partition=partition,
-        channel=channel,
-        telemetry=telemetry,
+    backend = ProcessBackend(
+        ratings, k=args.k, n_workers=args.workers, lr=args.lr, seed=args.seed
     )
-    result = trainer.train(args.epochs)
+    result = EpochEngine(
+        backend, channel=channel, partitions=partition, telemetry=telemetry
+    ).run(args.epochs)
     print(f"dataset: {spec.name}  executor: process x{args.workers}  "
           f"channel: {channel.describe()}")
     print("rmse:", " ".join(f"{r:.4f}" for r in result.rmse_history))
@@ -377,9 +371,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _bench_profile(args: argparse.Namespace) -> int:
     """One stage-profiled process-plane run + the hotpath report."""
+    from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
     from repro.obs.bench import BenchConfig, kernel_workload
     from repro.obs.profile import StageProfiler
-    from repro.parallel.executor import SharedMemoryTrainer
 
     config = BenchConfig.quick_config() if args.quick else BenchConfig()
     if args.nnz is not None:
@@ -387,11 +381,13 @@ def _bench_profile(args: argparse.Namespace) -> int:
     ratings = kernel_workload(config.nnz, config.seed)
     profiler = StageProfiler()
     try:
-        SharedMemoryTrainer(
+        backend = ProcessBackend(
             ratings, k=config.k, n_workers=config.workers,
             seed=config.seed, batch_size=config.batch_size,
-            profile=profiler,
-        ).train(config.epochs)
+        )
+        EpochEngine(
+            backend, channel=QOnlyChannel(), profile=profiler
+        ).run(config.epochs)
         report = profiler.report()
     finally:
         profiler.cleanup()
@@ -624,7 +620,7 @@ def _cmd_fault_smoke(args: argparse.Namespace) -> int:
     """
     from repro.core.config import RecoveryPolicy
     from repro.data.datasets import get_dataset
-    from repro.parallel.executor import SharedMemoryTrainer
+    from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
     from repro.resilience import FaultPlan
 
     if args.workers < 2:
@@ -633,21 +629,23 @@ def _cmd_fault_smoke(args: argparse.Namespace) -> int:
     spec = get_dataset(args.dataset)
     ratings = spec.scaled(args.nnz).generate(seed=args.seed)
 
-    baseline = SharedMemoryTrainer(
-        ratings, k=args.k, n_workers=args.workers, seed=args.seed
-    ).train(epochs=args.epochs)
+    kw = dict(k=args.k, n_workers=args.workers, seed=args.seed)
+    baseline = EpochEngine(
+        ProcessBackend(ratings, **kw), channel=QOnlyChannel()
+    ).run(args.epochs)
 
     victim = args.workers - 1
     kill_epoch = min(1, args.epochs - 1)
-    faulted = SharedMemoryTrainer(
-        ratings,
-        k=args.k,
-        n_workers=args.workers,
-        seed=args.seed,
-        fault_plan=FaultPlan().kill(victim, epoch=kill_epoch),
+    faulted = EpochEngine(
+        ProcessBackend(
+            ratings,
+            fault_plan=FaultPlan().kill(victim, epoch=kill_epoch),
+            barrier_timeout_s=args.barrier_timeout,
+            **kw,
+        ),
+        channel=QOnlyChannel(),
         recovery=RecoveryPolicy(),
-        barrier_timeout_s=args.barrier_timeout,
-    ).train(epochs=args.epochs)
+    ).run(args.epochs)
 
     summary = faulted.resilience
     rel = abs(faulted.rmse_history[-1] - baseline.rmse_history[-1]) / abs(
@@ -668,10 +666,10 @@ def _cmd_fault_smoke(args: argparse.Namespace) -> int:
     if summary.redistributions < 1:
         ok = False
         print("FAIL: dead worker's shard was never redistributed")
-    if faulted.n_workers != args.workers - 1:
+    if summary.final_workers != args.workers - 1:
         ok = False
         print(f"FAIL: expected {args.workers - 1} surviving workers, "
-              f"got {faulted.n_workers}")
+              f"got {summary.final_workers}")
     if rel > args.tolerance:
         ok = False
         print(f"FAIL: final RMSE diverged {rel:.2%} from baseline "

@@ -41,6 +41,7 @@ from repro.core.partition import (
     dp2,
     even_partition,
     exposed_sync_time,
+    redistribute,
 )
 from repro.data.datasets import DatasetSpec
 from repro.hardware.processor import Processor
@@ -288,15 +289,12 @@ class TimeCostModel:
 
         ``fractions`` is the *healthy* partition vector; the dead
         workers' ``x_i`` are reassigned across the survivors with
-        :func:`~repro.resilience.policy.redistribute`'s rate-proportional
+        :func:`~repro.core.partition.redistribute`'s rate-proportional
         renormalization — exactly the plan the recovery engine continues
         with — and the epoch is then priced over the surviving subset of
         the platform: ``T = max_{i in survivors}{...} + T_sync`` with one
         fewer merge per dead worker.
         """
-        # local import: resilience.policy imports core modules
-        from repro.resilience.policy import redistribute
-
         fractions = np.asarray(fractions, dtype=np.float64)
         workers = self.platform.workers
         if len(fractions) != len(workers):

@@ -219,6 +219,41 @@ def dp2(
     return PartitionPlan("dp2", tuple(map(float, x)), tuple(map(float, pred)), rounds=base.rounds)
 
 
+def redistribute(
+    plan: PartitionPlan, dead_ranks: "tuple[int, ...] | list[int] | set[int]"
+) -> PartitionPlan:
+    """Reassign dead workers' shards across the survivors.
+
+    Survivor fractions keep their *relative* proportions — the same
+    rate-proportional scaling DP0/DP1 derived them from — and are
+    renormalized onto the unit simplex, so each survivor absorbs a
+    share of the lost work proportional to its measured throughput.
+    Predicted times (when the plan carries them) scale with the
+    fraction growth, rates being locally constant — exactly how DP2
+    extrapolates Algorithm 1's rescale.
+    """
+    dead = set(dead_ranks)
+    unknown = dead - set(range(plan.n_workers))
+    if unknown:
+        raise ValueError(f"dead ranks {sorted(unknown)} not in the plan")
+    survivors = [r for r in range(plan.n_workers) if r not in dead]
+    if not survivors:
+        raise ValueError("cannot redistribute: no surviving workers")
+    if not dead:
+        return plan
+    old = np.asarray([plan.fractions[r] for r in survivors], dtype=np.float64)
+    new = _normalize(old)
+    if plan.predicted_times:
+        pred = tuple(
+            float(plan.predicted_times[r] * ni / max(oi, 1e-30))
+            for r, oi, ni in zip(survivors, old, new)
+        )
+    else:
+        pred = ()
+    return PartitionPlan("degraded", tuple(map(float, new)), pred,
+                         rounds=plan.rounds)
+
+
 def exposed_sync_time(
     finish_times: Sequence[float],
     sync_time: float | Sequence[float],

@@ -26,7 +26,7 @@ import numpy as np
 from repro.data.grid import GridAssignment, block_sort
 from repro.data.ratings import RatingMatrix
 from repro.hardware.processor import Processor
-from repro.mf.kernels import ConflictPolicy, sgd_batch_update
+from repro.mf.kernels import ConflictPolicy, sgd_batch_update, sgd_shard_epoch
 from repro.mf.model import MFModel
 
 
@@ -89,18 +89,11 @@ class WorkerRuntime:
 
         t0 = time.perf_counter() if self.metrics is not None else 0.0
         data = self.data
-        order = self.rng.permutation(data.nnz)
-        total_sq = 0.0
-        # per-batch gathers in the epoch's sample order: the shard is
-        # never copied whole
-        for lo in range(0, data.nnz, self.batch_size):
-            sel = order[lo : lo + self.batch_size]
-            mse = sgd_batch_update(
-                model, data.rows[sel], data.cols[sel], data.vals[sel],
-                lr, reg, self.policy,
-            )
-            total_sq += mse * len(sel)
-            self.updates_applied += len(sel)
+        mse = sgd_shard_epoch(
+            model, data.rows, data.cols, data.vals, lr, reg,
+            self.batch_size, self.policy, self.rng,
+        )
+        self.updates_applied += data.nnz
         if self.metrics is not None:
             worker = f"worker-{self.worker_id}"
             self.metrics.counter("updates_total", "SGD updates applied").inc(
@@ -109,7 +102,7 @@ class WorkerRuntime:
             self.metrics.histogram(
                 "worker_epoch_seconds", "wall-clock of one worker epoch"
             ).observe(time.perf_counter() - t0, worker=worker)
-        return model.Q, total_sq / self.data.nnz
+        return model.Q, mse
 
     # ------------------------------------------------------------------
     # ring-rotation mode (TransmitMode.Q_ROTATE, the future-work fix)
@@ -139,6 +132,8 @@ class WorkerRuntime:
             return 0.0
         idx = idx[self.rng.permutation(len(idx))]
         total_sq = 0.0
+        # the one batch loop outside sgd_shard_epoch: a rotation step
+        # walks a column block's entries, not the shard (sim-only)
         for lo in range(0, len(idx), self.batch_size):
             sel = idx[lo : lo + self.batch_size]
             mse = sgd_batch_update(

@@ -15,9 +15,11 @@ One epoch is the same pipeline everywhere::
 * :mod:`repro.engine.partitions` — providers that turn DP0/DP1/DP2
   plans, raw fractions or measurements into the engine's partition.
 
-``HCCMF.train`` and ``SharedMemoryTrainer.train`` are thin facades over
-this layer; new epoch-loop code belongs here (enforced by hcclint rule
-HCC111).
+``EpochEngine(backend, ...).run(epochs)`` is the one way to run the
+training loop — ``EpochEngine(ProcessBackend(ratings, k=, n_workers=),
+channel=QOnlyChannel()).run(epochs)`` on the process plane;
+``HCCMF.train`` is a thin facade over it for the sim plane.  New
+epoch-loop code belongs here (enforced by hcclint rule HCC111).
 """
 
 from repro._lazy import lazy_exports
@@ -50,7 +52,6 @@ __all__ = [
     "WorkerSyncError",
     "as_provider",
     "channel_for",
-    "provider_from",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -64,7 +65,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.engine.partitions": (
         "CostModelProvider", "EvenProvider", "FixedPlanProvider",
-        "FractionsProvider", "PartitionProvider", "as_provider", "provider_from",
+        "FractionsProvider", "PartitionProvider", "as_provider",
     ),
     "repro.engine.pipeline": (
         "RECOVERABLE_ERRORS", "STAGES", "AdditiveDeltaSync", "ComputeBackend",

@@ -28,7 +28,7 @@ import multiprocessing as mp
 import os
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -37,7 +37,12 @@ from repro.core.server import ParameterServer, merge_delta, merge_scratch
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.engine.channels import Channel
-from repro.engine.worker_proc import HANDSHAKE_STAMP, barrier_stamp, worker_main
+from repro.engine.worker_proc import (
+    HANDSHAKE_STAMP,
+    NullRecorder,
+    barrier_stamp,
+    worker_main,
+)
 from repro.hardware.timeline import Phase, Span, Timeline
 from repro.mf.model import MFModel
 from repro.parallel.shm import SharedArray
@@ -83,6 +88,33 @@ class WorkerSyncError(RuntimeError):
                     f"reach the {point} barrier of epoch {epoch}")
         super().__init__(
             f"{what} within {timeout_s:.0f}s; shared state has been cleaned up"
+        )
+
+
+class ServerSpans:
+    """Span scope for what one attempt does on the server's clock.
+
+    ``span(lane, phase, epoch)`` times its body with ``perf_counter``
+    and, if the body returns, adds the span to ``timeline`` on the
+    run's axes: run-origin time, global epoch, attempt tag.  Without
+    telemetry the backends hold a :class:`NullRecorder` instead, so
+    each stage method has one body.
+    """
+
+    def __init__(self, timeline: Timeline, origin: float, epoch_offset: int,
+                 attempt: int):
+        self.timeline = timeline
+        self._origin = origin
+        self._epoch_offset = epoch_offset
+        self._attempt = attempt
+
+    @contextmanager
+    def span(self, lane: str, phase: Phase, epoch: int):
+        t0 = time.perf_counter()
+        yield
+        self.timeline.add(
+            lane, phase, t0 - self._origin, time.perf_counter() - self._origin,
+            epoch + self._epoch_offset, self._attempt,
         )
 
 
@@ -243,27 +275,24 @@ class SimBackend:
         self._p_snapshot = None
         if self._attempt == 0:
             self.sim_seconds = 0.0
-        # wall-clock spans only when telemetry opts the run in — the
-        # default path stays untimed; the timeline and its clock origin
-        # persist across recovery re-opens so no attempt's spans are lost
-        self._timed = telemetry is not None
-        if self._timed:
+        # wall-clock spans only when telemetry opts the run in; the
+        # timeline and its clock origin persist across recovery
+        # re-opens so no attempt's spans are lost
+        if telemetry is None:
+            self._spans = NullRecorder()
+        else:
             if self._run_timeline is None:
                 self._run_timeline = Timeline()
                 self._run_origin = time.perf_counter()
-            self._timeline = self._run_timeline
-            self._t_origin = self._run_origin
-        else:
-            self._timeline = None
-            self._t_origin = 0.0
+            self._spans = ServerSpans(
+                self._run_timeline, self._run_origin, self.epoch_offset,
+                self._attempt,
+            )
         # each worker's local Q, allocated once: every pull decodes into it
         self._q_locals = [
             np.empty(self.model.Q.shape, dtype=np.float32) for _ in self.runtimes
         ]
         self._q_news: list[np.ndarray] = []
-
-    def _now(self) -> float:
-        return time.perf_counter() - self._t_origin
 
     # -- fault injection -------------------------------------------------
     def _faults_at(self, kind: str, epoch: int) -> list[Fault]:
@@ -322,14 +351,8 @@ class SimBackend:
             self._inject_epoch_top(epoch)
         self.server.begin_epoch()
         for rt, q_local in zip(self.runtimes, self._q_locals):
-            if self._timed:
-                t0 = self._now()
-            self.server.pull(worker=rt.worker_id, out=q_local)
-            if self._timed:
-                self._timeline.add(
-                    f"worker-{rt.worker_id}", Phase.PULL, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
-                )
+            with self._spans.span(f"worker-{rt.worker_id}", Phase.PULL, epoch):
+                self.server.pull(worker=rt.worker_id, out=q_local)
         nbytes = self.server.pull_buffer.nbytes
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
 
@@ -343,34 +366,22 @@ class SimBackend:
                 self._p_snapshot = self.model.P.copy()  # hcclint: disable=hot-copy
         self._q_news = []
         for rt, q_local in zip(self.runtimes, self._q_locals):
-            if self._timed:
-                t0 = self._now()
-            q_new, _ = rt.run_epoch(self.model.P, q_local, self.lr, self.reg)
-            if self._timed:
-                self._timeline.add(
-                    f"worker-{rt.worker_id}", Phase.COMPUTE, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
-                )
+            with self._spans.span(f"worker-{rt.worker_id}", Phase.COMPUTE, epoch):
+                q_new, _ = rt.run_epoch(self.model.P, q_local, self.lr, self.reg)
             self._q_news.append(q_new)
         return {"updates": tuple(rt.nnz for rt in self.runtimes)}
 
     def push(self, epoch: int) -> Mapping:
         drop_ranks = {f.rank for f in self._faults_at(DROP, epoch)}
         for rt, q_new in zip(self.runtimes, self._q_news):
-            if self._timed:
-                t0 = self._now()
-            if rt.worker_id in drop_ranks:
-                # dropped payload: the wire carries the epoch base, so
-                # the server merges an exactly-zero delta.  run_epoch
-                # trained q_new *in place*, so pushing it would not be
-                # a drop — the base must come back from the server.
-                self.server.push(rt.worker_id, self.server.q_base)
-            else:
-                self.server.push(rt.worker_id, q_new)
-            if self._timed:
-                self._timeline.add(
-                    f"worker-{rt.worker_id}", Phase.PUSH, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
+            # dropped payload: the wire carries the epoch base, so the
+            # server merges an exactly-zero delta.  run_epoch trained
+            # q_new *in place*, so pushing it would not be a drop — the
+            # base must come back from the server.
+            dropped = rt.worker_id in drop_ranks
+            with self._spans.span(f"worker-{rt.worker_id}", Phase.PUSH, epoch):
+                self.server.push(
+                    rt.worker_id, self.server.q_base if dropped else q_new
                 )
         end_delays = [
             f for f in self._faults_at(DELAY, epoch) if f.point == "end"
@@ -395,14 +406,8 @@ class SimBackend:
             raise WirePayloadError(min(f.rank for f in corrupt), epoch)
         for i, rt in enumerate(self.runtimes):
             weight = self._sync_policy.weight(i, self._fractions)
-            if self._timed:
-                t0 = self._now()
-            self.server.sync(rt.worker_id, weight)
-            if self._timed:
-                self._timeline.add(
-                    "server", Phase.SYNC, t0, self._now(),
-                    epoch + self.epoch_offset, self._attempt,
-                )
+            with self._spans.span("server", Phase.SYNC, epoch):
+                self.server.sync(rt.worker_id, weight)
         self.sim_seconds += self._epoch_sim_cost
         self.cost_log.append((
             epoch + self.epoch_offset,
@@ -413,15 +418,8 @@ class SimBackend:
                 "merged_values": int(self.model.Q.size) * self.n_workers}
 
     def evaluate(self, epoch: int) -> float:
-        if self._timed:
-            t0 = self._now()
-        rmse = self.model.rmse(self._eval_set)
-        if self._timed:
-            self._timeline.add(
-                "server", Phase.EVAL, t0, self._now(),
-                epoch + self.epoch_offset, self._attempt,
-            )
-        return rmse
+        with self._spans.span("server", Phase.EVAL, epoch):
+            return self.model.rmse(self._eval_set)
 
     # -- resilience ------------------------------------------------------
     def health_report(self, err: Exception | None = None) -> HealthReport:
@@ -457,8 +455,8 @@ class SimBackend:
         self.fault_plan = self.fault_plan.remap_ranks(dead, self.n_workers)
 
     def finalize(self, telemetry) -> None:
-        if telemetry is not None and self._timeline is not None:
-            telemetry.timeline = self._timeline
+        if telemetry is not None and self._run_timeline is not None:
+            telemetry.timeline = self._run_timeline
 
     def close(self) -> None:
         # everything sized by the run goes with it — the server's wire
@@ -496,7 +494,6 @@ class ProcessBackend:
         batch_size: int = 4096,
         seed: int = 0,
         barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
-        fail_worker_at: tuple[int, int] | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         if n_workers <= 0:
@@ -505,8 +502,6 @@ class ProcessBackend:
             raise ValueError("k must be positive")
         if barrier_timeout_s <= 0:
             raise ValueError("barrier_timeout_s must be positive")
-        if fail_worker_at is not None and fault_plan is not None:
-            raise ValueError("pass either fail_worker_at= or fault_plan=, not both")
         self.ratings = ratings
         self.k = k
         self.n_workers = n_workers
@@ -515,11 +510,6 @@ class ProcessBackend:
         self.batch_size = batch_size
         self.seed = seed
         self.barrier_timeout_s = float(barrier_timeout_s)
-        #: legacy fault-injection hook: (worker_id, epoch) that crashes;
-        #: normalized into the FaultPlan below
-        self.fail_worker_at = fail_worker_at
-        if fault_plan is None and fail_worker_at is not None:
-            fault_plan = FaultPlan().kill(fail_worker_at[0], fail_worker_at[1])
         #: the injected-failure script (docs/resilience.md); pruned by
         #: the engine after each recovery so faults fire at most once
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
@@ -587,8 +577,6 @@ class ProcessBackend:
         self._channel = channel
         self._sync_policy = sync_policy
         self._fractions = plan.fractions
-        self._telemetry = telemetry
-        self._registry = telemetry.registry if telemetry is not None else None
         self._start_barrier = ctx.Barrier(self.n_workers + 1)
         self._end_barrier = ctx.Barrier(self.n_workers + 1)
         # the epoch base and the merge's block buffer, allocated once and
@@ -598,10 +586,13 @@ class ProcessBackend:
         self._epochs = epochs
         self._procs: list = []
         self._rings: list = []
-        self._server_spans: list[tuple[Phase, int, float, float]] = []
         self._attempt += 1
         if self._run_origin is None:
             self._run_origin = time.perf_counter()
+        # this attempt's server-side spans, already on the run's axes
+        self._spans = NullRecorder() if telemetry is None else ServerSpans(
+            Timeline(), self._run_origin, self.epoch_offset, self._attempt
+        )
         attempt_profile_dir = None
         if self.profile_dir is not None:
             # one subdir per engine attempt so recovered runs keep every
@@ -804,44 +795,31 @@ class ProcessBackend:
         return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
 
     def sync(self, epoch: int) -> Mapping:
-        timed = self._telemetry is not None
-        if timed:
-            m0 = time.perf_counter()
-        # validate every push *before* merging any of them, as it lies
-        # on the wire: the epoch's sync is all-or-nothing, so a garbage
-        # payload (torn write from a dying worker, injected corruption)
-        # leaves the model at the last cleanly-synced epoch — the state
-        # a retry restarts from
-        for wid, buf in enumerate(self._push_bufs):
-            if not self._channel.payload_ok(buf.array):
-                raise WirePayloadError(wid, epoch)
-        np.copyto(self.model.P, self._p_shared.array)
-        for wid, buf in enumerate(self._push_bufs):
-            # additive delta merge: workers trained on disjoint row-grid
-            # shards, so their Q deltas are distinct SGD steps and all
-            # of them apply
-            merge_delta(
-                self.model.Q, buf.array, self._q_base,
-                self._sync_policy.weight(wid, self._fractions),
-                self._merge_scratch,
-            )
-        if timed:
-            m1 = time.perf_counter()
-            self._server_spans.append((Phase.SYNC, epoch, m0, m1))
-            self._registry.histogram(
-                "merge_seconds", "server delta-merge time per epoch"
-            ).observe(m1 - m0)
+        with self._spans.span("server", Phase.SYNC, epoch):
+            # validate every push *before* merging any of them, as it
+            # lies on the wire: the epoch's sync is all-or-nothing, so a
+            # garbage payload (torn write from a dying worker, injected
+            # corruption) leaves the model at the last cleanly-synced
+            # epoch — the state a retry restarts from
+            for wid, buf in enumerate(self._push_bufs):
+                if not self._channel.payload_ok(buf.array):
+                    raise WirePayloadError(wid, epoch)
+            np.copyto(self.model.P, self._p_shared.array)
+            for wid, buf in enumerate(self._push_bufs):
+                # additive delta merge: workers trained on disjoint
+                # row-grid shards, so their Q deltas are distinct SGD
+                # steps and all of them apply
+                merge_delta(
+                    self.model.Q, buf.array, self._q_base,
+                    self._sync_policy.weight(wid, self._fractions),
+                    self._merge_scratch,
+                )
         return {"merges": self.n_workers,
                 "merged_values": int(self.model.Q.size) * self.n_workers}
 
     def evaluate(self, epoch: int) -> float:
-        timed = self._telemetry is not None
-        if timed:
-            e0 = time.perf_counter()
-        rmse = self.model.rmse(self.data)
-        if timed:
-            self._server_spans.append((Phase.EVAL, epoch, e0, time.perf_counter()))
-        return rmse
+        with self._spans.span("server", Phase.EVAL, epoch):
+            return self.model.rmse(self.data)
 
     # -- resilience ------------------------------------------------------
     def health_report(self, err: Exception | None = None) -> HealthReport:
@@ -911,7 +889,6 @@ class ProcessBackend:
                 spans, dropped = self._drain_attempt_spans()
                 self._kept_spans.extend(spans)
                 self._kept_dropped += dropped
-                self._server_spans = []
             self._stack.close()
             self._stack = None
 
@@ -920,7 +897,8 @@ class ProcessBackend:
 
         Ring records carry attempt-local epochs and absolute clock
         times; the run's Timeline speaks global epochs and run-origin
-        time, so spans from different attempts interleave correctly.
+        time (as the server's own spans already do), so spans from
+        different attempts interleave correctly.
         """
         origin = self._run_origin or 0.0
         spans: list[Span] = []
@@ -933,11 +911,7 @@ class ProcessBackend:
                     rec.attempt,
                 ))
             dropped += ring.dropped
-        for phase, ep, s0, s1 in self._server_spans:
-            spans.append(Span(
-                "server", phase, s0 - origin, s1 - origin,
-                ep + self.epoch_offset, self._attempt,
-            ))
+        spans.extend(self._spans.timeline.spans)
         return spans, dropped
 
     def _finalize_telemetry(self, telemetry: "Telemetry") -> None:
@@ -968,6 +942,9 @@ class ProcessBackend:
         barrier = registry.histogram(
             "barrier_wait_seconds", "time workers spent waiting at barriers"
         )
+        merge = registry.histogram(
+            "merge_seconds", "server delta-merge time per epoch"
+        )
         rate = registry.gauge("updates_per_second", "achieved per-worker rate")
         for wid, ring in enumerate(self._rings):
             worker = ring.worker
@@ -980,6 +957,8 @@ class ProcessBackend:
         for span in timeline.spans:
             if span.phase is Phase.BARRIER:
                 barrier.observe(span.duration, worker=span.worker)
+            elif span.phase is Phase.SYNC:
+                merge.observe(span.duration)
         telemetry.attach_run(
             timeline,
             dropped,

@@ -15,14 +15,14 @@ both planes use:
 * :class:`CostModelProvider` — derive the plan from a calibrated
   :class:`~repro.core.cost_model.TimeCostModel` on demand.
 
-:func:`as_provider` coerces the loose inputs the public trainers accept
-(``None``, a fraction list, a plan, a provider) into one of the above.
+:func:`as_provider` coerces the loose inputs ``EpochEngine(partitions=)``
+accepts (``None``, a fraction list, a plan, a provider) into one of the above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.config import PartitionStrategy
 from repro.core.partition import PartitionPlan, even_partition
@@ -93,7 +93,7 @@ class CostModelProvider:
 
 
 def as_provider(partition) -> PartitionProvider:
-    """Coerce the trainers' loose ``partition=`` argument to a provider.
+    """Coerce the engine's loose ``partitions=`` argument to a provider.
 
     Accepts ``None`` (even split), a :class:`PartitionPlan`, a sequence
     of fractions, or any object already satisfying the protocol.
@@ -109,12 +109,3 @@ def as_provider(partition) -> PartitionProvider:
     raise TypeError(
         f"cannot interpret {type(partition).__name__} as a partition provider"
     )
-
-
-def provider_from(partition, fractions: Sequence[float] | None = None) -> PartitionProvider:
-    """Resolve the (partition, legacy fractions) pair a trainer accepts."""
-    if partition is not None and fractions is not None:
-        raise ValueError("pass either partition= or fractions=, not both")
-    if partition is not None:
-        return as_provider(partition)
-    return as_provider(list(fractions) if fractions is not None else None)

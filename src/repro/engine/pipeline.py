@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.config import RecoveryPolicy
-from repro.core.partition import PartitionPlan
+from repro.core.partition import PartitionPlan, redistribute
 from repro.engine.backends import WirePayloadError, WorkerSyncError
 from repro.engine.channels import Channel
 from repro.engine.partitions import PartitionProvider, as_provider
@@ -40,7 +40,6 @@ from repro.resilience.policy import (
     ResilienceSummary,
     TrainingAborted,
     decide,
-    redistribute,
 )
 
 #: The fixed per-epoch stage sequence (paper Figure 4 steps 4-7).
@@ -153,6 +152,8 @@ class EngineResult:
     #: the plan the run *finished* on — differs from ``plan`` after a
     #: redistribution; the chaos-parity harness compares its fractions
     final_plan: PartitionPlan | None = None
+    #: wall-clock of the whole ``run()`` call, on either plane
+    elapsed_seconds: float = 0.0
 
     def stage_sequence(self) -> list[tuple[int, str]]:
         """The executed ``(epoch, stage)`` order — the parity signature."""
@@ -179,6 +180,14 @@ class EngineResult:
     @property
     def updates_applied(self) -> int:
         return sum(sum(u) for u in self.epoch_updates().values())
+
+    @property
+    def updates_per_second(self) -> float:
+        """Achieved rate (paper Eq. 8); 0.0 for a sub-resolution run,
+        which keeps downstream aggregation (means, tables) finite."""
+        if self.elapsed_seconds <= 0:
+            return 0.0
+        return self.updates_applied / self.elapsed_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +265,7 @@ class EpochEngine:
         """Execute ``epochs`` runs of the pull/compute/push/sync pipeline."""
         if epochs <= 0:
             raise ValueError("epochs must be positive")
+        t_run = time.perf_counter()
         plan = self.partitions.plan(self.backend.n_workers)
         registry = self.telemetry.registry if self.telemetry is not None else None
         trace: list[StageEvent] = []
@@ -366,6 +376,7 @@ class EpochEngine:
             sim_seconds=float(getattr(self.backend, "sim_seconds", 0.0)),
             resilience=summary,
             final_plan=current_plan,
+            elapsed_seconds=time.perf_counter() - t_run,
         )
 
     def _profiled(self, stage: str):

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.engine.channels import Channel
 from repro.hardware.timeline import Phase
-from repro.mf.kernels import ConflictPolicy, sgd_batch_update
+from repro.mf.kernels import ConflictPolicy, sgd_shard_epoch
 from repro.mf.model import MFModel
 from repro.parallel.shm import SharedArray, SharedArraySpec
 from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, fault_at
@@ -37,17 +37,18 @@ def barrier_stamp(epoch: int, point: str) -> int:
     return 2 * epoch + (2 if point == "start" else 3)
 
 
-class _NullRecorder:
-    """Stands in for the span recorder and the stage profiler when off.
+class NullRecorder:
+    """Stands in for a span recorder or the stage profiler when off.
 
-    One worker loop serves instrumented and plain runs; with telemetry
-    and profiling off every scope is this shared no-op, and nothing
-    from ``repro.obs`` is ever imported.
+    One loop body serves instrumented and plain runs, in the worker and
+    (``backends.ServerSpans``) on the server; with telemetry and
+    profiling off every scope is this shared no-op, and nothing from
+    ``repro.obs`` is ever imported.
     """
 
     _scope = nullcontext()
 
-    def span(self, phase: Phase, epoch: int):
+    def span(self, *where):
         return self._scope
 
     def stage(self, name: str):
@@ -55,27 +56,6 @@ class _NullRecorder:
 
     def dump(self, directory: "str | None", worker_id: int) -> None:
         pass
-
-
-def _train_shard(
-    model: MFModel,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    rng: np.random.Generator,
-    batch_size: int,
-    lr: float,
-    reg: float,
-) -> None:
-    """One epoch of batched SGD over this worker's shard."""
-    n = len(vals)
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        sel = order[lo : lo + batch_size]
-        sgd_batch_update(
-            model, rows[sel], cols[sel], vals[sel], lr, reg,
-            policy=ConflictPolicy.ATOMIC,
-        )
 
 
 def _pre_epoch_faults(
@@ -194,7 +174,7 @@ def worker_main(
             stack.enter_context(SharedArray.attach(spec)) for spec in shard_specs
         ]
         offsets = stack.enter_context(SharedArray.attach(offsets_spec))
-        rec = prof = _NullRecorder()
+        rec = prof = NullRecorder()
         if span_spec is not None:
             from repro.obs.spans import SpanRecorder, SpanRing
 
@@ -221,7 +201,7 @@ def worker_main(
                 lo, hi = offsets.array[worker_id : worker_id + 2]
                 rows, cols, vals = (seg.array[lo:hi] for seg in shard)
                 # replay: one permutation draw per completed epoch
-                # (mirrors _train_shard) so a warm-started run continues
+                # (mirrors sgd_shard_epoch) so a warm-started run continues
                 # the exact sample order of the straight-through run
                 for _ in range(epoch_offset):
                     rng.permutation(len(vals))
@@ -230,7 +210,10 @@ def worker_main(
             with rec.span(Phase.PULL, epoch), prof.stage("pull"):
                 channel.decode(pull_buf.array, out=model.Q)
             with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
-                _train_shard(model, rows, cols, vals, rng, batch_size, lr, reg)
+                sgd_shard_epoch(
+                    model, rows, cols, vals, lr, reg, batch_size,
+                    ConflictPolicy.ATOMIC, rng,
+                )
             # push: one encode into this worker's shared push buffer
             with rec.span(Phase.PUSH, epoch), prof.stage("push"):
                 _encode_push(

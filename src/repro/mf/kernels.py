@@ -130,6 +130,45 @@ def sgd_batch_update(
     return float(np.mean(np.square(err, dtype=np.float64))) if len(err) else 0.0
 
 
+def sgd_shard_epoch(
+    model: MFModel,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    lr: float,
+    reg: float,
+    batch_size: int = 4096,
+    policy: ConflictPolicy = ConflictPolicy.ATOMIC,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """One pass over a shard's ``(rows, cols, vals)`` in mini-batches.
+
+    The one loop that walks a whole shard: :func:`sgd_epoch` and both
+    planes' workers (``WorkerRuntime.run_epoch``, ``worker_main``) call
+    it with their own arrays, conflict policy and generator.  ``rng``
+    draws one permutation per call and each batch gathers its samples
+    in that order, so the shard is never copied whole; without ``rng``
+    the batches are views in storage order.  Returns the mean squared
+    error over the pass (pre-update errors, so it slightly lags the
+    true post-epoch loss).
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    nnz = len(vals)
+    if nnz == 0:
+        return 0.0
+    order = rng.permutation(nnz) if rng is not None else None
+    total_sq = 0.0
+    for lo in range(0, nnz, batch_size):
+        hi = min(lo + batch_size, nnz)
+        sel = slice(lo, hi) if order is None else order[lo:hi]
+        mse = sgd_batch_update(
+            model, rows[sel], cols[sel], vals[sel], lr, reg, policy
+        )
+        total_sq += mse * (hi - lo)
+    return total_sq / nnz
+
+
 def sgd_epoch(
     model: MFModel,
     ratings: RatingMatrix,
@@ -139,23 +178,11 @@ def sgd_epoch(
     policy: ConflictPolicy = ConflictPolicy.ATOMIC,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """One full pass over the ratings in shuffled mini-batches.
-
-    Returns the mean squared error averaged over all batches (pre-update
-    errors, so it slightly lags the true post-epoch loss).
-    """
-    if ratings.nnz == 0:
-        return 0.0
-    if rng is not None:
-        order = rng.permutation(ratings.nnz)
-        data = ratings.take(order)
-    else:
-        data = ratings
-    total_sq = 0.0
-    for rows, cols, vals in data.batches(batch_size):
-        mse = sgd_batch_update(model, rows, cols, vals, lr, reg, policy)
-        total_sq += mse * len(rows)
-    return total_sq / ratings.nnz
+    """:func:`sgd_shard_epoch` over a whole :class:`RatingMatrix`."""
+    return sgd_shard_epoch(
+        model, ratings.rows, ratings.cols, ratings.vals,
+        lr, reg, batch_size, policy, rng,
+    )
 
 
 def sgd_epoch_serial(

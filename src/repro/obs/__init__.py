@@ -19,10 +19,9 @@ PCM and Nsight Systems:
   (``EpochEngine(profile=...)``) and the hotpath report.
 
 :class:`Telemetry` is the facade: pass one to
-``SharedMemoryTrainer(..., telemetry=...)`` or
-``HCCMF.train(telemetry=...)`` and everything above is populated for
-that run.  Passing ``None`` (the default) keeps both executors on
-their uninstrumented zero-overhead paths.
+``EpochEngine(..., telemetry=...)`` or ``HCCMF.train(telemetry=...)``
+and everything above is populated for that run.  Passing ``None`` (the
+default) makes every span scope on both planes a no-op.
 """
 
 from repro._lazy import lazy_exports

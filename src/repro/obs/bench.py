@@ -8,8 +8,8 @@ This module pins a small benchmark suite over the repo's hot surfaces —
   flavours, plus the FPSGD / DSGD / NOMAD variant trainers;
 * **epoch** — end-to-end epoch seconds through the
   :class:`~repro.engine.pipeline.EpochEngine` on *both* planes
-  (:class:`~repro.engine.backends.SimBackend` and the process plane via
-  :class:`~repro.parallel.executor.SharedMemoryTrainer`);
+  (:class:`~repro.engine.backends.SimBackend` and
+  :class:`~repro.engine.backends.ProcessBackend`);
 * **wire** — bytes/sec through each channel stack's encode/decode codec
   (Q-only, FP16 wire, double-buffered transport)
 
@@ -271,9 +271,8 @@ def _kernel_metrics(config: BenchConfig) -> list[MetricResult]:
 
 def _epoch_metrics(config: BenchConfig) -> list[MetricResult]:
     """End-to-end epoch seconds through the engine, on both planes."""
-    from repro.engine import EpochEngine, QOnlyChannel, SimBackend
+    from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel, SimBackend
     from repro.experiments.platforms import workers_platform
-    from repro.parallel.executor import SharedMemoryTrainer
 
     ratings = kernel_workload(config.nnz, config.seed)
     meta = {"nnz": ratings.nnz, "k": config.k, "epochs": config.epochs,
@@ -291,10 +290,11 @@ def _epoch_metrics(config: BenchConfig) -> list[MetricResult]:
     process_rates: list[float] = []
 
     def process_epoch_seconds() -> float:
-        result = SharedMemoryTrainer(
+        backend = ProcessBackend(
             ratings, k=config.k, n_workers=config.workers,
             seed=config.seed, batch_size=config.batch_size,
-        ).train(config.epochs)
+        )
+        result = EpochEngine(backend, channel=QOnlyChannel()).run(config.epochs)
         process_rates.append(result.updates_per_second)
         return max(result.elapsed_seconds, 1e-9) / config.epochs
 

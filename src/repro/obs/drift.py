@@ -11,8 +11,8 @@ report the relative error.  Two prediction sources:
   plane, or a calibrated platform standing in for the host);
 * :func:`host_predictions` — Eq. 2/3 evaluated with *probe-measured*
   host numbers (copy bandwidth, SGD update rate) for real
-  :class:`~repro.parallel.executor.SharedMemoryTrainer` runs — the
-  same substitution DP1's Algorithm 1 makes when it re-measures.
+  :class:`~repro.engine.backends.ProcessBackend` runs — the same
+  substitution DP1's Algorithm 1 makes when it re-measures.
 
 Phases are keyed by their string value (``"pull"``, ``"computing"``,
 ``"push"``, ``"sync"``) so predictions and measurements join without

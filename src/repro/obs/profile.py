@@ -2,9 +2,9 @@
 
 The bench suite (:mod:`repro.obs.bench`) says *what* is slow; this
 module says *where*.  A :class:`StageProfiler` passed as
-``EpochEngine(profile=...)`` / ``SharedMemoryTrainer(profile=...)``
-wraps every pipeline stage dispatch (``pull``/``compute``/``push``/
-``sync`` plus ``evaluate``) in a per-stage :mod:`cProfile` run, and —
+``EpochEngine(profile=...)`` wraps every pipeline stage dispatch
+(``pull``/``compute``/``push``/``sync`` plus ``evaluate``) in a
+per-stage :mod:`cProfile` run, and —
 on the process plane — hands each worker process a drop directory where
 it dumps its own per-stage profiles at exit
 (``attempt-N/worker-W.<stage>.pstats``, one file per engine attempt so

@@ -13,10 +13,11 @@ from repro.obs.registry import MetricsRegistry
 class Telemetry:
     """One instrumented run: spans, metrics, and the drift report.
 
-    Create one, hand it to a trainer, then export::
+    Create one, hand it to the engine, then export::
 
         tel = Telemetry()
-        result = SharedMemoryTrainer(data, n_workers=2, telemetry=tel).train(4)
+        backend = ProcessBackend(data, n_workers=2)
+        EpochEngine(backend, channel=QOnlyChannel(), telemetry=tel).run(4)
         tel.export_chrome_trace("run.json")       # open in Perfetto
         tel.write_metrics_jsonl("run.jsonl")
         print(tel.drift_report().render())

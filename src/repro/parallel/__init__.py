@@ -2,12 +2,12 @@
 
 The paper implements HCC-MF with one *process* per worker and shared
 pinned memory for the pull/push buffers (section 3.5).  This subpackage
-reproduces those mechanics on host CPUs with
-:mod:`multiprocessing.shared_memory`: a server process owns the global
-feature matrices, worker processes train row-grid shards in parallel,
-and pull/push are single copies through shared buffers.
-
-This is the wall-clock execution plane; the calibrated timing plane
+holds those mechanics' host-CPU substrate: named
+:mod:`multiprocessing.shared_memory` segments (:mod:`repro.parallel.shm`)
+and the wall-clock DP0/DP1 measurement (:mod:`repro.parallel.tuning`).
+The server and worker processes that train over them are
+:class:`repro.engine.ProcessBackend` under
+:class:`repro.engine.EpochEngine`; the calibrated timing plane
 (:mod:`repro.hardware`) models the paper's actual CPU+GPU testbed.
 """
 
@@ -16,14 +16,11 @@ from repro._lazy import lazy_exports
 __all__ = [
     "SharedArray",
     "SharedArraySpec",
-    "SharedMemoryTrainer",
-    "ParallelTrainResult",
     "MeasuredPartition",
     "measure_partition",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.parallel.shm": ("SharedArray", "SharedArraySpec"),
-    "repro.parallel.executor": ("SharedMemoryTrainer", "ParallelTrainResult"),
     "repro.parallel.tuning": ("MeasuredPartition", "measure_partition"),
 })

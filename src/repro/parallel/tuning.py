@@ -4,8 +4,8 @@ The timing plane runs DP0/DP1 against the calibrated model; this module
 runs them against *this host*: each candidate shard is timed with the
 real NumPy kernel (the paper's "measure one epoch" step), Eq. 6 turns
 the measured times into DP0 fractions, and Algorithm 1's compensation
-loop re-times under each refined partition.  The result feeds
-:class:`repro.parallel.SharedMemoryTrainer` directly.
+loop re-times under each refined partition.  The result's ``plan``
+feeds ``EpochEngine(ProcessBackend(...), partitions=plan)`` directly.
 
 On a homogeneous host the fractions come out near-uniform — which is
 itself the correct answer; shard-dependent cache behaviour (row ranges

@@ -10,8 +10,9 @@ epoch; this package is what happens when one does not
 * :mod:`repro.resilience.policy` — turn a health report and a
   :class:`~repro.core.config.RecoveryPolicy` into a recovery action
   (retry with backoff, redistribute the dead shard across survivors,
-  or checkpoint-and-abort), and renormalize partition plans around
-  dead ranks;
+  or checkpoint-and-abort); the renormalization of a partition plan
+  around dead ranks is :func:`repro.core.partition.redistribute`,
+  re-exported here;
 * :mod:`repro.resilience.faults` — the fault-injection harness
   (:class:`FaultPlan`): kill a worker at an epoch, delay a barrier,
   drop or corrupt a wire payload — used by the tests and the
@@ -44,6 +45,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.resilience.policy": (
         "RecoveryAction", "ResilienceSummary", "TrainingAborted", "decide",
-        "redistribute",
     ),
+    "repro.core.partition": ("redistribute",),
 })

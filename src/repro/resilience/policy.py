@@ -7,9 +7,9 @@ Three-level escalation, configured by
   unknown): re-run the failed epoch from the last synced model, after
   an exponential backoff.
 * **REDISTRIBUTE** — worker death: renormalize the surviving workers'
-  shard fractions over the unit simplex (:func:`redistribute`, the
-  same rate-proportional rescale DP1's compensation loop applies) and
-  continue degraded.
+  shard fractions over the unit simplex
+  (:func:`repro.core.partition.redistribute`, the same rate-proportional
+  rescale DP1's compensation loop applies) and continue degraded.
 * **ABORT** — retries exhausted, or a death that would leave fewer
   than ``min_workers`` survivors: write a final checkpoint (when the
   run has a checkpoint path) and raise :class:`TrainingAborted`.
@@ -20,10 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.config import RecoveryPolicy
-from repro.core.partition import PartitionPlan, _normalize
 from repro.resilience.health import HealthReport
 
 
@@ -78,41 +75,6 @@ def decide(
     if retries_so_far < policy.max_retries:
         return RecoveryAction.RETRY
     return RecoveryAction.ABORT
-
-
-def redistribute(
-    plan: PartitionPlan, dead_ranks: "tuple[int, ...] | list[int] | set[int]"
-) -> PartitionPlan:
-    """Reassign dead workers' shards across the survivors.
-
-    Survivor fractions keep their *relative* proportions — the same
-    rate-proportional scaling DP0/DP1 derived them from — and are
-    renormalized onto the unit simplex, so each survivor absorbs a
-    share of the lost work proportional to its measured throughput.
-    Predicted times (when the plan carries them) scale with the
-    fraction growth, rates being locally constant — exactly how DP2
-    extrapolates Algorithm 1's rescale.
-    """
-    dead = set(dead_ranks)
-    unknown = dead - set(range(plan.n_workers))
-    if unknown:
-        raise ValueError(f"dead ranks {sorted(unknown)} not in the plan")
-    survivors = [r for r in range(plan.n_workers) if r not in dead]
-    if not survivors:
-        raise ValueError("cannot redistribute: no surviving workers")
-    if not dead:
-        return plan
-    old = np.asarray([plan.fractions[r] for r in survivors], dtype=np.float64)
-    new = _normalize(old)
-    if plan.predicted_times:
-        pred = tuple(
-            float(plan.predicted_times[r] * ni / max(oi, 1e-30))
-            for r, oi, ni in zip(survivors, old, new)
-        )
-    else:
-        pred = ()
-    return PartitionPlan("degraded", tuple(map(float, new)), pred,
-                         rounds=plan.rounds)
 
 
 @dataclass

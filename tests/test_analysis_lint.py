@@ -18,7 +18,7 @@ from repro.analysis.lint import (
 from repro.analysis.reporters import render_json, render_rules, render_text
 
 HOT = "src/repro/mf/kernels.py"          # hot path + kernel module
-WORKER = "src/repro/parallel/executor.py"  # hot path + worker loop
+WORKER = "src/repro/engine/worker_proc.py"  # hot path + worker loop
 COST = "src/repro/core/cost_model.py"    # cost-model module
 NEUTRAL = "src/repro/experiments/report.py"  # none of the above
 
@@ -714,6 +714,31 @@ class TestUnboundedWait:
 
 
 class TestRepoIsClean:
+    def test_scoped_rules_look_at_the_real_worker_loop(self):
+        """The shipped worker process body is linted as a worker loop:
+        strip its one blocking-call suppression and the rule fires, so
+        the suppression is load-bearing."""
+        with open(WORKER, encoding="utf-8") as fh:
+            source = fh.read()
+        marker = "# hcclint: disable=blocking-call"
+        assert source.count(marker) == 1
+        found = lint_source(source.replace(marker, ""), WORKER)
+        assert [i.rule for i in found if i.severity >= Severity.WARNING] == [
+            "blocking-call"
+        ]
+
+    def test_scoped_module_lists_name_files_that_exist(self):
+        import os
+
+        from repro.analysis import hotpath
+
+        scoped = set().union(*(
+            value for name, value in vars(hotpath).items()
+            if name.endswith("_MODULES") and isinstance(value, frozenset)
+        ))
+        missing = sorted(m for m in scoped if not os.path.exists(f"src/{m}"))
+        assert missing == []
+
     def test_src_tree_has_no_warnings_or_errors(self):
         """The acceptance gate: `repro lint src/` must be clean."""
         issues = lint_paths(["src"])

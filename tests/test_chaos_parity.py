@@ -18,7 +18,7 @@ from repro.core.cost_model import Regime, TimeCostModel
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
 from repro.hardware.topology import paper_workstation
-from repro.resilience.policy import redistribute
+from repro.core.partition import redistribute
 from repro.testing import (
     ChaosScenario,
     check_invariants,

@@ -26,7 +26,6 @@ from repro.engine import (
     StageEvent,
     WeightedAverageSync,
     as_provider,
-    provider_from,
 )
 from repro.experiments.platforms import workers_platform
 
@@ -68,10 +67,6 @@ class TestPartitionProviders:
     def test_fractions_length_must_match(self):
         with pytest.raises(ValueError, match="for 3 workers"):
             FractionsProvider((0.5, 0.5)).plan(3)
-
-    def test_provider_from_rejects_both(self):
-        with pytest.raises(ValueError, match="not both"):
-            provider_from([0.5, 0.5], [0.5, 0.5])
 
 
 class TestSyncPolicies:

@@ -21,7 +21,6 @@ from repro.data.datasets import NETFLIX
 from repro.engine import ProcessBackend, QOnlyChannel, WorkerSyncError
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
 from repro.hardware.topology import paper_workstation
-from repro.parallel.executor import SharedMemoryTrainer
 from repro.resilience import FaultPlan, TrainingAborted, WorkerState
 
 
@@ -33,6 +32,17 @@ def data():
 #: no backoff sleeps in tests
 FAST_RETRY = dict(backoff_base_s=0.0)
 
+#: what ProcessBackend takes; every other keyword goes to EpochEngine
+BACKEND_KW = ("k", "n_workers", "lr", "seed", "barrier_timeout_s", "fault_plan")
+
+
+def engine_for(data, **kw):
+    """The process-plane engine call every test here drives."""
+    backend = ProcessBackend(
+        data, **{name: kw.pop(name) for name in BACKEND_KW if name in kw}
+    )
+    return EpochEngine(backend, channel=QOnlyChannel(), **kw)
+
 
 class TestKillRecovery:
     def test_kill_redistributes_and_converges(self, data):
@@ -40,16 +50,16 @@ class TestKillRecovery:
         run still completes every epoch on the survivors, with final
         RMSE within 5% of the fault-free baseline."""
         kw = dict(k=8, n_workers=3, lr=0.01, seed=0, barrier_timeout_s=5.0)
-        baseline = SharedMemoryTrainer(data, **kw).train(epochs=4)
-        res = SharedMemoryTrainer(
+        baseline = engine_for(data, **kw).run(4)
+        res = engine_for(
             data,
             fault_plan=FaultPlan().kill(2, epoch=1),
             recovery=RecoveryPolicy(min_workers=2, **FAST_RETRY),
             **kw,
-        ).train(epochs=4)
+        ).run(4)
 
         assert len(res.rmse_history) == 4
-        assert res.n_workers == 2  # degraded: the dead shard moved
+        assert res.final_plan.n_workers == 2  # degraded: the dead shard moved
         summary = res.resilience
         assert summary is not None
         assert summary.redistributions == 1
@@ -66,13 +76,13 @@ class TestKillRecovery:
     def test_hard_kill_detected_from_exit_code(self, data):
         """A hard kill (os._exit, no interpreter teardown) travels the
         same detection path: exit code lands, shard redistributes."""
-        res = SharedMemoryTrainer(
+        res = engine_for(
             data, k=8, n_workers=3, lr=0.01, seed=0, barrier_timeout_s=5.0,
             fault_plan=FaultPlan().kill(1, epoch=1, hard=True),
             recovery=RecoveryPolicy(min_workers=2, **FAST_RETRY),
-        ).train(epochs=3)
+        ).run(3)
         assert len(res.rmse_history) == 3
-        assert res.n_workers == 2
+        assert res.final_plan.n_workers == 2
         assert res.resilience.redistributions == 1
 
     def test_death_below_min_workers_aborts_with_checkpoint(self, data, tmp_path):
@@ -80,12 +90,12 @@ class TestKillRecovery:
         TrainingAborted naming the epoch and checkpoint."""
         path = tmp_path / "abort-ckpt"
         with pytest.raises(TrainingAborted) as ei:
-            SharedMemoryTrainer(
+            engine_for(
                 data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=5.0,
                 fault_plan=FaultPlan().kill(1, epoch=1),
                 recovery=RecoveryPolicy(min_workers=2, **FAST_RETRY),
                 checkpoint_every=1, checkpoint_path=path,
-            ).train(epochs=4)
+            ).run(4)
         err = ei.value
         assert err.epoch == 1  # epoch 0 completed, epoch 1 failed
         assert str(path) in str(err)
@@ -98,13 +108,13 @@ class TestTransientRecovery:
     def test_corrupt_payload_retries_same_workers(self, data):
         """NaN push payload: validation rejects the epoch before any
         merge, the epoch retries, no worker is removed."""
-        res = SharedMemoryTrainer(
+        res = engine_for(
             data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=5.0,
             fault_plan=FaultPlan().corrupt_payload(1, epoch=1),
             recovery=RecoveryPolicy(max_retries=2, **FAST_RETRY),
-        ).train(epochs=3)
+        ).run(3)
         assert len(res.rmse_history) == 3
-        assert res.n_workers == 2  # nobody died
+        assert res.final_plan.n_workers == 2  # nobody died
         summary = res.resilience
         assert summary.retries == 1
         assert summary.redistributions == 0
@@ -113,13 +123,13 @@ class TestTransientRecovery:
     def test_straggler_classified_and_retried(self, data):
         """A worker sleeping past barrier_timeout_s is a straggler, not
         a corpse: WorkerSyncError -> retry with the same worker count."""
-        res = SharedMemoryTrainer(
+        res = engine_for(
             data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=2.0,
             fault_plan=FaultPlan().delay_barrier(0, epoch=1, seconds=8.0),
             recovery=RecoveryPolicy(max_retries=1, **FAST_RETRY),
-        ).train(epochs=3)
+        ).run(3)
         assert len(res.rmse_history) == 3
-        assert res.n_workers == 2
+        assert res.final_plan.n_workers == 2
         summary = res.resilience
         assert summary.retries == 1
         assert any("straggling" in line for line in summary.failures)
@@ -127,21 +137,21 @@ class TestTransientRecovery:
     def test_dropped_payload_is_silently_tolerated(self, data):
         """A dropped push merges a zero delta: no error, no recovery
         action, the run just loses that worker-epoch of progress."""
-        res = SharedMemoryTrainer(
+        res = engine_for(
             data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=5.0,
             fault_plan=FaultPlan().drop_payload(1, epoch=1),
             recovery=RecoveryPolicy(**FAST_RETRY),
-        ).train(epochs=3)
+        ).run(3)
         assert len(res.rmse_history) == 3
         assert res.resilience.clean
 
     def test_retries_exhausted_aborts(self, data):
         with pytest.raises(TrainingAborted) as ei:
-            SharedMemoryTrainer(
+            engine_for(
                 data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=5.0,
                 fault_plan=FaultPlan().corrupt_payload(0, epoch=0),
                 recovery=RecoveryPolicy(max_retries=0, **FAST_RETRY),
-            ).train(epochs=2)
+            ).run(2)
         assert ei.value.epoch == 0
         assert ei.value.checkpoint_path is None
         assert "no checkpoint path" in str(ei.value)
@@ -152,24 +162,19 @@ class TestTransientRecovery:
         from repro.engine import WirePayloadError
 
         with pytest.raises(WirePayloadError):
-            SharedMemoryTrainer(
+            engine_for(
                 data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=5.0,
                 fault_plan=FaultPlan().corrupt_payload(0, epoch=0),
-            ).train(epochs=2)
+            ).run(2)
 
     def test_clean_run_with_policy_reports_clean_summary(self, data):
-        res = SharedMemoryTrainer(
+        res = engine_for(
             data, k=8, n_workers=2, lr=0.01, seed=0,
             recovery=RecoveryPolicy(**FAST_RETRY),
-        ).train(epochs=2)
+        ).run(2)
         assert res.resilience is not None
         assert res.resilience.clean
         assert res.resilience.final_workers == 2
-
-    def test_recovery_policy_rides_config(self, data):
-        cfg = HCCConfig(recovery=RecoveryPolicy(max_retries=1, **FAST_RETRY))
-        trainer = SharedMemoryTrainer(data, k=8, n_workers=2, config=cfg)
-        assert trainer.recovery is cfg.recovery
 
 
 class TestRealDeadWorkerDiagnostics:
@@ -251,11 +256,11 @@ class TestCheckpointResume:
         their per-epoch RNG draws past the offset)."""
         kw = dict(k=8, n_workers=2, lr=0.01, seed=0)
         path = tmp_path / "ckpt"
-        straight = SharedMemoryTrainer(data, **kw).train(epochs=4)
-        SharedMemoryTrainer(
+        straight = engine_for(data, **kw).run(4)
+        engine_for(
             data, checkpoint_every=2, checkpoint_path=path, **kw
-        ).train(epochs=2)
-        resumed = SharedMemoryTrainer(data, resume_from=path, **kw).train(epochs=4)
+        ).run(2)
+        resumed = engine_for(data, resume_from=path, **kw).run(4)
 
         assert resumed.rmse_history == straight.rmse_history
         assert resumed.resilience.resumed_from_epoch == 2
@@ -282,24 +287,24 @@ class TestCheckpointResume:
 
     def test_checkpoint_cadence(self, data, tmp_path):
         path = tmp_path / "cadence"
-        res = SharedMemoryTrainer(
+        res = engine_for(
             data, k=8, n_workers=2, lr=0.01, seed=0,
             checkpoint_every=2, checkpoint_path=path,
-        ).train(epochs=5)
+        ).run(5)
         # epochs 2, 4 hit the cadence; the run does not force a final write
         assert res.resilience.checkpoints_written == 2
         assert load_checkpoint(path).epoch == 4
 
     def test_resume_past_target_rejected(self, data, tmp_path):
         path = tmp_path / "done"
-        SharedMemoryTrainer(
+        engine_for(
             data, k=8, n_workers=2, lr=0.01, seed=0,
             checkpoint_every=3, checkpoint_path=path,
-        ).train(epochs=3)
+        ).run(3)
         with pytest.raises(ValueError, match="already at epoch"):
-            SharedMemoryTrainer(
+            engine_for(
                 data, k=8, n_workers=2, lr=0.01, seed=0, resume_from=path
-            ).train(epochs=3)
+            ).run(3)
 
     def test_engine_validates_checkpoint_config(self, data):
         backend = ProcessBackend(data, k=8, n_workers=2, seed=0)
@@ -319,12 +324,12 @@ class TestResilienceTelemetry:
         from repro.obs import Telemetry
 
         telemetry = Telemetry()
-        SharedMemoryTrainer(
+        engine_for(
             data, k=8, n_workers=3, lr=0.01, seed=0, barrier_timeout_s=5.0,
             telemetry=telemetry,
             fault_plan=FaultPlan().kill(2, epoch=1),
             recovery=RecoveryPolicy(min_workers=2, **FAST_RETRY),
-        ).train(epochs=3)
+        ).run(3)
 
         by_name = {s.name: s.value for s in telemetry.registry.samples()}
         assert by_name["resilience_redistributions_total"] == 1
@@ -341,12 +346,12 @@ class TestResilienceTelemetry:
         from repro.obs import Telemetry
 
         telemetry = Telemetry()
-        SharedMemoryTrainer(
+        engine_for(
             data, k=8, n_workers=3, lr=0.01, seed=0, barrier_timeout_s=5.0,
             telemetry=telemetry,
             fault_plan=FaultPlan().kill(2, epoch=1),
             recovery=RecoveryPolicy(min_workers=2, **FAST_RETRY),
-        ).train(epochs=3)
+        ).run(3)
 
         spans = telemetry.timeline.spans
         attempts = {s.attempt for s in spans}

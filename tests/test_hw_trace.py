@@ -168,14 +168,13 @@ class TestImport:
         """Traces written by an instrumented real run must re-import
         for offline obs-report analysis."""
         from repro.data.datasets import NETFLIX
+        from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
         from repro.obs import Telemetry
-        from repro.parallel.executor import SharedMemoryTrainer
 
         data = NETFLIX.scaled(3000).generate(seed=7)
         tel = Telemetry()
-        SharedMemoryTrainer(data, k=8, n_workers=2, seed=0, telemetry=tel).train(
-            epochs=2
-        )
+        backend = ProcessBackend(data, k=8, n_workers=2, seed=0)
+        EpochEngine(backend, channel=QOnlyChannel(), telemetry=tel).run(2)
         path = tmp_path / "real.json"
         tel.export_chrome_trace(path)
         back = import_chrome_trace(path)

@@ -23,6 +23,7 @@ from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
 from repro.engine.channels import Channel, Fp16Channel, QOnlyChannel
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
 from repro.hardware.topology import paper_workstation
+from repro.mf.kernels import ConflictPolicy, sgd_batch_update, sgd_epoch
 from repro.mf.model import MFModel
 from repro.obs import Telemetry
 from repro.resilience.faults import FaultPlan
@@ -107,6 +108,63 @@ class TestBlockedResidual:
         # the float32 error vector plus its float64 squares, never the
         # 2 * nnz * k * 4 B (102 MB at k = 64) of whole-array gathers
         assert max(peaks.values()) <= 16 * nnz + one_block
+
+
+# ---------------------------------------------------------------------------
+# compute: the one shard walk
+# ---------------------------------------------------------------------------
+def whole_copy_epoch(model, ratings, lr, reg, batch_size, policy, rng):
+    """``sgd_epoch`` as it was: permute the whole shard, then slice it."""
+    data = ratings.take(rng.permutation(ratings.nnz))
+    total = 0.0
+    for rows, cols, vals in data.batches(batch_size):
+        total += len(rows) * sgd_batch_update(
+            model, rows, cols, vals, lr, reg, policy
+        )
+    return total / ratings.nnz
+
+
+def per_batch_gather_epoch(model, ratings, lr, reg, batch_size, policy, rng):
+    """The loop both planes' workers carried a copy of."""
+    order = rng.permutation(ratings.nnz)
+    total = 0.0
+    for lo in range(0, ratings.nnz, batch_size):
+        sel = order[lo : lo + batch_size]
+        total += len(sel) * sgd_batch_update(
+            model, ratings.rows[sel], ratings.cols[sel], ratings.vals[sel],
+            lr, reg, policy,
+        )
+    return total / ratings.nnz
+
+
+@pytest.mark.parametrize("policy", list(ConflictPolicy))
+class TestShardEpoch:
+    @pytest.mark.parametrize("reference", [whole_copy_epoch, per_batch_gather_epoch])
+    def test_bit_identical_to_the_loops_it_replaced(self, policy, reference):
+        ratings = random_ratings(10_007, 300, 200)   # a ragged last batch
+        got, want = (MFModel.init(300, 200, 8, seed=3) for _ in range(2))
+        args = (ratings, 0.01, 0.02, 1024, policy)
+        mse = sgd_epoch(got, *args, rng=np.random.default_rng(9))
+        assert mse == reference(want, *args, np.random.default_rng(9))
+        np.testing.assert_array_equal(bits(got.P), bits(want.P))
+        np.testing.assert_array_equal(bits(got.Q), bits(want.Q))
+
+    def test_allocates_the_permutation_and_one_batch(self, policy):
+        above_order = {}
+        for nnz in (200_000, 400_000):
+            ratings = random_ratings(nnz, 20_000, 3_000)
+            model = MFModel.init(20_000, 3_000, 16)
+
+            def epoch():
+                sgd_epoch(model, ratings, 0.005, 0.01, 4096, policy,
+                          np.random.default_rng(1))
+
+            epoch()     # first call pays einsum's one-time caches
+            above_order[nnz] = peak_bytes(epoch) - 8 * nnz
+        # what a batch needs does not depend on the shard's length ...
+        assert abs(above_order[400_000] - above_order[200_000]) <= 256 * 1024
+        # ... and is nowhere near the 20 B per rating of a permuted copy
+        assert above_order[400_000] <= 20 * 400_000 // 2
 
 
 class TestInitPeak:

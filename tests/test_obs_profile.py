@@ -162,20 +162,20 @@ class TestEngineIntegration:
         assert report.attributed_fraction >= 0.9
         for stage in ENGINE_STAGES:
             assert report.stage_seconds.get(stage, 0.0) > 0.0
-        # the sim plane's hot path is the SGD kernel, under compute
+        # both planes walk their shards in the one shared epoch body
         compute = [e for e in report.entries if e.stage == "compute"]
-        assert any("sgd" in e.function for e in compute)
+        assert any("sgd_shard_epoch" in e.function for e in compute)
 
     def test_process_plane_attribution_with_worker_dumps(self):
-        from repro.parallel.executor import SharedMemoryTrainer
+        from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
 
         ratings = kernel_workload(2000, 0)
         prof = StageProfiler()
         try:
-            SharedMemoryTrainer(
-                ratings, k=8, n_workers=2, seed=0, batch_size=1024,
-                profile=prof,
-            ).train(2)
+            backend = ProcessBackend(
+                ratings, k=8, n_workers=2, seed=0, batch_size=1024
+            )
+            EpochEngine(backend, channel=QOnlyChannel(), profile=prof).run(2)
             workdir = prof.worker_dir()
             dumps = [
                 fn
@@ -193,7 +193,7 @@ class TestEngineIntegration:
             assert report.stage_seconds.get(stage, 0.0) > 0.0
         # worker-side training shows up under compute
         compute = [e for e in report.entries if e.stage == "compute"]
-        assert any("_train_shard" in e.function for e in compute)
+        assert any("sgd_shard_epoch" in e.function for e in compute)
 
     def test_unprofiled_run_unchanged(self):
         from repro.engine import EpochEngine, QOnlyChannel, SimBackend

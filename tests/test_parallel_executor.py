@@ -1,4 +1,4 @@
-"""Integration tests for the multi-process shared-memory trainer.
+"""Integration tests for the process plane: EpochEngine over ProcessBackend.
 
 These spawn real OS processes; sizes are kept small so the whole module
 runs in a few seconds.
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import NETFLIX
-from repro.parallel.executor import ParallelTrainResult, SharedMemoryTrainer
+from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
+from repro.engine.pipeline import EngineResult, StageEvent
 
 
 @pytest.fixture(scope="module")
@@ -16,61 +17,68 @@ def data():
     return NETFLIX.scaled(6000).generate(seed=4)
 
 
-class TestSharedMemoryTrainer:
+def train(data, epochs, channel=None, partitions=None, telemetry=None, **backend):
+    """One process-plane run: the engine call every test here drives."""
+    return EpochEngine(
+        ProcessBackend(data, **backend),
+        channel=channel if channel is not None else QOnlyChannel(),
+        partitions=partitions,
+        telemetry=telemetry,
+    ).run(epochs)
+
+
+class TestProcessPlane:
     def test_converges_with_two_workers(self, data):
-        trainer = SharedMemoryTrainer(data, k=8, n_workers=2, lr=0.01, seed=0)
-        res = trainer.train(epochs=4)
+        res = train(data, 4, k=8, n_workers=2, lr=0.01, seed=0)
         assert len(res.rmse_history) == 4
         assert res.rmse_history[-1] < res.rmse_history[0]
         assert np.all(np.isfinite(res.model.P))
 
     def test_single_worker(self, data):
-        trainer = SharedMemoryTrainer(data, k=8, n_workers=1, lr=0.01, seed=0)
-        res = trainer.train(epochs=2)
+        res = train(data, 2, k=8, n_workers=1, lr=0.01, seed=0)
         assert res.rmse_history[-1] < res.rmse_history[0]
 
     def test_custom_fractions(self, data):
-        trainer = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, fractions=[0.3, 0.7], seed=0
+        res = train(
+            data, 2, partitions=[0.3, 0.7], k=8, n_workers=2, lr=0.01, seed=0
         )
-        res = trainer.train(epochs=2)
-        assert res.n_workers == 2
+        assert res.plan.fractions == pytest.approx([0.3, 0.7])
+        assert res.updates_applied == 2 * data.nnz
+        assert res.elapsed_seconds > 0
         assert res.updates_per_second > 0
 
     def test_worker_failure_raises_cleanly(self, data):
         """Fault injection: a crashed worker must surface as a clear
         error, not a hang, and shared memory must be reclaimed (the
         next run succeeds)."""
-        bad = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0, fail_worker_at=(1, 1)
-        )
+        from repro.resilience import FaultPlan
+
         with pytest.raises(RuntimeError, match="worker process failed"):
-            bad.train(epochs=3)
-        # recovery: fresh trainer works
-        ok = SharedMemoryTrainer(data, k=8, n_workers=2, lr=0.01, seed=0)
-        res = ok.train(epochs=2)
+            train(data, 3, k=8, n_workers=2, lr=0.01, seed=0,
+                  fault_plan=FaultPlan().kill(1, epoch=1))
+        # recovery: a fresh run works
+        res = train(data, 2, k=8, n_workers=2, lr=0.01, seed=0)
         assert len(res.rmse_history) == 2
 
     def test_validation(self, data):
         with pytest.raises(ValueError):
-            SharedMemoryTrainer(data, n_workers=0)
+            ProcessBackend(data, n_workers=0)
         with pytest.raises(ValueError):
-            SharedMemoryTrainer(data, n_workers=2, fractions=[1.0])
+            train(data, 1, partitions=[1.0], n_workers=2)
         with pytest.raises(ValueError):
-            SharedMemoryTrainer(data, k=0)
+            ProcessBackend(data, k=0)
         with pytest.raises(ValueError):
-            SharedMemoryTrainer(data).train(epochs=0)
+            train(data, 0)
 
 
 class TestUpdatesPerSecond:
-    def _result(self, elapsed: float) -> ParallelTrainResult:
-        return ParallelTrainResult(
+    def _result(self, elapsed: float) -> EngineResult:
+        return EngineResult(
+            backend="process", channel="q-only(full)",
+            sync_policy="additive-delta", plan=None, epochs=1,
+            stage_trace=(StageEvent(0, "compute", {"updates": (600, 400)}),),
             rmse_history=[1.0],
             elapsed_seconds=elapsed,
-            epochs=1,
-            n_workers=1,
-            nnz=1000,
-            model=None,
         )
 
     def test_normal_rate(self):
@@ -92,18 +100,15 @@ class TestChannelStrategies:
         return sum(s.value for s in tel.registry.samples() if s.name == name)
 
     def test_fp16_matches_fp32_with_half_the_wire_bytes(self, data):
-        from repro.engine import Fp16Channel, QOnlyChannel
+        from repro.engine import Fp16Channel
         from repro.obs import Telemetry
 
         tel32, tel16 = Telemetry(), Telemetry()
-        fp32 = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0,
-            channel=QOnlyChannel(), telemetry=tel32,
-        ).train(epochs=3)
-        fp16 = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0,
-            channel=Fp16Channel(QOnlyChannel()), telemetry=tel16,
-        ).train(epochs=3)
+        kw = dict(k=8, n_workers=2, lr=0.01, seed=0)
+        fp32 = train(data, 3, channel=QOnlyChannel(), telemetry=tel32, **kw)
+        fp16 = train(
+            data, 3, channel=Fp16Channel(QOnlyChannel()), telemetry=tel16, **kw
+        )
         # Strategy 2's claim: half-precision transmission, same accuracy
         assert fp16.rmse_history[-1] == pytest.approx(
             fp32.rmse_history[-1], rel=0.02
@@ -117,45 +122,41 @@ class TestChannelStrategies:
     def test_partition_plan_accepted(self, data):
         from repro.core.partition import PartitionPlan
 
-        trainer = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0,
-            partition=PartitionPlan("dp0", (0.35, 0.65)),
+        res = train(
+            data, 2, partitions=PartitionPlan("dp0", (0.35, 0.65)),
+            k=8, n_workers=2, lr=0.01, seed=0,
         )
-        assert trainer.fractions == pytest.approx([0.35, 0.65])
-        res = trainer.train(epochs=2)
+        assert res.plan.fractions == pytest.approx([0.35, 0.65])
         assert res.rmse_history[-1] < res.rmse_history[0]
 
     def test_double_buffer_stack_runs(self, data):
-        from repro.engine import DoubleBufferChannel, Fp16Channel, QOnlyChannel
+        from repro.engine import DoubleBufferChannel, Fp16Channel
 
         stack = DoubleBufferChannel(Fp16Channel(QOnlyChannel()))
-        res = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0, channel=stack
-        ).train(epochs=2)
+        res = train(data, 2, channel=stack, k=8, n_workers=2, lr=0.01, seed=0)
         assert res.rmse_history[-1] < res.rmse_history[0]
 
     def test_config_selects_the_channel_stack(self, data):
         from repro.core.config import CommConfig, HCCConfig
+        from repro.engine import channel_for
 
-        trainer = SharedMemoryTrainer(
-            data, config=HCCConfig(comm=CommConfig(fp16=True))
-        )
-        assert trainer.channel.wire_is_fp16
-        assert trainer.channel.describe() == "fp16(q-only(full))"
+        config = HCCConfig(comm=CommConfig(fp16=True))
+        channel = channel_for(config.comm, data.m, data.n)
+        assert channel.wire_is_fp16
+        assert channel.describe() == "fp16(q-only(full))"
 
 
 class TestBarrierDiagnostics:
     """Rendezvous failures name the missing ranks, and the timeout is
-    configurable through HCCConfig."""
+    validated where it is configured."""
 
     def test_sync_error_names_the_missing_rank(self, data):
         from repro.engine import WorkerSyncError
+        from repro.resilience import FaultPlan
 
-        bad = SharedMemoryTrainer(
-            data, k=8, n_workers=2, lr=0.01, seed=0, fail_worker_at=(1, 1)
-        )
         with pytest.raises(WorkerSyncError) as excinfo:
-            bad.train(epochs=3)
+            train(data, 3, k=8, n_workers=2, lr=0.01, seed=0,
+                  fault_plan=FaultPlan().kill(1, epoch=1))
         err = excinfo.value
         # worker-0's progress stamp races the broken barrier, so the
         # missing set may or may not include it — but the crashed rank
@@ -164,27 +165,13 @@ class TestBarrierDiagnostics:
         assert "worker-1" in str(err)
         assert err.epoch == 1
 
-    def test_config_sets_barrier_timeout(self, data):
-        from repro.core.config import HCCConfig
-
-        trainer = SharedMemoryTrainer(
-            data, config=HCCConfig(barrier_timeout_s=7.5)
-        )
-        assert trainer.barrier_timeout_s == 7.5
-
-    def test_explicit_timeout_overrides_config(self, data):
-        from repro.core.config import HCCConfig
-
-        trainer = SharedMemoryTrainer(
-            data, config=HCCConfig(barrier_timeout_s=7.5), barrier_timeout_s=3.0
-        )
-        assert trainer.barrier_timeout_s == 3.0
-
-    def test_nonpositive_timeout_rejected(self):
+    def test_nonpositive_timeout_rejected(self, data):
         from repro.core.config import HCCConfig
 
         with pytest.raises(ValueError, match="barrier_timeout_s"):
             HCCConfig(barrier_timeout_s=0.0)
+        with pytest.raises(ValueError, match="barrier_timeout_s"):
+            ProcessBackend(data, barrier_timeout_s=0.0)
 
 
 class TestExecutorTelemetry:
@@ -202,18 +189,15 @@ class TestExecutorTelemetry:
         monkeypatch.setattr(
             spans.SpanRing, "create", classmethod(tracking)
         )
-        res = SharedMemoryTrainer(data, k=8, n_workers=2, seed=0).train(epochs=2)
-        assert res.telemetry is None
+        train(data, 2, k=8, n_workers=2, seed=0)
         assert calls == []
 
     def test_instrumented_run_matches_uninstrumented_numerics(self, data):
         """Telemetry must observe, not perturb: same seed, same RMSE."""
         from repro.obs import Telemetry
 
-        plain = SharedMemoryTrainer(data, k=8, n_workers=2, seed=0).train(epochs=2)
+        plain = train(data, 2, k=8, n_workers=2, seed=0)
         tel = Telemetry()
-        traced = SharedMemoryTrainer(
-            data, k=8, n_workers=2, seed=0, telemetry=tel
-        ).train(epochs=2)
+        traced = train(data, 2, telemetry=tel, k=8, n_workers=2, seed=0)
         assert traced.rmse_history == pytest.approx(plain.rmse_history)
-        assert traced.telemetry is tel
+        assert len(tel.timeline) > 0

@@ -41,14 +41,13 @@ class TestMeasurePartition:
         assert mp.plan.fractions == (1.0,)
 
     def test_feeds_shared_memory_trainer(self, medium_ratings):
-        from repro.parallel.executor import SharedMemoryTrainer
+        from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
 
         mp = measure_partition(medium_ratings, 2, k=8, seed=0)
-        trainer = SharedMemoryTrainer(
-            medium_ratings, k=8, n_workers=2, lr=0.01,
-            fractions=list(mp.plan.fractions), seed=0,
-        )
-        res = trainer.train(epochs=2)
+        backend = ProcessBackend(medium_ratings, k=8, n_workers=2, lr=0.01, seed=0)
+        res = EpochEngine(
+            backend, channel=QOnlyChannel(), partitions=mp.plan
+        ).run(2)
         assert res.rmse_history[-1] < res.rmse_history[0]
 
     def test_validation(self, medium_ratings):

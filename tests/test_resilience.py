@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core.config import HCCConfig, RecoveryPolicy
-from repro.core.partition import PartitionPlan
+from repro.core.partition import PartitionPlan, redistribute
 from repro.resilience import (
     Fault,
     FaultPlan,
@@ -17,7 +17,6 @@ from repro.resilience import (
     WorkerState,
     classify,
     decide,
-    redistribute,
 )
 from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, fault_at
 
