@@ -12,8 +12,8 @@ same work.
 
 import numpy as np
 
-from repro.core.comm import PullBuffer
 from repro.core.compression import compress_fp16, decompress_fp16
+from repro.engine.channels import Channel
 from repro.mf.kernels import ConflictPolicy, sgd_epoch
 from repro.mf.model import MFModel
 from repro.obs.bench import kernel_workload as _data
@@ -53,11 +53,11 @@ def bench_fp16_roundtrip(benchmark):
 
 def bench_pull_buffer_cycle(benchmark):
     q = np.random.default_rng(0).uniform(0.0, 1.0, (64, 30_000)).astype(np.float32)
-    buf = PullBuffer(q.shape)
+    channel, wire, out = Channel(), np.empty_like(q), np.empty_like(q)
 
     def cycle():
-        buf.deposit(q)
-        return buf.read()
+        channel.encode(q, wire)
+        return channel.decode(wire, out)
 
     benchmark(cycle)
     benchmark.extra_info["mbytes"] = q.nbytes / 1e6

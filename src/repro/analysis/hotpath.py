@@ -90,7 +90,7 @@ TIMING_MODULES = frozenset(
 
 #: Modules allowed to contain epoch-loop orchestration (HCC111): the
 #: engine layer owns the pull/compute/push/sync sequence; the legacy
-#: plane modules may keep only delegating facades and the rotation loop.
+#: plane modules may keep only delegating facades.
 EPOCH_LOOP_MODULE_PREFIXES = ("repro/engine/",)
 EPOCH_LOOP_GUARDED_MODULES = frozenset(
     {

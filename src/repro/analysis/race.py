@@ -19,13 +19,16 @@ from different workers are therefore flagged only when they are
 *concurrent* — same-epoch overlap is a race, cross-epoch overlap after
 a barrier (e.g. a repartition between epochs) is legal.
 
-:func:`tracked_train` replays a real numeric training (ParameterServer
-+ SGD kernels) with instrumented buffers, so the §3.4/§3.5 guarantees
-are proven against actual execution, not a hand-written model.
+:func:`tracked_train` drives the epoch both planes run — the shared
+:class:`~repro.core.server.ParameterServer` and
+:func:`~repro.engine.worker_proc.worker_epoch` — and takes its accesses
+from the recorder seam that worker half already has, so the §3.4/§3.5
+guarantees are proven against the code that executes, not a replica.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,7 +39,10 @@ from repro.core.server import ParameterServer
 from repro.data.grid import GridAssignment
 from repro.data.ratings import RatingMatrix
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
-from repro.mf.kernels import sgd_epoch
+from repro.engine.channels import Channel
+from repro.engine.worker_proc import NullRecorder, worker_epoch
+from repro.hardware.timeline import Phase
+from repro.mf.kernels import ConflictPolicy
 from repro.mf.model import MFModel
 
 READ = "read"
@@ -257,35 +263,33 @@ def check_row_ownership(
 
 
 # ---------------------------------------------------------------------------
-# buffer instrumentation
+# the recorder seam as an access log
 # ---------------------------------------------------------------------------
-def attach_to_server(server: ParameterServer, log: RaceLog) -> None:
-    """Wire a server's pull/push buffers into the race log.
+class _AccessRecorder:
+    """What one worker's ``worker_epoch`` spans mean as logged accesses.
 
-    Uses the observer hooks on :class:`~repro.core.comm.PullBuffer` /
-    :class:`~repro.core.comm.PushBuffer`; afterwards every deposit,
-    read and consume lands in the log with the right actor attribution.
+    PULL reads the pull wire, PUSH writes the worker's own push wire,
+    and COMPUTE writes the P rows its shard actually holds (so an
+    overlapping assignment *is* an overlapping write).
     """
-    if server.n_workers != log.n_workers:
-        raise ValueError("server/log worker count mismatch")
 
-    def on_pull(op: str, worker: int | None) -> None:
-        if op == "deposit":
-            log.record(log.server_actor, WRITE, "pull")
-        elif op == "read":
-            actor = log.server_actor if worker is None else worker
-            log.record(actor, READ, "pull")
+    def __init__(self, log: RaceLog, worker: int, shard: RatingMatrix):
+        self._log = log
+        self._worker = worker
+        self._p_rows = (
+            (int(shard.rows.min()), int(shard.rows.max()) + 1)
+            if shard.nnz else None
+        )
 
-    server.pull_buffer.observer = on_pull
-    for i, buf in enumerate(server.push_buffers):
-        def on_push(op: str, worker: int | None, _i: int = i) -> None:
-            if op == "deposit":
-                actor = _i if worker is None else worker
-                log.record(actor, WRITE, f"push:{_i}")
-            elif op == "consume":
-                log.record(log.server_actor, READ, f"push:{_i}")
-
-        buf.observer = on_push
+    @contextmanager
+    def span(self, phase: Phase, epoch: int):
+        if phase is Phase.PULL:
+            self._log.record(self._worker, READ, "pull")
+        elif phase is Phase.PUSH:
+            self._log.record(self._worker, WRITE, f"push:{self._worker}")
+        elif phase is Phase.COMPUTE and self._p_rows is not None:
+            self._log.record(self._worker, WRITE, "P", *self._p_rows)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -329,41 +333,46 @@ def tracked_train(
     label: str = "tracked",
     log: RaceLog | None = None,
 ) -> RaceReport:
-    """Run a real in-process training with instrumented buffers.
+    """Run a real in-process training with every access recorded.
 
-    Replays the epoch structure of the executor — pull, asynchronous
-    per-worker SGD on the shared P, push, server merge, barrier — and
-    records every buffer access plus each worker's actual P-row write
-    span (taken from its shard, so an overlapping assignment *is* an
-    overlapping write).
+    A driver of its own — it must accept deliberately overlapping
+    assignments, which no backend would — over the shared halves of
+    the epoch: its own ``begin_epoch`` and ``sync`` calls are the
+    server's accesses, and each worker's come from the spans
+    ``worker_epoch`` opens around its pull, compute and push.
     """
     n = len(assignments)
     if log is None:
         log = RaceLog(n)
     model = MFModel.init_for(ratings, k, seed=seed)
-    server = ParameterServer(model, n)
-    attach_to_server(server, log)
-    shards = [a.extract(ratings).sort_by_row() for a in assignments]
-    rngs = [np.random.default_rng(seed + 101 * (a.worker + 1)) for a in assignments]
+    channel = Channel()
+    server = ParameterServer(model, n, channel)
+    workers = []
+    for a in assignments:
+        shard = a.extract(ratings).sort_by_row()
+        workers.append((
+            a.worker,
+            (shard.rows, shard.cols, shard.vals),
+            np.random.default_rng(seed + 101 * (a.worker + 1)),
+            # wraps the shared P without copying: in-place row updates,
+            # exactly the backends' semantics
+            MFModel(model.P, np.empty_like(model.Q)),
+            _AccessRecorder(log, a.worker, shard),
+        ))
+    idle = NullRecorder()
 
     history: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        log.record(log.server_actor, WRITE, "pull")
         server.begin_epoch()
-        for a, shard, rng in zip(assignments, shards, rngs):
-            q_local = server.pull(worker=a.worker)
-            # wraps the shared P without copying: in-place row updates,
-            # exactly the executor's semantics
-            wmodel = MFModel(model.P, q_local)
-            if shard.nnz:
-                log.record(
-                    a.worker,
-                    WRITE,
-                    "P",
-                    int(shard.rows.min()),
-                    int(shard.rows.max()) + 1,
-                )
-                sgd_epoch(wmodel, shard, lr, reg, rng=rng)
-            server.push_and_sync(a.worker, wmodel.Q, 1.0)
+        for wid, shard, rng, local, rec in workers:
+            worker_epoch(
+                channel, local, shard, server.pull_wire, server.push_wires[wid],
+                lr, reg, 4096, ConflictPolicy.ATOMIC, rng, (), epoch, epoch,
+                rec, idle,
+            )
+            log.record(log.server_actor, READ, f"push:{wid}")
+            server.sync(wid, 1.0)
         log.advance_epoch()
         history.append(model.rmse(ratings))
 

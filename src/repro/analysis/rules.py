@@ -509,8 +509,8 @@ class PQMutationRule(Rule):
                         ctx,
                         target,
                         f"direct mutation of .{attr} outside the kernel/server "
-                        "modules; go through sgd_batch_update or the "
-                        "ParameterServer buffer API",
+                        "modules; go through sgd_batch_update or "
+                        "ParameterServer.push/sync",
                     )
 
     @staticmethod
@@ -678,21 +678,20 @@ class EpochLoopRule(Rule):
         "repro/engine/ (EpochEngine).  An epoch loop reappearing in a "
         "legacy plane module means the facade is growing its own "
         "orchestration again, and the two planes can silently diverge.  "
-        "Sanctioned non-pipeline loops (the Q-rotation mode) carry an "
-        "explicit suppression."
+        "No shipped module carries a suppression."
     )
 
     #: calls that mark a loop body as *driving* the training pipeline
-    #: (iterating epochs to render a table or an axis is fine)
+    #: (iterating epochs to render a table or an axis is fine); each
+    #: names a ``def`` under src/repro, which the lint's own tests hold
     _STAGE_TAILS = {
         "pull",
         "push",
         "sync",
         "compute",
         "begin_epoch",
-        "push_and_sync",
         "run_epoch",
-        "run_rotation_step",
+        "worker_epoch",
     }
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:

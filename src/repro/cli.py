@@ -94,6 +94,11 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    if args.transmit == "q-rotate" and not args.timing_only:
+        from repro.core.framework import Q_ROTATE_IS_PRICED_NOT_TRAINED
+
+        print(Q_ROTATE_IS_PRICED_NOT_TRAINED, file=sys.stderr)
+        return 2
     if args.executor == "process":
         return _train_process(args)
     return _train_model(args)
@@ -186,10 +191,6 @@ def _train_process(args: argparse.Namespace) -> int:
         print("--executor process is Strategy-1 by construction (P lives in "
               "shared memory); --transmit pq only applies to --executor model",
               file=sys.stderr)
-        return 2
-    if args.transmit == "q-rotate":
-        print("--transmit q-rotate has no pull/push/sync stages for the "
-              "process engine to drive; use --executor model", file=sys.stderr)
         return 2
     if args.partition == "dp2":
         print("--partition dp2 staggers against *modeled* sync costs; the "
@@ -706,11 +707,7 @@ def _cmd_chaos_parity(args: argparse.Namespace) -> int:
         if i < n_both:
             sim = run_scenario(scenario, "sim")
             process = run_scenario(scenario, "process")
-            report = check_parity(
-                sim, process,
-                rmse_rel_tol=args.rmse_tol,
-                drift_bound=args.drift_bound,
-            )
+            report = check_parity(sim, process, rmse_rel_tol=args.rmse_tol)
             print(report.describe())
             if not report.ok:
                 ok = False
@@ -1080,10 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized sim-only invariant scenarios to sweep")
     chaos.add_argument("--rmse-tol", type=float, default=0.08,
                        help="max relative final-RMSE divergence across planes")
-    chaos.add_argument("--drift-bound", type=float, default=1.0,
-                       help="max relative degraded-cost ratio drift between "
-                            "the sim's analytic and the process plane's "
-                            "measured slowdown")
 
     race = sub.add_parser(
         "race-check",

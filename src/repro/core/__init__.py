@@ -23,8 +23,6 @@ __all__ = [
     "FP16_RELATIVE_ERROR_BOUND",
     "CommModel",
     "CommPlan",
-    "PullBuffer",
-    "PushBuffer",
     "TimeCostModel",
     "EpochCost",
     "WorkerCost",
@@ -77,7 +75,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "compress_fp16", "decompress_fp16", "roundtrip_error",
         "FP16_RELATIVE_ERROR_BOUND",
     ),
-    "repro.core.comm": ("CommModel", "CommPlan", "PullBuffer", "PushBuffer"),
+    "repro.core.comm": ("CommModel", "CommPlan"),
     "repro.core.cost_model": ("TimeCostModel", "EpochCost", "WorkerCost", "Regime"),
     "repro.core.partition": (
         "PartitionPlan", "dp0", "dp1", "dp2", "even_partition", "exposed_sync_time",

@@ -39,7 +39,8 @@ class TransmitMode(enum.Enum):
     sync unnecessary, and every transfer is a peer-to-peer hop of Q/p
     values that overlaps the rotation step's compute — so the *exposed*
     communication finally shrinks as workers are added, fixing the
-    Table 6 limitation.
+    Table 6 limitation.  The mode is priced, not trained: it exists on
+    the timing plane (the cost model's rotation branch) only.
     """
 
     P_AND_Q = "pq"       # both matrices every epoch (unoptimized)

@@ -26,20 +26,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.comm import CommPlan
 from repro.core.config import HCCConfig, TransmitMode
 from repro.core.cost_model import EpochCost, Regime, TimeCostModel
 from repro.core.metrics import computing_power, ideal_computing_power, utilization
 from repro.core.partition import PartitionPlan
-from repro.core.worker import WorkerRuntime
 from repro.data.datasets import DatasetSpec
 from repro.data.grid import GridKind, choose_grid, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.hardware.timeline import Phase, Timeline
 from repro.hardware.topology import Platform
 from repro.mf.model import MFModel
+
+
+#: what asking for Q_ROTATE numerics is told, by ``HCCMF`` and ``repro train``
+Q_ROTATE_IS_PRICED_NOT_TRAINED = (
+    "Q_ROTATE exists on the timing plane only: the cost model prices the "
+    "rotation and nothing trains it numerically (run without ratings — "
+    "repro train --timing-only — or see mf.dsgd for a numeric block rotation)"
+)
 
 
 @dataclass
@@ -114,6 +119,11 @@ class HCCMF:
         self.config = config if config is not None else HCCConfig()
         self.dataset = dataset
         self.ratings = ratings
+        if ratings is not None and (
+            self.config.comm.resolve_transmit(dataset.m, dataset.n)
+            is TransmitMode.Q_ROTATE
+        ):
+            raise ValueError(Q_ROTATE_IS_PRICED_NOT_TRAINED)
         # Strategy 3 stops the server CPU from time-sharing as a worker
         # (paper 3.4): drop time-shared workers when streams are active.
         self.platform = (
@@ -182,8 +192,7 @@ class HCCMF:
         ``resume_from=`` warm-starts it from a saved checkpoint with the
         workers' RNG streams advanced past the completed epochs, so the
         resumed factors match the straight-through run bit for bit (see
-        docs/resilience.md).  The Q_ROTATE future-work mode has no
-        engine loop to hang these off and rejects them.
+        docs/resilience.md).
         """
         if self.plan is None:
             self.prepare()
@@ -272,44 +281,16 @@ class HCCMF:
         The engine runs the pull/compute/push/sync stage pipeline over a
         :class:`~repro.engine.backends.SimBackend`; the channel stack is
         built from this run's CommConfig, so Strategy 1/2/3 knobs act on
-        the same object the cost model's byte accounting uses.  The
-        rotation mode keeps its own loop (ownership rotation has no
-        pull/push/sync stages).
+        the same object the cost model's byte accounting uses.
         """
         data = self._numeric_data
-        eval_set = eval_data if eval_data is not None else data
-        mode = self.config.comm.resolve_transmit(self.dataset.m, self.dataset.n)
-        if mode is TransmitMode.Q_ROTATE:
-            if checkpoint_every or resume_from is not None:
-                raise ValueError(
-                    "Q_ROTATE has no engine loop: checkpoint_every=/"
-                    "resume_from= are not supported in rotation mode"
-                )
-            registry = telemetry.registry if telemetry is not None else None
-            model = MFModel.init_for(data, self.config.k, seed=self.config.seed)
-            runtimes = [
-                WorkerRuntime(
-                    i,
-                    proc,
-                    assignment,
-                    data,
-                    batch_size=self.config.batch_size,
-                    seed=self.config.seed,
-                    metrics=registry,
-                )
-                for i, (proc, assignment) in enumerate(
-                    zip(self.platform.workers, self._assignments)
-                )
-            ]
-            return self._train_numeric_rotate(epochs, eval_set, model, runtimes)
-
         # imported lazily: core stays importable without the engine layer
         from repro.engine import EpochEngine, SimBackend, channel_for
 
         backend = SimBackend(
             self.platform,
             ratings=data,
-            eval_data=eval_set,
+            eval_data=eval_data,
             k=self.config.k,
             lr=self.lr,
             reg=self.reg,
@@ -328,36 +309,6 @@ class HCCMF:
         )
         result = engine.run(epochs)
         return backend.model, result.rmse_history
-
-    def _train_numeric_rotate(
-        self,
-        epochs: int,
-        eval_set: RatingMatrix,
-        model: MFModel,
-        runtimes: list[WorkerRuntime],
-    ) -> tuple[MFModel, list[float]]:
-        """Ring-rotation training (Q_ROTATE, the future-work mode).
-
-        Q's columns are split into one block per worker; in rotation
-        step s, worker i owns block (i + s) mod p.  Ownership is
-        disjoint within a step, so every worker updates the global P
-        (its exclusive rows) and Q (its owned columns) in place: no
-        pull/push copies, no server merge.
-        """
-        p = len(runtimes)
-        data = self._numeric_data
-        edges = np.linspace(0, data.n, p + 1).astype(np.int64)
-        for rt in runtimes:
-            rt.prepare_column_blocks(edges)
-        history: list[float] = []
-        # sanctioned non-pipeline loop: rotation has no pull/push/sync
-        # stages for EpochEngine to drive
-        for _ in range(epochs):  # hcclint: disable=epoch-loop
-            for step in range(p):
-                for i, rt in enumerate(runtimes):
-                    rt.run_rotation_step(model, (i + step) % p, self.lr, self.reg)
-            history.append(model.rmse(eval_set))
-        return model, history
 
     def _final_push_time(self) -> float:
         """Time for the once-at-the-end P push (Strategy 1's epilogue)."""

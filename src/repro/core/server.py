@@ -1,9 +1,9 @@
-"""The parameter server: global feature matrices and sync (paper 3.1/3.5).
+"""The parameter server: the server half of an epoch (paper 3.1/3.5).
 
-The server owns the global P and Q.  Each epoch it deposits the
-pull-side feature matrix into the shared pull buffer (one copy), and
-after every worker push it merges the worker's local result into the
-global matrix — the "Sync" thread of Figure 4.
+The server owns the global P and Q.  Each epoch it encodes Q into the
+pull wire every worker maps (one copy), and once the workers have
+pushed it validates every push wire and folds each into the global
+matrix — the "Sync" thread of Figure 4.
 
 Merging uses a weighted delta update:
 
@@ -21,19 +21,18 @@ available for entry-level partitions whose shards overlap.
 With a row grid the P rows are worker-exclusive, so workers write them
 in place ("transmit Q only", Strategy 1): the server never merges P.
 
-:func:`merge_delta` is that merge, written once for both planes: the
-in-process :class:`ParameterServer` and the process plane's server
-(:class:`~repro.engine.backends.ProcessBackend`) call the same function
-on their push buffers.
+:class:`ParameterServer` is that half written once: both backends of
+:mod:`repro.engine.backends` drive the same object, the sim plane over
+private wire arrays and the process plane over its shared segments.
+The worker half is :func:`repro.engine.worker_proc.worker_epoch`.
 """
 
 from __future__ import annotations
 
-import time
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.comm import PullBuffer, PushBuffer
 from repro.mf.model import MFModel
 
 
@@ -81,134 +80,108 @@ def merge_delta(
 
 
 class ParameterServer:
-    """Numeric server for the in-process executor."""
+    """The server half of an epoch, over the wires it is given.
+
+    A wire is a Q-shaped array of ``channel.wire_dtype``.  ``wires`` is
+    ``(pull_wires, push_wires)``: the pull wires the epochs rotate over
+    (``channel.depth`` of them) and one push wire per worker.  The
+    process plane passes the arrays of its shared segments; without
+    ``wires`` the server allocates private ones.  ``channel`` is a
+    :mod:`repro.engine.channels` stack (duck-typed — core never imports
+    ``repro.engine``) and owns the codec and the payload check.
+    """
 
     def __init__(
         self,
         model: MFModel,
         n_workers: int,
-        fp16_wire: bool = False,
-        metrics=None,
-        channel=None,
+        channel,
+        wires: "tuple[Sequence[np.ndarray], Sequence[np.ndarray]] | None" = None,
     ):
         if n_workers <= 0:
             raise ValueError("need at least one worker")
         self.model = model
         self.n_workers = n_workers
-        #: optional repro.engine channel stack (duck-typed — core never
-        #: imports repro.engine); it owns the wire codec when present
         self.channel = channel
-        self.fp16_wire = (
-            bool(channel.wire_is_fp16) if channel is not None else fp16_wire
-        )
-        self.pull_buffer = PullBuffer(
-            model.Q.shape, fp16=self.fp16_wire, channel=channel
-        )
-        self.push_buffers = [
-            PushBuffer(model.Q.shape, fp16=self.fp16_wire, worker_id=i,
-                       channel=channel)
-            for i in range(n_workers)
-        ]
+        if wires is None:
+            shape, dtype = model.Q.shape, channel.wire_dtype
+            wires = (
+                [np.zeros(shape, dtype) for _ in range(max(1, channel.depth))],
+                [np.zeros(shape, dtype) for _ in range(n_workers)],
+            )
+        self.pull_wires, self.push_wires = wires
         # allocated once: the epoch base and the merge's block buffer
         # are rewritten in place every epoch
         self._q_base = np.empty(model.Q.shape, dtype=np.float32)
         self._merge_scratch = merge_scratch()
-        self.sync_count = 0
         self.epochs_started = 0
-        #: optional repro.obs MetricsRegistry (duck-typed — core never
-        #: imports repro.obs; None keeps every path untimed)
-        self.metrics = metrics
-        #: perf_counter interval of the most recent merge (metrics only);
-        #: lets an orchestrator place the SYNC span on its timeline
-        self.last_merge_interval: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
     def begin_epoch(self) -> None:
-        """Publish Q to the pull buffer (one copy) and snapshot the base.
+        """Encode Q into this epoch's pull wire (one copy), decode the base.
 
         The merge base is decoded *off the wire* — the exact (possibly
         quantized) matrix workers will pull — so wire-format error on
         the pull side cancels out of the delta merge.
         """
-        self.pull_buffer.deposit(self.model.Q)
-        self.pull_buffer.epoch_base(out=self._q_base)
         self.epochs_started += 1
+        wire = self.pull_wire
+        self.channel.encode(self.model.Q, wire)
+        self.channel.decode(wire, out=self._q_base)
 
-    def pull(
-        self, worker: int | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """A worker's pull: the epoch-base global Q (FP32), into ``out``.
-
-        When the wire is FP16 the returned matrix has gone through the
-        compress/decompress round-trip, exactly what a worker would see.
-        ``worker`` attributes the read when the buffer is instrumented
-        (see :func:`repro.analysis.race.attach_to_server`); ``out`` is
-        the worker's local Q when it keeps one across epochs (a fresh
-        array otherwise).
-        """
+    def _require_epoch(self) -> None:
         if not self.epochs_started:
-            raise RuntimeError("pull before begin_epoch")
-        out = self.pull_buffer.read(worker=worker, out=out)
-        if self.metrics is not None:
-            # wire-accurate accounting: the buffer's footprint is what
-            # actually crossed, so FP16 stacks report half the bytes
-            self.metrics.counter(
-                "bytes_pulled_total", "bytes pulled per worker"
-            ).inc(
-                self.pull_buffer.nbytes,
-                worker=f"worker-{worker}" if worker is not None else "all",
-            )
-        return out
+            raise RuntimeError("no epoch in progress: begin_epoch first")
 
-    def push(self, worker_id: int, q_local: np.ndarray) -> None:
-        """A worker's push: deposit into its own push buffer (one copy)."""
-        if not self.epochs_started:
-            raise RuntimeError("push before begin_epoch")
-        if not (0 <= worker_id < self.n_workers):
-            raise IndexError(f"worker_id {worker_id} out of range")
-        buf = self.push_buffers[worker_id]
-        buf.deposit(q_local)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "bytes_pushed_total", "bytes pushed per worker"
-            ).inc(buf.nbytes, worker=f"worker-{worker_id}")
+    @property
+    def pull_wire(self) -> np.ndarray:
+        """The wire this epoch's workers decode: epoch ``e`` uses wire
+        ``e % depth``, the rotation a worker process follows on its own."""
+        self._require_epoch()
+        return self.pull_wires[(self.epochs_started - 1) % len(self.pull_wires)]
 
-    def sync(self, worker_id: int, weight: float = 1.0) -> None:
-        """The server's merge of one worker's pushed result."""
-        if not self.epochs_started:
-            raise RuntimeError("sync before begin_epoch")
-        if not (0.0 <= weight <= 1.0):
-            raise ValueError("weight must be in [0, 1]")
-        if not (0 <= worker_id < self.n_workers):
-            raise IndexError(f"worker_id {worker_id} out of range")
-        wire = self.push_buffers[worker_id].consume()
-        t0 = time.perf_counter() if self.metrics is not None else 0.0
-        merge_delta(self.model.Q, wire, self._q_base, weight, self._merge_scratch)
-        self.sync_count += 1
-        if self.metrics is not None:
-            t1 = time.perf_counter()
-            self.last_merge_interval = (t0, t1)
-            self.metrics.histogram(
-                "merge_seconds", "server delta-merge time per sync"
-            ).observe(t1 - t0)
-
-    def push_and_sync(self, worker_id: int, q_local: np.ndarray, weight: float) -> None:
-        """A worker's push followed immediately by the server's merge.
-
-        The engine drives :meth:`push` and :meth:`sync` as separate
-        pipeline stages; this combined form serves callers that want
-        the classic interleaved step.
-        """
-        if not self.epochs_started:
-            raise RuntimeError("push before begin_epoch")
-        if not (0.0 <= weight <= 1.0):
-            raise ValueError("weight must be in [0, 1]")
-        self.push(worker_id, q_local)
-        self.sync(worker_id, weight)
-
-    # ------------------------------------------------------------------
     @property
     def q_base(self) -> np.ndarray:
-        if not self.epochs_started:
-            raise RuntimeError("no epoch in progress")
+        """The wire-accurate epoch base every delta is measured against."""
+        self._require_epoch()
         return self._q_base
+
+    def push(self, worker_id: int, q_local: np.ndarray) -> None:
+        """Encode ``q_local`` into a worker's push wire (one copy).
+
+        The deposit for a caller that holds the server; a worker that
+        holds the wire itself encodes through ``worker_epoch``.
+        """
+        self._require_epoch()
+        if not (0 <= worker_id < self.n_workers):
+            raise IndexError(f"worker_id {worker_id} out of range")
+        wire = self.push_wires[worker_id]
+        if q_local.shape != wire.shape:
+            raise ValueError(f"shape mismatch: {q_local.shape} vs {wire.shape}")
+        self.channel.encode(q_local, wire)
+
+    def first_bad_push(self) -> "int | None":
+        """Scan every push as it lies on the wire; the first rank refused.
+
+        Run it before any :meth:`sync` of the epoch: the sync is
+        all-or-nothing, so a garbage payload (a torn write from a dying
+        worker, an injected corruption, a diverged worker) leaves the
+        model at the last cleanly-synced epoch — the state a retry
+        restarts from.
+        """
+        for worker_id, wire in enumerate(self.push_wires):
+            if not self.channel.payload_ok(wire):
+                return worker_id
+        return None
+
+    def sync(self, worker_id: int, weight: float = 1.0) -> None:
+        """Merge one worker's push, straight off its wire, into Q."""
+        self._require_epoch()
+        if not (0.0 <= weight <= 1.0):
+            raise ValueError("weight must be in [0, 1]")
+        if not (0 <= worker_id < self.n_workers):
+            raise IndexError(f"worker_id {worker_id} out of range")
+        merge_delta(
+            self.model.Q, self.push_wires[worker_id], self._q_base, weight,
+            self._merge_scratch,
+        )

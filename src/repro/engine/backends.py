@@ -3,23 +3,25 @@
 Two substrates implement the :class:`~repro.engine.pipeline.ComputeBackend`
 protocol:
 
-* :class:`SimBackend` — the in-process plane.  Workers are
-  :class:`~repro.core.worker.WorkerRuntime` objects taking turns on the
-  host; feature traffic flows through a
-  :class:`~repro.core.server.ParameterServer`'s pull/push buffers; an
-  optional :class:`~repro.core.cost_model.TimeCostModel` advances the
-  simulated clock one epoch cost per epoch (the "cost-model advance").
+* :class:`SimBackend` — the in-process plane.  Workers take turns on
+  the host, each running the worker half of the epoch inline over
+  private wire arrays; an optional
+  :class:`~repro.core.cost_model.TimeCostModel` advances the simulated
+  clock one epoch cost per epoch (the "cost-model advance").
 * :class:`ProcessBackend` — the wall-clock plane.  The calling process
-  is the server, every worker is an OS process (paper 3.5), and all
-  feature traffic crosses :class:`~repro.parallel.shm.SharedArray`
-  segments whose dtype is the channel stack's wire format, so Q-only
-  payloads, FP16 wire and double-buffered pulls run for real.  What a
-  worker process runs lives in :mod:`repro.engine.worker_proc`, which
-  imports far less than this module does.
+  is the server, every worker is an OS process (paper 3.5), and the
+  wires are :class:`~repro.parallel.shm.SharedArray` segments, so
+  Q-only payloads, FP16 wire and double-buffered pulls cross process
+  boundaries for real.  What a worker process runs lives in
+  :mod:`repro.engine.worker_proc`, which imports far less than this
+  module does.
 
-Both backends execute the identical stage sequence under
-:class:`~repro.engine.pipeline.EpochEngine`; the ``engine-parity`` CI
-stage diffs their stage traces and per-worker update counts.
+Both run one epoch over one wire: :class:`_EpochBackend` drives a
+:class:`~repro.core.server.ParameterServer` (the server half), the
+workers run :func:`~repro.engine.worker_proc.worker_epoch` (the worker
+half), and the two classes keep what really differs — where the workers
+run and what a rendezvous with them is.  The ``engine-parity`` CI stage
+diffs their stage traces and per-worker update counts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.core.server import ParameterServer, merge_delta, merge_scratch
+from repro.core.server import ParameterServer
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.engine.channels import Channel
@@ -41,17 +43,17 @@ from repro.engine.worker_proc import (
     HANDSHAKE_STAMP,
     NullRecorder,
     barrier_stamp,
+    worker_epoch,
     worker_main,
 )
-from repro.hardware.timeline import Phase, Span, Timeline
+from repro.hardware.timeline import Phase, Timeline
 from repro.mf.model import MFModel
 from repro.parallel.shm import SharedArray
-from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, FaultPlan
+from repro.resilience.faults import DELAY, FaultPlan, fault_before_barrier
 from repro.resilience.health import HealthReport, classify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.pipeline import SyncPolicy
-    from repro.obs import Telemetry
 
 #: Default ceiling on any cross-process rendezvous (barriers, joins);
 #: overridable per run via ``HCCConfig.barrier_timeout_s``.
@@ -92,28 +94,31 @@ class WorkerSyncError(RuntimeError):
 
 
 class ServerSpans:
-    """Span scope for what one attempt does on the server's clock.
+    """Span scope for one lane of what an attempt does on the server's clock.
 
-    ``span(lane, phase, epoch)`` times its body with ``perf_counter``
-    and, if the body returns, adds the span to ``timeline`` on the
-    run's axes: run-origin time, global epoch, attempt tag.  Without
-    telemetry the backends hold a :class:`NullRecorder` instead, so
-    each stage method has one body.
+    ``span(phase, epoch)`` — the worker-side ``SpanRecorder``'s
+    signature — times its body with ``perf_counter`` and, if the body
+    returns, adds the span to ``timeline`` on the run's axes:
+    run-origin time, global epoch, attempt tag.  Without telemetry the
+    backends hold a :class:`NullRecorder` instead, so each stage method
+    has one body.
     """
 
-    def __init__(self, timeline: Timeline, origin: float, epoch_offset: int,
-                 attempt: int):
+    def __init__(self, timeline: Timeline, lane: str, origin: float,
+                 epoch_offset: int, attempt: int):
         self.timeline = timeline
+        self._lane = lane
         self._origin = origin
         self._epoch_offset = epoch_offset
         self._attempt = attempt
 
     @contextmanager
-    def span(self, lane: str, phase: Phase, epoch: int):
+    def span(self, phase: Phase, epoch: int):
         t0 = time.perf_counter()
         yield
         self.timeline.add(
-            lane, phase, t0 - self._origin, time.perf_counter() - self._origin,
+            self._lane, phase, t0 - self._origin,
+            time.perf_counter() - self._origin,
             epoch + self._epoch_offset, self._attempt,
         )
 
@@ -140,10 +145,219 @@ class WirePayloadError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# what both planes share
+# ---------------------------------------------------------------------------
+class _EpochBackend:
+    """The run's knobs and the server half of the stage pipeline.
+
+    A subclass opens the attempt (workers, wires, ``self.server``) and
+    says what a rendezvous with its workers is (:meth:`_rendezvous`),
+    where a failed worker's exit code comes from (:meth:`_exitcodes`)
+    and what accepting or refusing an epoch's P updates means
+    (:meth:`_accept_epoch`, :meth:`_refuse_epoch`); everything else an
+    epoch does on the server is written here once.
+    """
+
+    def __init__(
+        self,
+        ratings: RatingMatrix,
+        n_workers: int,
+        k: int,
+        lr: float,
+        reg: float,
+        batch_size: int,
+        seed: int,
+        barrier_timeout_s: float,
+        fault_plan: FaultPlan | None,
+    ):
+        if n_workers <= 0:
+            raise ValueError("n_workers must be positive")
+        if k <= 0:
+            raise ValueError("k must be positive")
+        if barrier_timeout_s <= 0:
+            raise ValueError("barrier_timeout_s must be positive")
+        self.ratings = ratings
+        self.n_workers = n_workers
+        self.k = k
+        self.lr = lr
+        self.reg = reg
+        self.batch_size = batch_size
+        self.seed = seed
+        self.barrier_timeout_s = float(barrier_timeout_s)
+        #: the injected-failure script (docs/resilience.md); pruned by
+        #: the engine after each recovery so faults fire at most once
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
+        self.model: MFModel | None = None
+        self.server: ParameterServer | None = None
+        #: warm-start state the engine sets for checkpoint resume and
+        #: recovery restarts: factors to start from, and how many global
+        #: epochs already completed (replayed out of each worker's RNG
+        #: stream so a resumed run continues the exact sample order)
+        self.initial_model: MFModel | None = None
+        self.epoch_offset = 0
+        self._attempt = -1
+        #: one clock origin and (with telemetry) one timeline for the
+        #: whole run, fixed at the first open, so spans from every
+        #: recovery attempt share a time base and none are lost
+        self._run_origin: float | None = None
+        self._run_timeline: Timeline | None = None
+
+    # -- attempt set-up --------------------------------------------------
+    def _begin_attempt(self, plan, channel: Channel, sync_policy: "SyncPolicy",
+                       telemetry, epochs: int) -> None:
+        if channel.traffic(2, 1, 1).sync_values == 0:
+            raise ValueError(
+                "q-rotate channels have no pull/push/sync stages to drive; "
+                "the mode exists on the timing plane only"
+            )
+        self._channel = channel
+        self._sync_policy = sync_policy
+        self._fractions = plan.fractions
+        self._epochs = epochs
+        self._attempt += 1
+        if self._run_origin is None:
+            self._run_origin = time.perf_counter()
+            if telemetry is not None:
+                self._run_timeline = Timeline()
+        self._spans = self._recorder("server")
+
+    def _recorder(self, lane: str):
+        """This attempt's span scope for one timeline lane."""
+        if self._run_timeline is None:
+            return NullRecorder()
+        return ServerSpans(
+            self._run_timeline, lane, self._run_origin, self.epoch_offset,
+            self._attempt,
+        )
+
+    def _initial_model(self, data: RatingMatrix) -> MFModel:
+        warm = self.initial_model
+        if warm is None:
+            return MFModel.init_for(data, self.k, seed=self.seed)
+        # warm start: once-per-run private copies, so training never
+        # writes into the caller's checkpoint arrays  # hcclint: disable=hot-copy
+        return MFModel(warm.P.copy(), warm.Q.copy())
+
+    # -- stages ----------------------------------------------------------
+    def _wire_detail(self, wire: np.ndarray) -> Mapping:
+        return {"wire_bytes": wire.nbytes * self.n_workers,
+                "per_worker_bytes": wire.nbytes}
+
+    def pull(self, epoch: int) -> Mapping:
+        self.server.begin_epoch()
+        self._rendezvous("start", epoch)
+        return self._wire_detail(self.server.pull_wire)
+
+    def compute(self, epoch: int) -> Mapping:
+        # the SGD runs in the workers; the stage records their workloads
+        return {"updates": tuple(self._shard_nnz)}
+
+    def push(self, epoch: int) -> Mapping:
+        self._rendezvous("end", epoch)
+        return self._wire_detail(self.server.push_wires[0])
+
+    def sync(self, epoch: int) -> Mapping:
+        with self._spans.span(Phase.SYNC, epoch):
+            # every push is validated before any is merged
+            # (ParameterServer.first_bad_push): a refused epoch leaves
+            # the model at the last cleanly-synced one
+            bad = self.server.first_bad_push()
+            if bad is not None:
+                self._refuse_epoch()
+                raise WirePayloadError(bad, epoch)
+            self._accept_epoch(epoch)
+            for wid in range(self.n_workers):
+                # additive delta merge: workers trained on disjoint
+                # row-grid shards, so their Q deltas are distinct SGD
+                # steps and all of them apply
+                self.server.sync(
+                    wid, self._sync_policy.weight(wid, self._fractions)
+                )
+        return {"merges": self.n_workers,
+                "merged_values": int(self.model.Q.size) * self.n_workers}
+
+    def evaluate(self, epoch: int) -> float:
+        with self._spans.span(Phase.EVAL, epoch):
+            return self.model.rmse(self._eval_set)
+
+    # -- resilience ------------------------------------------------------
+    def health_report(self, err: Exception | None = None) -> HealthReport:
+        """Classify every worker at failure time (the health plane).
+
+        Fuses the barrier progress evidence carried by ``err``
+        (``missing_ranks``) with each rank's exit code — a reaped
+        process's on the process plane, the simulated one (13 hard
+        kill, 1 soft, none for a straggler) on the sim plane — so both
+        planes hand :func:`~repro.resilience.policy.decide` identical
+        evidence.  Must run *before* :meth:`close`: teardown terminates
+        the stragglers this report tells from the dead.
+        """
+        missing = tuple(getattr(err, "missing_ranks", ()) or ())
+        return classify(
+            self.n_workers, missing, self._exitcodes(missing),
+            cause=str(err) if err else "",
+        )
+
+    def drop_faults_through(self, epoch: int) -> None:
+        """Retire injected faults at or before ``epoch`` (already fired).
+
+        The engine calls this before a recovery restart so the fault
+        that broke the epoch does not fire again on the re-run.
+        """
+        self.fault_plan = self.fault_plan.without_epochs_through(epoch)
+
+    def remap_fault_ranks(self, dead_ranks) -> None:
+        """Renumber pending faults after a redistribution compacts ranks.
+
+        Called by the engine with the *old* numbering, before it
+        shrinks ``n_workers``, so a fault aimed at a surviving worker
+        follows that worker to its new rank instead of landing on
+        whichever rank inherited the number.
+        """
+        self.fault_plan = self.fault_plan.remap_ranks(
+            set(dead_ranks), self.n_workers
+        )
+
+    # -- telemetry -------------------------------------------------------
+    def _record_run(self, registry) -> None:
+        """The final attempt's per-worker counters and span histograms.
+
+        Bytes are wire-accurate — the actual wire sizes, so FP16 stacks
+        report half the FP32 traffic.
+        """
+        timeline, epochs = self._run_timeline, self._epochs
+        pull_bytes = self.server.pull_wires[0].nbytes
+        push_bytes = self.server.push_wires[0].nbytes
+        updates = registry.counter("updates_total", "SGD updates applied")
+        pulled = registry.counter("bytes_pulled_total", "bytes pulled per worker")
+        pushed = registry.counter("bytes_pushed_total", "bytes pushed per worker")
+        barrier = registry.histogram(
+            "barrier_wait_seconds", "time workers spent waiting at barriers"
+        )
+        merge = registry.histogram(
+            "merge_seconds", "server delta-merge time per epoch"
+        )
+        rate = registry.gauge("updates_per_second", "achieved per-worker rate")
+        for wid, nnz in enumerate(self._shard_nnz):
+            worker = f"worker-{wid}"
+            updates.inc(nnz * epochs, worker=worker)
+            pulled.inc(pull_bytes * epochs, worker=worker)
+            pushed.inc(push_bytes * epochs, worker=worker)
+            compute_s = timeline.phase_total(Phase.COMPUTE, worker)
+            if compute_s > 0:
+                rate.set(nnz * epochs / compute_s, worker=worker)
+        for span in timeline.spans:
+            if span.phase is Phase.BARRIER:
+                barrier.observe(span.duration, worker=span.worker)
+            elif span.phase is Phase.SYNC:
+                merge.observe(span.duration)
+
+
+# ---------------------------------------------------------------------------
 # sim backend (in-process numerics + cost-model clock)
 # ---------------------------------------------------------------------------
-class SimBackend:
-    """In-process workers over buffer objects, with a simulated clock.
+class SimBackend(_EpochBackend):
+    """In-process workers over private wire arrays, with a simulated clock.
 
     ``ratings`` must already be in row-grid orientation and shuffled
     (what :meth:`repro.core.framework.HCCMF.prepare` produces); the
@@ -153,14 +367,14 @@ class SimBackend:
     workers after a redistribution, which is the cost model's
     degraded-epoch path.
 
-    ``fault_plan`` executes the same
-    :class:`~repro.resilience.faults.FaultPlan` kinds the process plane
-    injects, surfacing each at the exact detection point the server
-    would see it: kills and over-timeout stragglers raise a
-    :class:`WorkerSyncError` at the epoch's barriers, corrupt payloads
-    raise :class:`WirePayloadError` before any merge, dropped payloads
-    silently merge a zero delta, and benign stragglers stretch the
-    simulated clock.
+    ``fault_plan`` takes the path it takes on the process plane:
+    dropped and corrupted payloads are written by the worker half's own
+    push encode and found (or not) by the server's scan of the wires,
+    which also catches a worker that genuinely diverged; kills and
+    stragglers surface at the simulated rendezvous
+    (:meth:`_rendezvous`) as the :class:`WorkerSyncError` the process
+    server would raise, and benign stragglers stretch the simulated
+    clock.
     """
 
     name = "sim"
@@ -179,32 +393,14 @@ class SimBackend:
         fault_plan: FaultPlan | None = None,
         barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
     ):
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if barrier_timeout_s <= 0:
-            raise ValueError("barrier_timeout_s must be positive")
+        super().__init__(
+            ratings, platform.n_workers, k, lr, reg, batch_size, seed,
+            barrier_timeout_s, fault_plan,
+        )
         self.platform = platform
-        self.ratings = ratings
         self.eval_data = eval_data
-        self.k = k
-        self.lr = lr
-        self.reg = reg
-        self.batch_size = batch_size
-        self.seed = seed
         self.cost_model = cost_model
-        #: the injected-failure script (docs/resilience.md); pruned by
-        #: the engine after each recovery so faults fire at most once
-        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self.barrier_timeout_s = float(barrier_timeout_s)
-        self.n_workers = platform.n_workers
-        self.model: MFModel | None = None
         self.sim_seconds = 0.0
-        #: warm-start state the engine sets for checkpoint resume and
-        #: recovery restarts: factors to start from, and how many global
-        #: epochs already completed (replayed out of each worker's RNG
-        #: stream so a resumed run continues the exact sample order)
-        self.initial_model: MFModel | None = None
-        self.epoch_offset = 0
         #: the platform workers still alive — pruned by
         #: :meth:`remap_fault_ranks` when a redistribution removes ranks,
         #: so degraded epochs are priced over the survivors
@@ -212,54 +408,37 @@ class SimBackend:
         #: per synced epoch: (global epoch, modeled cost, degraded?) —
         #: the chaos-parity harness reads degraded-epoch costs off this
         self.cost_log: list[tuple[int, float, bool]] = []
-        #: simulated process exit codes for killed ranks (13 hard, 1
-        #: soft), feeding classify() exactly as real exit codes would
-        self._sim_exitcodes: dict[int, int] = {}
-        self._attempt = -1
-        self._run_timeline: Timeline | None = None
-        self._run_origin: float | None = None
-        self._p_snapshot: np.ndarray | None = None
 
     # -- lifecycle -------------------------------------------------------
     def open(self, plan, channel: Channel, sync_policy: "SyncPolicy",
              telemetry, epochs: int) -> None:
         from repro.core.worker import WorkerRuntime
 
+        self._begin_attempt(plan, channel, sync_policy, telemetry, epochs)
         data = self.ratings
         self._eval_set = self.eval_data if self.eval_data is not None else data
-        self._fractions = plan.fractions
-        self._channel = channel
-        self._sync_policy = sync_policy
-        registry = telemetry.registry if telemetry is not None else None
-        if self.initial_model is not None:
-            # warm start (checkpoint resume): once-per-run private copies
-            # so training never writes into the caller's checkpoint arrays
-            warm = self.initial_model
-            p0 = warm.P.copy()  # hcclint: disable=hot-copy
-            q0 = warm.Q.copy()  # hcclint: disable=hot-copy
-            self.model = MFModel(p0, q0)
-        else:
-            self.model = MFModel.init_for(data, self.k, seed=self.seed)
+        self.model = self._initial_model(data)
         assignments = partition_rows(data, plan.fractions, GridKind.ROW)
+        # a runtime carries the sim plane's own shard sort, seed stream
+        # and conflict policy into the shared worker half
         self.runtimes = [
             WorkerRuntime(
                 i, proc, assignment, data,
-                batch_size=self.batch_size, seed=self.seed, metrics=registry,
+                batch_size=self.batch_size, seed=self.seed,
             )
             for i, (proc, assignment) in enumerate(
                 zip(self._platform_workers, assignments)
             )
         ]
         # replay already-completed epochs out of each worker's RNG
-        # stream: one permutation draw per epoch (WorkerRuntime.run_epoch
-        # draws exactly one), so a resumed run is bitwise-identical to
-        # the straight-through run it continues
+        # stream: one permutation draw per epoch (sgd_shard_epoch draws
+        # exactly one), so a resumed run is bitwise-identical to the
+        # straight-through run it continues
         for _ in range(self.epoch_offset):
             for rt in self.runtimes:
                 rt.rng.permutation(rt.nnz)
-        self.server = ParameterServer(
-            self.model, self.n_workers, channel=channel, metrics=registry,
-        )
+        self._shard_nnz = [rt.nnz for rt in self.runtimes]
+        self.server = ParameterServer(self.model, self.n_workers, channel)
         # degraded-epoch costing: after a redistribution the plan's
         # fractions cover only the surviving workers, so the epoch is
         # priced over that subset (Eq. 1-5 with renormalized x_i)
@@ -270,201 +449,118 @@ class SimBackend:
             if self.cost_model is not None
             else 0.0
         )
-        self._attempt += 1
-        self._sim_exitcodes = {}
-        self._p_snapshot = None
+        #: simulated process exit codes for killed ranks (13 hard, 1
+        #: soft), feeding classify() exactly as real exit codes would
+        self._sim_exitcodes: dict[int, int] = {}
+        self._p_snapshot: np.ndarray | None = None
         if self._attempt == 0:
             self.sim_seconds = 0.0
-        # wall-clock spans only when telemetry opts the run in; the
-        # timeline and its clock origin persist across recovery
-        # re-opens so no attempt's spans are lost
-        if telemetry is None:
-            self._spans = NullRecorder()
-        else:
-            if self._run_timeline is None:
-                self._run_timeline = Timeline()
-                self._run_origin = time.perf_counter()
-            self._spans = ServerSpans(
-                self._run_timeline, self._run_origin, self.epoch_offset,
-                self._attempt,
+        # per worker, allocated once: the shared P beside a local Q every
+        # pull decodes into, and the span scope of its timeline lane
+        self._locals = [
+            MFModel(self.model.P, np.empty(self.model.Q.shape, dtype=np.float32))
+            for _ in self.runtimes
+        ]
+        self._recorders = [
+            self._recorder(f"worker-{rt.worker_id}") for rt in self.runtimes
+        ]
+
+    # -- what a rendezvous is when the workers are simulated -------------
+    def _rendezvous(self, point: str, epoch: int) -> None:
+        """The simulated barrier: ``ProcessBackend._rendezvous``'s twin.
+
+        Each rank's slice of the plan is asked what a worker process
+        asks itself before stamping.  A killed rank goes missing with
+        its exit code (13 hard, 1 soft) recorded for the health plane;
+        a delay past the barrier timeout is a fatal straggler (alive,
+        so no exit code); a shorter one stretches the simulated clock
+        by the longest stall, since real stragglers hold the rendezvous
+        in parallel.  A broken rendezvous raises what the process
+        server raises, with P rolled back (see :meth:`_refuse_epoch`).
+        """
+        global_epoch = epoch + self.epoch_offset
+        missing: list[int] = []
+        stall = 0.0
+        for rank in range(self.n_workers):
+            fault = fault_before_barrier(
+                self.fault_plan.for_rank(rank), global_epoch, point
             )
-        # each worker's local Q, allocated once: every pull decodes into it
-        self._q_locals = [
-            np.empty(self.model.Q.shape, dtype=np.float32) for _ in self.runtimes
-        ]
-        self._q_news: list[np.ndarray] = []
+            if fault is None:
+                continue
+            if fault.kind != DELAY:
+                self._sim_exitcodes[rank] = 13 if fault.hard else 1
+                missing.append(rank)
+            elif fault.seconds > self.barrier_timeout_s:
+                missing.append(rank)
+            else:
+                stall = max(stall, fault.seconds)
+        if missing:
+            self._refuse_epoch()
+            raise WorkerSyncError(
+                point, epoch, tuple(missing), self.barrier_timeout_s
+            )
+        self.sim_seconds += stall
 
-    # -- fault injection -------------------------------------------------
-    def _faults_at(self, kind: str, epoch: int) -> list[Fault]:
-        """Pending faults of ``kind`` keyed to this *local* epoch.
+    def _exitcodes(self, missing) -> list:
+        return [self._sim_exitcodes.get(r) for r in range(self.n_workers)]
 
-        Fault plans speak global epochs; stale entries aimed at ranks
-        outside the current (possibly degraded) plan are ignored.
-        """
-        g = epoch + self.epoch_offset
-        return [
-            f for f in self.fault_plan.faults
-            if f.kind == kind and f.epoch == g and f.rank < self.n_workers
-        ]
-
-    def _inject_epoch_top(self, epoch: int) -> None:
-        """Kill / start-straggler injection, at process-plane semantics.
-
-        A killed rank never reaches the start barrier, so the failure
-        surfaces exactly as the process server sees it: a start-point
-        :class:`WorkerSyncError` before any compute ran, with the dead
-        ranks' exit codes (13 hard, 1 soft) recorded for the health
-        plane to classify.  A delay past the barrier timeout is a fatal
-        straggler (no exit code: the rank is alive, just late); a
-        shorter delay stretches the simulated clock by the longest
-        stall, since real stragglers hold the rendezvous in parallel.
-        """
-        kills = self._faults_at(KILL, epoch)
-        if kills:
-            for f in kills:
-                self._sim_exitcodes[f.rank] = 13 if f.hard else 1
-            ranks = tuple(sorted({f.rank for f in kills}))
-            raise WorkerSyncError("start", epoch, ranks, self.barrier_timeout_s)
-        delays = [f for f in self._faults_at(DELAY, epoch) if f.point == "start"]
-        late = tuple(sorted(
-            {f.rank for f in delays if f.seconds > self.barrier_timeout_s}
-        ))
-        if late:
-            raise WorkerSyncError("start", epoch, late, self.barrier_timeout_s)
-        if delays:
-            self.sim_seconds += max(f.seconds for f in delays)
-
-    def _restore_p(self) -> None:
-        """Roll P back to its pre-epoch state on a failed epoch.
-
-        The process plane only copies P out of shared memory after all
-        payloads validate, so a failed epoch's P updates are discarded
-        there; the sim trains P in place and must undo the same way.
-        """
+    def _refuse_epoch(self) -> None:
+        # the process server only copies P out of shared memory once an
+        # epoch validates; the sim trains P in place and must undo it
         if self._p_snapshot is not None:
             np.copyto(self.model.P, self._p_snapshot)
             self._p_snapshot = None
 
-    # -- stages ----------------------------------------------------------
-    def pull(self, epoch: int) -> Mapping:
-        if self.fault_plan:
-            self._inject_epoch_top(epoch)
-        self.server.begin_epoch()
-        for rt, q_local in zip(self.runtimes, self._q_locals):
-            with self._spans.span(f"worker-{rt.worker_id}", Phase.PULL, epoch):
-                self.server.pull(worker=rt.worker_id, out=q_local)
-        nbytes = self.server.pull_buffer.nbytes
-        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
-
-    def compute(self, epoch: int) -> Mapping:
-        if self.fault_plan:
-            fails_after_compute = self._faults_at(CORRUPT, epoch) or any(
-                f.point == "end" and f.seconds > self.barrier_timeout_s
-                for f in self._faults_at(DELAY, epoch)
-            )
-            if fails_after_compute:
-                self._p_snapshot = self.model.P.copy()  # hcclint: disable=hot-copy
-        self._q_news = []
-        for rt, q_local in zip(self.runtimes, self._q_locals):
-            with self._spans.span(f"worker-{rt.worker_id}", Phase.COMPUTE, epoch):
-                q_new, _ = rt.run_epoch(self.model.P, q_local, self.lr, self.reg)
-            self._q_news.append(q_new)
-        return {"updates": tuple(rt.nnz for rt in self.runtimes)}
-
-    def push(self, epoch: int) -> Mapping:
-        drop_ranks = {f.rank for f in self._faults_at(DROP, epoch)}
-        for rt, q_new in zip(self.runtimes, self._q_news):
-            # dropped payload: the wire carries the epoch base, so the
-            # server merges an exactly-zero delta.  run_epoch trained
-            # q_new *in place*, so pushing it would not be a drop — the
-            # base must come back from the server.
-            dropped = rt.worker_id in drop_ranks
-            with self._spans.span(f"worker-{rt.worker_id}", Phase.PUSH, epoch):
-                self.server.push(
-                    rt.worker_id, self.server.q_base if dropped else q_new
-                )
-        end_delays = [
-            f for f in self._faults_at(DELAY, epoch) if f.point == "end"
-        ]
-        late = tuple(sorted(
-            {f.rank for f in end_delays if f.seconds > self.barrier_timeout_s}
-        ))
-        if late:
-            self._restore_p()
-            raise WorkerSyncError("end", epoch, late, self.barrier_timeout_s)
-        if end_delays:
-            self.sim_seconds += max(f.seconds for f in end_delays)
-        nbytes = self.server.push_buffers[0].nbytes
-        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
-
-    def sync(self, epoch: int) -> Mapping:
-        corrupt = self._faults_at(CORRUPT, epoch)
-        if corrupt:
-            # validation precedes any merge (the epoch is all-or-nothing
-            # on the process plane), so the model rolls back whole
-            self._restore_p()
-            raise WirePayloadError(min(f.rank for f in corrupt), epoch)
-        for i, rt in enumerate(self.runtimes):
-            weight = self._sync_policy.weight(i, self._fractions)
-            with self._spans.span("server", Phase.SYNC, epoch):
-                self.server.sync(rt.worker_id, weight)
+    def _accept_epoch(self, epoch: int) -> None:
+        self._p_snapshot = None
         self.sim_seconds += self._epoch_sim_cost
         self.cost_log.append((
             epoch + self.epoch_offset,
             self._epoch_sim_cost,
             len(self._platform_workers) < self.platform.n_workers,
         ))
-        return {"merges": self.n_workers,
-                "merged_values": int(self.model.Q.size) * self.n_workers}
 
-    def evaluate(self, epoch: int) -> float:
-        with self._spans.span("server", Phase.EVAL, epoch):
-            return self.model.rmse(self._eval_set)
-
-    # -- resilience ------------------------------------------------------
-    def health_report(self, err: Exception | None = None) -> HealthReport:
-        """Classify the sim workers exactly as the process plane would.
-
-        The same :func:`~repro.resilience.health.classify` call, fed
-        simulated exit codes instead of reaped process ones: a killed
-        rank carries 13 (hard) or 1 (soft), a straggler carries none —
-        so both planes hand :func:`~repro.resilience.policy.decide`
-        identical evidence.
-        """
-        missing = tuple(getattr(err, "missing_ranks", ()) or ())
-        exitcodes = [self._sim_exitcodes.get(r) for r in range(self.n_workers)]
-        return classify(
-            self.n_workers, missing, exitcodes, cause=str(err) if err else ""
-        )
-
-    def drop_faults_through(self, epoch: int) -> None:
-        """Retire injected faults at or before ``epoch`` (already fired)."""
-        self.fault_plan = self.fault_plan.without_epochs_through(epoch)
+    # -- the one stage the planes do not share ---------------------------
+    def compute(self, epoch: int) -> Mapping:
+        global_epoch = epoch + self.epoch_offset
+        if any(f.epoch == global_epoch for f in self.fault_plan.faults):
+            # a fault scheduled for this epoch may fail it after P was
+            # trained in place: keep what _refuse_epoch rolls back to
+            self._p_snapshot = self.model.P.copy()  # hcclint: disable=hot-copy
+        idle = NullRecorder()
+        pull_wire = self.server.pull_wire
+        for rt, local, push_wire, rec in zip(
+            self.runtimes, self._locals, self.server.push_wires, self._recorders
+        ):
+            shard = rt.data
+            worker_epoch(
+                self._channel, local, (shard.rows, shard.cols, shard.vals),
+                pull_wire, push_wire, self.lr, self.reg, rt.batch_size,
+                rt.policy, rt.rng, self.fault_plan.for_rank(rt.worker_id),
+                epoch, global_epoch, rec, idle,
+            )
+        return super().compute(epoch)
 
     def remap_fault_ranks(self, dead_ranks) -> None:
-        """Follow a redistribution: prune the dead, renumber the faults.
-
-        The engine calls this with the *old* rank numbering, before it
-        shrinks ``n_workers`` to the survivor count; subsequent opens
-        build runtimes — and price epochs — over the survivors only.
-        """
+        """Also prune the dead platform workers: subsequent opens build
+        runtimes — and price epochs — over the survivors only."""
         dead = set(dead_ranks)
         self._platform_workers = [
             w for r, w in enumerate(self._platform_workers) if r not in dead
         ]
-        self.fault_plan = self.fault_plan.remap_ranks(dead, self.n_workers)
+        super().remap_fault_ranks(dead)
 
     def finalize(self, telemetry) -> None:
-        if telemetry is not None and self._run_timeline is not None:
+        if telemetry is not None:
+            self._record_run(telemetry.registry)
             telemetry.timeline = self._run_timeline
 
     def close(self) -> None:
-        # everything sized by the run goes with it — the server's wire
-        # buffers and epoch base, the workers' local Qs and shards —
-        # so a backend kept for its ``model`` (publish, serving) holds
-        # the factors and nothing else
-        self._q_locals = []
-        self._q_news = []
+        # everything sized by the run goes with it — the server's wires
+        # and epoch base, the workers' local Qs and shards — so a
+        # backend kept for its ``model`` (publish, serving) holds the
+        # factors and nothing else
+        self._locals = []
         self.server = None
         self.runtimes = []
 
@@ -472,7 +568,7 @@ class SimBackend:
 # ---------------------------------------------------------------------------
 # process backend (OS workers over shared memory)
 # ---------------------------------------------------------------------------
-class ProcessBackend:
+class ProcessBackend(_EpochBackend):
     """OS worker processes over shared memory (wall-clock plane).
 
     The calling process acts as the server: per epoch it encodes Q onto
@@ -496,44 +592,16 @@ class ProcessBackend:
         barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
         fault_plan: FaultPlan | None = None,
     ):
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if barrier_timeout_s <= 0:
-            raise ValueError("barrier_timeout_s must be positive")
-        self.ratings = ratings
-        self.k = k
-        self.n_workers = n_workers
-        self.lr = lr
-        self.reg = reg
-        self.batch_size = batch_size
-        self.seed = seed
-        self.barrier_timeout_s = float(barrier_timeout_s)
-        #: the injected-failure script (docs/resilience.md); pruned by
-        #: the engine after each recovery so faults fire at most once
-        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self.model: MFModel | None = None
+        super().__init__(
+            ratings, n_workers, k, lr, reg, batch_size, seed,
+            barrier_timeout_s, fault_plan,
+        )
         self.data: RatingMatrix | None = None
         self._stack: ExitStack | None = None
-        #: warm-start state the engine sets for checkpoint resume and
-        #: recovery restarts (see EpochEngine)
-        self.initial_model: MFModel | None = None
-        self.epoch_offset = 0
         #: worker-profile drop directory the engine sets when profiling
         #: (EpochEngine(profile=...)); one attempt-N subdir per open
         self.profile_dir: str | None = None
-        self._procs: list = []
-        self._rings: list = []
-        self._attempt = -1
-        #: one clock origin for the whole run, fixed at the first open,
-        #: so spans preserved across recovery attempts share a time base
-        self._run_origin: float | None = None
-        #: spans rescued from earlier attempts' rings before their
-        #: shared segments unlink (the rings die with each close)
-        self._kept_spans: list[Span] = []
-        self._kept_dropped = 0
-        self._finalized = False
+        self._dropped_spans = 0
 
     @staticmethod
     def _terminate_stragglers(procs: list, grace_s: float = _TERMINATE_GRACE_S) -> None:
@@ -563,36 +631,19 @@ class ProcessBackend:
                 "shared memory and is updated in place); use a Q-only channel "
                 f"stack, not {channel.describe()!r}"
             )
-        traffic = channel.traffic(2, 1, 1)
-        if traffic.sync_values == 0:
-            raise ValueError(
-                "q-rotate channels have no pull/push/sync stages; the "
-                "rotation loop runs only on the sim plane"
-            )
         ratings = self.ratings
         warm = self.initial_model
         k = warm.k if warm is not None else self.k
         ctx = mp.get_context("spawn")
 
-        self._channel = channel
-        self._sync_policy = sync_policy
-        self._fractions = plan.fractions
-        self._start_barrier = ctx.Barrier(self.n_workers + 1)
-        self._end_barrier = ctx.Barrier(self.n_workers + 1)
-        # the epoch base and the merge's block buffer, allocated once and
-        # rewritten in place every epoch; close() drops them
-        self._q_base = np.empty((k, ratings.n), dtype=np.float32)
-        self._merge_scratch = merge_scratch()
-        self._epochs = epochs
+        self._begin_attempt(plan, channel, sync_policy, telemetry, epochs)
+        self._barriers = {
+            point: ctx.Barrier(self.n_workers + 1) for point in ("start", "end")
+        }
         self._procs: list = []
+        #: this attempt's span rings, until their records are drained
+        #: onto the run's timeline (the rings die with each close)
         self._rings: list = []
-        self._attempt += 1
-        if self._run_origin is None:
-            self._run_origin = time.perf_counter()
-        # this attempt's server-side spans, already on the run's axes
-        self._spans = NullRecorder() if telemetry is None else ServerSpans(
-            Timeline(), self._run_origin, self.epoch_offset, self._attempt
-        )
         attempt_profile_dir = None
         if self.profile_dir is not None:
             # one subdir per engine attempt so recovered runs keep every
@@ -668,8 +719,8 @@ class ProcessBackend:
                         self.reg,
                         self.batch_size,
                         self.seed,
-                        self._start_barrier,
-                        self._end_barrier,
+                        self._barriers["start"],
+                        self._barriers["end"],
                         self.barrier_timeout_s,
                         self._rings[wid].spec if telemetry is not None else None,
                         self.epoch_offset,
@@ -698,15 +749,21 @@ class ProcessBackend:
                     self._shard_segs, (data.rows, data.cols, data.vals)
                 ):
                     seg.array[lo : lo + a.nnz] = column[by_row]
-            self.data = data
-            if warm is None:
-                self.model = MFModel.init_for(data, self.k, seed=self.seed)
-            else:
-                # once-per-run server-side snapshot  # hcclint: disable=hot-copy
-                self.model = MFModel(warm.P.copy(), warm.Q.copy())
+            self.data = self._eval_set = data
+            self.model = self._initial_model(data)
             np.copyto(self._p_shared.array, self.model.P)
+            # the server half runs over the shared segments themselves;
+            # close() drops it before the segments unmap
+            self.server = ParameterServer(
+                self.model, self.n_workers, channel,
+                wires=(
+                    [buf.array for buf in self._pull_bufs],
+                    [buf.array for buf in self._push_bufs],
+                ),
+            )
             self._wait_stamps(HANDSHAKE_STAMP, "bootstrap", 0, exits_count=False)
         except BaseException:
+            self.server = None
             self._stack.close()
             self._stack = None
             raise
@@ -749,7 +806,7 @@ class ProcessBackend:
             # liveness poll, not a lock wait: bounded by the deadline
             time.sleep(0.002)  # hcclint: disable=blocking-call
 
-    def _await(self, barrier, point: str, epoch: int) -> None:
+    def _rendezvous(self, point: str, epoch: int) -> None:
         """Rendezvous with every worker, detecting failures server-side.
 
         The server must never time out *inside* the barrier: a timed-out
@@ -766,209 +823,95 @@ class ProcessBackend:
         expected = barrier_stamp(epoch, point)
         self._wait_stamps(expected, point, epoch)
         try:
-            barrier.wait(timeout=self.barrier_timeout_s)
+            self._barriers[point].wait(timeout=self.barrier_timeout_s)
         except threading.BrokenBarrierError as exc:
             raise WorkerSyncError(
                 point, epoch, self._missing(expected, exits_count=True),
                 self.barrier_timeout_s,
             ) from exc
 
-    # -- stages ----------------------------------------------------------
-    def pull(self, epoch: int) -> Mapping:
-        buf = self._pull_bufs[epoch % len(self._pull_bufs)]
-        self._channel.encode(self.model.Q, buf.array)
-        # the merge base is the exact matrix workers decode off the wire,
-        # so pull-side quantization error cancels out of the deltas
-        self._channel.decode(buf.array, out=self._q_base)
-        self._await(self._start_barrier, "start", epoch)
-        nbytes = buf.array.nbytes
-        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
-
-    def compute(self, epoch: int) -> Mapping:
-        # the SGD itself runs in the worker processes between the two
-        # barriers; the server-side stage records the shard workloads
-        return {"updates": tuple(self._shard_nnz)}
-
-    def push(self, epoch: int) -> Mapping:
-        self._await(self._end_barrier, "end", epoch)
-        nbytes = self._push_bufs[0].array.nbytes
-        return {"wire_bytes": nbytes * self.n_workers, "per_worker_bytes": nbytes}
-
-    def sync(self, epoch: int) -> Mapping:
-        with self._spans.span("server", Phase.SYNC, epoch):
-            # validate every push *before* merging any of them, as it
-            # lies on the wire: the epoch's sync is all-or-nothing, so a
-            # garbage payload (torn write from a dying worker, injected
-            # corruption) leaves the model at the last cleanly-synced
-            # epoch — the state a retry restarts from
-            for wid, buf in enumerate(self._push_bufs):
-                if not self._channel.payload_ok(buf.array):
-                    raise WirePayloadError(wid, epoch)
-            np.copyto(self.model.P, self._p_shared.array)
-            for wid, buf in enumerate(self._push_bufs):
-                # additive delta merge: workers trained on disjoint
-                # row-grid shards, so their Q deltas are distinct SGD
-                # steps and all of them apply
-                merge_delta(
-                    self.model.Q, buf.array, self._q_base,
-                    self._sync_policy.weight(wid, self._fractions),
-                    self._merge_scratch,
-                )
-        return {"merges": self.n_workers,
-                "merged_values": int(self.model.Q.size) * self.n_workers}
-
-    def evaluate(self, epoch: int) -> float:
-        with self._spans.span("server", Phase.EVAL, epoch):
-            return self.model.rmse(self.data)
-
-    # -- resilience ------------------------------------------------------
-    def health_report(self, err: Exception | None = None) -> HealthReport:
-        """Classify every worker at failure time (the health plane).
-
-        Must run *before* :meth:`close` — teardown terminates the
-        stragglers this report is meant to distinguish from the dead.
-        Fuses the barrier progress evidence carried by ``err``
-        (``missing_ranks``) with each process's live/exit state.
+    def _exitcodes(self, missing) -> list:
+        """Every process's exit code, once the missing ranks' have settled.
 
         A worker that crashed *moments* before the report would still
         show ``exitcode is None`` (the OS has not reaped it yet), so
-        each missing rank gets a short grace join for its exit code to
-        settle; a genuine straggler survives the grace and stays
-        classified as straggling.
+        each missing rank gets a short grace join; a genuine straggler
+        survives the grace and stays classified as straggling.
         """
-        missing = tuple(getattr(err, "missing_ranks", ()) or ())
         deadline = time.perf_counter() + 1.0
         for rank in missing:
             if rank < len(self._procs) and self._procs[rank].exitcode is None:
                 grace = max(0.0, deadline - time.perf_counter())
                 self._procs[rank].join(timeout=grace)
-        exitcodes = [proc.exitcode for proc in self._procs]
-        return classify(
-            self.n_workers, missing, exitcodes, cause=str(err) if err else ""
-        )
+        return [proc.exitcode for proc in self._procs]
 
-    def drop_faults_through(self, epoch: int) -> None:
-        """Retire injected faults at or before ``epoch`` (already fired).
+    def _refuse_epoch(self) -> None:
+        pass  # P was never copied out of shared memory
 
-        The engine calls this before a recovery restart so the fault
-        that broke the epoch does not fire again on the re-run.
-        """
-        self.fault_plan = self.fault_plan.without_epochs_through(epoch)
-
-    def remap_fault_ranks(self, dead_ranks) -> None:
-        """Renumber pending faults after a redistribution compacts ranks.
-
-        Called by the engine with the *old* numbering, before it
-        shrinks ``n_workers``, so a fault aimed at a surviving worker
-        follows that worker to its new rank instead of landing on
-        whichever rank inherited the number.
-        """
-        self.fault_plan = self.fault_plan.remap_ranks(
-            set(dead_ranks), self.n_workers
-        )
+    def _accept_epoch(self, epoch: int) -> None:
+        np.copyto(self.model.P, self._p_shared.array)
 
     # -- teardown --------------------------------------------------------
     def finalize(self, telemetry) -> None:
+        """Join the workers; drain the rings into the run's Timeline and registry.
+
+        Runs *before* the rings unlink (close()'s ExitStack teardown),
+        so every record is final and readable; spans of earlier
+        recovery attempts are already on the timeline.
+        """
         for proc in self._procs:
             proc.join(timeout=self.barrier_timeout_s)
-        if telemetry is not None:
-            self._finalize_telemetry(telemetry)
+        if telemetry is None:
+            return
+        from repro.obs.drift import HostRunInfo
+
+        worker_names = tuple(ring.worker for ring in self._rings)
+        self._drain_rings()
+        self._record_run(telemetry.registry)
+        telemetry.attach_run(
+            self._run_timeline,
+            self._dropped_spans,
+            HostRunInfo(
+                worker_names=worker_names,
+                shard_nnz=tuple(self._shard_nnz),
+                k=self.k,
+                m=self.data.m,
+                n=self.data.n,
+                epochs=self._epochs,
+            ),
+            ratings=self.data,
+        )
 
     def close(self) -> None:
-        # the per-epoch buffers are sized k x n; a backend kept for its
-        # model (publish, serving) must not keep them alive
-        self._q_base = None
-        self._merge_scratch = None
+        # the server half holds views of the shared wires and the k x n
+        # epoch base; a backend kept for its model (publish, serving)
+        # must not keep them alive, nor past the segments' unmapping
+        self.server = None
         if self._stack is not None:
             # failure path (finalize never ran): the attempt's spans
             # would die with the rings' unlink, so reap the stragglers
             # (ordering their last ring writes before our reads) and
             # rescue the records first
-            if self._rings and not self._finalized:
+            if self._rings:
                 self._terminate_stragglers(self._procs)
-                spans, dropped = self._drain_attempt_spans()
-                self._kept_spans.extend(spans)
-                self._kept_dropped += dropped
+                self._drain_rings()
             self._stack.close()
             self._stack = None
 
-    def _drain_attempt_spans(self) -> tuple[list[Span], int]:
-        """This attempt's ring + server spans on the *run's* axes.
+    def _drain_rings(self) -> None:
+        """Move this attempt's ring records onto the run's timeline.
 
         Ring records carry attempt-local epochs and absolute clock
         times; the run's Timeline speaks global epochs and run-origin
         time (as the server's own spans already do), so spans from
         different attempts interleave correctly.
         """
-        origin = self._run_origin or 0.0
-        spans: list[Span] = []
-        dropped = 0
+        from repro.obs.spans import records_to_timeline
+
         for ring in self._rings:
-            for rec in ring.drain():
-                spans.append(Span(
-                    ring.worker, rec.phase, rec.start - origin,
-                    rec.end - origin, rec.epoch + self.epoch_offset,
-                    rec.attempt,
-                ))
-            dropped += ring.dropped
-        spans.extend(self._spans.timeline.spans)
-        return spans, dropped
-
-    def _finalize_telemetry(self, telemetry: "Telemetry") -> None:
-        """Drain the span rings into the run's Timeline and registry.
-
-        Runs after the workers joined and *before* the rings unlink
-        (close()'s ExitStack teardown), so every record is final and
-        readable.  Spans rescued from earlier recovery attempts are
-        stitched in ahead of the final attempt's.
-        """
-        from repro.obs.drift import HostRunInfo
-
-        spans, dropped = self._drain_attempt_spans()
-        timeline = Timeline()
-        timeline.extend(self._kept_spans)
-        timeline.extend(spans)
-        dropped += self._kept_dropped
-        self._finalized = True
-        registry = telemetry.registry
-        # wire-accurate per-epoch bytes: the actual shared-segment sizes,
-        # so FP16 stacks report half the FP32 traffic
-        pull_bytes = self._pull_bufs[0].array.nbytes
-        push_bytes = self._push_bufs[0].array.nbytes
-        epochs = self._epochs
-        updates = registry.counter("updates_total", "SGD updates applied")
-        pulled = registry.counter("bytes_pulled_total", "bytes pulled per worker")
-        pushed = registry.counter("bytes_pushed_total", "bytes pushed per worker")
-        barrier = registry.histogram(
-            "barrier_wait_seconds", "time workers spent waiting at barriers"
-        )
-        merge = registry.histogram(
-            "merge_seconds", "server delta-merge time per epoch"
-        )
-        rate = registry.gauge("updates_per_second", "achieved per-worker rate")
-        for wid, ring in enumerate(self._rings):
-            worker = ring.worker
-            updates.inc(self._shard_nnz[wid] * epochs, worker=worker)
-            pulled.inc(pull_bytes * epochs, worker=worker)
-            pushed.inc(push_bytes * epochs, worker=worker)
-            compute_s = timeline.phase_total(Phase.COMPUTE, worker)
-            if compute_s > 0:
-                rate.set(self._shard_nnz[wid] * epochs / compute_s, worker=worker)
-        for span in timeline.spans:
-            if span.phase is Phase.BARRIER:
-                barrier.observe(span.duration, worker=span.worker)
-            elif span.phase is Phase.SYNC:
-                merge.observe(span.duration)
-        telemetry.attach_run(
-            timeline,
-            dropped,
-            HostRunInfo(
-                worker_names=tuple(r.worker for r in self._rings),
-                shard_nnz=tuple(self._shard_nnz),
-                k=self.k,
-                m=self.data.m,
-                n=self.data.n,
-                epochs=epochs,
-            ),
-            ratings=self.data,
-        )
+            records_to_timeline(
+                self._run_timeline, ring.worker, ring.drain(),
+                self._run_origin, self.epoch_offset,
+            )
+            self._dropped_spans += ring.dropped
+        self._rings = []

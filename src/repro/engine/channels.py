@@ -21,10 +21,11 @@ A channel stack serves **both planes** with the same object:
   (:meth:`Channel.comm_plan`) and feeds that to
   :class:`~repro.core.comm.CommModel` for bytes-to-seconds accounting;
 * the *real* planes use its wire codec (:meth:`Channel.encode` /
-  :meth:`Channel.decode` + :attr:`Channel.wire_dtype`) over actual
-  buffers — :class:`~repro.core.comm.PullBuffer` /
-  :class:`~repro.core.comm.PushBuffer` in process, and
-  :class:`~repro.parallel.shm.SharedArray` segments across processes.
+  :meth:`Channel.decode` + :attr:`Channel.wire_dtype`) and its payload
+  check (:meth:`Channel.payload_ok`) over actual wires — plain arrays
+  in process, :class:`~repro.parallel.shm.SharedArray` segments across
+  processes — through :class:`~repro.core.server.ParameterServer` and
+  :func:`~repro.engine.worker_proc.worker_epoch`.
 
 Channels hold no run state, so one instance is safely pickled into
 spawned worker processes; the single source of truth for what a
@@ -269,9 +270,9 @@ class QRotateChannel(Channel):
 
     Same gross bytes as Q-only, but the transfers are peer-to-peer hops
     that overlap rotation steps and ownership removes the server merge.
-    The execution engine does not drive this mode — the rotation loop
-    has no pull/push/sync stages — so this channel only exists to keep
-    the accounting in one place.
+    The execution engine does not drive this mode — a rotation has no
+    pull/push/sync stages, and both backends refuse the channel — so it
+    only exists to keep the accounting in one place.
     """
 
     label = "q-rotate"

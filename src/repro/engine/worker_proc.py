@@ -20,7 +20,7 @@ from repro.hardware.timeline import Phase
 from repro.mf.kernels import ConflictPolicy, sgd_shard_epoch
 from repro.mf.model import MFModel
 from repro.parallel.shm import SharedArray, SharedArraySpec
-from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, fault_at
+from repro.resilience.faults import CORRUPT, DELAY, DROP, Fault, fault_at, fault_before_barrier
 
 #: extra time workers wait on barriers beyond the server's timeout —
 #: the server must always be the first to detect a broken rendezvous
@@ -58,49 +58,83 @@ class NullRecorder:
         pass
 
 
-def _pre_epoch_faults(
-    faults: tuple[Fault, ...], global_epoch: int, worker_id: int
+def _stall_or_die(
+    faults: tuple[Fault, ...], global_epoch: int, point: str, worker_id: int
 ) -> None:
-    """Worker-side kill / start-delay injection at the top of an epoch.
+    """Kill / straggler injection: what happens before a barrier stamp.
 
     Neither kill flavor touches the barrier: a real crashed process
     cannot abort a rendezvous, so peers find out the honest way — the
     server's barrier wait times out and the health plane reads the
     stamps and exit codes.
     """
-    kill = fault_at(faults, KILL, global_epoch)
-    if kill is not None:
-        if kill.hard:
-            # SIGKILL-like: no interpreter teardown at all
-            os._exit(13)
-        raise RuntimeError(f"injected failure in worker {worker_id}")
-    _maybe_delay(faults, global_epoch, "start")
-
-
-def _maybe_delay(faults: tuple[Fault, ...], global_epoch: int, point: str) -> None:
-    delay = fault_at(faults, DELAY, global_epoch)
-    if delay is not None and delay.point == point:
+    fault = fault_before_barrier(faults, global_epoch, point)
+    if fault is None:
+        return
+    if fault.kind == DELAY:
         # an injected straggler, by definition  # hcclint: disable=blocking-call
-        time.sleep(delay.seconds)
+        time.sleep(fault.seconds)
+    elif fault.hard:
+        # SIGKILL-like: no interpreter teardown at all
+        os._exit(13)
+    else:
+        raise RuntimeError(f"injected failure in worker {worker_id}")
 
 
 def _encode_push(
     channel: Channel,
     q_trained: np.ndarray,
-    pull_buf: SharedArray,
-    push_buf: SharedArray,
+    pull_wire: np.ndarray,
+    push_wire: np.ndarray,
     faults: tuple[Fault, ...],
     global_epoch: int,
 ) -> None:
     """The worker's single push encode, with drop/corrupt injection."""
     if fault_at(faults, DROP, global_epoch) is not None:
         # dropped payload: the wire still carries the epoch base (the
-        # pull buffer's exact bits), so the server merges a zero delta
-        np.copyto(push_buf.array, pull_buf.array)
+        # pull wire's exact bits), so the server merges a zero delta
+        np.copyto(push_wire, pull_wire)
     else:
-        channel.encode(q_trained, push_buf.array)
+        channel.encode(q_trained, push_wire)
     if fault_at(faults, CORRUPT, global_epoch) is not None:
-        push_buf.array[...] = np.nan
+        push_wire[...] = np.nan
+
+
+def worker_epoch(
+    channel: Channel,
+    model: MFModel,
+    shard: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    pull_wire: np.ndarray,
+    push_wire: np.ndarray,
+    lr: float,
+    reg: float,
+    batch_size: int,
+    policy: ConflictPolicy,
+    rng: np.random.Generator,
+    faults: tuple[Fault, ...],
+    epoch: int,
+    global_epoch: int,
+    rec,
+    prof,
+) -> None:
+    """The worker half of an epoch: pull -> train -> push, on either plane.
+
+    ``model`` wraps the shared P and this worker's local Q; ``shard`` is
+    its ``(rows, cols, vals)``.  ``decode`` is the worker's single
+    per-epoch copy out of the pull wire, ``encode`` its single copy
+    into its push wire (paper 3.5).  A worker process calls this
+    between its two barriers and ``SimBackend`` inline per worker;
+    seeds, conflict policy and shard order are the caller's.  ``rec``
+    records spans on the attempt's local ``epoch``, ``prof`` profiles
+    the stages (:class:`NullRecorder` for neither); ``faults`` is this
+    rank's slice of the plan, keyed on ``global_epoch``.
+    """
+    with rec.span(Phase.PULL, epoch), prof.stage("pull"):
+        channel.decode(pull_wire, out=model.Q)
+    with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
+        sgd_shard_epoch(model, *shard, lr, reg, batch_size, policy, rng)
+    with rec.span(Phase.PUSH, epoch), prof.stage("push"):
+        _encode_push(channel, model.Q, pull_wire, push_wire, faults, global_epoch)
 
 
 def worker_main(
@@ -170,7 +204,7 @@ def worker_main(
         ]
         push_buf = stack.enter_context(SharedArray.attach(push_spec))
         progress = stack.enter_context(SharedArray.attach(progress_spec))
-        shard = [
+        shard_segs = [
             stack.enter_context(SharedArray.attach(spec)) for spec in shard_specs
         ]
         offsets = stack.enter_context(SharedArray.attach(offsets_spec))
@@ -188,39 +222,28 @@ def worker_main(
             p_shared.array, np.empty(pull_bufs[0].array.shape, dtype=np.float32)
         )
         progress.array[worker_id] = HANDSHAKE_STAMP
-        rows = cols = vals = None
+        shard = None
         for epoch in range(epochs):
             global_epoch = epoch_offset + epoch
-            if faults:
-                _pre_epoch_faults(faults, global_epoch, worker_id)
-            pull_buf = pull_bufs[epoch % len(pull_bufs)]
+            _stall_or_die(faults, global_epoch, "start", worker_id)
             with rec.span(Phase.BARRIER, epoch):
                 progress.array[worker_id] = barrier_stamp(epoch, "start")
                 start_barrier.wait(timeout=patience_s)
-            if vals is None:
+            if shard is None:
                 lo, hi = offsets.array[worker_id : worker_id + 2]
-                rows, cols, vals = (seg.array[lo:hi] for seg in shard)
+                shard = tuple(seg.array[lo:hi] for seg in shard_segs)
                 # replay: one permutation draw per completed epoch
                 # (mirrors sgd_shard_epoch) so a warm-started run continues
                 # the exact sample order of the straight-through run
                 for _ in range(epoch_offset):
-                    rng.permutation(len(vals))
-            # pull: the worker's single per-epoch copy out of the shared
-            # pull buffer, decoded off the wire (paper 3.5)
-            with rec.span(Phase.PULL, epoch), prof.stage("pull"):
-                channel.decode(pull_buf.array, out=model.Q)
-            with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
-                sgd_shard_epoch(
-                    model, rows, cols, vals, lr, reg, batch_size,
-                    ConflictPolicy.ATOMIC, rng,
-                )
-            # push: one encode into this worker's shared push buffer
-            with rec.span(Phase.PUSH, epoch), prof.stage("push"):
-                _encode_push(
-                    channel, model.Q, pull_buf, push_buf, faults, global_epoch
-                )
-            if faults:
-                _maybe_delay(faults, global_epoch, "end")
+                    rng.permutation(len(shard[2]))
+            worker_epoch(
+                channel, model, shard,
+                pull_bufs[epoch % len(pull_bufs)].array, push_buf.array,
+                lr, reg, batch_size, ConflictPolicy.ATOMIC, rng,
+                faults, epoch, global_epoch, rec, prof,
+            )
+            _stall_or_die(faults, global_epoch, "end", worker_id)
             with rec.span(Phase.BARRIER, epoch):
                 progress.array[worker_id] = barrier_stamp(epoch, "end")
                 end_barrier.wait(timeout=patience_s)

@@ -1,12 +1,12 @@
-"""Fault injection for the process plane (docs/resilience.md).
+"""Fault injection for both planes (docs/resilience.md).
 
 A :class:`FaultPlan` is an immutable script of failures to inject into
-a :class:`~repro.engine.backends.ProcessBackend` run.  Faults are keyed
-by *global* epoch (checkpoint-resumed and recovery-restarted runs keep
-counting where they left off) and worker rank, and each fires at most
-once: after a failure the engine prunes everything at or before the
-failed epoch (:meth:`FaultPlan.without_epochs_through`), so a retried
-epoch does not trip over the fault that killed it.
+a run of either backend of :mod:`repro.engine.backends`.  Faults are
+keyed by *global* epoch (checkpoint-resumed and recovery-restarted runs
+keep counting where they left off) and worker rank, and each fires at
+most once: after a failure the engine prunes everything at or before
+the failed epoch (:meth:`FaultPlan.without_epochs_through`), so a
+retried epoch does not trip over the fault that killed it.
 
 Four fault kinds cover the failure taxonomy:
 
@@ -19,12 +19,18 @@ Four fault kinds cover the failure taxonomy:
   it into a straggler; a delay past ``barrier_timeout_s`` surfaces as
   a :class:`~repro.engine.backends.WorkerSyncError`.
 * ``drop`` — the worker's push payload is lost on the wire: the push
-  buffer carries the epoch base instead of the trained result, so the
+  wire carries the epoch base instead of the trained result, so the
   server merges a zero delta (the epoch's work from that worker
   silently vanishes — which the additive merge tolerates by design).
 * ``corrupt`` — the push payload arrives as garbage (NaN), which the
   server's payload validation rejects as a
   :class:`~repro.engine.backends.WirePayloadError`.
+
+``drop`` and ``corrupt`` fire inside the one push encode both planes
+run (``worker_proc._encode_push``) and reach the server through the
+wire; ``kill`` and ``delay`` are looked up with
+:func:`fault_before_barrier` by a worker process before it stamps and
+by ``SimBackend``'s simulated rendezvous.
 
 Plans are plain frozen dataclasses, so they pickle into spawned worker
 processes unchanged.
@@ -174,4 +180,23 @@ def fault_at(
     for fault in faults:
         if fault.kind == kind and fault.epoch == epoch:
             return fault
+    return None
+
+
+def fault_before_barrier(
+    faults: tuple[Fault, ...], epoch: int, point: str
+) -> Fault | None:
+    """The kill or delay that keeps a rank from stamping one barrier.
+
+    A kill fires at the top of its epoch, so it belongs to the start
+    barrier and wins over a delay there; a delay belongs to the barrier
+    its ``point`` names.
+    """
+    if point == "start":
+        kill = fault_at(faults, KILL, epoch)
+        if kill is not None:
+            return kill
+    delay = fault_at(faults, DELAY, epoch)
+    if delay is not None and delay.point == point:
+        return delay
     return None

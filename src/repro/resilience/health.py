@@ -1,8 +1,9 @@
 """The health plane: classify workers after a failed rendezvous.
 
 The process plane already keeps per-rank *progress stamps* — a shared
-int64 slot each worker bumps before the start (``2e+1``) and end
-(``2e+2``) barriers of epoch ``e`` — which
+int64 slot each worker sets to ``1`` once attached (the handshake) and
+bumps before the start (``2e+2``) and end (``2e+3``) barriers of epoch
+``e`` (:func:`repro.engine.worker_proc.barrier_stamp`) — which
 :class:`~repro.engine.backends.WorkerSyncError` reads to name the ranks
 that never arrived.  This module adds the second signal needed to pick
 a recovery action: the OS process state.  A missing rank whose process

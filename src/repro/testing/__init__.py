@@ -4,10 +4,10 @@ The differential enforcement mechanism for the resilience plane
 (docs/resilience.md): seeded fault scenarios (:mod:`repro.testing.chaos`)
 run through *both* compute backends, and the outcomes are held to a
 parity contract (:mod:`repro.testing.parity`) — identical recovery
-decisions, identical final partition fractions, RMSE within tolerance,
-and the sim's analytic degraded-epoch cost within a drift bound of the
-process plane's measured timeline.  ``repro chaos-parity`` is the CLI
-entry point; ``tests/test_chaos_parity.py`` the pytest one.
+decisions, identical final partition fractions and RMSE within
+tolerance; each plane's degraded/healthy epoch-cost ratio is reported
+beside the verdict, not gated.  ``repro chaos-parity`` is the CLI entry
+point; ``tests/test_chaos_parity.py`` the pytest one.
 """
 
 from repro.testing.chaos import (

@@ -23,8 +23,9 @@ Two sources of scenarios:
 :func:`parity_platform` builds the sim platform a parity run must use:
 identical CPUs over shared memory, mirroring the process plane's
 homogeneous host-CPU substrate.  A heterogeneous platform (a GPU next
-to CPUs) would make the degraded/healthy cost ratio diverge from the
-measured process timeline for reasons unrelated to the fault path.
+to CPUs) would make the reported degraded/healthy cost ratio diverge
+from the measured process timeline for reasons unrelated to the fault
+path.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def default_matrix(seed: int = 0) -> tuple[ChaosScenario, ...]:
             n_workers=3,
             epochs=4,
             # kill at epoch 2 so a warm healthy epoch (1) survives the
-            # drift measurement's warm-up exclusion of epoch 0
+            # degraded-ratio measurement's warm-up exclusion of epoch 0
             fault_plan=FaultPlan().kill(2, epoch=2),
             recovery=RecoveryPolicy(min_workers=2, **_FAST),
         ),

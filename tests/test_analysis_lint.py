@@ -633,7 +633,7 @@ class TestEpochLoop:
         src = """
         def rotate(self, epochs):
             for _ in range(epochs):
-                self.run_rotation_step()
+                self.worker_epoch()
         """
         assert len(issues_for(src, path=self.FRAMEWORK, rule="epoch-loop")) == 1
 
@@ -641,7 +641,7 @@ class TestEpochLoop:
         src = """
         def rotate(self, epochs):
             for _ in range(epochs):  # hcclint: disable=epoch-loop
-                self.run_rotation_step()
+                self.worker_epoch()
         """
         assert issues_for(src, path=self.FRAMEWORK, rule="epoch-loop") == []
 
@@ -738,6 +738,22 @@ class TestRepoIsClean:
         ))
         missing = sorted(m for m in scoped if not os.path.exists(f"src/{m}"))
         assert missing == []
+
+    def test_epoch_loop_stage_names_are_defined_in_src(self):
+        """A stage call the rule looks for that nothing defines any more
+        is a rule that matches nothing: the deletion must fail here."""
+        import ast
+        import pathlib
+
+        from repro.analysis.rules import EpochLoopRule
+
+        defined = {
+            node.name
+            for path in pathlib.Path("src/repro").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert sorted(EpochLoopRule._STAGE_TAILS - defined) == []
 
     def test_src_tree_has_no_warnings_or_errors(self):
         """The acceptance gate: `repro lint src/` must be clean."""

@@ -70,11 +70,15 @@ class TestCommands:
         assert json.loads(trace.read_text())["traceEvents"]
 
     def test_train_q_rotate(self, capsys):
-        assert main([
-            "train", "--dataset", "MovieLens-20m", "--nnz", "4000",
-            "--epochs", "2", "--k", "8", "--transmit", "q-rotate",
-        ]) == 0
-        assert "rmse:" in capsys.readouterr().out
+        """Priced, not trained: numeric runs exit 2, --timing-only prices it."""
+        argv = ["train", "--dataset", "MovieLens-20m", "--epochs", "2",
+                "--k", "8", "--transmit", "q-rotate"]
+        for executor in ("model", "process"):
+            assert main([*argv, "--nnz", "4000", "--executor", executor]) == 2
+            assert "timing plane only" in capsys.readouterr().err
+        assert main([*argv, "--timing-only"]) == 0
+        out = capsys.readouterr().out
+        assert "modeled time:" in out and "rmse:" not in out
 
     def test_analyze_synthetic(self, capsys):
         assert main(["analyze", "--dataset", "R2", "--nnz", "4000"]) == 0
@@ -360,7 +364,6 @@ class TestObservabilityCli:
         assert args.process_scenarios == -1
         assert args.sim_scenarios == 8
         assert args.rmse_tol == pytest.approx(0.08)
-        assert args.drift_bound == pytest.approx(1.0)
 
     def test_chaos_parity_small_gate_passes(self, capsys):
         # one cross-plane scenario, the rest of the matrix sim-only,

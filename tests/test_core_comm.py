@@ -1,4 +1,4 @@
-"""Unit tests for the COMM module: traffic plans, backends, buffers."""
+"""Unit tests for the COMM module: traffic plans, backends, wires."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,13 @@ from repro.core.comm import (
     COMM_P_BANDWIDTH_FACTOR,
     CommModel,
     CommPlan,
-    PullBuffer,
-    PushBuffer,
 )
 from repro.core.config import CommBackendKind, CommConfig, TransmitMode
+from repro.core.server import ParameterServer
 from repro.data.datasets import NETFLIX, YAHOO_R1
+from repro.engine.channels import Channel, Fp16Channel
 from repro.hardware.specs import PCIE3_X16
+from repro.mf.model import MFModel
 
 
 class TestCommPlan:
@@ -104,49 +105,55 @@ class TestCommModel:
         assert model.pull_time(PCIE3_X16, plan) == model.push_time(PCIE3_X16, plan)
 
 
+def server_over(q: np.ndarray, channel) -> ParameterServer:
+    """A one-worker server whose global Q is ``q``, mid-epoch."""
+    model = MFModel(np.ones((3, q.shape[0]), dtype=np.float32), q)
+    server = ParameterServer(model, 1, channel=channel)
+    server.begin_epoch()
+    return server
+
+
 class TestBuffers:
+    """The pull and push wires, through the server that owns them."""
+
     def test_pull_roundtrip_fp32(self):
-        buf = PullBuffer((4, 6))
         data = np.arange(24, dtype=np.float32).reshape(4, 6)
-        buf.deposit(data)
-        np.testing.assert_array_equal(buf.read(), data)
+        server = server_over(data, Channel())
+        np.testing.assert_array_equal(server.channel.decode(server.pull_wire), data)
 
     def test_pull_fp16_roundtrip_close(self):
-        buf = PullBuffer((4, 6), fp16=True)
         data = np.linspace(0.1, 2.0, 24, dtype=np.float32).reshape(4, 6)
-        buf.deposit(data)
-        np.testing.assert_allclose(buf.read(), data, rtol=1e-3)
+        server = server_over(data, Fp16Channel())
+        np.testing.assert_allclose(
+            server.channel.decode(server.pull_wire), data, rtol=1e-3
+        )
 
     def test_pull_fp16_half_footprint(self):
-        assert PullBuffer((10, 10), fp16=True).nbytes == PullBuffer((10, 10)).nbytes // 2
-
-    def test_copy_counters(self):
-        buf = PullBuffer((2, 2))
-        buf.deposit(np.zeros((2, 2), dtype=np.float32))
-        buf.read()
-        buf.read()
-        assert buf.copies_in == 1
-        assert buf.reads == 2
+        q = np.zeros((10, 10), dtype=np.float32)
+        full, half = server_over(q, Channel()), server_over(q, Fp16Channel())
+        assert half.pull_wire.nbytes == full.pull_wire.nbytes // 2
+        assert half.push_wires[0].nbytes == full.push_wires[0].nbytes // 2
 
     def test_shape_mismatch_rejected(self):
-        buf = PullBuffer((2, 2))
+        server = server_over(np.zeros((2, 2), dtype=np.float32), Channel())
         with pytest.raises(ValueError, match="shape"):
-            buf.deposit(np.zeros((3, 3), dtype=np.float32))
+            server.push(0, np.zeros((3, 3), dtype=np.float32))
 
     def test_push_consume_zero_copy_fp32(self):
-        buf = PushBuffer((3, 3))
-        data = np.ones((3, 3), dtype=np.float32)
-        buf.deposit(data)
-        view = buf.consume()
-        assert view is buf._buf  # in-place consumption
-        assert buf.consumed == 1
+        server = server_over(np.zeros((3, 3), dtype=np.float32), Channel())
+        server.push(0, np.ones((3, 3), dtype=np.float32))
+        # the merge reads the push wire itself: no staging copy
+        np.testing.assert_array_equal(server.push_wires[0], 1.0)
+        server.sync(0)
+        np.testing.assert_array_equal(server.model.Q, 1.0)
 
     def test_push_fp16_consumed_on_the_wire(self):
         # the sync merge widens binary16 as it subtracts, so consumption
         # is zero-copy for an FP16 wire too
-        buf = PushBuffer((2, 2), fp16=True)
-        buf.deposit(np.full((2, 2), 0.5, dtype=np.float32))
-        out = buf.consume()
-        assert out is buf._buf
-        assert out.dtype == np.float16
-        np.testing.assert_array_equal(out, np.float16(0.5))
+        server = server_over(np.zeros((2, 2), dtype=np.float32), Fp16Channel())
+        server.push(0, np.full((2, 2), 0.5, dtype=np.float32))
+        wire = server.push_wires[0]
+        assert wire.dtype == np.float16
+        np.testing.assert_array_equal(wire, np.float16(0.5))
+        server.sync(0)
+        np.testing.assert_array_equal(server.model.Q, 0.5)

@@ -144,7 +144,7 @@ class TestNumericPlane:
         b = HCCMF(platform, NETFLIX, cfg, ratings=medium_ratings).train()
         assert a.rmse_history == b.rmse_history
 
-    def test_fp16_wire_still_converges(self, platform, medium_ratings):
+    def test_fp16_channel_still_converges(self, platform, medium_ratings):
         cfg = HCCConfig(k=8, epochs=6, learning_rate=0.01, seed=1,
                         comm=CommConfig(fp16=True))
         res = HCCMF(platform, NETFLIX, cfg, ratings=medium_ratings).train()

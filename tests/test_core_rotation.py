@@ -1,19 +1,13 @@
 """Cross-layer tests for the Q_ROTATE future-work mode."""
 
-import numpy as np
 import pytest
 
 from repro.core.comm import CommPlan
 from repro.core.config import CommConfig, HCCConfig, TransmitMode
 from repro.core.cost_model import Regime, TimeCostModel
 from repro.core.framework import HCCMF
-from repro.core.worker import WorkerRuntime
 from repro.data.datasets import MOVIELENS_20M, NETFLIX
-from repro.data.grid import partition_rows
-from repro.hardware.processor import Processor
-from repro.hardware.specs import XEON_6242
 from repro.hardware.topology import paper_workstation
-from repro.mf.model import MFModel
 
 
 class TestCommPlan:
@@ -71,59 +65,13 @@ class TestCostModel:
         assert len(pulls) == m.platform.n_workers  # one hop per rotation step
 
 
-class TestWorkerRotation:
-    @pytest.fixture
-    def setup(self, small_ratings):
-        data = small_ratings.shuffle(0)
-        assignment = partition_rows(data, [0.6, 0.4])[0]
-        rt = WorkerRuntime(0, Processor(XEON_6242), assignment, data, seed=0)
-        model = MFModel.init_for(data, 8, seed=0)
-        return rt, model, data
-
-    def test_blocks_partition_shard(self, setup):
-        rt, _, data = setup
-        edges = np.linspace(0, data.n, 4).astype(np.int64)
-        rt.prepare_column_blocks(edges)
-        total = sum(len(ix) for ix in rt._block_entries)
-        assert total == rt.nnz
-
-    def test_step_only_touches_owned_columns(self, setup):
-        rt, model, data = setup
-        edges = np.linspace(0, data.n, 4).astype(np.int64)
-        rt.prepare_column_blocks(edges)
-        q_before = model.Q.copy()
-        rt.run_rotation_step(model, 1, lr=0.01, reg=0.01)
-        changed = np.flatnonzero(np.any(model.Q != q_before, axis=0))
-        assert np.all(changed >= edges[1])
-        assert np.all(changed < edges[2])
-
-    def test_step_requires_preparation(self, setup):
-        rt, model, _ = setup
-        with pytest.raises(RuntimeError, match="prepare_column_blocks"):
-            rt.run_rotation_step(model, 0, 0.01, 0.01)
-
-    def test_bad_edges(self, setup):
-        rt, _, _ = setup
-        with pytest.raises(ValueError):
-            rt.prepare_column_blocks(np.array([5, 10]))
-
-
 class TestFrameworkRotation:
-    def test_converges_like_q_only(self):
-        data = NETFLIX.scaled(15_000).generate(seed=3)
-        results = {}
-        for mode in (TransmitMode.Q_ONLY, TransmitMode.Q_ROTATE):
-            cfg = HCCConfig(
-                k=8, epochs=6, learning_rate=0.01, seed=3,
-                comm=CommConfig(transmit=mode),
-            )
-            res = HCCMF(paper_workstation(16), NETFLIX, cfg, ratings=data).train()
-            results[mode] = res.rmse_history
-        for mode, history in results.items():
-            assert history[-1] < history[0], mode
-        assert results[TransmitMode.Q_ROTATE][-1] == pytest.approx(
-            results[TransmitMode.Q_ONLY][-1], abs=0.1
-        )
+    def test_numeric_rotation_is_refused(self):
+        """Q_ROTATE is priced, not trained: ratings= with it is an error."""
+        data = NETFLIX.scaled(2_000).generate(seed=3)
+        cfg = HCCConfig(k=8, comm=CommConfig(transmit=TransmitMode.Q_ROTATE))
+        with pytest.raises(ValueError, match="timing plane"):
+            HCCMF(paper_workstation(16), NETFLIX, cfg, ratings=data)
 
     def test_rotation_faster_on_movielens(self):
         times = {}

@@ -1,0 +1,180 @@
+"""One epoch over one wire: what the two planes must do the same way.
+
+Both backends drive one ``ParameterServer`` and one ``worker_epoch``
+(docs/engine.md), so a payload is validated, dropped or corrupted by
+the same statements on either plane.  The sim plane's numerics are
+pinned to values recorded at the parent commit, where it still ran its
+own buffers, worker loop and fault simulator.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from repro.core.config import PartitionStrategy
+from repro.core.cost_model import TimeCostModel
+from repro.core.partition import PartitionPlan
+from repro.data.datasets import NETFLIX
+from repro.data.synthetic import SyntheticConfig, generate_low_rank
+from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
+from repro.engine.channels import (
+    DoubleBufferChannel,
+    Fp16Channel,
+    QOnlyChannel,
+    QRotateChannel,
+)
+from repro.engine.pipeline import STAGES, AdditiveDeltaSync, EpochEngine
+from repro.experiments.platforms import workers_platform
+from repro.hardware.topology import paper_workstation
+from repro.resilience import FaultPlan
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32)
+
+
+class TestSimNumericsPinned:
+    """Recorded at the parent commit (buffer classes, ``run_epoch`` loop)."""
+
+    HISTORY = {
+        "q-only": [
+            "0x1.48665c464fca2p+0", "0x1.2286b5794af9ap+0",
+            "0x1.09e07bce645acp+0", "0x1.f5505ad9b6910p-1",
+            "0x1.de9a255995056p-1",
+        ],
+        "fp16": [
+            "0x1.4865f9dc82ca1p+0", "0x1.2285d244272fbp+0",
+            "0x1.09e03a6738d0dp+0", "0x1.f550d84f99591p-1",
+            "0x1.de9b441a463f6p-1",
+        ],
+    }
+    # rotating pull wires change where the bits lie, not the bits
+    HISTORY["double-buffer"] = HISTORY["q-only"]
+    CHANNELS = {
+        "q-only": QOnlyChannel(),
+        "fp16": Fp16Channel(QOnlyChannel()),
+        "double-buffer": DoubleBufferChannel(QOnlyChannel()),
+    }
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        """A DP2 plan over the paper workstation's four unequal workers."""
+        data = generate_low_rank(
+            SyntheticConfig(m=300, n=120, nnz=6000, rank=4), seed=7
+        ).shuffle(3)
+        platform = paper_workstation()
+        cost_model = TimeCostModel(platform, NETFLIX, k=8)
+        plan = cost_model.derive_partition(PartitionStrategy.DP2)
+        assert len(set(plan.fractions)) == 4
+
+        def engine(channel, **kw):
+            backend = SimBackend(
+                platform, ratings=data, k=8, lr=0.01, reg=0.01, batch_size=512,
+                seed=3, cost_model=cost_model,
+            )
+            return EpochEngine(backend, channel=channel, partitions=plan, **kw)
+
+        return engine
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_rmse_history_bit_identical(self, setup, name):
+        result = setup(self.CHANNELS[name]).run(5)
+        assert [float(r).hex() for r in result.rmse_history] == self.HISTORY[name]
+        assert result.sim_seconds.hex() == "0x1.b5b1b1c2ebf36p-7"
+
+    def test_checkpoint_resume_continues_the_pinned_history(self, setup, tmp_path):
+        path = tmp_path / "ckpt"
+        setup(QOnlyChannel(), checkpoint_every=2, checkpoint_path=path).run(2)
+        result = setup(QOnlyChannel(), resume_from=path).run(5)
+        assert [float(r).hex() for r in result.rmse_history] == self.HISTORY["q-only"]
+
+
+def open_sim(n_workers, data, channel=None, **kw):
+    backend = SimBackend(
+        workers_platform(n_workers), ratings=data, k=8, lr=0.01, seed=0, **kw
+    )
+    even = PartitionPlan("even", (1.0 / n_workers,) * n_workers)
+    backend.open(even, channel or QOnlyChannel(), AdditiveDeltaSync(), None, 3)
+    return backend
+
+
+def run_stages(backend, epoch, stages=STAGES):
+    for stage in stages:
+        getattr(backend, stage)(epoch)
+
+
+@pytest.fixture(scope="module")
+def data():
+    return NETFLIX.scaled(4000).generate(seed=4)
+
+
+class TestBadNumbers:
+    """A push that is not finite is refused where it arrives, on both planes."""
+
+    @pytest.mark.parametrize("plane", ["sim", "process"])
+    def test_diverging_run_raises_instead_of_returning_nan(self, data, plane):
+        if plane == "sim":
+            backend = SimBackend(
+                workers_platform(2), ratings=data.shuffle(0), k=8, lr=50.0, seed=0
+            )
+        else:
+            backend = ProcessBackend(
+                data, k=8, n_workers=2, lr=50.0, seed=0, barrier_timeout_s=60.0
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow itself
+            with pytest.raises(WirePayloadError, match="not merged"):
+                EpochEngine(backend, channel=QOnlyChannel()).run(6)
+        assert np.isfinite(backend.model.Q).all()
+
+    def test_sim_scans_every_push_once_per_epoch(self, data):
+        class Counting(QOnlyChannel):
+            calls = 0
+
+            def payload_ok(self, received):
+                self.calls += 1
+                return super().payload_ok(received)
+
+        channel = Counting()
+        backend = open_sim(3, data, channel)
+        for epoch in range(2):
+            run_stages(backend, epoch)
+            assert channel.calls == 3 * (epoch + 1)
+
+    def test_corrupt_push_is_named_by_the_wire_that_holds_it(self, data):
+        backend = open_sim(
+            3, data, fault_plan=FaultPlan().corrupt_payload(1, epoch=1)
+        )
+        run_stages(backend, 0)
+        p_before = backend.model.P.copy()
+        q_before = backend.model.Q.copy()
+        run_stages(backend, 1, ("pull", "compute", "push"))
+        nan_wires = [bool(np.isnan(w).all()) for w in backend.server.push_wires]
+        assert nan_wires == [False, True, False]
+        with pytest.raises(WirePayloadError) as ei:
+            backend.sync(1)
+        assert ei.value.rank == 1
+        # worker 0's payload was fine and must not have been merged; P,
+        # trained in place, is rolled back to the last synced epoch
+        np.testing.assert_array_equal(bits(backend.model.Q), bits(q_before))
+        np.testing.assert_array_equal(bits(backend.model.P), bits(p_before))
+
+    def test_sim_refuses_a_q_rotate_channel_like_the_process_plane(self, data):
+        with pytest.raises(ValueError, match="timing plane"):
+            open_sim(2, data, QRotateChannel())
+
+
+class TestDropOnTheWire:
+    def test_dropped_push_carries_the_pull_wire_and_merges_nothing(self, data):
+        dropped = open_sim(2, data, fault_plan=FaultPlan().drop_payload(1, epoch=1))
+        clean = open_sim(2, data)
+        for backend in (dropped, clean):
+            run_stages(backend, 0)
+            run_stages(backend, 1, ("pull", "compute", "push"))
+        server = dropped.server
+        np.testing.assert_array_equal(bits(server.push_wires[1]), bits(server.pull_wire))
+        assert not np.array_equal(server.push_wires[0], server.pull_wire)
+        dropped.sync(1)
+        clean.server.sync(0)            # the same epoch without worker 1's delta
+        np.testing.assert_array_equal(dropped.model.Q, clean.model.Q)

@@ -1,22 +1,25 @@
 """End-to-end integration of the extension features."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import HCCConfig, HCCMF, NETFLIX, paper_workstation
-from repro.core.autotune import tuned_config
+from repro.core.autotune import autotune, tuned_config
 from repro.data.datasets import MOVIELENS_20M
 
 
 class TestAutotunedTraining:
     def test_autotuned_config_trains_numerically(self):
-        """The auto-tuner's winner must plug straight into HCCMF and
-        converge (Q-rotate's numeric path included)."""
+        """The auto-tuner's trainable winner must plug straight into
+        HCCMF and converge (Q-rotate is priced, not trained)."""
         data = MOVIELENS_20M.scaled(12_000).generate(seed=3)
-        cfg = tuned_config(
-            paper_workstation(16), MOVIELENS_20M, epochs=5,
-            k=8, learning_rate=0.02, seed=3,
+        report = autotune(
+            paper_workstation(16), MOVIELENS_20M, k=8, epochs=5,
+            include_rotation=False,
         )
+        cfg = replace(report.best.config, learning_rate=0.02, seed=3)
         res = HCCMF(paper_workstation(16), MOVIELENS_20M, cfg, ratings=data).train()
         assert res.rmse_history[-1] < res.rmse_history[0]
 

@@ -312,9 +312,10 @@ class TestParameterServer:
         def epoch():
             server.begin_epoch()
             for wid, q_local in enumerate(locals_):
-                server.pull(worker=wid, out=q_local)
+                channel.decode(server.pull_wire, out=q_local)
                 q_local += np.float32(0.01)
                 server.push(wid, q_local)
+            assert server.first_bad_push() is None
             for wid in range(2):
                 server.sync(wid, 1.0)
 
