@@ -56,7 +56,7 @@ def main() -> None:
         config={"lr": best["lr"], "reg": best["reg"], "seed": 11,
                 "batch_size": 4096},
     )
-    save_checkpoint(ckpt, workdir / "model")
+    save_checkpoint(ckpt, workdir / "model")     # one file: model.ckpt
     resumed = resume_hogwild(load_checkpoint(workdir / "model"), data, extra_epochs=4)
     print(f"resumed +4 epochs: {ckpt.rmse_history[-1]:.4f} -> "
           f"{resumed.rmse_history[-1]:.4f} (epoch {resumed.epoch})")

@@ -9,7 +9,12 @@ Merging uses a weighted delta update:
 
     Q_global += w_i * (Q_i_local - Q_epoch_base)
 
-where ``Q_epoch_base`` is the global Q snapshot the workers pulled.
+where ``Q_epoch_base`` is the global Q snapshot the workers pulled —
+the epoch's pull wire itself, read where it lies.  The wire stays
+intact until the next ``begin_epoch`` that rotates onto it and widens to
+FP32 exactly, so the server keeps no decoded copy of it, and because
+the base is what the workers started from, quantization included,
+wire-format error on the pull side cancels out of every delta.
 This is the multiply-add merge the cost model charges three memory
 operations for (Eq. 3) and it resolves the write-after-write races
 row-grid partitioning cannot avoid on Q.  HCC-MF uses ``w_i = 1``:
@@ -58,13 +63,14 @@ def merge_delta(
 ) -> None:
     """``Q += weight * (wire - q_base)`` in place, one scratch block at a time.
 
-    ``wire`` is a worker's push buffer as it crossed — FP32 or binary16.
-    Widening binary16 is exact, and the subtraction does it while it
-    reads, so decode and subtract are one pass into ``scratch`` and the
-    add is the second: the three memory operations plus multiply-add
-    per value that Eq. 3 charges, with no array beyond ``scratch``
-    (1-D FP32; its length is the block size).  Validate the payload
-    *before* calling: a merge is not undone.
+    ``wire`` is a worker's push buffer and ``q_base`` the epoch's pull
+    wire, both as they crossed — FP32 or binary16.  Widening binary16 is
+    exact, and the subtraction does it while it reads, so decode and
+    subtract are one pass into ``scratch`` and the add is the second:
+    the three memory operations plus multiply-add per value that Eq. 3
+    charges, with no array beyond ``scratch`` (1-D FP32; its length is
+    the block size).  Validate the payload *before* calling: a merge is
+    not undone.
     """
     if not Q.flags.c_contiguous:
         raise ValueError("Q must be C-contiguous to be merged in place")
@@ -73,7 +79,9 @@ def merge_delta(
     for lo in range(0, q_flat.size, len(scratch)):
         hi = min(lo + len(scratch), q_flat.size)
         delta = scratch[: hi - lo]
-        np.subtract(wire_flat[lo:hi], base_flat[lo:hi], out=delta)
+        # dtype= names the loop: two binary16 operands would otherwise
+        # be subtracted in half precision and the delta rounded
+        np.subtract(wire_flat[lo:hi], base_flat[lo:hi], out=delta, dtype=np.float32)
         if weight != 1.0:
             np.multiply(delta, w, out=delta)
         np.add(q_flat[lo:hi], delta, out=q_flat[lo:hi])
@@ -110,24 +118,20 @@ class ParameterServer:
                 [np.zeros(shape, dtype) for _ in range(n_workers)],
             )
         self.pull_wires, self.push_wires = wires
-        # allocated once: the epoch base and the merge's block buffer
-        # are rewritten in place every epoch
-        self._q_base = np.empty(model.Q.shape, dtype=np.float32)
         self._merge_scratch = merge_scratch()
         self.epochs_started = 0
 
     # ------------------------------------------------------------------
     def begin_epoch(self) -> None:
-        """Encode Q into this epoch's pull wire (one copy), decode the base.
+        """Encode Q into this epoch's pull wire: the one copy, and the merge base.
 
-        The merge base is decoded *off the wire* — the exact (possibly
-        quantized) matrix workers will pull — so wire-format error on
-        the pull side cancels out of the delta merge.
+        The wire is the exact (possibly quantized) matrix the workers
+        pull, and :meth:`sync` measures every delta against it as it
+        lies, so wire-format error on the pull side cancels out of the
+        merge without a decoded second copy.
         """
         self.epochs_started += 1
-        wire = self.pull_wire
-        self.channel.encode(self.model.Q, wire)
-        self.channel.decode(wire, out=self._q_base)
+        self.channel.encode(self.model.Q, self.pull_wire)
 
     def _require_epoch(self) -> None:
         if not self.epochs_started:
@@ -135,16 +139,11 @@ class ParameterServer:
 
     @property
     def pull_wire(self) -> np.ndarray:
-        """The wire this epoch's workers decode: epoch ``e`` uses wire
-        ``e % depth``, the rotation a worker process follows on its own."""
+        """The wire this epoch's workers decode and its deltas are measured
+        against: epoch ``e`` uses wire ``e % depth``, the rotation a worker
+        process follows on its own."""
         self._require_epoch()
         return self.pull_wires[(self.epochs_started - 1) % len(self.pull_wires)]
-
-    @property
-    def q_base(self) -> np.ndarray:
-        """The wire-accurate epoch base every delta is measured against."""
-        self._require_epoch()
-        return self._q_base
 
     def push(self, worker_id: int, q_local: np.ndarray) -> None:
         """Encode ``q_local`` into a worker's push wire (one copy).
@@ -182,6 +181,6 @@ class ParameterServer:
         if not (0 <= worker_id < self.n_workers):
             raise IndexError(f"worker_id {worker_id} out of range")
         merge_delta(
-            self.model.Q, self.push_wires[worker_id], self._q_base, weight,
+            self.model.Q, self.push_wires[worker_id], self.pull_wire, weight,
             self._merge_scratch,
         )

@@ -556,8 +556,8 @@ class SimBackend(_EpochBackend):
             telemetry.timeline = self._run_timeline
 
     def close(self) -> None:
-        # everything sized by the run goes with it — the server's wires
-        # and epoch base, the workers' local Qs and shards — so a
+        # everything sized by the run goes with it — the server's
+        # wires, the workers' local Qs and shards — so a
         # backend kept for its ``model`` (publish, serving) holds the
         # factors and nothing else
         self._locals = []
@@ -574,8 +574,8 @@ class ProcessBackend(_EpochBackend):
     The calling process acts as the server: per epoch it encodes Q onto
     the wire (pull stage), releases the start barrier, awaits the end
     barrier (push stage), and applies the sync policy's delta merge
-    against the wire-accurate epoch base — the exact matrix workers
-    decoded, so FP16 pull quantization cancels out of the deltas.
+    against the pull wire itself — the exact matrix workers decoded,
+    so FP16 pull quantization cancels out of the deltas.
     """
 
     name = "process"
@@ -883,9 +883,9 @@ class ProcessBackend(_EpochBackend):
         )
 
     def close(self) -> None:
-        # the server half holds views of the shared wires and the k x n
-        # epoch base; a backend kept for its model (publish, serving)
-        # must not keep them alive, nor past the segments' unmapping
+        # the server half holds views of the shared wires; a backend
+        # kept for its model (publish, serving) must not keep them
+        # alive, nor past the segments' unmapping
         self.server = None
         if self._stack is not None:
             # failure path (finalize never ran): the attempt's spans

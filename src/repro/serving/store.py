@@ -8,18 +8,22 @@ contract here is the read-side half of that design:
 * a reader always sees one **consistent** ``(P, Q, version)`` triple —
   an immutable :class:`ModelSnapshot` grabbed in a single reference
   read, never a P from one checkpoint paired with a Q from another;
-* a failed swap (missing path, torn/corrupt file, wrong format
-  version) **degrades to the last good snapshot** and increments the
-  ``serving_swap_failed`` counter — traffic keeps being answered from
-  the model that was already serving, and the failure is observable
-  instead of fatal;
+* a failed swap (missing path, torn/corrupt file, non-finite factor,
+  wrong format version) **degrades to the last good snapshot** and
+  increments the ``serving_swap_failed`` counter — traffic keeps being
+  answered from the model that was already serving, and the failure is
+  observable instead of fatal;
 * writers (swap calls) serialize on a lock; readers take no lock at
   all — publishing a snapshot is one reference assignment, which is
   atomic under the CPython memory model.
 
-Checkpoint bytes come from :mod:`repro.core.checkpoint` (the training
-plane's crash-atomic NPZ + JSON pair); factors are loaded read-only so
-no reader can tear a snapshot that other threads are scoring against.
+Checkpoint bytes come from :mod:`repro.core.checkpoint`: one
+crash-atomic, checksummed file per checkpoint, whose every array byte
+is CRC-checked and scanned for non-finite values on every load.  A
+snapshot's P and Q are views over a read-only mapping of that file, not
+copies of it, so no reader can tear a snapshot that other threads are
+scoring against, two snapshots of one file share its pages, and a
+replaced snapshot is unmapped when its last reader lets go of it.
 """
 
 from __future__ import annotations
@@ -49,9 +53,12 @@ class ModelSnapshot:
 
     ``version`` is assigned by the owning :class:`ModelStore` and
     increases by one per successful swap, so every response can name
-    exactly which model produced it.  The factor matrices are frozen
-    (``writeable=False``); :meth:`quantized` derives the FP16-wire view
-    lazily and caches it on the snapshot.
+    exactly which model produced it.  A snapshot published by the store
+    holds views over a read-only mapping of its checkpoint file, so its
+    lifetime is the mapping's: the file's pages stay reachable, whatever
+    is renamed over its path, until the last reference to the snapshot
+    (or to its P or Q) is dropped.  :meth:`quantized` derives the
+    FP16-wire factors lazily, as a private copy cached on the snapshot.
     """
 
     P: np.ndarray

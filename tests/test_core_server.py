@@ -34,7 +34,6 @@ class TestLifecycle:
         server.begin_epoch()
         pulled = server.channel.decode(server.pull_wire)
         np.testing.assert_array_equal(pulled, server.model.Q)
-        np.testing.assert_array_equal(server.q_base, server.model.Q)
 
     def test_epoch_counter(self, server):
         server.begin_epoch()
@@ -120,6 +119,17 @@ class TestSync:
         with pytest.raises(ValueError):
             ParameterServer(MFModel.init(2, 2, 2), n_workers=0, channel=Channel())
 
-    def test_q_base_guard(self, server):
-        with pytest.raises(RuntimeError):
-            server.q_base
+    def test_q_base_guard(self):
+        """The merge base is *this* epoch's pull wire, not the other one
+        of the rotation, which still holds the epoch before."""
+        model = MFModel.init(6, 8, 4, seed=0)
+        server = ParameterServer(model, 1, channel=DoubleBufferChannel())
+        with pytest.raises(RuntimeError, match="begin_epoch"):
+            server.pull_wire
+        server.begin_epoch()
+        model.Q += 1.0      # epoch 2 starts from another Q than wire 0 holds
+        server.begin_epoch()
+        base = model.Q.copy()
+        np.testing.assert_array_equal(server.pull_wire, base)
+        push_then_sync(server, 0, base + 0.5, weight=1.0)
+        np.testing.assert_array_equal(model.Q, base + 0.5)

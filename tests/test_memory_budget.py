@@ -1,9 +1,11 @@
 """Memory on the epoch path (docs/engine.md, "Memory on the epoch path").
 
 Every full-size pass of an epoch — evaluate, the wire codec, validate,
-merge — is blocked or writes into a buffer allocated once at ``open()``.
-Two kinds of test pin that: ``tracemalloc`` budgets (nothing O(nnz * k)
-or O(k * n) is allocated per epoch) and bit-identity against the
+merge — is blocked or writes into a buffer allocated once at ``open()``,
+and so is every pass over a checkpoint file: the factors are stored
+once on each side of each boundary.  Two kinds of test pin that:
+``tracemalloc`` budgets (nothing O(nnz * k) or O(k * n) is allocated per
+epoch, per save or per mapped load) and bit-identity against the
 full-array formulas the blocked code replaced, which stay here as the
 reference implementations.
 """
@@ -14,7 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.checkpoint as ckpt_mod
 import repro.mf.model as model_mod
+from repro.core.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.core.compression import FP16_MAX, compress_fp16
 from repro.core.partition import PartitionPlan
 from repro.core.server import ParameterServer, merge_delta, merge_scratch
@@ -269,6 +273,27 @@ class TestMergeDelta:
         merge_delta(Q, wire, q_base, weight, scratch)
         np.testing.assert_array_equal(bits(Q), bits(want))
 
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_binary16_base_merges_like_its_decoded_copy(self, weight):
+        """The pull wire is the base: with a binary16 push *and* a binary16
+        base the subtraction must still run in FP32, bit for bit what the
+        decoded FP32 base gave."""
+        rng = np.random.default_rng(13)
+        shape = (7, 1013)
+        # unrelated values: their differences do not fit binary16 (values
+        # within a factor of two subtract exactly, and would hide the trap)
+        push = rng.standard_normal(shape).astype(np.float16)
+        base = rng.standard_normal(shape).astype(np.float16)
+        Q = rng.standard_normal(shape).astype(np.float32)
+        want = reference_merge(Q, push, base.astype(np.float32), weight)
+
+        half = np.empty(shape, dtype=np.float32)
+        np.subtract(push, base, out=half)       # NumPy picks the binary16 loop
+        assert (bits(half) != bits(push.astype(np.float32) - base.astype(np.float32))).any()
+
+        merge_delta(Q, push, base, weight, merge_scratch())
+        np.testing.assert_array_equal(bits(Q), bits(want))
+
     def test_rejects_a_q_it_could_not_update_in_place(self):
         Q = np.zeros((4, 6), dtype=np.float32)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
@@ -323,6 +348,57 @@ class TestParameterServer:
         assert peak_bytes(epoch) < KN_BYTES // 8
 
 
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_server_keeps_no_copy_of_q_beside_its_wires(self, channel):
+        model = MFModel.init(50, N, K)
+        wires = tuple(
+            [np.zeros(model.Q.shape, dtype=channel.wire_dtype)] for _ in range(2)
+        )
+        q_local = model.Q + np.float32(0.01)
+
+        def serve_one_epoch():
+            server = ParameterServer(model, 1, channel=channel, wires=wires)
+            server.begin_epoch()
+            server.push(0, q_local)
+            server.sync(0)
+
+        # the merge's block buffer, and nothing shaped like Q
+        assert peak_bytes(serve_one_epoch) < KN_BYTES // 4
+
+
+class TestCheckpoint:
+    """A save or a mapped load of any model holds two blocks, not the model."""
+
+    BLOCKS = 2 * ckpt_mod._BLOCK * 4 + 64 * 1024    # two scratch blocks + the header
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model = MFModel(np.ones((8_192, 64), np.float32), np.ones((64, 117_000), np.float32))
+        assert model.feature_bytes >= 32_000_000
+        path = tmp_path_factory.mktemp("budget") / "big"
+        save_checkpoint(Checkpoint(model=model, epoch=1), path)
+        return model, path
+
+    def test_save_makes_one_blocked_pass(self, saved):
+        model, path = saved
+        ckpt = Checkpoint(model=model, epoch=2)
+        assert peak_bytes(lambda: save_checkpoint(ckpt, path)) < self.BLOCKS
+
+    def test_mapped_load_validates_through_a_block_buffer(self, saved):
+        model, path = saved
+        kept = []
+        peak = peak_bytes(lambda: kept.append(load_checkpoint(path, readonly=True)))
+        assert peak < self.BLOCKS
+        np.testing.assert_array_equal(bits(kept[0].model.Q), bits(model.Q))
+
+    def test_writable_load_is_one_private_copy(self, saved):
+        model, path = saved
+        kept = []
+        peak = peak_bytes(lambda: kept.append(load_checkpoint(path)))
+        assert model.feature_bytes <= peak < model.feature_bytes + self.BLOCKS
+        np.testing.assert_array_equal(bits(kept[0].model.P), bits(model.P))
+
+
 class TestProcessBackend:
     @pytest.fixture
     def ratings(self):
@@ -366,7 +442,7 @@ class TestProcessBackend:
         try:
             for stage in ("pull", "compute", "push", "sync"):
                 getattr(backend, stage)(0)
-            assert len(arrays_of_shape(backend, (K, N))) > 1     # base, wires, Q
+            assert len(arrays_of_shape(backend, (K, N))) > 1     # wires, Q
             backend.finalize(None)
         finally:
             backend.close()

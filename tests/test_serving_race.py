@@ -15,11 +15,13 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
 from repro.core.checkpoint import Checkpoint, save_checkpoint
 from repro.mf.model import MFModel
 from repro.serving.scorer import Scorer
 from repro.serving.store import ModelStore
+from tests.test_serving_topk import oracle_top_k
 
 M, N, K = 6, 8, 4
 #: tags chosen so every cross product k*a*b differs from every k*t**2
@@ -133,3 +135,71 @@ def test_swap_failure_mid_load_keeps_readers_consistent(tmp_path):
     assert problems == []
     assert store.swap_failures() == failures
     assert store.version == 31   # 1 initial + 30 good swaps
+
+
+def test_overwrite_under_a_live_snapshot(tmp_path):
+    """Saves to the path a reader's snapshot was mapped from do not reach it.
+
+    ``save_checkpoint`` renames a new file over the path, so the snapshot
+    a reader holds keeps the old inode — its factors stay bit-equal —
+    while the store swaps to each new model and answers from it.
+    """
+    rng = np.random.default_rng(7)
+    models = [
+        MFModel(
+            rng.normal(size=(M, K)).astype(np.float32),
+            rng.normal(size=(K, N)).astype(np.float32),
+        )
+        for _ in range(3)
+    ]
+    path = str(tmp_path / "a")
+    save_checkpoint(Checkpoint(model=models[0], epoch=0), path)
+    store = ModelStore(path)
+    scorer = Scorer(store)
+    held = store.snapshot()
+    held_bits = held.P.tobytes(), held.Q.tobytes()
+    by_version = {1: models[0]}
+    problems: list[str] = []
+    stop = threading.Event()
+
+    def reader() -> None:
+        users_rng = np.random.default_rng(1)
+        try:
+            while not stop.is_set():
+                if (held.P.tobytes(), held.Q.tobytes()) != held_bits:
+                    problems.append("the held snapshot's factors changed")
+                    return
+                users = users_rng.integers(0, M, size=3)
+                reply = scorer.top_k(users, 3)
+                model = by_version[reply.version]
+                for user, items, scores in zip(users, reply.items, reply.scores):
+                    want_items, want_scores = oracle_top_k(
+                        model.P, model.Q, user, 3, None, None
+                    )
+                    if not (np.array_equal(items, want_items)
+                            and np.allclose(scores, want_scores, rtol=1e-5)):
+                        problems.append(f"v{reply.version} reply is not v{reply.version}'s")
+                        return
+        except Exception as exc:  # noqa: BLE001 - reported at join
+            problems.append(f"reader raised {type(exc).__name__}: {exc}")
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    try:
+        for i in range(40):
+            model = models[1 + i % 2]
+            save_checkpoint(Checkpoint(model=model, epoch=i + 1), path)
+            by_version[store.version + 1] = model
+            assert store.swap(path).ok
+    finally:
+        stop.set()
+        thread.join(timeout=60.0)
+
+    assert not thread.is_alive()
+    assert problems == []
+    assert store.version == 41
+    assert held.version == 1
+    assert (held.P.tobytes(), held.Q.tobytes()) == held_bits
+    np.testing.assert_array_equal(held.P, models[0].P)
+    with pytest.raises(ValueError, match="read-only"):
+        held.P[0, 0] = 0.0

@@ -2,10 +2,11 @@
 
 The contract under test (docs/serving.md): a successful swap bumps the
 version by one and publishes an immutable snapshot; a failed swap —
-missing path, truncated/corrupt payload, format-version mismatch,
-metadata/factors disagreement — keeps the *most recent good* snapshot
-serving, classifies the failure on the ``serving_swap_failed`` counter,
-and never raises from ``swap()``.
+missing path, a file damaged anywhere (the ``DAMAGE`` table of
+``tests/test_core_checkpoint.py``), a non-finite factor, format-version
+mismatch, metadata/factors disagreement — keeps the *most recent good*
+snapshot serving, classifies the failure on the ``serving_swap_failed``
+counter, and never raises from ``swap()``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.checkpoint import (
 )
 from repro.mf.model import MFModel
 from repro.serving.store import ModelStore, ServingError
+from tests.test_core_checkpoint import DAMAGE, ckpt_file, reissue_header
 
 
 def write_ckpt(path, m=4, n=5, k=3, fill=None, epoch=1, seed=0):
@@ -110,43 +112,35 @@ class TestFailureModes:
         result = store.swap(str(tmp_path / "does-not-exist"))
         self.assert_degraded(store, result, "missing")
 
-    def test_missing_sidecar_is_incomplete(self, serving):
+    def test_stray_v1_pair_is_missing(self, serving):
+        """No reader for the old NPZ + JSON pair: it is simply not found."""
         store, tmp_path = serving
-        write_ckpt(tmp_path / "half")
-        (tmp_path / "half.json").unlink()
-        result = store.swap(str(tmp_path / "half"))
+        np.savez_compressed(tmp_path / "old.npz", P=np.ones((4, 3)), Q=np.ones((3, 5)))
+        (tmp_path / "old.json").write_text(json.dumps({"version": 1, "epoch": 1}))
+        result = store.swap(str(tmp_path / "old"))
         self.assert_degraded(store, result, "missing")
 
-    def test_truncated_npz(self, serving):
-        store, tmp_path = serving
-        write_ckpt(tmp_path / "torn")
-        npz = tmp_path / "torn.npz"
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
-        result = store.swap(str(tmp_path / "torn"))
-        self.assert_degraded(store, result, "corrupt")
-
-    def test_corrupt_sidecar_json(self, serving):
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_file_is_corrupt(self, serving, damage):
         store, tmp_path = serving
         write_ckpt(tmp_path / "bad")
-        (tmp_path / "bad.json").write_text("{not json")
+        DAMAGE[damage][0](ckpt_file(tmp_path / "bad"))
         result = store.swap(str(tmp_path / "bad"))
         self.assert_degraded(store, result, "corrupt")
 
     def test_version_mismatch(self, serving):
         store, tmp_path = serving
         write_ckpt(tmp_path / "old")
-        meta = json.loads((tmp_path / "old.json").read_text())
-        meta["version"] = 99
-        (tmp_path / "old.json").write_text(json.dumps(meta))
+        reissue_header(ckpt_file(tmp_path / "old"), version=99)
         result = store.swap(str(tmp_path / "old"))
         self.assert_degraded(store, result, "version-mismatch")
 
     def test_shape_mismatch_is_corrupt(self, serving):
         store, tmp_path = serving
         write_ckpt(tmp_path / "skew")
-        meta = json.loads((tmp_path / "skew.json").read_text())
-        meta["shape"]["m"] = 1234
-        (tmp_path / "skew.json").write_text(json.dumps(meta))
+        reissue_header(
+            ckpt_file(tmp_path / "skew"), edit=lambda meta: meta["shape"].update(m=1234)
+        )
         result = store.swap(str(tmp_path / "skew"))
         self.assert_degraded(store, result, "corrupt")
 
@@ -161,7 +155,7 @@ class TestFailureModes:
         store.swap(str(tmp_path / "gone"))
         store.swap(str(tmp_path / "gone"))
         write_ckpt(tmp_path / "bad")
-        (tmp_path / "bad.json").write_text("?")
+        DAMAGE["flip-in-Q"][0](ckpt_file(tmp_path / "bad"))
         store.swap(str(tmp_path / "bad"))
         assert failure_counts(store) == {"missing": 2.0, "corrupt": 1.0}
         assert store.swap_failures() == 3.0
@@ -196,9 +190,7 @@ class TestCheckpointMeta:
 
     def test_meta_version_error_carries_found_version(self, tmp_path):
         write_ckpt(tmp_path / "ck")
-        meta = json.loads((tmp_path / "ck.json").read_text())
-        meta["version"] = 42
-        (tmp_path / "ck.json").write_text(json.dumps(meta))
+        reissue_header(ckpt_file(tmp_path / "ck"), version=42)
         with pytest.raises(CheckpointVersionError) as exc_info:
             read_checkpoint_meta(tmp_path / "ck")
         assert exc_info.value.found == 42
