@@ -115,36 +115,13 @@ stage test "engine-parity" python -m repro engine-parity \
 stage test "fault-smoke" python -m repro fault-smoke \
     --nnz 4000 --epochs 4 --k 8 --workers 3 --barrier-timeout 5
 
-# 2e. bench-smoke: the pinned perf suite at smoke sizes must emit a
-# schema-valid document (write_bench validates before writing,
-# load_bench re-validates on read) and self-compare must pass clean
-# (docs/observability.md).  Writes BENCH_smoke.json, not the committed
-# full-suite BENCH_train.json baseline; CI uploads both.
-bench_smoke() {
-    python -m repro bench --quick --out BENCH_smoke.json \
-        && python -m repro bench --compare BENCH_smoke.json \
-            --against BENCH_smoke.json > /dev/null
-}
-stage test "bench-smoke" bench_smoke
-
-# 2e'. serve-smoke: the serving plane's load-generation suite at smoke
-# sizes must emit a schema-valid BENCH_serving document and self-compare
-# clean (docs/serving.md).  Writes BENCH_serving_smoke.json, not the
-# committed full-suite BENCH_serving.json baseline; CI uploads both.
-serve_smoke() {
-    python -m repro serve-bench --quick --out BENCH_serving_smoke.json \
-        && python -m repro serve-bench --compare BENCH_serving_smoke.json \
-            --against BENCH_serving_smoke.json > /dev/null
-}
-stage test "serve-smoke" serve_smoke
-
-# 2f. chaos-parity: a small seeded fault matrix through both planes —
+# 2e. chaos-parity: a small seeded fault matrix through both planes —
 # one scenario cross-plane, the rest sim-only invariants — plus a
 # randomized sim-only sweep (docs/resilience.md)
 stage test "chaos-parity" python -m repro chaos-parity \
     --seed 0 --process-scenarios 1 --sim-scenarios 8
 
-# 2g. perf-smoke: the repo benchmark (BENCHMARK.json, perf/README.md)
+# 2f. perf-smoke: the repo benchmark (BENCHMARK.json, perf/README.md)
 # at toy sizes — every workload, both passes, every metric emitted and
 # every check green — plus the benchmark's own tests, so a change that
 # breaks a front door the benchmark drives fails here, not in the
@@ -155,7 +132,7 @@ perf_smoke() {
 }
 stage test "perf-smoke" perf_smoke
 
-# 2h. memory-budget: the epoch path's tracemalloc budgets and the
+# 2g. memory-budget: the epoch path's tracemalloc budgets and the
 # bit-identity of the blocked residual, fused codec and merge_delta
 # against their full-array references (docs/engine.md, "Memory on the
 # epoch path").  A few seconds, so it also runs under --fast and a

@@ -80,10 +80,9 @@ TIMING_MODULES = frozenset(
         "repro/engine/worker_proc.py",
         "repro/core/server.py",
         "repro/core/worker.py",
-        # the perf-trajectory plane measures everything it reports; the
-        # prefix above already covers these, but they are named here so
-        # moving them out of repro/obs/ cannot silently drop the rule
-        "repro/obs/bench.py",
+        # the stage profiler times everything it reports; the prefix
+        # above already covers it, but it is named here so moving it
+        # out of repro/obs/ cannot silently drop the rule
         "repro/obs/profile.py",
     }
 )

@@ -8,7 +8,8 @@ Commands
     Describe the canonical platform configurations.
 ``train``
     Run one HCC-MF training (numeric + timing planes) and print the
-    convergence curve, partition, and utilization.
+    convergence curve, partition, and utilization; ``--executor
+    process --hotpaths FILE`` also writes a per-stage cProfile report.
 ``autotune``
     Search the strategy space (transmit x FP16 x streams) for a dataset
     and report the predicted-fastest stack plus advice.
@@ -25,20 +26,6 @@ Commands
     Summarize an instrumented run offline from its ``--trace`` /
     ``--metrics`` / ``--hotpaths`` artifacts (ASCII Gantt, phase
     totals, metric values, stage-attributed hotpath table).
-``bench``
-    Run perf suites from the extensible suite registry (pinned train
-    sections kernel/epoch/wire by default; registered extensions like
-    ``serving`` via ``--suites``), emit a schema-versioned
-    ``BENCH_train.json``, compare against an older document with
-    noise-aware regression verdicts (exit code 3 on regression), or
-    profile a run per engine stage (``--profile``).
-``serve-bench``
-    Run the serving plane's load-generation suite (batched top-k over a
-    checkpoint snapshot) and emit ``BENCH_serving.json`` with p50/p99
-    latency and QPS; optionally check a declared SLO (exit 1 on
-    violation) and ``--compare`` against an older serving document
-    (exit 3 on regression), using the same schema + compare machinery
-    as ``bench``.
 ``race-check``
     Prove the P-row ownership and one-copy buffer invariants with the
     dynamic race detector (DP0/DP1/DP2 plans, optional injected bug).
@@ -46,11 +33,15 @@ Commands
     Run the same tiny workload through the sim and process backends of
     the epoch engine and fail if their stage sequences or per-epoch
     update counts diverge (the planes-unified gate of scripts/check.sh).
+``fault-smoke``
+    Train twice on the process plane, once with a worker killed
+    mid-run, and fail unless recovery redistributes its shard and the
+    final RMSE stays within tolerance of the fault-free run.
 ``chaos-parity``
     Run the seeded fault matrix through both planes and hold them to
     the differential contract (identical recovery decisions and final
-    fractions, RMSE within tolerance, degraded-cost drift within
-    bound), plus a randomized sim-only invariant sweep.
+    fractions, RMSE within tolerance), plus a randomized sim-only
+    invariant sweep.
 """
 
 from __future__ import annotations
@@ -99,6 +90,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
         print(Q_ROTATE_IS_PRICED_NOT_TRAINED, file=sys.stderr)
         return 2
+    # what each of these reports exists only after a numeric run
+    # (--hotpaths: one on real worker processes)
+    numeric = not args.timing_only
+    needs = {"metrics": numeric, "drift": numeric,
+             "hotpaths": numeric and args.executor == "process"}
+    refused = [f"--{flag}" for flag, met in needs.items()
+               if getattr(args, flag) and not met]
+    if refused:
+        print(f"{', '.join(refused)}: needs the numeric plane (drop "
+              "--timing-only); --hotpaths also needs --executor process",
+              file=sys.stderr)
+        return 2
     if args.executor == "process":
         return _train_process(args)
     return _train_model(args)
@@ -129,7 +132,7 @@ def _train_model(args: argparse.Namespace) -> int:
     )
     hcc = HCCMF(overall_platform(), spec, config, ratings=ratings)
     telemetry = None
-    if (args.metrics or args.drift) and ratings is not None:
+    if args.metrics or args.drift:
         from repro.obs import Telemetry
 
         telemetry = Telemetry()
@@ -148,14 +151,10 @@ def _train_model(args: argparse.Namespace) -> int:
 
         n = export_chrome_trace(result.timeline, args.trace)
         print(f"wrote {n} trace events to {args.trace} (open in chrome://tracing)")
-    if telemetry is not None and args.metrics:
+    if args.metrics:
         n = telemetry.write_metrics_jsonl(args.metrics)
         print(f"wrote {n} metric lines to {args.metrics}")
     if args.drift:
-        if telemetry is None:
-            print("--drift needs the numeric plane (drop --timing-only)",
-                  file=sys.stderr)
-            return 2
         # the model executor's reference is its own analytic epoch cost;
         # measured wall-clock spans are joined against Eq. 1-5 output
         report = _model_drift(telemetry, result)
@@ -181,7 +180,7 @@ def _train_process(args: argparse.Namespace) -> int:
     from repro.core.config import CommConfig, TransmitMode
     from repro.data.datasets import get_dataset
     from repro.engine import EpochEngine, ProcessBackend, channel_for
-    from repro.obs import Telemetry
+    from repro.obs import StageProfiler, Telemetry
 
     if args.timing_only:
         print("--executor process always trains numerically "
@@ -221,9 +220,17 @@ def _train_process(args: argparse.Namespace) -> int:
     backend = ProcessBackend(
         ratings, k=args.k, n_workers=args.workers, lr=args.lr, seed=args.seed
     )
-    result = EpochEngine(
-        backend, channel=channel, partitions=partition, telemetry=telemetry
-    ).run(args.epochs)
+    profiler = StageProfiler() if args.hotpaths else None
+    try:
+        result = EpochEngine(
+            backend, channel=channel, partitions=partition,
+            telemetry=telemetry, profile=profiler,
+        ).run(args.epochs)
+        if profiler is not None:
+            profiler.report().save(args.hotpaths)
+    finally:
+        if profiler is not None:
+            profiler.cleanup()
     print(f"dataset: {spec.name}  executor: process x{args.workers}  "
           f"channel: {channel.describe()}")
     print("rmse:", " ".join(f"{r:.4f}" for r in result.rmse_history))
@@ -238,6 +245,8 @@ def _train_process(args: argparse.Namespace) -> int:
             print(f"wrote {n} metric lines to {args.metrics}")
         if args.drift:
             print(telemetry.drift_report().render())
+    if profiler is not None:
+        print(f"wrote {args.hotpaths}")
     return 0
 
 
@@ -303,100 +312,6 @@ def _cmd_engine_parity(args: argparse.Namespace) -> int:
     print(f"parity: {'OK' if ok else 'FAILED'} "
           f"(dataset {spec.name}, nnz {ratings.nnz}, k {args.k})")
     return 0 if ok else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """The pinned perf suite: run / compare / profile."""
-    from repro.obs.bench import (
-        EXIT_REGRESSION,
-        BenchConfig,
-        BenchValidationError,
-        available_suites,
-        compare_docs,
-        load_bench,
-        run_suite,
-        write_bench,
-    )
-
-    suites = tuple(s for s in args.suites.split(",") if s)
-    unknown = set(suites) - set(available_suites())
-    if unknown:
-        print(f"unknown suite(s) {sorted(unknown)}; "
-              f"available: {list(available_suites())}", file=sys.stderr)
-        return 2
-
-    if args.compare and args.against:
-        # pure file-vs-file compare: no suite run
-        try:
-            old = load_bench(args.compare)
-            new = load_bench(args.against)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load bench document: {exc}", file=sys.stderr)
-            return 2
-        report = compare_docs(old, new, threshold_pct=args.threshold)
-        print(report.render())
-        return 0 if report.ok else EXIT_REGRESSION
-
-    if args.profile:
-        return _bench_profile(args)
-
-    overrides = {}
-    if args.nnz is not None:
-        overrides["nnz"] = args.nnz
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    config = (
-        BenchConfig.quick_config(**overrides)
-        if args.quick
-        else BenchConfig(**overrides)
-    )
-    doc = run_suite(config, suites=suites, log=print)
-    try:
-        write_bench(doc, args.out)
-    except BenchValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(f"wrote {args.out} ({len(doc['metrics'])} metrics, "
-          f"git {doc['provenance']['git_sha'][:12]})")
-    if args.compare:
-        try:
-            old = load_bench(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load bench document: {exc}", file=sys.stderr)
-            return 2
-        report = compare_docs(old, doc, threshold_pct=args.threshold)
-        print(report.render())
-        return 0 if report.ok else EXIT_REGRESSION
-    return 0
-
-
-def _bench_profile(args: argparse.Namespace) -> int:
-    """One stage-profiled process-plane run + the hotpath report."""
-    from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
-    from repro.obs.bench import BenchConfig, kernel_workload
-    from repro.obs.profile import StageProfiler
-
-    config = BenchConfig.quick_config() if args.quick else BenchConfig()
-    if args.nnz is not None:
-        config = BenchConfig(**{**config.__dict__, "nnz": args.nnz})
-    ratings = kernel_workload(config.nnz, config.seed)
-    profiler = StageProfiler()
-    try:
-        backend = ProcessBackend(
-            ratings, k=config.k, n_workers=config.workers,
-            seed=config.seed, batch_size=config.batch_size,
-        )
-        EpochEngine(
-            backend, channel=QOnlyChannel(), profile=profiler
-        ).run(config.epochs)
-        report = profiler.report()
-    finally:
-        profiler.cleanup()
-    print(report.render(top_n=args.top))
-    if args.profile_out:
-        report.save(args.profile_out)
-        print(f"wrote {args.profile_out}")
-    return 0
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -741,93 +656,6 @@ def _cmd_chaos_parity(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """The serving perf suite: load-generate, SLO-check, compare."""
-    from repro.obs.bench import (
-        EXIT_REGRESSION,
-        BenchConfig,
-        BenchValidationError,
-        compare_docs,
-        load_bench,
-        write_bench,
-    )
-    from repro.serving.bench import ServingBenchConfig, run_serving_suite
-    from repro.serving.loadgen import SLO
-
-    if args.compare and args.against:
-        # pure file-vs-file compare: no suite run
-        try:
-            old = load_bench(args.compare)
-            new = load_bench(args.against)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load bench document: {exc}", file=sys.stderr)
-            return 2
-        report = compare_docs(old, new, threshold_pct=args.threshold)
-        print(report.render())
-        return 0 if report.ok else EXIT_REGRESSION
-
-    overrides = {}
-    if args.nnz is not None:
-        overrides["nnz"] = args.nnz
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    config = (
-        BenchConfig.quick_config(**overrides)
-        if args.quick
-        else BenchConfig(**overrides)
-    )
-    base = ServingBenchConfig.from_bench(config)
-    try:
-        serving = ServingBenchConfig(
-            requests=args.requests if args.requests is not None else base.requests,
-            batch_size=args.batch if args.batch is not None else base.batch_size,
-            topk=args.topk if args.topk is not None else base.topk,
-            mode=args.mode if args.mode is not None else base.mode,
-            concurrency=(
-                args.concurrency if args.concurrency is not None
-                else base.concurrency
-            ),
-            rate_qps=args.rate if args.rate is not None else base.rate_qps,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    slo = SLO(p50_ms=args.slo_p50_ms, p99_ms=args.slo_p99_ms,
-              min_qps=args.slo_min_qps)
-
-    doc = run_serving_suite(config, serving=serving, slo=slo, log=print)
-    try:
-        write_bench(doc, args.out)
-    except BenchValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(f"wrote {args.out} ({len(doc['metrics'])} metrics, "
-          f"git {doc['provenance']['git_sha'][:12]})")
-    for metric in doc["metrics"]:
-        print(f"  {metric['name']:28s} {metric['mean']:>12.4f} {metric['unit']}")
-
-    slo_failed = False
-    if "slo" in doc:
-        if doc["slo"]["ok"]:
-            print("SLO: all declared targets met")
-        else:
-            slo_failed = True
-            for violation in doc["slo"]["violations"]:
-                print(f"SLO VIOLATED: {violation}")
-
-    if args.compare:
-        try:
-            old = load_bench(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load bench document: {exc}", file=sys.stderr)
-            return 2
-        report = compare_docs(old, doc, threshold_pct=args.threshold)
-        print(report.render())
-        if not report.ok:
-            return EXIT_REGRESSION
-    return 1 if slo_failed else 0
-
-
 def _cmd_race_check(args: argparse.Namespace) -> int:
     from repro.analysis.race import race_check
 
@@ -892,6 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker process count for --executor process")
     train.add_argument("--drift", action="store_true",
                        help="print the cost-model drift report")
+    train.add_argument("--hotpaths", metavar="FILE",
+                       help="with --executor process: profile every engine "
+                            "stage (server and workers) with cProfile and "
+                            "write the report as JSON (obs-report --hotpaths)")
 
     an = sub.add_parser("analyze", help="profile a dataset's structure")
     an.add_argument("--dataset", default="Netflix", help="Table 3 name (synthetic)")
@@ -947,91 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--metrics", metavar="FILE",
                      help="metrics JSONL written by train --metrics")
     obs.add_argument("--hotpaths", metavar="FILE",
-                     help="hotpath JSON written by bench --profile-out")
+                     help="hotpath JSON written by train --hotpaths")
     obs.add_argument("--top", type=int, default=10,
                      help="hotpath entries to show (default: 10)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned perf suite / compare BENCH documents",
-    )
-    bench.add_argument("--out", default="BENCH_train.json", metavar="FILE",
-                       help="where to write the bench document "
-                            "(default: BENCH_train.json)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke sizes: tiny nnz, one repeat "
-                            "(numbers are not cross-PR comparable)")
-    bench.add_argument("--suites", default=",".join(
-                           ("kernel", "epoch", "wire")),
-                       help="comma-separated suite sections to run "
-                            "(default: kernel,epoch,wire; the registry is "
-                            "extensible — registered extensions such as "
-                            "'serving' also work here)")
-    bench.add_argument("--nnz", type=int, default=None,
-                       help="override the workload nnz")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="override the per-metric repeat count")
-    bench.add_argument("--compare", metavar="OLD",
-                       help="compare against an older bench document from "
-                            "any registered suite (train, serving, ...); "
-                            "exit 3 on a regression verdict")
-    bench.add_argument("--against", metavar="NEW",
-                       help="with --compare: diff OLD against NEW "
-                            "without running the suite")
-    bench.add_argument("--threshold", type=float, default=5.0,
-                       help="regression threshold in percent "
-                            "(default: 5.0; the noise margin may widen it)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run one stage-profiled process-plane "
-                            "training and print the hotpath report")
-    bench.add_argument("--profile-out", metavar="FILE",
-                       help="with --profile: also write the hotpath "
-                            "report as JSON (obs-report --hotpaths)")
-    bench.add_argument("--top", type=int, default=10,
-                       help="hotpath entries to show (default: 10)")
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="run the serving load-generation suite / compare "
-             "BENCH_serving documents",
-    )
-    serve.add_argument("--out", default="BENCH_serving.json", metavar="FILE",
-                       help="where to write the serving bench document "
-                            "(default: BENCH_serving.json)")
-    serve.add_argument("--quick", action="store_true",
-                       help="CI smoke sizes: tiny model, few requests "
-                            "(numbers are not cross-PR comparable)")
-    serve.add_argument("--nnz", type=int, default=None,
-                       help="override the fixture workload nnz")
-    serve.add_argument("--repeats", type=int, default=None,
-                       help="override the per-metric repeat count")
-    serve.add_argument("--requests", type=int, default=None,
-                       help="requests per load-generation run")
-    serve.add_argument("--batch", type=int, default=None,
-                       help="users per request batch")
-    serve.add_argument("--topk", type=int, default=None,
-                       help="items returned per user (default: 10)")
-    serve.add_argument("--mode", choices=["closed", "poisson"], default=None,
-                       help="arrival process (default: closed)")
-    serve.add_argument("--concurrency", type=int, default=None,
-                       help="closed-mode concurrent clients")
-    serve.add_argument("--rate", type=float, default=None,
-                       help="poisson-mode mean arrival rate in qps")
-    serve.add_argument("--slo-p50-ms", type=float, default=None,
-                       help="declared p50 latency target; exit 1 if exceeded")
-    serve.add_argument("--slo-p99-ms", type=float, default=None,
-                       help="declared p99 latency target; exit 1 if exceeded")
-    serve.add_argument("--slo-min-qps", type=float, default=None,
-                       help="declared throughput floor; exit 1 if missed")
-    serve.add_argument("--compare", metavar="OLD",
-                       help="compare against an older serving document; "
-                            "exit 3 on a regression verdict")
-    serve.add_argument("--against", metavar="NEW",
-                       help="with --compare: diff OLD against NEW "
-                            "without running the suite")
-    serve.add_argument("--threshold", type=float, default=5.0,
-                       help="regression threshold in percent "
-                            "(default: 5.0; the noise margin may widen it)")
 
     parity = sub.add_parser(
         "engine-parity",
@@ -1105,8 +855,6 @@ _COMMANDS = {
     "ablate": _cmd_ablate,
     "lint": _cmd_lint,
     "obs-report": _cmd_obs_report,
-    "bench": _cmd_bench,
-    "serve-bench": _cmd_serve_bench,
     "race-check": _cmd_race_check,
     "engine-parity": _cmd_engine_parity,
     "fault-smoke": _cmd_fault_smoke,

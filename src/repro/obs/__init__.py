@@ -12,9 +12,8 @@ PCM and Nsight Systems:
 * :mod:`repro.obs.exporters` — JSONL and Prometheus text renderers;
 * :mod:`repro.obs.drift` — measured phase times joined against the
   Eq. 1-5 cost model, as a per-run report;
-* :mod:`repro.obs.bench` — the pinned perf suite behind ``repro
-  bench``: schema-versioned ``BENCH_*.json`` documents
-  (:mod:`repro.obs.schema`) plus noise-aware regression compare;
+* :mod:`repro.obs.bench` — :func:`host_fingerprint`, the numpy/BLAS
+  build the benchmark (``python3 -m perf``) records with each run;
 * :mod:`repro.obs.profile` — stage-attributed cProfile hooks
   (``EpochEngine(profile=...)``) and the hotpath report.
 
@@ -49,26 +48,14 @@ __all__ = [
     "read_metrics_jsonl",
     "prometheus_text",
     "write_prometheus",
-    "BenchConfig",
-    "MetricResult",
-    "CompareReport",
-    "run_suite",
-    "write_bench",
-    "load_bench",
-    "compare_docs",
     "host_fingerprint",
-    "BENCH_SCHEMA_VERSION",
-    "validate_bench",
     "StageProfiler",
     "StageProfileReport",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.telemetry": ("Telemetry",),
-    "repro.obs.bench": (
-        "BenchConfig", "CompareReport", "MetricResult", "compare_docs",
-        "host_fingerprint", "load_bench", "run_suite", "write_bench",
-    ),
+    "repro.obs.bench": ("host_fingerprint",),
     "repro.obs.drift": (
         "DriftReport", "DriftRow", "HostRunInfo", "compare", "host_predictions",
         "predictions_from_epoch_cost",
@@ -81,7 +68,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sample",
     ),
     "repro.obs.profile": ("StageProfileReport", "StageProfiler"),
-    "repro.obs.schema": ("BENCH_SCHEMA_VERSION", "validate_bench"),
     "repro.obs.spans": (
         "SpanRecord", "SpanRecorder", "SpanRing", "SpanRingSpec",
         "assemble_timeline",

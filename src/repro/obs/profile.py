@@ -1,7 +1,7 @@
 """Stage-attributed profiling: *where* an engine stage spends its time.
 
-The bench suite (:mod:`repro.obs.bench`) says *what* is slow; this
-module says *where*.  A :class:`StageProfiler` passed as
+The benchmark (``python3 -m perf``) says *what* is slow; this module
+says *where*.  A :class:`StageProfiler` passed as
 ``EpochEngine(profile=...)`` wraps every pipeline stage dispatch
 (``pull``/``compute``/``push``/``sync`` plus ``evaluate``) in a
 per-stage :mod:`cProfile` run, and —

@@ -11,29 +11,12 @@ Training produces checkpoints; this package turns them into a service
 * :mod:`repro.serving.scorer` — :class:`Scorer` answers batched top-k
   queries by vectorized P·Qᵀ with exclude-seen masks, allow-list
   candidates, per-request k, deterministic tie-breaking, and an
-  optional FP16-precision path matching the wire codec's semantics;
-* :mod:`repro.serving.loadgen` — closed-loop / Poisson load generation
-  measuring p50/p99 latency and QPS against a declared :class:`SLO`;
-* :mod:`repro.serving.bench` — the ``repro serve-bench`` suite emitting
-  schema-validated ``BENCH_serving.json`` documents that compare (and
-  regress-gate) exactly like ``BENCH_train.json``.
+  optional FP16-precision path matching the wire codec's semantics.
 
-See docs/serving.md for the architecture and the SLO methodology.
+See docs/serving.md for the architecture; ``python3 -m perf`` measures
+it under load (``perf/serve.py``).
 """
 
-from repro.serving.bench import (
-    ServingBenchConfig,
-    run_serving_suite,
-    serving_metrics,
-    slo_block,
-)
-from repro.serving.loadgen import (
-    MODES,
-    SLO,
-    LoadGenConfig,
-    LoadReport,
-    run_loadgen,
-)
 from repro.serving.scorer import PRECISIONS, Scorer, SeenIndex, TopKResult
 from repro.serving.store import (
     SWAP_FAILURE_REASONS,
@@ -44,22 +27,13 @@ from repro.serving.store import (
 )
 
 __all__ = [
-    "MODES",
     "PRECISIONS",
-    "SLO",
     "SWAP_FAILURE_REASONS",
-    "LoadGenConfig",
-    "LoadReport",
     "ModelSnapshot",
     "ModelStore",
     "Scorer",
     "SeenIndex",
-    "ServingBenchConfig",
     "ServingError",
     "SwapResult",
     "TopKResult",
-    "run_loadgen",
-    "run_serving_suite",
-    "serving_metrics",
-    "slo_block",
 ]

@@ -212,6 +212,21 @@ class TestObservabilityCli:
         assert main(["train", "--timing-only", "--drift"]) == 2
         assert "drift" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--metrics", "--hotpaths"])
+    def test_train_timing_only_refuses_numeric_plane_files(
+        self, flag, capsys, tmp_path
+    ):
+        out = tmp_path / "out"
+        assert main(["train", "--timing-only", flag, str(out)]) == 2
+        assert f"{flag}: needs the numeric plane" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_hotpaths_needs_the_process_executor(self, capsys, tmp_path):
+        out = tmp_path / "hp.json"
+        assert main(["train", "--nnz", "2000", "--hotpaths", str(out)]) == 2
+        assert "--executor process" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_process_executor_rejects_timing_only(self, capsys):
         assert main(["train", "--executor", "process", "--timing-only"]) == 2
         assert capsys.readouterr().err
@@ -258,79 +273,20 @@ class TestObservabilityCli:
         assert main(["obs-report", "--trace", str(tmp_path / "no.json")]) == 2
         assert capsys.readouterr().err
 
-    def test_bench_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_train.json"
-        assert args.quick is False
-        assert args.threshold == pytest.approx(5.0)
-        assert args.suites == "kernel,epoch,wire"
-
-    def test_bench_quick_wire_suite_writes_valid_document(
-        self, capsys, tmp_path
-    ):
-        from repro.obs.schema import validate_bench
-
-        out = tmp_path / "BENCH_train.json"
-        assert main([
-            "bench", "--quick", "--suites", "wire", "--out", str(out),
-        ]) == 0
-        assert "wrote" in capsys.readouterr().out
-        assert validate_bench(json.loads(out.read_text())) == []
-
-    def test_bench_unknown_suite(self, capsys):
-        assert main(["bench", "--suites", "gpu"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
-
-    def test_bench_self_compare_passes(self, capsys, tmp_path):
-        out = tmp_path / "b.json"
-        assert main([
-            "bench", "--quick", "--suites", "wire", "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "bench", "--compare", str(out), "--against", str(out),
-        ]) == 0
-        assert "compare: OK" in capsys.readouterr().out
-
-    def test_bench_compare_detects_injected_regression(
-        self, capsys, tmp_path
-    ):
-        out = tmp_path / "b.json"
-        assert main([
-            "bench", "--quick", "--suites", "wire", "--out", str(out),
-        ]) == 0
-        doc = json.loads(out.read_text())
-        for metric in doc["metrics"]:
-            # halve every throughput: unambiguous regression
-            metric["repeats"] = [r / 2 for r in metric["repeats"]]
-            for key in ("mean", "stdev", "min", "max"):
-                metric[key] = metric[key] / 2
-        slowed = tmp_path / "slowed.json"
-        slowed.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main([
-            "bench", "--compare", str(out), "--against", str(slowed),
-        ]) == 3
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_bench_compare_missing_file(self, capsys, tmp_path):
-        assert main([
-            "bench", "--compare", str(tmp_path / "no.json"),
-            "--against", str(tmp_path / "no.json"),
-        ]) == 2
-        assert "cannot load" in capsys.readouterr().err
-
-    def test_bench_profile_and_hotpaths_report(self, capsys, tmp_path):
+    def test_train_hotpaths_and_report(self, capsys, tmp_path):
         hotpaths = tmp_path / "hp.json"
         assert main([
-            "bench", "--profile", "--quick", "--nnz", "2000",
-            "--profile-out", str(hotpaths), "--top", "5",
+            "train", "--executor", "process", "--nnz", "2000",
+            "--epochs", "2", "--k", "8", "--hotpaths", str(hotpaths),
+        ]) == 0
+        assert f"wrote {hotpaths}" in capsys.readouterr().out
+        assert main([
+            "obs-report", "--hotpaths", str(hotpaths), "--top", "5",
         ]) == 0
         out = capsys.readouterr().out
+        assert "hotpaths:" in out
         assert "attributed to engine stages" in out
         assert "compute" in out
-        assert main(["obs-report", "--hotpaths", str(hotpaths)]) == 0
-        assert "hotpaths:" in capsys.readouterr().out
 
     def test_obs_report_bad_hotpaths_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

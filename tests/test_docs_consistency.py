@@ -54,8 +54,18 @@ class TestReadme:
             assert path.name in readme_text, f"{path.name} missing from README"
 
     def test_cli_commands_listed(self, readme_text):
-        for cmd in ("datasets", "train", "autotune", "reproduce", "ablate"):
-            assert f"python -m repro {cmd}" in readme_text
+        import repro.cli
+
+        skill = (REPO / ".claude" / "skills" / "verify" / "SKILL.md").read_text()
+        for cmd in repro.cli._COMMANDS:
+            assert f"``{cmd}``\n" in repro.cli.__doc__, cmd
+            assert f"python -m repro {cmd}" in readme_text, cmd
+            assert f"`{cmd}`" in skill, cmd
+        # the repo benchmark is python3 -m perf, not a sub-command
+        for gone in ("bench", "serve-bench"):
+            with pytest.raises(SystemExit) as exc:
+                repro.cli.build_parser().parse_args([gone])
+            assert exc.value.code == 2
 
     def test_quickstart_names_exist(self):
         import repro

@@ -19,12 +19,6 @@ KNOWN_CYCLES = {
     # core/comm.py (CommPlan.for_dataset asks engine.channels for the
     # traffic): the next slice of ROADMAP item 2 moves both callers up
     frozenset({"core", "engine"}),
-    # obs/bench.py drives the engine it is imported by: ROADMAP item 1
-    # folds `repro bench` into perf/ and deletes the module
-    frozenset({"engine", "obs"}),
-    # obs/bench.py runs serving/bench.py's suite, which imports the
-    # bench document helpers back: ROADMAP item 1, same deletion
-    frozenset({"obs", "serving"}),
 }
 
 

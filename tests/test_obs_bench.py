@@ -1,311 +1,12 @@
-"""Unit tests for the pinned perf suite (repro.obs.bench + schema)."""
+"""What ``perf/child.py`` reads from :func:`repro.obs.bench.host_fingerprint`."""
 
-import json
+from __future__ import annotations
 
-import pytest
-
-from repro.obs.bench import (
-    EXIT_REGRESSION,
-    BenchConfig,
-    BenchValidationError,
-    MetricResult,
-    compare_docs,
-    host_fingerprint,
-    kernel_workload,
-    load_bench,
-    run_suite,
-    write_bench,
-)
-from repro.obs.schema import BENCH_SCHEMA_VERSION, validate_bench
+from repro.obs.bench import host_fingerprint
 
 
-def _metric(name="m", kind="throughput", repeats=(10.0, 12.0), **meta):
-    return MetricResult(
-        name=name, unit="u", kind=kind, repeats=tuple(repeats), meta=meta
-    ).to_dict()
-
-
-def _doc(metrics=None):
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "suite": "train",
-        "provenance": {
-            "git_sha": "abc123",
-            "timestamp_utc": "2026-08-09T00:00:00+00:00",
-            "quick": True,
-            "config": {},
-        },
-        "host": host_fingerprint(),
-        "metrics": metrics if metrics is not None else [_metric()],
-    }
-
-
-class TestSchema:
-    def test_valid_document_passes(self):
-        assert validate_bench(_doc()) == []
-
-    def test_missing_required_key(self):
-        doc = _doc()
-        del doc["host"]
-        problems = validate_bench(doc)
-        assert any("host" in p for p in problems)
-
-    def test_wrong_type_reported_with_path(self):
-        doc = _doc()
-        doc["provenance"]["git_sha"] = 42
-        problems = validate_bench(doc)
-        assert any("$.provenance.git_sha" in p for p in problems)
-
-    def test_bool_is_not_an_integer(self):
-        # python bool subclasses int; the schema must still reject it
-        doc = _doc()
-        doc["host"]["cpu_count"] = True
-        problems = validate_bench(doc)
-        assert any("cpu_count" in p for p in problems)
-
-    def test_unknown_metric_kind_rejected(self):
-        doc = _doc([_metric(kind="latency")])
-        problems = validate_bench(doc)
-        assert any("kind" in p for p in problems)
-
-    def test_future_schema_version_rejected(self):
-        doc = _doc()
-        doc["schema_version"] = BENCH_SCHEMA_VERSION + 1
-        problems = validate_bench(doc)
-        assert any("schema_version" in p for p in problems)
-
-    def test_duplicate_metric_names_rejected(self):
-        doc = _doc([_metric("same"), _metric("same")])
-        problems = validate_bench(doc)
-        assert any("duplicate" in p for p in problems)
-
-    def test_empty_repeats_rejected(self):
-        metric = _metric()
-        metric["repeats"] = []
-        problems = validate_bench(_doc([metric]))
-        assert any("repeats" in p for p in problems)
-
-    def test_inconsistent_mean_rejected(self):
-        metric = _metric(repeats=(10.0, 12.0))
-        metric["mean"] = 999.0
-        problems = validate_bench(_doc([metric]))
-        assert any("mean" in p for p in problems)
-
-    def test_inconsistent_min_rejected(self):
-        metric = _metric(repeats=(10.0, 12.0))
-        metric["min"] = 1.0
-        problems = validate_bench(_doc([metric]))
-        assert any("min" in p for p in problems)
-
-    def test_non_dict_document(self):
-        assert validate_bench([1, 2]) != []
-
-
-class TestMetricResult:
-    def test_stats_from_repeats(self):
-        m = MetricResult("m", "u", "time", (1.0, 2.0, 3.0), {})
-        d = m.to_dict()
-        assert d["mean"] == pytest.approx(2.0)
-        assert d["min"] == 1.0
-        assert d["max"] == 3.0
-        assert d["stdev"] == pytest.approx(1.0)
-
-    def test_single_repeat_has_zero_stdev(self):
-        assert MetricResult("m", "u", "time", (5.0,), {}).stdev == 0.0
-
-
-class TestBenchConfig:
-    def test_quick_config_is_flagged(self):
-        cfg = BenchConfig.quick_config()
-        assert cfg.quick is True
-        assert cfg.repeats == 1
-        assert cfg.nnz < BenchConfig().nnz
-
-    def test_quick_overrides(self):
-        assert BenchConfig.quick_config(nnz=123).nnz == 123
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            BenchConfig(nnz=0)
-        with pytest.raises(ValueError):
-            BenchConfig(repeats=-1)
-
-
-class TestRunSuite:
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown suites"):
-            run_suite(BenchConfig.quick_config(), suites=("nope",))
-
-    def test_wire_suite_document_is_schema_valid(self):
-        doc = run_suite(BenchConfig.quick_config(), suites=("wire",))
-        assert validate_bench(doc) == []
-        names = [m["name"] for m in doc["metrics"]]
-        # one metric per channel stack, FP16 and double-buffer included
-        assert any("q-only" in n for n in names)
-        assert any("fp16" in n for n in names)
-        assert any("double-buffer" in n for n in names)
-        assert all(m["kind"] == "throughput" for m in doc["metrics"])
-
-    def test_kernel_suite_covers_policies_and_variants(self):
-        doc = run_suite(BenchConfig.quick_config(), suites=("kernel",))
-        assert validate_bench(doc) == []
-        names = {m["name"] for m in doc["metrics"]}
-        assert "kernel/sgd[atomic]/updates_per_s" in names
-        assert "kernel/sgd[last_write]/updates_per_s" in names
-        for variant in ("fpsgd", "dsgd", "nomad"):
-            assert f"kernel/{variant}/updates_per_s" in names
-        assert all(m["mean"] > 0 for m in doc["metrics"])
-
-    def test_provenance_and_host_recorded(self):
-        doc = run_suite(BenchConfig.quick_config(), suites=("wire",))
-        assert doc["provenance"]["quick"] is True
-        assert doc["provenance"]["config"]["nnz"] == 2000
-        assert doc["host"]["cpu_count"] >= 1
-        assert doc["host"]["numpy"]
-
-    def test_log_callback_sees_each_suite(self):
-        seen = []
-        run_suite(BenchConfig.quick_config(), suites=("wire",),
-                  log=seen.append)
-        assert len(seen) == 1 and "wire" in seen[0]
-
-    def test_workload_is_pinned(self):
-        a = kernel_workload(2000, 0)
-        b = kernel_workload(2000, 0)
-        assert a.nnz == b.nnz
-        assert (a.vals == b.vals).all()
-
-
-class TestDocumentIO:
-    def test_write_load_round_trip(self, tmp_path):
-        doc = _doc()
-        path = tmp_path / "BENCH_train.json"
-        write_bench(doc, path)
-        assert load_bench(path) == doc
-
-    def test_write_rejects_invalid_document(self, tmp_path):
-        doc = _doc()
-        del doc["metrics"]
-        with pytest.raises(BenchValidationError):
-            write_bench(doc, tmp_path / "b.json")
-
-    def test_load_rejects_tampered_document(self, tmp_path):
-        doc = _doc()
-        path = tmp_path / "b.json"
-        write_bench(doc, path)
-        raw = json.loads(path.read_text())
-        raw["metrics"][0]["mean"] = 1e9
-        path.write_text(json.dumps(raw))
-        with pytest.raises(BenchValidationError):
-            load_bench(path)
-
-
-class TestCompare:
-    def _docs(self, old_mean, new_mean, kind="throughput", stdev=0.0):
-        def repeats(mean):
-            if stdev == 0.0:
-                return (mean,)
-            return (mean - stdev, mean + stdev)
-
-        old = _doc([_metric("m", kind=kind, repeats=repeats(old_mean))])
-        new = _doc([_metric("m", kind=kind, repeats=repeats(new_mean))])
-        return old, new
-
-    def test_self_compare_is_clean(self):
-        doc = _doc()
-        report = compare_docs(doc, doc)
-        assert report.ok
-        assert [r.verdict for r in report.rows] == ["ok"]
-
-    def test_throughput_drop_is_a_regression(self):
-        old, new = self._docs(100.0, 80.0)
-        report = compare_docs(old, new, threshold_pct=5.0)
-        assert not report.ok
-        assert report.regressions[0].name == "m"
-        assert report.regressions[0].delta_pct == pytest.approx(-20.0)
-
-    def test_time_increase_is_a_regression(self):
-        old, new = self._docs(1.0, 1.5, kind="time")
-        report = compare_docs(old, new, threshold_pct=5.0)
-        assert not report.ok
-
-    def test_time_decrease_is_an_improvement(self):
-        old, new = self._docs(1.0, 0.5, kind="time")
-        report = compare_docs(old, new, threshold_pct=5.0)
-        assert report.ok
-        assert report.rows[0].verdict == "improved"
-
-    def test_noise_margin_widens_threshold(self):
-        # a 20% drop inside a noisy metric's 2-sigma band must not fail
-        old, new = self._docs(100.0, 80.0, stdev=15.0)
-        report = compare_docs(old, new, threshold_pct=5.0)
-        assert report.ok
-        assert report.rows[0].margin_pct > 5.0
-
-    def test_small_delta_within_threshold_ok(self):
-        old, new = self._docs(100.0, 98.0)
-        assert compare_docs(old, new, threshold_pct=5.0).ok
-
-    def test_added_and_removed_metrics_never_fail(self):
-        old = _doc([_metric("gone"), _metric("kept")])
-        new = _doc([_metric("kept"), _metric("fresh")])
-        report = compare_docs(old, new)
-        verdicts = {r.name: r.verdict for r in report.rows}
-        assert verdicts == {"gone": "removed", "kept": "ok", "fresh": "added"}
-        assert report.ok
-
-    def test_host_change_noted_in_render(self):
-        old = _doc()
-        new = _doc()
-        new["host"] = dict(new["host"], cpu_count=old["host"]["cpu_count"] + 1)
-        report = compare_docs(old, new)
-        assert report.host_changed
-        assert "fingerprints differ" in report.render()
-
-    def test_negative_threshold_rejected(self):
-        doc = _doc()
-        with pytest.raises(ValueError):
-            compare_docs(doc, doc, threshold_pct=-1.0)
-
-    def test_exit_code_constant_is_distinct(self):
-        assert EXIT_REGRESSION not in (0, 1, 2)
-
-
-class TestEndToEnd:
-    """The acceptance path: full document across all three suites."""
-
-    def test_quick_suite_covers_all_planes(self, tmp_path, netflix_quick_doc):
-        doc = netflix_quick_doc
-        assert validate_bench(doc) == []
-        names = {m["name"] for m in doc["metrics"]}
-        assert "epoch/sim/seconds" in names
-        assert "epoch/process/seconds" in names
-        assert "epoch/process/updates_per_s" in names
-        assert any(n.startswith("kernel/") for n in names)
-        assert any(n.startswith("wire/") for n in names)
-        path = tmp_path / "BENCH_train.json"
-        write_bench(doc, path)
-        report = compare_docs(load_bench(path), doc)
-        assert report.ok
-
-    def test_injected_regression_detected(self, netflix_quick_doc):
-        doc = netflix_quick_doc
-        slowed = json.loads(json.dumps(doc))
-        for metric in slowed["metrics"]:
-            if metric["name"] == "epoch/process/seconds":
-                metric["repeats"] = [r * 2.0 for r in metric["repeats"]]
-                metric["mean"] *= 2.0
-                metric["stdev"] *= 2.0
-                metric["min"] *= 2.0
-                metric["max"] *= 2.0
-        report = compare_docs(doc, slowed, threshold_pct=5.0)
-        assert not report.ok
-        assert [r.name for r in report.regressions] == [
-            "epoch/process/seconds"
-        ]
-
-
-@pytest.fixture(scope="module")
-def netflix_quick_doc():
-    """One shared quick full-suite run (spawns worker processes)."""
-    return run_suite(BenchConfig.quick_config())
+def test_host_fingerprint_carries_the_numpy_build():
+    host = host_fingerprint()
+    assert set(host) == {"cpu_count", "python", "platform", "numpy", "blas"}
+    for key in ("numpy", "blas"):
+        assert isinstance(host[key], str) and host[key]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.obs.bench import kernel_workload
+from repro.data.datasets import NETFLIX
 from repro.obs.profile import (
     ENGINE_STAGES,
     HotpathEntry,
@@ -150,7 +150,7 @@ class TestEngineIntegration:
         from repro.engine import EpochEngine, QOnlyChannel, SimBackend
         from repro.experiments.platforms import workers_platform
 
-        ratings = kernel_workload(2000, 0)
+        ratings = NETFLIX.scaled(2000).generate(seed=0)
         prof = StageProfiler()
         backend = SimBackend(
             workers_platform(2), ratings=ratings, eval_data=ratings,
@@ -169,7 +169,7 @@ class TestEngineIntegration:
     def test_process_plane_attribution_with_worker_dumps(self):
         from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
 
-        ratings = kernel_workload(2000, 0)
+        ratings = NETFLIX.scaled(2000).generate(seed=0)
         prof = StageProfiler()
         try:
             backend = ProcessBackend(
@@ -199,7 +199,7 @@ class TestEngineIntegration:
         from repro.engine import EpochEngine, QOnlyChannel, SimBackend
         from repro.experiments.platforms import workers_platform
 
-        ratings = kernel_workload(2000, 0)
+        ratings = NETFLIX.scaled(2000).generate(seed=0)
 
         def run(profile):
             backend = SimBackend(
