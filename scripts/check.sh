@@ -106,14 +106,24 @@ stage test "obs-smoke" obs_smoke
 
 # 2c. engine-parity: the sim and process planes must execute the same
 # stage sequence with the same per-epoch update counts (docs/engine.md)
-stage test "engine-parity" python -m repro engine-parity \
-    --nnz 4000 --epochs 2 --k 8 --workers 2
+# — on the Netflix shape, where every shard rates every column, and on
+# the R1 shape, where each rates a fifth of them and its wire is that
+# column set (core.server.column_set)
+engine_parity() {
+    python -m repro engine-parity --nnz 4000 --epochs 2 --k 8 --workers 2 \
+        && python -m repro engine-parity --dataset R1 --nnz 4000 --epochs 2 --k 8 --workers 2
+}
+stage test "engine-parity" engine_parity
 
 # 2d. fault-smoke: kill a worker mid-run; recovery must redistribute its
 # shard and converge within tolerance of the fault-free baseline
-# (docs/resilience.md)
-stage test "fault-smoke" python -m repro fault-smoke \
-    --nnz 4000 --epochs 4 --k 8 --workers 3 --barrier-timeout 5
+# (docs/resilience.md) — again on both shapes: on R1 the re-open
+# derives the survivors' column sets from their new shards
+fault_smoke() {
+    python -m repro fault-smoke --nnz 4000 --epochs 4 --k 8 --workers 3 --barrier-timeout 5 \
+        && python -m repro fault-smoke --dataset R1 --nnz 4000 --epochs 4 --k 8 --workers 3 --barrier-timeout 5
+}
+stage test "fault-smoke" fault_smoke
 
 # 2e. chaos-parity: a small seeded fault matrix through both planes —
 # one scenario cross-plane, the rest sim-only invariants — plus a

@@ -40,7 +40,7 @@ from repro.data.grid import GridAssignment
 from repro.data.ratings import RatingMatrix
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.engine.channels import Channel
-from repro.engine.worker_proc import NullRecorder, worker_epoch
+from repro.engine.worker_proc import NullRecorder, local_view, worker_epoch
 from repro.hardware.timeline import Phase
 from repro.mf.kernels import ConflictPolicy
 from repro.mf.model import MFModel
@@ -80,7 +80,8 @@ class RaceViolation:
     """One detected invariant violation."""
 
     kind: str             # "p-row-overlap" | "double-copy" | "foreign-write"
-                          # | "range-overlap" | "duplicate-entries" | "row-overlap"
+                          # | "stale-read" | "range-overlap"
+                          # | "duplicate-entries" | "row-overlap"
     message: str
     first: Access | None = None
     second: Access | None = None
@@ -157,14 +158,35 @@ class RaceLog:
         return out
 
     def copy_discipline_violations(self) -> list[RaceViolation]:
-        """One pull deposit per epoch; one push deposit per worker per epoch."""
+        """One pull deposit per epoch; one push deposit per worker per
+        epoch, and no read of a push wire past what that deposit wrote."""
         out: list[RaceViolation] = []
         writes: dict[tuple[int, str], list[Access]] = {}
+        push_reads: list[Access] = []
         for e in self.events:
-            if e.op is not WRITE and e.op != WRITE:
+            if e.op != WRITE:
+                if e.target.startswith("push:"):
+                    push_reads.append(e)
                 continue
             if e.target == "pull" or e.target.startswith("push:"):
                 writes.setdefault((e.epoch, e.target), []).append(e)
+        for read in push_reads:
+            written = max(
+                (w.hi for w in writes.get((read.epoch, read.target), ())), default=0
+            )
+            if read.hi > written:
+                out.append(
+                    RaceViolation(
+                        kind="stale-read",
+                        message=(
+                            f"actor {read.actor} read {read.target} up to value "
+                            f"{read.hi} in epoch {read.epoch}, but its owner "
+                            f"deposited only the first {written}: both halves "
+                            "must derive one column set from the shard"
+                        ),
+                        first=read,
+                    )
+                )
         for (epoch, target), events in sorted(writes.items()):
             if len(events) > 1:
                 out.append(
@@ -268,14 +290,16 @@ def check_row_ownership(
 class _AccessRecorder:
     """What one worker's ``worker_epoch`` spans mean as logged accesses.
 
-    PULL reads the pull wire, PUSH writes the worker's own push wire,
-    and COMPUTE writes the P rows its shard actually holds (so an
-    overlapping assignment *is* an overlapping write).
+    PULL reads the pull wire, PUSH writes the first ``pushed`` values
+    of the worker's own push wire (its local Q's size), and COMPUTE
+    writes the P rows its shard actually holds (so an overlapping
+    assignment *is* an overlapping write).
     """
 
-    def __init__(self, log: RaceLog, worker: int, shard: RatingMatrix):
+    def __init__(self, log: RaceLog, worker: int, shard: RatingMatrix, pushed: int):
         self._log = log
         self._worker = worker
+        self._pushed = pushed
         self._p_rows = (
             (int(shard.rows.min()), int(shard.rows.max()) + 1)
             if shard.nnz else None
@@ -286,7 +310,9 @@ class _AccessRecorder:
         if phase is Phase.PULL:
             self._log.record(self._worker, READ, "pull")
         elif phase is Phase.PUSH:
-            self._log.record(self._worker, WRITE, f"push:{self._worker}")
+            self._log.record(
+                self._worker, WRITE, f"push:{self._worker}", 0, self._pushed
+            )
         elif phase is Phase.COMPUTE and self._p_rows is not None:
             self._log.record(self._worker, WRITE, "P", *self._p_rows)
         yield
@@ -346,32 +372,36 @@ def tracked_train(
         log = RaceLog(n)
     model = MFModel.init_for(ratings, k, seed=seed)
     channel = Channel()
-    server = ParameterServer(model, n, channel)
     workers = []
     for a in assignments:
         shard = a.extract(ratings).sort_by_row()
+        # wraps the shared P without copying: in-place row updates,
+        # exactly the backends' semantics
+        local = local_view(model.P, (shard.rows, shard.cols, shard.vals), ratings.n)
         workers.append((
             a.worker,
-            (shard.rows, shard.cols, shard.vals),
+            local,
             np.random.default_rng(seed + 101 * (a.worker + 1)),
-            # wraps the shared P without copying: in-place row updates,
-            # exactly the backends' semantics
-            MFModel(model.P, np.empty_like(model.Q)),
-            _AccessRecorder(log, a.worker, shard),
+            _AccessRecorder(log, a.worker, shard, local[0].Q.size),
         ))
+    server = ParameterServer(
+        model, n, channel, columns=[local[2] for _, local, _, _ in workers]
+    )
     idle = NullRecorder()
 
     history: list[float] = []
     for epoch in range(epochs):
         log.record(log.server_actor, WRITE, "pull")
         server.begin_epoch()
-        for wid, shard, rng, local, rec in workers:
+        for wid, local, rng, rec in workers:
             worker_epoch(
-                channel, local, shard, server.pull_wire, server.push_wires[wid],
+                channel, *local, server.pull_wire, server.push_wires[wid],
                 lr, reg, 4096, ConflictPolicy.ATOMIC, rng, (), epoch, epoch,
                 rec, idle,
             )
-            log.record(log.server_actor, READ, f"push:{wid}")
+            log.record(
+                log.server_actor, READ, f"push:{wid}", 0, server.pushed(wid).size
+            )
             server.sync(wid, 1.0)
         log.advance_epoch()
         history.append(model.rmse(ratings))

@@ -25,6 +25,12 @@ available for entry-level partitions whose shards overlap.
 
 With a row grid the P rows are worker-exclusive, so workers write them
 in place ("transmit Q only", Strategy 1): the server never merges P.
+The same argument holds column-wise.  A Q column that no rating in a
+worker's shard names comes back bit for bit as it went out — a delta of
+exactly zero — so each worker's wire is its :func:`column_set`: it
+decodes those columns only, trains a compact local Q and pushes them
+packed into the front of its push wire, and the server scans and merges
+that prefix (:func:`wire_view`) into the columns it stands for.
 
 :class:`ParameterServer` is that half written once: both backends of
 :mod:`repro.engine.backends` drive the same object, the sim plane over
@@ -45,6 +51,38 @@ from repro.mf.model import MFModel
 #: 256 KB each, so a merge of any k x n stays cache-resident
 _MERGE_BLOCK = 1 << 16
 
+#: a shard that rates more than this share of the columns uses its wire
+#: whole.  Per value a gathered decode costs about 2x and a scattered
+#: merge about 3x their streaming forms, while encode and scan cost the
+#: same, so selecting stops paying somewhere past half the columns
+#: (``benchmarks/bench_wire.py``; EXPERIMENTS.md, "Column sets")
+_SELECT_BELOW = 0.5
+
+
+def column_set(cols: np.ndarray, n: int) -> "np.ndarray | None":
+    """Sorted ids of the Q columns a shard's ``cols`` rate; ``None`` for "all".
+
+    The one rule both halves of an epoch apply to the same shard bytes:
+    the server to every shard slice it wrote, each worker to its own.
+    A column outside the set is never gathered or scattered by the
+    kernel, so leaving it off the wire changes no bit of the merge.
+    """
+    rated = np.flatnonzero(np.bincount(cols, minlength=n))
+    return None if rated.size > _SELECT_BELOW * n else rated
+
+
+def wire_view(wire: np.ndarray, cols: "np.ndarray | None") -> np.ndarray:
+    """The part of a push wire a worker with column set ``cols`` fills.
+
+    The ``k * t`` leading values, as a C-contiguous ``(k, t)`` array
+    whose column ``j`` stands for Q column ``cols[j]``; the whole wire
+    for "all".  The rest of the wire is never written, scanned or read.
+    """
+    if cols is None:
+        return wire
+    k = wire.shape[0]
+    return wire.reshape(-1)[: k * cols.size].reshape(k, cols.size)
+
 
 def merge_scratch() -> np.ndarray:
     """The block buffer :func:`merge_delta` computes deltas in.
@@ -60,6 +98,7 @@ def merge_delta(
     q_base: np.ndarray,
     weight: float,
     scratch: np.ndarray,
+    cols: "np.ndarray | None" = None,
 ) -> None:
     """``Q += weight * (wire - q_base)`` in place, one scratch block at a time.
 
@@ -71,11 +110,33 @@ def merge_delta(
     charges, with no array beyond ``scratch`` (1-D FP32; its length is
     the block size).  Validate the payload *before* calling: a merge is
     not undone.
+
+    With ``cols`` (a :func:`column_set`) ``wire`` is the ``(k, t)``
+    :func:`wire_view` of the push and only ``Q[:, cols]`` is touched:
+    row by row, the base's columns are gathered, subtracted from the
+    push in FP32 and added into the gathered Q values, which are then
+    scattered back — the same three FP32 operations per value, so the
+    selected columns get the bits the whole-wire merge gives them, and
+    the gathers are two rows of at most a block each.
     """
     if not Q.flags.c_contiguous:
         raise ValueError("Q must be C-contiguous to be merged in place")
-    q_flat, wire_flat, base_flat = Q.reshape(-1), wire.reshape(-1), q_base.reshape(-1)
     w = np.float32(weight)
+    if cols is not None:
+        for q_row, wire_row, base_row in zip(Q, wire, q_base):
+            for lo in range(0, cols.size, len(scratch)):
+                block = cols[lo : lo + len(scratch)]
+                delta = scratch[: block.size]
+                np.subtract(
+                    wire_row[lo : lo + block.size], base_row.take(block),
+                    out=delta, dtype=np.float32,
+                )
+                if weight != 1.0:
+                    np.multiply(delta, w, out=delta)
+                np.add(q_row.take(block), delta, out=delta)
+                q_row[block] = delta
+        return
+    q_flat, wire_flat, base_flat = Q.reshape(-1), wire.reshape(-1), q_base.reshape(-1)
     for lo in range(0, q_flat.size, len(scratch)):
         hi = min(lo + len(scratch), q_flat.size)
         delta = scratch[: hi - lo]
@@ -97,6 +158,11 @@ class ParameterServer:
     ``wires`` the server allocates private ones.  ``channel`` is a
     :mod:`repro.engine.channels` stack (duck-typed — core never imports
     ``repro.engine``) and owns the codec and the payload check.
+
+    ``columns`` holds each worker's :func:`column_set` (``None``, the
+    default for every worker, is "all"): what :meth:`pushed` — and so
+    the scan, the merge and the accounting — reads of its push wire.  A
+    private push wire is allocated at that size.
     """
 
     def __init__(
@@ -105,17 +171,24 @@ class ParameterServer:
         n_workers: int,
         channel,
         wires: "tuple[Sequence[np.ndarray], Sequence[np.ndarray]] | None" = None,
+        columns: "Sequence[np.ndarray | None] | None" = None,
     ):
         if n_workers <= 0:
             raise ValueError("need at least one worker")
         self.model = model
         self.n_workers = n_workers
         self.channel = channel
+        self.columns = list(columns) if columns is not None else [None] * n_workers
+        if len(self.columns) != n_workers:
+            raise ValueError("need one column set per worker")
         if wires is None:
-            shape, dtype = model.Q.shape, channel.wire_dtype
+            (k, n), dtype = model.Q.shape, channel.wire_dtype
             wires = (
-                [np.zeros(shape, dtype) for _ in range(max(1, channel.depth))],
-                [np.zeros(shape, dtype) for _ in range(n_workers)],
+                [np.zeros((k, n), dtype) for _ in range(max(1, channel.depth))],
+                [
+                    np.zeros((k, n if cols is None else cols.size), dtype)
+                    for cols in self.columns
+                ],
             )
         self.pull_wires, self.push_wires = wires
         self._merge_scratch = merge_scratch()
@@ -145,6 +218,13 @@ class ParameterServer:
         self._require_epoch()
         return self.pull_wires[(self.epochs_started - 1) % len(self.pull_wires)]
 
+    def pushed(self, worker_id: int) -> np.ndarray:
+        """What worker ``worker_id`` deposits: its push wire, or the
+        :func:`wire_view` of it that its column set fills."""
+        if not (0 <= worker_id < self.n_workers):
+            raise IndexError(f"worker_id {worker_id} out of range")
+        return wire_view(self.push_wires[worker_id], self.columns[worker_id])
+
     def push(self, worker_id: int, q_local: np.ndarray) -> None:
         """Encode ``q_local`` into a worker's push wire (one copy).
 
@@ -152,9 +232,7 @@ class ParameterServer:
         holds the wire itself encodes through ``worker_epoch``.
         """
         self._require_epoch()
-        if not (0 <= worker_id < self.n_workers):
-            raise IndexError(f"worker_id {worker_id} out of range")
-        wire = self.push_wires[worker_id]
+        wire = self.pushed(worker_id)
         if q_local.shape != wire.shape:
             raise ValueError(f"shape mismatch: {q_local.shape} vs {wire.shape}")
         self.channel.encode(q_local, wire)
@@ -168,8 +246,8 @@ class ParameterServer:
         model at the last cleanly-synced epoch — the state a retry
         restarts from.
         """
-        for worker_id, wire in enumerate(self.push_wires):
-            if not self.channel.payload_ok(wire):
+        for worker_id in range(self.n_workers):
+            if not self.channel.payload_ok(self.pushed(worker_id)):
                 return worker_id
         return None
 
@@ -178,9 +256,7 @@ class ParameterServer:
         self._require_epoch()
         if not (0.0 <= weight <= 1.0):
             raise ValueError("weight must be in [0, 1]")
-        if not (0 <= worker_id < self.n_workers):
-            raise IndexError(f"worker_id {worker_id} out of range")
         merge_delta(
-            self.model.Q, self.push_wires[worker_id], self.pull_wire, weight,
-            self._merge_scratch,
+            self.model.Q, self.pushed(worker_id), self.pull_wire, weight,
+            self._merge_scratch, self.columns[worker_id],
         )

@@ -35,14 +35,15 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.core.server import ParameterServer
+from repro.core.server import ParameterServer, column_set
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
-from repro.engine.channels import Channel
+from repro.engine.channels import Channel, all_finite
 from repro.engine.worker_proc import (
     HANDSHAKE_STAMP,
     NullRecorder,
     barrier_stamp,
+    local_view,
     worker_epoch,
     worker_main,
 )
@@ -124,23 +125,24 @@ class ServerSpans:
 
 
 class WirePayloadError(RuntimeError):
-    """A pushed payload failed validation; names the offending rank.
+    """What a worker handed back failed validation; names the offending rank.
 
     Raised *before* any merge of the epoch: the server validates every
-    worker's push first, so a garbage payload (a torn write from a
-    dying worker, an injected corruption) never leaves the global Q
-    half-merged.  The model still holds the last cleanly-synced epoch,
-    which is what makes a retry of the epoch sound.
+    worker's push — and the P rows each trained in place — first, so a
+    garbage payload (a torn write from a dying worker, an injected
+    corruption, a diverged worker) never leaves the global Q
+    half-merged or reaches the server's P.  The model still holds the
+    last cleanly-synced epoch, which is what makes a retry of the epoch
+    sound.
     """
 
-    def __init__(self, rank: int, epoch: int):
+    def __init__(self, rank: int, epoch: int, what: str = "pushed a corrupt payload"):
         self.rank = rank
         self.epoch = epoch
         self.missing_ranks = (rank,)
         super().__init__(
-            f"a worker process failed mid-epoch: worker-{rank} pushed a "
-            f"corrupt payload (non-finite values) for epoch {epoch}; the "
-            f"epoch was not merged"
+            f"a worker process failed mid-epoch: worker-{rank} {what} "
+            f"(non-finite values) for epoch {epoch}; the epoch was not merged"
         )
 
 
@@ -152,10 +154,11 @@ class _EpochBackend:
 
     A subclass opens the attempt (workers, wires, ``self.server``) and
     says what a rendezvous with its workers is (:meth:`_rendezvous`),
-    where a failed worker's exit code comes from (:meth:`_exitcodes`)
-    and what accepting or refusing an epoch's P updates means
-    (:meth:`_accept_epoch`, :meth:`_refuse_epoch`); everything else an
-    epoch does on the server is written here once.
+    where a failed worker's exit code comes from (:meth:`_exitcodes`),
+    where the P an epoch trained lies (:meth:`_trained_p`) and what
+    accepting or refusing its updates means (:meth:`_accept_epoch`,
+    :meth:`_refuse_epoch`); everything else an epoch does on the server
+    is written here once.
     """
 
     def __init__(
@@ -239,14 +242,19 @@ class _EpochBackend:
         return MFModel(warm.P.copy(), warm.Q.copy())
 
     # -- stages ----------------------------------------------------------
-    def _wire_detail(self, wire: np.ndarray) -> Mapping:
-        return {"wire_bytes": wire.nbytes * self.n_workers,
-                "per_worker_bytes": wire.nbytes}
+    def _pushed(self) -> list[np.ndarray]:
+        """Per worker, what crosses each way in an epoch: the ``k * t_i``
+        values of its column set, as they lie on its push wire."""
+        return [self.server.pushed(wid) for wid in range(self.n_workers)]
+
+    def _wire_detail(self) -> Mapping:
+        per_worker = tuple(pushed.nbytes for pushed in self._pushed())
+        return {"wire_bytes": sum(per_worker), "per_worker_bytes": per_worker}
 
     def pull(self, epoch: int) -> Mapping:
         self.server.begin_epoch()
         self._rendezvous("start", epoch)
-        return self._wire_detail(self.server.pull_wire)
+        return self._wire_detail()
 
     def compute(self, epoch: int) -> Mapping:
         # the SGD runs in the workers; the stage records their workloads
@@ -254,7 +262,7 @@ class _EpochBackend:
 
     def push(self, epoch: int) -> Mapping:
         self._rendezvous("end", epoch)
-        return self._wire_detail(self.server.push_wires[0])
+        return self._wire_detail()
 
     def sync(self, epoch: int) -> Mapping:
         with self._spans.span(Phase.SYNC, epoch):
@@ -265,6 +273,14 @@ class _EpochBackend:
             if bad is not None:
                 self._refuse_epoch()
                 raise WirePayloadError(bad, epoch)
+            # P never crosses a wire (Strategy 1): each worker's rows
+            # are scanned where it trained them, before the server
+            # takes them
+            trained = self._trained_p()
+            for wid, (lo, hi) in enumerate(self._p_rows):
+                if not all_finite(trained[lo:hi]):
+                    self._refuse_epoch()
+                    raise WirePayloadError(wid, epoch, "diverged in its P rows")
             self._accept_epoch(epoch)
             for wid in range(self.n_workers):
                 # additive delta merge: workers trained on disjoint
@@ -274,7 +290,7 @@ class _EpochBackend:
                     wid, self._sync_policy.weight(wid, self._fractions)
                 )
         return {"merges": self.n_workers,
-                "merged_values": int(self.model.Q.size) * self.n_workers}
+                "merged_values": sum(pushed.size for pushed in self._pushed())}
 
     def evaluate(self, epoch: int) -> float:
         with self._spans.span(Phase.EVAL, epoch):
@@ -322,12 +338,12 @@ class _EpochBackend:
     def _record_run(self, registry) -> None:
         """The final attempt's per-worker counters and span histograms.
 
-        Bytes are wire-accurate — the actual wire sizes, so FP16 stacks
-        report half the FP32 traffic.
+        Bytes are wire-accurate — what each worker's column set moves
+        at the wire itemsize, so FP16 stacks report half the FP32
+        traffic and a sparse shard its share of the columns.
         """
         timeline, epochs = self._run_timeline, self._epochs
-        pull_bytes = self.server.pull_wires[0].nbytes
-        push_bytes = self.server.push_wires[0].nbytes
+        wire_bytes = [pushed.nbytes for pushed in self._pushed()]
         updates = registry.counter("updates_total", "SGD updates applied")
         pulled = registry.counter("bytes_pulled_total", "bytes pulled per worker")
         pushed = registry.counter("bytes_pushed_total", "bytes pushed per worker")
@@ -341,8 +357,8 @@ class _EpochBackend:
         for wid, nnz in enumerate(self._shard_nnz):
             worker = f"worker-{wid}"
             updates.inc(nnz * epochs, worker=worker)
-            pulled.inc(pull_bytes * epochs, worker=worker)
-            pushed.inc(push_bytes * epochs, worker=worker)
+            pulled.inc(wire_bytes[wid] * epochs, worker=worker)
+            pushed.inc(wire_bytes[wid] * epochs, worker=worker)
             compute_s = timeline.phase_total(Phase.COMPUTE, worker)
             if compute_s > 0:
                 rate.set(nnz * epochs / compute_s, worker=worker)
@@ -438,7 +454,20 @@ class SimBackend(_EpochBackend):
             for rt in self.runtimes:
                 rt.rng.permutation(rt.nnz)
         self._shard_nnz = [rt.nnz for rt in self.runtimes]
-        self.server = ParameterServer(self.model, self.n_workers, channel)
+        self._p_rows = [(a.lo, a.hi) for a in assignments]
+        # per worker, allocated once: the shared P beside a local Q every
+        # pull decodes into, its shard numbered into that Q, and the
+        # column set both stand for (worker_proc.local_view)
+        self._locals = [
+            local_view(
+                self.model.P, (rt.data.rows, rt.data.cols, rt.data.vals), data.n
+            )
+            for rt in self.runtimes
+        ]
+        self.server = ParameterServer(
+            self.model, self.n_workers, channel,
+            columns=[cols for _, _, cols in self._locals],
+        )
         # degraded-epoch costing: after a redistribution the plan's
         # fractions cover only the surviving workers, so the epoch is
         # priced over that subset (Eq. 1-5 with renormalized x_i)
@@ -455,12 +484,7 @@ class SimBackend(_EpochBackend):
         self._p_snapshot: np.ndarray | None = None
         if self._attempt == 0:
             self.sim_seconds = 0.0
-        # per worker, allocated once: the shared P beside a local Q every
-        # pull decodes into, and the span scope of its timeline lane
-        self._locals = [
-            MFModel(self.model.P, np.empty(self.model.Q.shape, dtype=np.float32))
-            for _ in self.runtimes
-        ]
+        # the span scope of each worker's timeline lane
         self._recorders = [
             self._recorder(f"worker-{rt.worker_id}") for rt in self.runtimes
         ]
@@ -504,6 +528,9 @@ class SimBackend(_EpochBackend):
     def _exitcodes(self, missing) -> list:
         return [self._sim_exitcodes.get(r) for r in range(self.n_workers)]
 
+    def _trained_p(self) -> np.ndarray:
+        return self.model.P
+
     def _refuse_epoch(self) -> None:
         # the process server only copies P out of shared memory once an
         # epoch validates; the sim trains P in place and must undo it
@@ -532,11 +559,10 @@ class SimBackend(_EpochBackend):
         for rt, local, push_wire, rec in zip(
             self.runtimes, self._locals, self.server.push_wires, self._recorders
         ):
-            shard = rt.data
             worker_epoch(
-                self._channel, local, (shard.rows, shard.cols, shard.vals),
-                pull_wire, push_wire, self.lr, self.reg, rt.batch_size,
-                rt.policy, rt.rng, self.fault_plan.for_rank(rt.worker_id),
+                self._channel, *local, pull_wire, push_wire, self.lr, self.reg,
+                rt.batch_size, rt.policy, rt.rng,
+                self.fault_plan.for_rank(rt.worker_id),
                 epoch, global_epoch, rec, idle,
             )
         return super().compute(epoch)
@@ -738,6 +764,7 @@ class ProcessBackend(_EpochBackend):
             data = ratings.shuffle(self.seed)
             assignments = partition_rows(data, plan.fractions, GridKind.ROW)
             self._shard_nnz = [a.nnz for a in assignments]
+            self._p_rows = [(a.lo, a.hi) for a in assignments]
             self._offsets.array[1:] = np.cumsum(self._shard_nnz)
             for a, lo in zip(assignments, self._offsets.array):
                 # a.extract(data).sort_by_row(), written straight into
@@ -753,13 +780,20 @@ class ProcessBackend(_EpochBackend):
             self.model = self._initial_model(data)
             np.copyto(self._p_shared.array, self.model.P)
             # the server half runs over the shared segments themselves;
-            # close() drops it before the segments unmap
+            # close() drops it before the segments unmap.  Its column
+            # sets come from the shard slices just written — the bytes
+            # each worker derives its own from after the first barrier
+            offsets, shard_cols = self._offsets.array, self._shard_segs[1].array
             self.server = ParameterServer(
                 self.model, self.n_workers, channel,
                 wires=(
                     [buf.array for buf in self._pull_bufs],
                     [buf.array for buf in self._push_bufs],
                 ),
+                columns=[
+                    column_set(shard_cols[lo:hi], ratings.n)
+                    for lo, hi in zip(offsets, offsets[1:])
+                ],
             )
             self._wait_stamps(HANDSHAKE_STAMP, "bootstrap", 0, exits_count=False)
         except BaseException:
@@ -845,6 +879,9 @@ class ProcessBackend(_EpochBackend):
                 self._procs[rank].join(timeout=grace)
         return [proc.exitcode for proc in self._procs]
 
+    def _trained_p(self) -> np.ndarray:
+        return self._p_shared.array
+
     def _refuse_epoch(self) -> None:
         pass  # P was never copied out of shared memory
 
@@ -874,6 +911,7 @@ class ProcessBackend(_EpochBackend):
             HostRunInfo(
                 worker_names=worker_names,
                 shard_nnz=tuple(self._shard_nnz),
+                shard_columns=tuple(pushed.shape[1] for pushed in self._pushed()),
                 k=self.k,
                 m=self.data.m,
                 n=self.data.n,

@@ -41,8 +41,22 @@ import numpy as np
 from repro.core.compression import compress_fp16, decompress_fp16
 from repro.core.config import CommConfig, TransmitMode
 
-#: wire values per block of :meth:`Channel.payload_ok`'s finiteness scan
+#: values per block of :func:`all_finite`'s scan
 _BLOCK = 1 << 16
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """No NaN or inf in ``values``, scanned block by block.
+
+    The scan behind :meth:`Channel.payload_ok`, and what the backends
+    run over the P rows an epoch trained in place; the mask it builds
+    stays block-sized whatever it is handed.
+    """
+    flat = values.reshape(-1)
+    return all(
+        np.isfinite(flat[lo : lo + _BLOCK]).all()
+        for lo in range(0, flat.size, _BLOCK)
+    )
 
 
 @dataclass(frozen=True)
@@ -124,17 +138,12 @@ class Channel:
         The server validates *every* push before merging *any* of them
         (all-or-nothing epoch sync), so one garbage payload — a torn
         write from a dying worker, an injected corruption — can never
-        leave the global Q half-merged.  The base check is finiteness,
-        taken block by block so the mask it builds stays block-sized;
-        middlewares may narrow it further.
+        leave the global Q half-merged.  The base check is finiteness
+        (:func:`all_finite`); middlewares may narrow it further.
         """
         if self.inner is not None:
             return self.inner.payload_ok(received)
-        flat = received.reshape(-1)
-        return all(
-            np.isfinite(flat[lo : lo + _BLOCK]).all()
-            for lo in range(0, flat.size, _BLOCK)
-        )
+        return all_finite(received)
 
     # -- traffic accounting ---------------------------------------------
     def traffic(self, m: int, n: int, k: int) -> WireTraffic:

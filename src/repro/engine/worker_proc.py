@@ -15,6 +15,7 @@ from contextlib import ExitStack, nullcontext
 
 import numpy as np
 
+from repro.core.server import column_set, wire_view
 from repro.engine.channels import Channel
 from repro.hardware.timeline import Phase
 from repro.mf.kernels import ConflictPolicy, sgd_shard_epoch
@@ -81,29 +82,70 @@ def _stall_or_die(
         raise RuntimeError(f"injected failure in worker {worker_id}")
 
 
+def local_view(
+    p: np.ndarray,
+    shard: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    n: int,
+) -> "tuple[MFModel, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None]":
+    """What a worker trains on, once its shard is known.
+
+    ``(model, shard, cols)``: the shared P beside a local Q that holds
+    the shard's :func:`~repro.core.server.column_set` and nothing else,
+    and the shard with its column ids renumbered into that Q.  The
+    renumbering is monotone, so every sort, count and last-occurrence
+    rule of the kernel sees the order it saw before and every update
+    keeps its bits.  With the "all" set the Q is ``(k, n)`` and the
+    shard is returned as it came.
+    """
+    rows, shard_cols, vals = shard
+    cols = column_set(shard_cols, n)
+    if cols is not None:
+        shard = (rows, np.searchsorted(cols, shard_cols), vals)
+        n = cols.size
+    return MFModel(p, np.empty((p.shape[1], n), dtype=np.float32)), shard, cols
+
+
+def _decode_pull(
+    channel: Channel,
+    pull_wire: np.ndarray,
+    cols: "np.ndarray | None",
+    q_local: np.ndarray,
+) -> None:
+    """The worker's single pull decode: its columns of the wire, widened."""
+    if cols is None:
+        channel.decode(pull_wire, out=q_local)
+        return
+    for wire_row, q_row in zip(pull_wire, q_local):
+        channel.decode(wire_row.take(cols), out=q_row)
+
+
 def _encode_push(
     channel: Channel,
     q_trained: np.ndarray,
     pull_wire: np.ndarray,
     push_wire: np.ndarray,
+    cols: "np.ndarray | None",
     faults: tuple[Fault, ...],
     global_epoch: int,
 ) -> None:
     """The worker's single push encode, with drop/corrupt injection."""
+    pushed = wire_view(push_wire, cols)
     if fault_at(faults, DROP, global_epoch) is not None:
         # dropped payload: the wire still carries the epoch base (the
-        # pull wire's exact bits), so the server merges a zero delta
-        np.copyto(push_wire, pull_wire)
+        # pull wire's exact bits, at this worker's columns), so the
+        # server merges a zero delta
+        pushed[...] = pull_wire if cols is None else pull_wire[:, cols]
     else:
-        channel.encode(q_trained, push_wire)
+        channel.encode(q_trained, pushed)
     if fault_at(faults, CORRUPT, global_epoch) is not None:
-        push_wire[...] = np.nan
+        pushed[...] = np.nan
 
 
 def worker_epoch(
     channel: Channel,
     model: MFModel,
     shard: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    cols: "np.ndarray | None",
     pull_wire: np.ndarray,
     push_wire: np.ndarray,
     lr: float,
@@ -119,10 +161,13 @@ def worker_epoch(
 ) -> None:
     """The worker half of an epoch: pull -> train -> push, on either plane.
 
-    ``model`` wraps the shared P and this worker's local Q; ``shard`` is
-    its ``(rows, cols, vals)``.  ``decode`` is the worker's single
-    per-epoch copy out of the pull wire, ``encode`` its single copy
-    into its push wire (paper 3.5).  A worker process calls this
+    ``model``, ``shard`` and ``cols`` are a :func:`local_view`: the
+    shared P beside this worker's local Q, its ``(rows, cols, vals)``
+    numbered into that Q, and the column set the Q holds.  ``decode``
+    is the worker's single per-epoch copy out of the pull wire — of
+    those columns — and ``encode`` its single copy into the
+    :func:`~repro.core.server.wire_view` of its push wire (paper 3.5).
+    A worker process calls this
     between its two barriers and ``SimBackend`` inline per worker;
     seeds, conflict policy and shard order are the caller's.  ``rec``
     records spans on the attempt's local ``epoch``, ``prof`` profiles
@@ -130,11 +175,13 @@ def worker_epoch(
     rank's slice of the plan, keyed on ``global_epoch``.
     """
     with rec.span(Phase.PULL, epoch), prof.stage("pull"):
-        channel.decode(pull_wire, out=model.Q)
+        _decode_pull(channel, pull_wire, cols, model.Q)
     with rec.span(Phase.COMPUTE, epoch), prof.stage("compute"):
         sgd_shard_epoch(model, *shard, lr, reg, batch_size, policy, rng)
     with rec.span(Phase.PUSH, epoch), prof.stage("push"):
-        _encode_push(channel, model.Q, pull_wire, push_wire, faults, global_epoch)
+        _encode_push(
+            channel, model.Q, pull_wire, push_wire, cols, faults, global_epoch
+        )
 
 
 def worker_main(
@@ -167,7 +214,9 @@ def worker_main(
     live in one ``rows``/``cols``/``vals`` segment set (``shard_specs``)
     shared by all workers; this rank's ``[lo, hi)`` slice of it is read
     from ``offsets_spec`` after the first start barrier, which is what
-    publishes the server's writes, and trained on as zero-copy views.
+    publishes the server's writes, and trained on as zero-copy views;
+    the local Q is allocated then, at the size of the shard's column set
+    (:func:`local_view`), never at ``(k, n)`` first.
 
     The channel stack travels into the process by pickling (channels are
     stateless) and owns the wire codec: ``decode`` is the worker's
@@ -217,12 +266,8 @@ def worker_main(
             from repro.obs.profile import WorkerStageProfiles
 
             prof = WorkerStageProfiles()
-        # the local Q, allocated once: every epoch's pull decodes into it
-        model = MFModel(
-            p_shared.array, np.empty(pull_bufs[0].array.shape, dtype=np.float32)
-        )
         progress.array[worker_id] = HANDSHAKE_STAMP
-        shard = None
+        model = shard = cols = None
         for epoch in range(epochs):
             global_epoch = epoch_offset + epoch
             _stall_or_die(faults, global_epoch, "start", worker_id)
@@ -231,14 +276,20 @@ def worker_main(
                 start_barrier.wait(timeout=patience_s)
             if shard is None:
                 lo, hi = offsets.array[worker_id : worker_id + 2]
-                shard = tuple(seg.array[lo:hi] for seg in shard_segs)
+                # the local Q, allocated once: every epoch's pull
+                # decodes into it
+                model, shard, cols = local_view(
+                    p_shared.array,
+                    tuple(seg.array[lo:hi] for seg in shard_segs),
+                    pull_bufs[0].array.shape[1],
+                )
                 # replay: one permutation draw per completed epoch
                 # (mirrors sgd_shard_epoch) so a warm-started run continues
                 # the exact sample order of the straight-through run
                 for _ in range(epoch_offset):
                     rng.permutation(len(shard[2]))
             worker_epoch(
-                channel, model, shard,
+                channel, model, shard, cols,
                 pull_bufs[epoch % len(pull_bufs)].array, push_buf.array,
                 lr, reg, batch_size, ConflictPolicy.ATOMIC, rng,
                 faults, epoch, global_epoch, rec, prof,

@@ -43,6 +43,8 @@ class HostRunInfo:
 
     worker_names: tuple[str, ...]
     shard_nnz: tuple[int, ...]
+    #: Q columns each worker's wire carries (its column set; ``n`` for "all")
+    shard_columns: tuple[int, ...]
     k: int
     m: int
     n: int
@@ -189,23 +191,28 @@ def host_predictions(
 ) -> dict[tuple[str, str], float]:
     """Eq. 2/3 evaluated with probe-measured host rates.
 
-    * pull/push: one Q copy of ``4 k n`` bytes at the measured copy
-      bandwidth (Strategy 1: transmit Q only);
+    * pull/push: one copy of the ``4 k t_i`` bytes of the Q columns
+      worker ``i``'s shard rates, at the measured copy bandwidth
+      (Strategy 1: transmit Q only — and of Q, what the shard can
+      change);
     * compute: shard nnz over the measured SGD update rate;
     * sync: the server's per-epoch merge touches three arrays per
       worker (read global, read push buffer, write global — Eq. 3's
-      three memory operations), again at copy bandwidth.
+      three memory operations) over the same columns, again at copy
+      bandwidth.
     """
     if bandwidth_gbs <= 0 or updates_per_second <= 0:
         raise ValueError("probe rates must be positive")
-    q_bytes = 4.0 * host.k * host.n
-    copy_s = q_bytes / (bandwidth_gbs * 1e9)
+    bytes_per_s = bandwidth_gbs * 1e9
     preds: dict[tuple[str, str], float] = {}
-    for name, nnz in zip(host.worker_names, host.shard_nnz):
+    sync_s = 0.0
+    for name, nnz, columns in zip(
+        host.worker_names, host.shard_nnz, host.shard_columns
+    ):
+        copy_s = 4.0 * host.k * columns / bytes_per_s
         preds[(name, Phase.PULL.value)] = copy_s
         preds[(name, Phase.COMPUTE.value)] = nnz / updates_per_second
         preds[(name, Phase.PUSH.value)] = copy_s
-    preds[(server_lane, Phase.SYNC.value)] = (
-        3.0 * q_bytes * len(host.worker_names) / (bandwidth_gbs * 1e9)
-    )
+        sync_s += 3.0 * copy_s
+    preds[(server_lane, Phase.SYNC.value)] = sync_s
     return preds

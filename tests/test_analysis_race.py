@@ -133,6 +133,17 @@ class TestRaceLog:
         assert log.violations() == []
 
 
+    def test_read_past_the_owners_deposit_flagged(self):
+        """A worker with a column set fills a prefix of its push wire;
+        a server that read further would merge last epoch's values."""
+        log = RaceLog(n_workers=2)
+        log.record(actor=0, op=WRITE, target="push:0", lo=0, hi=24)
+        log.record(actor=log.server_actor, op=READ, target="push:0", lo=0, hi=24)
+        assert log.violations() == []
+        log.record(actor=log.server_actor, op=READ, target="push:0", lo=0, hi=32)
+        assert [v.kind for v in log.violations()] == ["stale-read"]
+
+
 class TestRowOwnership:
     def test_clean_partition_passes(self):
         ratings = make_ratings()
@@ -167,6 +178,23 @@ class TestTrackedTrain:
         assert np.isfinite(report.rmse_history).all()
         assert report.n_events > 0
         assert "OK" in report.render()
+
+    def test_sparse_shards_push_and_are_read_over_their_prefix_only(self):
+        """Each third of a wide matrix rates well under half the columns:
+        the tracked run is the column-set path, every push write and
+        server read covers ``k * t_i`` values, and it still converges."""
+        ratings = make_ratings(m=300, n=2000, nnz=1500)
+        assignments = make_assignments(ratings)
+        log = RaceLog(len(assignments))
+        report = tracked_train(ratings, assignments, k=8, epochs=2, log=log)
+        assert report.ok, report.render()
+        assert report.rmse_history[-1] < report.rmse_history[0]
+        for a in assignments:
+            t = len(np.unique(ratings.cols[a.entries]))
+            assert 0 < t < ratings.n // 2
+            pushes = [e for e in log.events if e.target == f"push:{a.worker}"]
+            assert {e.op for e in pushes} == {READ, WRITE}
+            assert {(e.lo, e.hi) for e in pushes} == {(0, 8 * t)}
 
     def test_overlapping_plan_reports_p_row_collision(self):
         """The issue's core acceptance test: a deliberately overlapping

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.server import ParameterServer
+from repro.core.server import ParameterServer, column_set
 from repro.engine.channels import Channel, DoubleBufferChannel, Fp16Channel
 from repro.mf.model import MFModel
 
@@ -133,3 +133,77 @@ class TestSync:
         np.testing.assert_array_equal(server.pull_wire, base)
         push_then_sync(server, 0, base + 0.5, weight=1.0)
         np.testing.assert_array_equal(model.Q, base + 0.5)
+
+
+class TestColumnSets:
+    """A worker whose shard rates few columns moves only those."""
+
+    COLS = np.array([1, 4, 6])
+
+    @pytest.fixture
+    def sparse(self):
+        """Worker 0 carries columns 1, 4, 6 over a shared-size wire;
+        worker 1 carries everything."""
+        model = MFModel.init(6, 8, 4, seed=0)
+        pull, push0, push1 = (np.zeros((4, 8), np.float32) for _ in range(3))
+        wires = ([pull], [push0, push1])
+        server = ParameterServer(
+            model, 2, channel=Channel(), wires=wires, columns=[self.COLS, None]
+        )
+        server.begin_epoch()
+        return server
+
+    def test_column_set_is_the_sorted_rated_ids_or_all(self):
+        np.testing.assert_array_equal(column_set(np.array([6, 1, 6, 4]), 8), self.COLS)
+        assert column_set(np.array([0, 1, 2, 3, 4]), 8) is None     # more than half
+        assert column_set(np.array([0, 1, 2, 3]), 8) is not None    # exactly half
+        assert column_set(np.array([], dtype=np.int64), 8).size == 0
+
+    def test_push_lands_packed_in_the_front_of_the_wire(self, sparse):
+        q_local = np.arange(12, dtype=np.float32).reshape(4, 3)
+        sparse.push(0, q_local)
+        np.testing.assert_array_equal(sparse.push_wires[0].reshape(-1)[:12], q_local.reshape(-1))
+        np.testing.assert_array_equal(sparse.pushed(0), q_local)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sparse.push(0, sparse.model.Q)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_sync_adds_the_weighted_delta_into_its_columns_only(self, sparse, weight):
+        base = sparse.model.Q.copy()
+        sparse.push(0, base[:, self.COLS] + 2.0)
+        sparse.sync(0, weight)
+        want = base.copy()
+        want[:, self.COLS] += np.float32(weight) * 2.0
+        np.testing.assert_allclose(sparse.model.Q, want, rtol=1e-6)
+        others = np.setdiff1d(np.arange(8), self.COLS)
+        np.testing.assert_array_equal(sparse.model.Q[:, others], base[:, others])
+
+    def test_scan_reads_the_prefix_and_not_the_tail(self, sparse):
+        sparse.push(0, sparse.model.Q[:, self.COLS])
+        sparse.push(1, sparse.model.Q)
+        sparse.push_wires[0].reshape(-1)[12:] = np.nan     # never written, never read
+        assert sparse.first_bad_push() is None
+        sparse.pushed(0)[3, 2] = np.inf
+        assert sparse.first_bad_push() == 0
+
+    def test_private_push_wires_are_sized_by_the_column_set(self):
+        model = MFModel.init(6, 8, 4, seed=0)
+        empty = np.array([], dtype=np.int64)
+        server = ParameterServer(
+            model, 3, channel=Fp16Channel(), columns=[self.COLS, None, empty]
+        )
+        assert [w.shape for w in server.push_wires] == [(4, 3), (4, 8), (4, 0)]
+        server.begin_epoch()
+        base = model.Q.copy()
+        # a worker with no ratings: empty view, no-op scan and merge
+        server.push(2, np.empty((4, 0), np.float32))
+        server.push(0, server.channel.decode(server.pull_wire)[:, self.COLS])
+        server.push(1, server.channel.decode(server.pull_wire))
+        assert server.first_bad_push() is None
+        for wid in range(3):
+            server.sync(wid)
+        np.testing.assert_array_equal(model.Q, base)
+
+    def test_needs_one_column_set_per_worker(self):
+        with pytest.raises(ValueError, match="per worker"):
+            ParameterServer(MFModel.init(2, 2, 2), 2, channel=Channel(), columns=[None])

@@ -15,7 +15,8 @@ import pytest
 from repro.core.config import PartitionStrategy
 from repro.core.cost_model import TimeCostModel
 from repro.core.partition import PartitionPlan
-from repro.data.datasets import NETFLIX
+from repro.data.datasets import NETFLIX, YAHOO_R1
+from repro.data.grid import GridKind, partition_rows
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
 from repro.engine.channels import (
@@ -178,3 +179,154 @@ class TestDropOnTheWire:
         dropped.sync(1)
         clean.server.sync(0)            # the same epoch without worker 1's delta
         np.testing.assert_array_equal(dropped.model.Q, clean.model.Q)
+
+
+# ---------------------------------------------------------------------------
+# column sets: a wire is the columns its worker's shard rates
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sparse():
+    """R1-shaped, 11,465 x 6,481: each of 2-3 workers rates 15-21 % of the
+    columns, so every wire is a column set.  The sim plane is handed it
+    shuffled as the process plane shuffles it (seed 0), so both planes
+    cut the same shards."""
+    return YAHOO_R1.scaled(4000).generate(seed=4)
+
+
+SPARSE_KW = dict(k=8, lr=0.002, reg=0.05, batch_size=512, seed=0)
+
+
+def open_sparse(plane, n_workers, data, **kw):
+    """``data`` is the unshuffled toy; both planes end up on one partition."""
+    if plane == "process":
+        backend = ProcessBackend(
+            data, n_workers=n_workers, barrier_timeout_s=60.0, **SPARSE_KW, **kw
+        )
+    else:
+        backend = SimBackend(
+            workers_platform(n_workers), ratings=data.shuffle(0), **SPARSE_KW, **kw
+        )
+    even = PartitionPlan("even", (1.0 / n_workers,) * n_workers)
+    backend.open(even, QOnlyChannel(), AdditiveDeltaSync(), None, 3)
+    return backend
+
+
+class TestColumnSetNumerics:
+    CHANNELS = TestSimNumericsPinned.CHANNELS
+
+    def sim(self, data, channel, n_workers):
+        backend = SimBackend(
+            workers_platform(n_workers), ratings=data.shuffle(0), **SPARSE_KW
+        )
+        return EpochEngine(backend, channel=channel).run(4)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_sim_history_equals_the_whole_wire_run(
+        self, sparse, monkeypatch, name, n_workers
+    ):
+        """The same run with the rule patched to "all" — what every run
+        was before — has the same ``rmse_history`` to the bit, on FP32,
+        binary16 and depth-2 rotating wires, and moved 5-7x the values."""
+        selected = self.sim(sparse, self.CHANNELS[name], n_workers)
+        monkeypatch.setattr("repro.engine.worker_proc.column_set", lambda cols, n: None)
+        whole = self.sim(sparse, self.CHANNELS[name], n_workers)
+        assert [float(r).hex() for r in selected.rmse_history] == [
+            float(r).hex() for r in whole.rmse_history
+        ]
+        np.testing.assert_array_equal(bits(selected.model.Q), bits(whole.model.Q))
+        np.testing.assert_array_equal(bits(selected.model.P), bits(whole.model.P))
+        assert whole.wire_bytes("push") > 4 * selected.wire_bytes("push") > 0
+
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_planes_account_the_same_wire(self, sparse, channel):
+        """Same shards, so the same column sets: every stage detail that
+        says what crossed is equal across planes, and is k * t_i values."""
+        sim = self.sim(sparse, channel, 2)
+        backend = ProcessBackend(
+            sparse, n_workers=2, barrier_timeout_s=60.0, **SPARSE_KW
+        )
+        proc = EpochEngine(backend, channel=channel).run(4)
+        assert sim.stage_sequence() == proc.stage_sequence()
+        assert sim.epoch_updates() == proc.epoch_updates()
+        assert [e.detail for e in sim.stage_trace] == [e.detail for e in proc.stage_trace]
+        shuffled = sparse.shuffle(0)
+        t = [
+            len(np.unique(shuffled.cols[a.entries]))
+            for a in partition_rows(shuffled, (0.5, 0.5), GridKind.ROW)
+        ]
+        push = next(e.detail for e in proc.stage_trace if e.stage == "push")
+        sync = next(e.detail for e in proc.stage_trace if e.stage == "sync")
+        assert push["per_worker_bytes"] == tuple(8 * ti * channel.wire_itemsize for ti in t)
+        assert push["wire_bytes"] == sum(push["per_worker_bytes"])
+        assert sync["merged_values"] == 8 * sum(t) < 8 * sparse.n
+
+
+@pytest.mark.parametrize("plane", ["sim", "process"])
+class TestFaultsOnAColumnSet:
+    """Drop, corrupt and a diverged P, where every wire is a prefix."""
+
+    def test_corrupt_fills_the_prefix_and_refuses_the_epoch(self, sparse, plane):
+        backend = open_sparse(
+            plane, 2, sparse, fault_plan=FaultPlan().corrupt_payload(1, epoch=1)
+        )
+        try:
+            run_stages(backend, 0)
+            p_before, q_before = backend.model.P.copy(), backend.model.Q.copy()
+            run_stages(backend, 1, ("pull", "compute", "push"))
+            server = backend.server
+            assert server.columns[1] is not None
+            assert np.isnan(server.pushed(1)).all()
+            assert np.isfinite(server.pushed(0)).all()
+            with pytest.raises(WirePayloadError) as ei:
+                backend.sync(1)
+            assert ei.value.rank == 1
+            np.testing.assert_array_equal(bits(backend.model.Q), bits(q_before))
+            np.testing.assert_array_equal(bits(backend.model.P), bits(p_before))
+        finally:
+            backend.close()
+
+    def test_drop_carries_the_bases_columns_and_merges_exactly_zero(self, sparse, plane):
+        backend = open_sparse(
+            plane, 2, sparse, fault_plan=FaultPlan().drop_payload(1, epoch=1)
+        )
+        try:
+            run_stages(backend, 0)
+            run_stages(backend, 1, ("pull", "compute", "push"))
+            server = backend.server
+            cols0, cols1 = server.columns
+            np.testing.assert_array_equal(
+                bits(server.pushed(1)), bits(server.pull_wire[:, cols1])
+            )
+            assert not np.array_equal(server.pushed(0), server.pull_wire[:, cols0])
+            q_before = backend.model.Q.copy()
+            backend.sync(1)
+            only_1 = np.setdiff1d(cols1, cols0)
+            assert only_1.size
+            np.testing.assert_array_equal(
+                bits(backend.model.Q[:, only_1]), bits(q_before[:, only_1])
+            )
+            assert not np.array_equal(backend.model.Q[:, cols0], q_before[:, cols0])
+        finally:
+            backend.close()
+
+    def test_non_finite_p_row_refuses_the_epoch_naming_its_owner(self, sparse, plane):
+        """P never crosses a wire, so it is scanned where it was trained.
+        (The drop is what makes the sim plane keep a P to roll back to:
+        it snapshots only epochs with a scheduled fault.)"""
+        backend = open_sparse(
+            plane, 2, sparse, fault_plan=FaultPlan().drop_payload(0, epoch=1)
+        )
+        try:
+            run_stages(backend, 0)
+            p_before, q_before = backend.model.P.copy(), backend.model.Q.copy()
+            run_stages(backend, 1, ("pull", "compute", "push"))
+            lo, hi = backend._p_rows[1]
+            backend._trained_p()[hi - 1, 3] = np.nan
+            with pytest.raises(WirePayloadError, match="P rows.*not merged") as ei:
+                backend.sync(1)
+            assert ei.value.rank == 1
+            np.testing.assert_array_equal(bits(backend.model.Q), bits(q_before))
+            np.testing.assert_array_equal(bits(backend.model.P), bits(p_before))
+        finally:
+            backend.close()

@@ -16,8 +16,9 @@ import pytest
 from repro.core.checkpoint import load_checkpoint
 from repro.core.config import HCCConfig, RecoveryPolicy
 from repro.core.framework import HCCMF
-from repro.core.partition import PartitionPlan
-from repro.data.datasets import NETFLIX
+from repro.core.partition import PartitionPlan, redistribute
+from repro.data.datasets import NETFLIX, YAHOO_R1
+from repro.data.grid import GridKind, partition_rows
 from repro.engine import ProcessBackend, QOnlyChannel, WorkerSyncError
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
 from repro.hardware.topology import paper_workstation
@@ -72,6 +73,34 @@ class TestKillRecovery:
         assert rel <= 0.05
         assert np.all(np.isfinite(res.model.P))
         assert np.all(np.isfinite(res.model.Q))
+
+    def test_reopen_derives_column_sets_from_the_new_shards(self):
+        """On an R1-shaped matrix every worker's wire is the columns its
+        shard rates; after a kill the two survivors' shards are new, and
+        so is what each moves: ``k * t_i`` values of *its* shard."""
+        sparse = YAHOO_R1.scaled(4000).generate(seed=4)
+        res = engine_for(
+            sparse, k=8, n_workers=3, lr=0.002, seed=0, barrier_timeout_s=5.0,
+            fault_plan=FaultPlan().kill(2, epoch=1),
+            recovery=RecoveryPolicy(min_workers=2, **FAST_RETRY),
+        ).run(3)
+        assert res.resilience.redistributions == 1
+        assert res.rmse_history[-1] < res.rmse_history[0]
+
+        shuffled = sparse.shuffle(0)
+
+        def bytes_moved(plan):
+            return tuple(
+                8 * len(np.unique(shuffled.cols[a.entries])) * 4
+                for a in partition_rows(shuffled, plan.fractions, GridKind.ROW)
+            )
+
+        pushes = {e.epoch: e.detail["per_worker_bytes"]
+                  for e in res.stage_trace if e.stage == "push"}
+        assert pushes[0] == bytes_moved(res.plan)
+        assert pushes[2] == bytes_moved(redistribute(res.plan, (2,)))
+        assert len(pushes[0]) == 3 and len(pushes[2]) == 2
+        assert max(pushes[2]) < 8 * sparse.n * 4 // 2
 
     def test_hard_kill_detected_from_exit_code(self, data):
         """A hard kill (os._exit, no interpreter teardown) travels the

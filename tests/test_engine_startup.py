@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 
 from repro.core.partition import PartitionPlan
+from repro.data.datasets import YAHOO_R1
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.engine.backends import ProcessBackend, WorkerSyncError
-from repro.engine.channels import Fp16Channel, QOnlyChannel
+from repro.engine.channels import DoubleBufferChannel, Fp16Channel, QOnlyChannel
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
 from repro.parallel.shm import SharedArray
 
@@ -182,3 +183,58 @@ class TestNumericsPinned:
                     want.rows.dtype, want.cols.dtype, want.vals.dtype)
         finally:
             backend.close()
+
+
+class TestColumnSetNumericsPinned:
+    """Recorded at the parent commit, where every wire was whole.
+
+    The R1-shaped toy is 11,465 x 6,481 with 4,000 ratings: each of two
+    workers rates 21 % of the columns, each of three 15 %, so every
+    worker here decodes, trains, pushes and is merged over a column set.
+    A monkeypatch does not reach a spawned worker, hence recorded values.
+    """
+
+    HISTORY = {
+        (2, "q-only"): [
+            "0x1.5e6fef3740765p+4", "0x1.20033973f6fbbp+4",
+            "0x1.ea7a738de1bf4p+3", "0x1.aecd824632d3bp+3",
+        ],
+        (2, "fp16"): [
+            "0x1.5e703b6de21aap+4", "0x1.2003c3111ea60p+4",
+            "0x1.ea7b3b36568d3p+3", "0x1.aecdd1c26dde4p+3",
+        ],
+        (3, "q-only"): [
+            "0x1.5f0eb05f89572p+4", "0x1.21a62007bcb2cp+4",
+            "0x1.eeb1be7d28fc2p+3", "0x1.b322d475af6ebp+3",
+        ],
+        (3, "fp16"): [
+            "0x1.5f0ef0425e7e7p+4", "0x1.21a630d73d3ccp+4",
+            "0x1.eeb15924a9105p+3", "0x1.b322b53de66b3p+3",
+        ],
+    }
+    # rotating pull wires change which wire a column is gathered from,
+    # not its bits (recorded as well: equal at the parent)
+    HISTORY[2, "double-buffer"] = HISTORY[2, "q-only"]
+    CHANNELS = {
+        "q-only": QOnlyChannel(),
+        "fp16": Fp16Channel(QOnlyChannel()),
+        "double-buffer": DoubleBufferChannel(QOnlyChannel()),
+    }
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return YAHOO_R1.scaled(4000).generate(seed=4)
+
+    @pytest.mark.parametrize("n_workers, name", sorted(HISTORY))
+    def test_rmse_history_bit_identical(self, data, n_workers, name):
+        backend = ProcessBackend(
+            data, k=8, n_workers=n_workers, lr=0.002, reg=0.05, batch_size=512,
+            seed=3, barrier_timeout_s=60.0,
+        )
+        result = EpochEngine(backend, channel=self.CHANNELS[name]).run(4)
+        assert [float(r).hex() for r in result.rmse_history] == self.HISTORY[n_workers, name]
+        # every worker's wire was a column set: a fifth of Q or less crossed
+        pushes = [e.detail for e in result.stage_trace if e.stage == "push"]
+        itemsize = 2 if name == "fp16" else 4
+        for per_worker in pushes[0]["per_worker_bytes"]:
+            assert 0 < per_worker < 0.25 * 8 * data.n * itemsize

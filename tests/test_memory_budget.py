@@ -21,11 +21,19 @@ import repro.mf.model as model_mod
 from repro.core.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.core.compression import FP16_MAX, compress_fp16
 from repro.core.partition import PartitionPlan
-from repro.core.server import ParameterServer, merge_delta, merge_scratch
+from repro.core.server import (
+    ParameterServer,
+    column_set,
+    merge_delta,
+    merge_scratch,
+    wire_view,
+)
+from repro.data.datasets import YAHOO_R1
 from repro.data.ratings import RatingMatrix
 from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
 from repro.engine.channels import Channel, Fp16Channel, QOnlyChannel
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.engine.worker_proc import local_view
 from repro.hardware.topology import paper_workstation
 from repro.mf.kernels import ConflictPolicy, sgd_batch_update, sgd_epoch
 from repro.mf.model import MFModel
@@ -294,6 +302,42 @@ class TestMergeDelta:
         merge_delta(Q, push, base, weight, merge_scratch())
         np.testing.assert_array_equal(bits(Q), bits(want))
 
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    @pytest.mark.parametrize("wire_dtype", ["float32", "float16"])
+    @pytest.mark.parametrize("t, block", [(300, None), (300, 128), (300, 300), (1, 1), (0, 64)])
+    def test_selected_merge_is_the_whole_wire_merge_on_its_columns(
+        self, weight, wire_dtype, t, block
+    ):
+        """A push that carries ``t`` columns packed into the wire's front
+        merges, on those columns, to the bits the whole wire gives them —
+        also when ``t`` straddles scratch blocks — and touches no other."""
+        rng = np.random.default_rng(17)
+        k, n = 7, 1013
+        cols = np.sort(rng.choice(n, t, replace=False))
+        q_base = rng.standard_normal((k, n)).astype(wire_dtype)
+        Q = rng.standard_normal((k, n)).astype(np.float32)
+        # what a worker returns: its columns trained, the rest as pulled
+        whole = q_base.copy()
+        whole[:, cols] += (0.01 * rng.standard_normal((k, t))).astype(wire_dtype)
+        scratch = (
+            merge_scratch() if block is None else np.empty(block, dtype=np.float32)
+        )
+        want = Q.copy()
+        merge_delta(want, whole, q_base, weight, scratch)
+        np.testing.assert_array_equal(
+            bits(want), bits(reference_merge(Q, whole, q_base.astype(np.float32), weight))
+        )
+
+        push_wire = np.full((k, n), np.nan, dtype=wire_dtype)   # the tail is never read
+        pushed = wire_view(push_wire, cols)
+        assert pushed.shape == (k, t) and pushed.base is not None
+        pushed[...] = whole[:, cols]
+        got = Q.copy()
+        merge_delta(got, pushed, q_base, weight, scratch, cols)
+        np.testing.assert_array_equal(bits(got), bits(want))
+        others = np.setdiff1d(np.arange(n), cols)
+        np.testing.assert_array_equal(bits(got[:, others]), bits(Q[:, others]))
+
     def test_rejects_a_q_it_could_not_update_in_place(self):
         Q = np.zeros((4, 6), dtype=np.float32)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
@@ -364,6 +408,29 @@ class TestParameterServer:
 
         # the merge's block buffer, and nothing shaped like Q
         assert peak_bytes(serve_one_epoch) < KN_BYTES // 4
+
+
+    @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
+    def test_selected_scan_and_merge_gather_two_rows_at_a_time(self, channel):
+        """A push over a column set is scanned and merged through the
+        block buffer and two gathered rows of ``t`` values, and a private
+        push wire is allocated at ``(k, t)``."""
+        t = 12_000
+        model = MFModel.init(50, N, K)
+        cols = np.sort(np.random.default_rng(0).choice(N, t, replace=False))
+        server = ParameterServer(model, 1, channel=channel, columns=[cols])
+        assert server.push_wires[0].shape == (K, t)
+        q_local = np.ones((K, t), dtype=np.float32)
+
+        def scan_and_merge():
+            assert server.first_bad_push() is None
+            server.sync(0)
+
+        server.begin_epoch()
+        server.push(0, q_local)
+        scan_and_merge()
+        rows = 2 * 4 * t
+        assert peak_bytes(scan_and_merge) < rows + 2 * 65_536 < KN_BYTES // 8
 
 
 class TestCheckpoint:
@@ -461,6 +528,10 @@ class TestProcessBackend:
             backend.pull(1)
             backend.compute(1)
             backend.push(1)
+            # each shard rates ~7 % of the columns: the NaNs fill a prefix
+            pushed = backend.server.pushed(1)
+            assert pushed.shape[1] < N // 2 and np.isnan(pushed).all()
+            assert not np.isnan(backend.server.push_wires[1]).all()
             q_before = backend.model.Q.copy()
             p_before = backend.model.P.copy()
             with pytest.raises(WirePayloadError) as ei:
@@ -490,3 +561,70 @@ class TestSimBackend:
         backend.close()
         kept = arrays_of_shape(backend, (K, N))
         assert [id(a) for a in kept] == [id(backend.model.Q)]
+
+    def test_open_and_an_epoch_allocate_nothing_k_by_n_per_worker(self):
+        """Each shard rates a few percent of the columns, so what a worker
+        adds to ``open()`` is its ``(k, t_i)`` local Q and push wire: the
+        model's Q and the one pull wire are the only ``(k, n)`` arrays."""
+        platform = paper_workstation()
+        ratings = random_ratings(6_000, 300, N)
+        # small batches: the kernel's own temporaries stay out of the way
+        backend = SimBackend(platform, ratings, k=K, batch_size=256)
+        fractions = tuple(1.0 / platform.n_workers for _ in platform.workers)
+        plan = PartitionPlan("even", fractions)
+        opened = peak_bytes(lambda: backend.open(
+            plan, QOnlyChannel(), AdditiveDeltaSync(), None, 2,
+        ))
+        assert len(arrays_of_shape(backend, (K, N))) == 2
+        # those two, the locals and shards, and open()'s transients; a
+        # dense local Q and push wire per worker made it ten
+        assert opened < 3 * KN_BYTES
+
+        def epoch(e):
+            for stage in ("pull", "compute", "push", "sync"):
+                getattr(backend, stage)(e)
+
+        epoch(0)
+        assert peak_bytes(lambda: epoch(1)) < KN_BYTES // 8
+        backend.close()
+
+
+class TestLocalView:
+    """A worker's local Q is its column set, on both planes."""
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        """R1-shaped: 11,465 x 6,481; a half rates about a fifth of the columns."""
+        return YAHOO_R1.scaled(4000).generate(seed=4).sort_by_row()
+
+    def test_local_q_holds_the_shards_columns_and_nothing_else(self, toy):
+        half = toy.nnz // 2
+        shard = (toy.rows[:half], toy.cols[:half], toy.vals[:half])
+        P = np.zeros((toy.m, K), dtype=np.float32)
+        model, (rows, local_cols, vals), cols = local_view(P, shard, toy.n)
+        assert model.P is P and rows is shard[0] and vals is shard[2]
+        t = len(np.unique(shard[1]))
+        assert 0.15 * toy.n < t < 0.25 * toy.n
+        assert model.Q.shape == (K, t) and cols.shape == (t,)
+        np.testing.assert_array_equal(cols, np.unique(shard[1]))
+        np.testing.assert_array_equal(cols[local_cols], shard[1])
+
+    def test_a_dense_shard_keeps_the_whole_wire(self, toy):
+        """More than half the columns rated: "all", the shard as it came."""
+        cols = np.arange(toy.n)[: toy.n // 2 + 1]
+        assert column_set(cols, toy.n) is None
+        assert column_set(cols[:-1], toy.n) is not None
+        shard = (np.zeros_like(cols), cols, np.ones(len(cols), np.float32))
+        model, same, none = local_view(np.zeros((1, K), np.float32), shard, toy.n)
+        assert none is None and same is shard and model.Q.shape == (K, toy.n)
+
+    def test_sim_workers_hold_compact_locals(self, toy):
+        backend = SimBackend(paper_workstation(), toy, k=K)
+        backend.open(
+            PartitionPlan("even", (0.25,) * 4), QOnlyChannel(), AdditiveDeltaSync(),
+            None, 1,
+        )
+        for (model, _, cols), wire in zip(backend._locals, backend.server.push_wires):
+            assert cols is not None
+            assert model.Q.shape == wire.shape == (K, cols.size)
+        backend.close()

@@ -98,6 +98,7 @@ class TestHostPredictions:
         return HostRunInfo(
             worker_names=("worker-0", "worker-1"),
             shard_nnz=(1000, 3000),
+            shard_columns=(50, 50),
             k=16,
             m=100,
             n=50,
@@ -114,6 +115,18 @@ class TestHostPredictions:
         assert preds[("worker-1", "computing")] == pytest.approx(3000 / 1e6)
         # sync: three memory ops per worker (Eq. 3)
         assert preds[("server", "sync")] == pytest.approx(3 * q_bytes * 2 / 10e9)
+
+    def test_wire_is_priced_by_each_workers_column_count(self, host):
+        """A shard that rates 10 of the 50 columns moves a fifth of Q."""
+        import dataclasses
+
+        sparse = dataclasses.replace(host, shard_columns=(10, 50))
+        preds = host_predictions(sparse, bandwidth_gbs=10.0, updates_per_second=1e6)
+        dense = host_predictions(host, bandwidth_gbs=10.0, updates_per_second=1e6)
+        for phase in ("pull", "push"):
+            assert preds[("worker-0", phase)] == pytest.approx(4 * 16 * 10 / 10e9)
+            assert preds[("worker-1", phase)] == dense[("worker-1", phase)]
+        assert preds[("server", "sync")] == pytest.approx(3 * 4 * 16 * (10 + 50) / 10e9)
 
     def test_invalid_rates_rejected(self, host):
         with pytest.raises(ValueError):
