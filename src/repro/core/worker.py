@@ -32,13 +32,21 @@ from repro.mf.model import MFModel
 
 
 class WorkerRuntime:
-    """One sim-plane worker's shard, generator and conflict policy."""
+    """One sim-plane worker's shard, generator and conflict policy.
+
+    ``assignment`` indexes ``ratings``, and the runtime block-sorts its
+    own copy of those entries.  A caller that already holds the
+    row-sorted store (``SimBackend``, from
+    :func:`repro.data.grid.row_sorted_shards`) passes ``None`` and, as
+    ``ratings``, its view of this worker's slice: the runtime trains on
+    that view and copies nothing.
+    """
 
     def __init__(
         self,
         worker_id: int,
         processor: Processor,
-        assignment: GridAssignment,
+        assignment: GridAssignment | None,
         ratings: RatingMatrix,
         batch_size: int = 4096,
         seed: int = 0,
@@ -48,7 +56,7 @@ class WorkerRuntime:
         self.assignment = assignment
         # block sorting by row: the cache-locality preprocessing the
         # authors added to CuMF_SGD; harmless for the CPU kernel.
-        self.data = block_sort(ratings, assignment)
+        self.data = ratings if assignment is None else block_sort(ratings, assignment)
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed + worker_id)
         self.policy = (

@@ -40,6 +40,7 @@ __all__ = [
     "GridAssignment",
     "choose_grid",
     "partition_rows",
+    "row_sorted_shards",
     "partition_entries",
     "block_sort",
 ]
@@ -66,6 +67,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.data.grid": (
         "GridKind", "GridAssignment", "choose_grid", "partition_rows",
-        "partition_entries", "block_sort",
+        "row_sorted_shards", "partition_entries", "block_sort",
     ),
 })

@@ -123,6 +123,40 @@ def partition_rows(
     return assignments
 
 
+def row_sorted_shards(
+    ratings: RatingMatrix,
+    fractions: Sequence[float],
+    out: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
+) -> tuple[RatingMatrix, np.ndarray, list[tuple[int, int]]]:
+    """The row grid as one row-sorted store: what a backend trains on.
+
+    Returns ``(store, offsets, p_rows)``.  ``store`` holds every rating
+    ordered by (row, col), ties in ``ratings``' own order; worker ``i``'s
+    shard is its slice ``[offsets[i], offsets[i + 1])`` and ``p_rows[i]``
+    the ``[lo, hi)`` rows of P that shard rates — shard by shard the
+    bytes of ``partition_rows(ratings, fractions, GridKind.ROW)`` →
+    ``extract`` → ``sort_by_row`` (paper footnote 1), from one stable
+    sort over all entries instead of one per step.
+
+    With ``out`` — three arrays of at least ``nnz`` elements, typed as
+    ``rows`` / ``cols`` / ``vals`` — the store is written into them, one
+    column temporary at a time, and ``store`` is a matrix of views onto
+    them.  They may be ``ratings``' own arrays: the sort is then in
+    place, and ``ratings`` must not be read afterwards.
+    """
+    counts = np.bincount(ratings.rows, minlength=ratings.m)
+    p_rows = _fractions_to_boundaries(counts, fractions)
+    first_entry = np.concatenate([[0], np.cumsum(counts)])
+    offsets = first_entry[[lo for lo, _ in p_rows] + [ratings.m]]
+    order = np.lexsort((ratings.cols, ratings.rows))
+    if out is None:
+        return ratings.take(order), offsets, p_rows
+    views = [dest[: ratings.nnz] for dest in out]
+    for column, view in zip((ratings.rows, ratings.cols, ratings.vals), views):
+        view[:] = column[order]
+    return RatingMatrix(ratings.m, ratings.n, *views), offsets, p_rows
+
+
 def partition_entries(ratings: RatingMatrix, fractions: Sequence[float]) -> list[GridAssignment]:
     """Partition raw entries (ignoring row structure).
 

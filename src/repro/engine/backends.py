@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.core.server import ParameterServer, column_set
-from repro.data.grid import GridKind, partition_rows
+from repro.data.grid import row_sorted_shards
 from repro.data.ratings import RatingMatrix
 from repro.engine.channels import Channel, all_finite
 from repro.engine.worker_proc import (
@@ -233,10 +233,10 @@ class _EpochBackend:
             self._attempt,
         )
 
-    def _initial_model(self, data: RatingMatrix) -> MFModel:
+    def _initial_model(self, data: RatingMatrix, mean: float | None = None) -> MFModel:
         warm = self.initial_model
         if warm is None:
-            return MFModel.init_for(data, self.k, seed=self.seed)
+            return MFModel.init_for(data, self.k, seed=self.seed, mean=mean)
         # warm start: once-per-run private copies, so training never
         # writes into the caller's checkpoint arrays  # hcclint: disable=hot-copy
         return MFModel(warm.P.copy(), warm.Q.copy())
@@ -432,18 +432,24 @@ class SimBackend(_EpochBackend):
 
         self._begin_attempt(plan, channel, sync_policy, telemetry, epochs)
         data = self.ratings
-        self._eval_set = self.eval_data if self.eval_data is not None else data
         self.model = self._initial_model(data)
-        assignments = partition_rows(data, plan.fractions, GridKind.ROW)
-        # a runtime carries the sim plane's own shard sort, seed stream
-        # and conflict policy into the shared worker half
+        # the plane's one copy of the ratings: row-sorted, trained on
+        # shard by shard and evaluated over whole
+        store, offsets, self._p_rows = row_sorted_shards(data, plan.fractions)
+        self._eval_set = self.eval_data if self.eval_data is not None else store
+        # a runtime carries its view of the store, the sim plane's seed
+        # stream and its conflict policy into the shared worker half
         self.runtimes = [
             WorkerRuntime(
-                i, proc, assignment, data,
+                i, proc, None,
+                RatingMatrix(
+                    data.m, data.n,
+                    store.rows[lo:hi], store.cols[lo:hi], store.vals[lo:hi],
+                ),
                 batch_size=self.batch_size, seed=self.seed,
             )
-            for i, (proc, assignment) in enumerate(
-                zip(self._platform_workers, assignments)
+            for i, (proc, lo, hi) in enumerate(
+                zip(self._platform_workers, offsets, offsets[1:])
             )
         ]
         # replay already-completed epochs out of each worker's RNG
@@ -454,7 +460,6 @@ class SimBackend(_EpochBackend):
             for rt in self.runtimes:
                 rt.rng.permutation(rt.nnz)
         self._shard_nnz = [rt.nnz for rt in self.runtimes]
-        self._p_rows = [(a.lo, a.hi) for a in assignments]
         # per worker, allocated once: the shared P beside a local Q every
         # pull decodes into, its shard numbered into that Q, and the
         # column set both stand for (worker_proc.local_view)
@@ -583,12 +588,13 @@ class SimBackend(_EpochBackend):
 
     def close(self) -> None:
         # everything sized by the run goes with it — the server's
-        # wires, the workers' local Qs and shards — so a
-        # backend kept for its ``model`` (publish, serving) holds the
-        # factors and nothing else
+        # wires, the workers' local Qs, the row-sorted store and the
+        # runtimes' views of it — so a backend kept for its ``model``
+        # (publish, serving) holds the factors and nothing else
         self._locals = []
         self.server = None
         self.runtimes = []
+        self._eval_set = None
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +628,6 @@ class ProcessBackend(_EpochBackend):
             ratings, n_workers, k, lr, reg, batch_size, seed,
             barrier_timeout_s, fault_plan,
         )
-        self.data: RatingMatrix | None = None
         self._stack: ExitStack | None = None
         #: worker-profile drop directory the engine sets when profiling
         #: (EpochEngine(profile=...)); one attempt-N subdir per open
@@ -760,30 +765,39 @@ class ProcessBackend(_EpochBackend):
 
             # the server's own preparation overlaps the workers'
             # interpreter bootstrap; the first start barrier publishes
-            # everything written here
-            data = ratings.shuffle(self.seed)
-            assignments = partition_rows(data, plan.fractions, GridKind.ROW)
-            self._shard_nnz = [a.nnz for a in assignments]
-            self._p_rows = [(a.lo, a.hi) for a in assignments]
-            self._offsets.array[1:] = np.cumsum(self._shard_nnz)
-            for a, lo in zip(assignments, self._offsets.array):
-                # a.extract(data).sort_by_row(), written straight into
-                # the shard's slice of the shared segments
-                by_row = a.entries[
-                    np.lexsort((data.cols[a.entries], data.rows[a.entries]))
-                ]
-                for seg, column in zip(
-                    self._shard_segs, (data.rows, data.cols, data.vals)
-                ):
-                    seg.array[lo : lo + a.nnz] = column[by_row]
-            self.data = self._eval_set = data
-            self.model = self._initial_model(data)
+            # everything written here.  The ratings are stored once:
+            # the shuffle (the draw ``ratings.shuffle(seed)`` makes) is
+            # a gather straight into the shard segments ...
+            perm = np.random.default_rng(self.seed).permutation(ratings.nnz)
+            views = [seg.array[: ratings.nnz] for seg in self._shard_segs]
+            for column, view in zip(
+                (ratings.rows, ratings.cols, ratings.vals), views
+            ):
+                # perm is in range by construction; "clip" is the mode
+                # that writes into ``out`` without buffering it
+                np.take(column, perm, out=view, mode="clip")
+            del perm
+            # ... the initial model's mean is taken from them while they
+            # are still in shuffled order (that order's float32 sum) ...
+            shuffled = RatingMatrix(ratings.m, ratings.n, *views)
+            mean = shuffled.mean_rating()
+            # ... and one stable sort in place leaves the row-sorted
+            # store every worker trains on its slice of and the server
+            # evaluates over; close() drops it before the segments unmap
+            store, offsets, self._p_rows = row_sorted_shards(
+                shuffled, plan.fractions, out=views
+            )
+            self._eval_set = store
+            self._offsets.array[:] = offsets
+            self._shard_nnz = np.diff(offsets).tolist()
+            # the factors come after the sort has returned its
+            # temporaries: open()'s high-water is what it leaves resident
+            self.model = self._initial_model(store, mean)
             np.copyto(self._p_shared.array, self.model.P)
-            # the server half runs over the shared segments themselves;
-            # close() drops it before the segments unmap.  Its column
-            # sets come from the shard slices just written — the bytes
-            # each worker derives its own from after the first barrier
-            offsets, shard_cols = self._offsets.array, self._shard_segs[1].array
+            # the server half runs over the shared segments themselves
+            # (dropped by close() as well).  Its column sets come from
+            # the shard slices just written — the bytes each worker
+            # derives its own from after the first barrier
             self.server = ParameterServer(
                 self.model, self.n_workers, channel,
                 wires=(
@@ -791,13 +805,13 @@ class ProcessBackend(_EpochBackend):
                     [buf.array for buf in self._push_bufs],
                 ),
                 columns=[
-                    column_set(shard_cols[lo:hi], ratings.n)
+                    column_set(store.cols[lo:hi], ratings.n)
                     for lo, hi in zip(offsets, offsets[1:])
                 ],
             )
             self._wait_stamps(HANDSHAKE_STAMP, "bootstrap", 0, exits_count=False)
         except BaseException:
-            self.server = None
+            self.server = self._eval_set = None
             self._stack.close()
             self._stack = None
             raise
@@ -913,18 +927,22 @@ class ProcessBackend(_EpochBackend):
                 shard_nnz=tuple(self._shard_nnz),
                 shard_columns=tuple(pushed.shape[1] for pushed in self._pushed()),
                 k=self.k,
-                m=self.data.m,
-                n=self.data.n,
+                m=self.ratings.m,
+                n=self.ratings.n,
                 epochs=self._epochs,
             ),
-            ratings=self.data,
+            # the caller's matrix, not the store: the drift report's
+            # update-rate probe reads it long after close() unmapped that
+            ratings=self.ratings,
         )
 
     def close(self) -> None:
-        # the server half holds views of the shared wires; a backend
-        # kept for its model (publish, serving) must not keep them
-        # alive, nor past the segments' unmapping
-        self.server = None
+        # the server half holds views of the shared wires and the
+        # store is views of the shard segments; a backend kept for its
+        # model (publish, serving) must not keep them alive, nor past
+        # the segments' unmapping — a read through a stale view is a
+        # segfault, not an exception
+        self.server = self._eval_set = None
         if self._stack is not None:
             # failure path (finalize never ran): the attempt's spans
             # would die with the rings' unlink, so reap the stragglers

@@ -82,6 +82,35 @@ def _stall_or_die(
         raise RuntimeError(f"injected failure in worker {worker_id}")
 
 
+def attached_shard(
+    segments: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    lo: int,
+    hi: int,
+    m: int,
+    n: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """A rank's ``[lo, hi)`` slice of the shard segments, checked once.
+
+    Offsets and indices arrive through shared memory: a damaged one
+    must end this worker — and, through the server's next rendezvous,
+    the attempt, as a ``WorkerSyncError`` naming the rank — before the
+    kernel scatters out of bounds into the shared P.  A NumPy slice
+    clamps silently, so the bounds are checked before it is taken.
+    """
+    if not 0 <= lo <= hi <= len(segments[0]):
+        raise ValueError(
+            f"shard offsets [{lo}, {hi}) lie outside the {len(segments[0])} "
+            "stored ratings"
+        )
+    rows, cols, vals = (seg[lo:hi] for seg in segments)
+    if hi > lo:
+        if rows[0] < 0 or rows[-1] >= m or (rows[1:] < rows[:-1]).any():
+            raise ValueError(f"shard rows are not sorted within [0, {m})")
+        if cols.min() < 0 or cols.max() >= n:
+            raise ValueError(f"shard columns lie outside [0, {n})")
+    return rows, cols, vals
+
+
 def local_view(
     p: np.ndarray,
     shard: "tuple[np.ndarray, np.ndarray, np.ndarray]",
@@ -214,7 +243,8 @@ def worker_main(
     live in one ``rows``/``cols``/``vals`` segment set (``shard_specs``)
     shared by all workers; this rank's ``[lo, hi)`` slice of it is read
     from ``offsets_spec`` after the first start barrier, which is what
-    publishes the server's writes, and trained on as zero-copy views;
+    publishes the server's writes, bounds-checked once
+    (:func:`attached_shard`) and trained on as zero-copy views;
     the local Q is allocated then, at the size of the shard's column set
     (:func:`local_view`), never at ``(k, n)`` first.
 
@@ -276,12 +306,16 @@ def worker_main(
                 start_barrier.wait(timeout=patience_s)
             if shard is None:
                 lo, hi = offsets.array[worker_id : worker_id + 2]
+                n = pull_bufs[0].array.shape[1]
                 # the local Q, allocated once: every epoch's pull
                 # decodes into it
                 model, shard, cols = local_view(
                     p_shared.array,
-                    tuple(seg.array[lo:hi] for seg in shard_segs),
-                    pull_bufs[0].array.shape[1],
+                    attached_shard(
+                        tuple(seg.array for seg in shard_segs), lo, hi,
+                        p_shared.array.shape[0], n,
+                    ),
+                    n,
                 )
                 # replay: one permutation draw per completed epoch
                 # (mirrors sgd_shard_epoch) so a warm-started run continues

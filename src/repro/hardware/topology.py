@@ -1,10 +1,11 @@
 """Platform topology: processors wired to a parameter server by buses.
 
-Models the multi-CPU/GPU architecture of paper Figure 2: processors are
-nodes of a graph whose edges carry :class:`BusSpec` channels.  "As long
-as these connection channels are sufficient, processors can communicate
-in parallel without losing bandwidth" — hence each worker's pull/push
-uses its own edge bandwidth, concurrently with the others.
+Models the multi-CPU/GPU architecture of paper Figure 2: a star whose
+centre is the server and whose edges, one per worker, carry
+:class:`BusSpec` channels.  "As long as these connection channels are
+sufficient, processors can communicate in parallel without losing
+bandwidth" — hence each worker's pull/push uses its own edge bandwidth,
+concurrently with the others.
 
 The canonical instance is :func:`paper_workstation` — the section 4.1
 testbed: two Xeon Gold 6242 (CPU_0 hosting the server), an RTX 2080 and
@@ -14,7 +15,6 @@ an RTX 2080 Super on PCI-E 3.0 x16, CPU_1 over UPI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.hardware.processor import Processor
 from repro.hardware.specs import (
@@ -28,28 +28,16 @@ from repro.hardware.specs import (
     XEON_6242,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - networkx loads with the first Platform
-    import networkx as nx
-
-
-def _empty_graph() -> "nx.Graph":
-    import networkx as nx
-
-    return nx.Graph()
-
 
 @dataclass
 class Platform:
     """A multi-CPU/GPU machine: one server plus worker processors."""
 
     server: Processor
-    graph: nx.Graph = field(default_factory=_empty_graph)
     _workers: list[Processor] = field(default_factory=list)
+    #: worker name -> the bus joining it to the server
+    _buses: dict[str, BusSpec] = field(default_factory=dict)
     _channels: dict[str, str | None] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.server.name not in self.graph:
-            self.graph.add_node(self.server.name, processor=self.server)
 
     # ------------------------------------------------------------------
     def add_worker(
@@ -66,10 +54,9 @@ class Platform:
         sufficient" — separate x16 slots per GPU; leaving ``channel``
         None models exactly that (each worker's link is exclusive).
         """
-        if processor.name in self.graph:
+        if processor.name == self.server.name or processor.name in self._buses:
             raise ValueError(f"duplicate processor name {processor.name!r}")
-        self.graph.add_node(processor.name, processor=processor)
-        self.graph.add_edge(self.server.name, processor.name, bus=bus)
+        self._buses[processor.name] = bus
         self._workers.append(processor)
         self._channels[processor.name] = channel
         return processor
@@ -113,7 +100,7 @@ class Platform:
         """The channel connecting a worker to the server."""
         name = worker if isinstance(worker, str) else worker.name
         try:
-            return self.graph.edges[self.server.name, name]["bus"]
+            return self._buses[name]
         except KeyError as exc:
             raise KeyError(f"no bus between server and {name!r}") from exc
 

@@ -102,9 +102,20 @@ class MFModel:
         return cls(p, q)
 
     @classmethod
-    def init_for(cls, ratings: RatingMatrix, k: int, seed: int = 0) -> "MFModel":
-        mean = ratings.mean_rating() or 1.0
-        return cls.init(ratings.m, ratings.n, k, mean_rating=max(mean, 1e-3), seed=seed)
+    def init_for(
+        cls, ratings: RatingMatrix, k: int, seed: int = 0, mean: float | None = None
+    ) -> "MFModel":
+        """:meth:`init` at ``ratings``' shape and mean rating.
+
+        ``mean`` stands for ``ratings.mean_rating()`` where the caller
+        took it before reordering the ratings in place: a float32 sum
+        depends on the order it runs in, and so would every initial bit.
+        """
+        if mean is None:
+            mean = ratings.mean_rating()
+        return cls.init(
+            ratings.m, ratings.n, k, mean_rating=max(mean or 1.0, 1e-3), seed=seed
+        )
 
     # ------------------------------------------------------------------
     def _predict_blocks(self, rows: np.ndarray, cols: np.ndarray):
@@ -132,8 +143,9 @@ class MFModel:
     def residual(self, ratings: RatingMatrix) -> np.ndarray:
         """Signed errors ``r_ij - p_i . q_j`` of the observed entries (float32).
 
-        The one residual every error metric reduces: nothing larger
-        than this O(nnz) vector and one block of gathers is allocated.
+        The vector the metrics other than :meth:`rmse` reduce (MAE, the
+        loss, the CCD and biased models): nothing larger than this
+        O(nnz) vector and one block of gathers is allocated.
         """
         err = np.empty(ratings.nnz, dtype=np.float32)
         for block, predicted in self._predict_blocks(ratings.rows, ratings.cols):
@@ -145,12 +157,20 @@ class MFModel:
         return self.P @ self.Q
 
     def rmse(self, ratings: RatingMatrix) -> float:
-        """Root mean square error over the observed entries."""
+        """Root mean square error over the observed entries.
+
+        Reduced a block at a time — the float32 residual of one
+        ``_BLOCK``, its squares summed in float64 — so an evaluate
+        allocates nothing sized ``nnz``.
+        """
         if ratings.nnz == 0:
             return 0.0
-        err = self.residual(ratings)
-        # metric reduction deliberately widens; never feeds the FP32 model
-        return float(np.sqrt(np.mean(np.square(err, dtype=np.float64))))  # hcclint: disable=kernel-promotion
+        total = 0.0
+        for block, err in self._predict_blocks(ratings.rows, ratings.cols):
+            np.subtract(ratings.vals[block], err, out=err)
+            # metric reduction deliberately widens; never feeds the FP32 model
+            total += float(np.square(err, dtype=np.float64).sum())  # hcclint: disable=kernel-promotion
+        return float(np.sqrt(total / ratings.nnz))
 
     def copy(self) -> "MFModel":
         return MFModel(self.P.copy(), self.Q.copy())

@@ -100,6 +100,14 @@ class TestRunEpoch:
         with pytest.raises(TypeError, match="float32"):
             rt.run_epoch(model.P.astype(np.float64), model.Q.copy(), 0.01, 0.01)
 
+    def test_a_shard_handed_over_is_trained_on_as_given(self, setup):
+        """No assignment: ``ratings`` is the worker's row-sorted shard
+        already (SimBackend's view of its store) and is not copied."""
+        data, assignments, _ = setup
+        shard = assignments[0].extract(data).sort_by_row()
+        rt = WorkerRuntime(0, Processor(XEON_6242), None, shard)
+        assert rt.data is shard and rt.nnz == shard.nnz
+
     def test_data_block_sorted(self, setup):
         data, assignments, _ = setup
         rt = WorkerRuntime(0, Processor(RTX_2080), assignments[0], data)

@@ -10,7 +10,9 @@ from repro.data.grid import (
     coverage_check,
     partition_entries,
     partition_rows,
+    row_sorted_shards,
 )
+from repro.data.ratings import RatingMatrix
 
 
 class TestChooseGrid:
@@ -138,6 +140,66 @@ class TestBlockSort:
         sub = block_sort(small_ratings, parts[0])
         keys = sub.cols * sub.m + sub.rows
         assert np.all(np.diff(keys) >= 0)
+
+
+class TestRowSortedShards:
+    """One sort gives what ``partition_rows`` -> ``extract`` ->
+    ``sort_by_row`` gives shard by shard."""
+
+    FRACTIONS = [[1.0], [0.5, 0.5], [0.7, 0.1, 0.2], [0.0, 1.0], [1e-9, 0.5, 0.5]]
+
+    @staticmethod
+    def reference(ratings, fractions):
+        parts = partition_rows(ratings, fractions, GridKind.ROW)
+        return parts, [block_sort(ratings, a) for a in parts]
+
+    @pytest.mark.parametrize("fractions", FRACTIONS)
+    def test_equals_the_per_shard_path(self, medium_ratings, fractions):
+        data = medium_ratings.shuffle(5)
+        parts, shards = self.reference(data, fractions)
+        store, offsets, p_rows = row_sorted_shards(data, fractions)
+        assert offsets.tolist() == np.cumsum([0] + [a.nnz for a in parts]).tolist()
+        assert p_rows == [(a.lo, a.hi) for a in parts]
+        for want, lo, hi in zip(shards, offsets, offsets[1:]):
+            np.testing.assert_array_equal(store.rows[lo:hi], want.rows)
+            np.testing.assert_array_equal(store.cols[lo:hi], want.cols)
+            np.testing.assert_array_equal(store.vals[lo:hi], want.vals)
+        assert (store.m, store.n) == (data.m, data.n)
+
+    def test_ties_keep_the_order_they_came_in(self):
+        """Two ratings of one cell stay in input order: the sort is stable."""
+        data = RatingMatrix(4, 3, [2, 0, 2, 2, 0], [1, 2, 1, 0, 2], [5, 1, 4, 3, 2])
+        store, offsets, p_rows = row_sorted_shards(data, [0.4, 0.6])
+        assert store.rows.tolist() == [0, 0, 2, 2, 2]
+        assert store.cols.tolist() == [2, 2, 0, 1, 1]
+        assert store.vals.tolist() == [1, 2, 3, 5, 4]
+        assert offsets.tolist() == [0, 2, 5] and p_rows == [(0, 1), (1, 4)]
+
+    def test_out_may_be_the_input_itself(self, medium_ratings):
+        """The process plane's call: sorted in place over longer arrays."""
+        data = medium_ratings.shuffle(5)
+        want, want_offsets, want_rows = row_sorted_shards(data, [0.3, 0.7])
+        out = [
+            np.concatenate([column, column[:3]])
+            for column in (data.rows, data.cols, data.vals)
+        ]
+        tails = [column[-3:].copy() for column in out]
+        in_place = RatingMatrix(data.m, data.n, *(a[: data.nnz] for a in out))
+        store, offsets, p_rows = row_sorted_shards(in_place, [0.3, 0.7], out=out)
+        assert offsets.tolist() == want_offsets.tolist() and p_rows == want_rows
+        for got, ref, dest, tail in zip(
+            (store.rows, store.cols, store.vals),
+            (want.rows, want.cols, want.vals), out, tails,
+        ):
+            np.testing.assert_array_equal(got, ref)
+            assert np.shares_memory(got, dest)
+            np.testing.assert_array_equal(dest[-3:], tail)    # beyond nnz: untouched
+
+    def test_no_ratings(self):
+        empty = RatingMatrix(5, 4, [], [], [])
+        store, offsets, p_rows = row_sorted_shards(empty, [0.5, 0.5])
+        assert store.nnz == 0 and offsets.tolist() == [0, 0, 0]
+        assert p_rows[0][0] == 0 and p_rows[-1][1] == 5
 
 
 class TestCoverageCheck:

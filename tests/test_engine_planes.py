@@ -29,6 +29,7 @@ from repro.engine.pipeline import STAGES, AdditiveDeltaSync, EpochEngine
 from repro.experiments.platforms import workers_platform
 from repro.hardware.topology import paper_workstation
 from repro.resilience import FaultPlan
+from tests.test_engine_startup import factor_crcs
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -36,7 +37,11 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestSimNumericsPinned:
-    """Recorded at the parent commit (buffer classes, ``run_epoch`` loop)."""
+    """``FACTORS`` (CRC32 of the final P and Q) was recorded at the
+    parent of the change that stored the ratings once and passed
+    unchanged on it; ``HISTORY`` was re-pinned by that change, once: the
+    RMSE is summed a block at a time over the row-sorted store, which
+    moved one entry by one ulp (EXPERIMENTS.md, "Ratings stored once")."""
 
     HISTORY = {
         "q-only": [
@@ -45,13 +50,18 @@ class TestSimNumericsPinned:
             "0x1.de9a255995056p-1",
         ],
         "fp16": [
-            "0x1.4865f9dc82ca1p+0", "0x1.2285d244272fbp+0",
+            "0x1.4865f9dc82ca0p+0", "0x1.2285d244272fbp+0",
             "0x1.09e03a6738d0dp+0", "0x1.f550d84f99591p-1",
             "0x1.de9b441a463f6p-1",
         ],
     }
+    FACTORS = {
+        "q-only": ("946c1110", "b8aa7fcb"),
+        "fp16": ("ef781b77", "6997a1f5"),
+    }
     # rotating pull wires change where the bits lie, not the bits
     HISTORY["double-buffer"] = HISTORY["q-only"]
+    FACTORS["double-buffer"] = FACTORS["q-only"]
     CHANNELS = {
         "q-only": QOnlyChannel(),
         "fp16": Fp16Channel(QOnlyChannel()),
@@ -81,6 +91,7 @@ class TestSimNumericsPinned:
     @pytest.mark.parametrize("name", sorted(CHANNELS))
     def test_rmse_history_bit_identical(self, setup, name):
         result = setup(self.CHANNELS[name]).run(5)
+        assert factor_crcs(result.model) == self.FACTORS[name]
         assert [float(r).hex() for r in result.rmse_history] == self.HISTORY[name]
         assert result.sim_seconds.hex() == "0x1.b5b1b1c2ebf36p-7"
 

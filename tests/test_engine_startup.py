@@ -15,6 +15,7 @@ import multiprocessing.resource_tracker
 import multiprocessing.spawn
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from repro.data.datasets import YAHOO_R1
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
-from repro.engine.backends import ProcessBackend, WorkerSyncError
+from repro.engine.backends import ProcessBackend, SimBackend, WorkerSyncError
 from repro.engine.channels import DoubleBufferChannel, Fp16Channel, QOnlyChannel
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.experiments.platforms import workers_platform
 from repro.parallel.shm import SharedArray
 
 PLAN = PartitionPlan("dp0", (0.5, 0.5))
@@ -45,8 +47,13 @@ def shm_segments() -> set[str]:
     return {f for f in os.listdir("/dev/shm") if not f.startswith("sem.")}
 
 
-def open_backend(backend: ProcessBackend, channel=None, epochs: int = 1) -> None:
+def open_backend(backend, channel=None, epochs: int = 1) -> None:
     backend.open(PLAN, channel or QOnlyChannel(), AdditiveDeltaSync(), None, epochs)
+
+
+def factor_crcs(model) -> tuple[str, str]:
+    """CRC32 of P and of Q: what training left, without the metric."""
+    return tuple(f"{zlib.crc32(a.tobytes()):08x}" for a in (model.P, model.Q))
 
 
 class TestBootstrapDeath:
@@ -130,17 +137,26 @@ class TestSpecsOnly:
 
 
 class TestNumericsPinned:
-    """Recorded at the parent commit (pickled shards, eager imports)."""
+    """Training is pinned twice.  ``FACTORS`` (CRC32 of the final P and
+    Q) was recorded at the parent of the change that stored the ratings
+    once and passed unchanged on it: every update kept its bits.
+    ``HISTORY`` was re-pinned by that change, once — RMSE is now summed
+    a block at a time over the row-sorted store, which moved entries by
+    at most one ulp (EXPERIMENTS.md, "Ratings stored once")."""
 
     HISTORY = {
         "q-only": [
-            "0x1.458e11b85ab54p+0", "0x1.18f5b88224c2bp+0",
-            "0x1.f8b6c00c54cc8p-1", "0x1.d29a8121b53e2p-1",
+            "0x1.458e11b85ab54p+0", "0x1.18f5b88224c2ap+0",
+            "0x1.f8b6c00c54cc8p-1", "0x1.d29a8121b53e1p-1",
         ],
         "fp16": [
             "0x1.458ec940b4cb1p+0", "0x1.18f46c9b85c00p+0",
             "0x1.f8b5e4bc79154p-1", "0x1.d299a41ea4e6fp-1",
         ],
+    }
+    FACTORS = {
+        "q-only": ("5f924910", "3aa0aaa2"),
+        "fp16": ("772384da", "0c0488fa"),
     }
 
     @pytest.fixture(scope="class")
@@ -160,33 +176,129 @@ class TestNumericsPinned:
         [("q-only", QOnlyChannel()), ("fp16", Fp16Channel(QOnlyChannel()))],
     )
     def test_rmse_history_bit_identical(self, data, name, channel):
-        result = EpochEngine(
-            self.backend(data), channel=channel, partitions=(0.6, 0.4)
-        ).run(4)
+        backend = self.backend(data)
+        result = EpochEngine(backend, channel=channel, partitions=(0.6, 0.4)).run(4)
+        assert factor_crcs(backend.model) == self.FACTORS[name]
         assert [float(r).hex() for r in result.rmse_history] == self.HISTORY[name]
 
-    def test_shared_shards_equal_sorted_extracts(self, data):
-        backend = self.backend(data)
+    @pytest.fixture(scope="class")
+    def with_ties(self, data):
+        """Every tenth rating is rated twice more with other values, so
+        the order of (row, col) ties — the shuffled one — is pinned."""
+        again = np.arange(0, data.nnz, 10)
+        return RatingMatrix(
+            data.m, data.n,
+            np.concatenate([data.rows, data.rows[again], data.rows[again]]),
+            np.concatenate([data.cols, data.cols[again], data.cols[again]]),
+            np.concatenate([data.vals, data.vals[again] + 1, data.vals[again] + 2]),
+        )
+
+    @staticmethod
+    def assert_sorted_extracts(shards, shuffled):
+        """``shards`` — one (rows, cols, vals) per worker — are the bytes
+        of ``partition_rows`` -> ``extract`` -> ``sort_by_row`` over
+        ``shuffled``, which the caller built from its own data: nothing
+        is read back from the backend under test."""
+        wanted = partition_rows(shuffled, PLAN.fractions, GridKind.ROW)
+        assert len(shards) == len(wanted)
+        ties = 0
+        for (rows, cols, vals), assignment in zip(shards, wanted):
+            want = assignment.extract(shuffled).sort_by_row()
+            np.testing.assert_array_equal(rows, want.rows)
+            np.testing.assert_array_equal(cols, want.cols)
+            np.testing.assert_array_equal(vals, want.vals)
+            assert (rows.dtype, cols.dtype, vals.dtype) == (
+                want.rows.dtype, want.cols.dtype, want.vals.dtype)
+            same_cell = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+            ties += int((same_cell & (vals[1:] != vals[:-1])).sum())
+        assert ties >= 1200         # the fixture's duplicates were compared
+
+    def test_shared_shards_equal_sorted_extracts(self, with_ties):
+        backend = self.backend(with_ties)
         open_backend(backend)
         try:
             offsets = backend._offsets.array
-            assert offsets[0] == 0 and offsets[-1] == data.nnz
-            shards = partition_rows(backend.data, PLAN.fractions, GridKind.ROW)
-            for wid, assignment in enumerate(shards):
-                want = assignment.extract(backend.data).sort_by_row()
-                lo, hi = offsets[wid : wid + 2]
-                rows, cols, vals = (seg.array[lo:hi] for seg in backend._shard_segs)
-                np.testing.assert_array_equal(rows, want.rows)
-                np.testing.assert_array_equal(cols, want.cols)
-                np.testing.assert_array_equal(vals, want.vals)
-                assert (rows.dtype, cols.dtype, vals.dtype) == (
-                    want.rows.dtype, want.cols.dtype, want.vals.dtype)
+            assert offsets[0] == 0 and offsets[-1] == with_ties.nnz
+            self.assert_sorted_extracts(
+                [
+                    tuple(seg.array[lo:hi] for seg in backend._shard_segs)
+                    for lo, hi in zip(offsets, offsets[1:])
+                ],
+                with_ties.shuffle(backend.seed),
+            )
         finally:
             backend.close()
 
+    def test_sim_runtime_views_equal_sorted_extracts(self, with_ties):
+        shuffled = with_ties.shuffle(3)
+        backend = SimBackend(workers_platform(2), ratings=shuffled, k=8)
+        open_backend(backend)
+        self.assert_sorted_extracts(
+            [(rt.data.rows, rt.data.cols, rt.data.vals) for rt in backend.runtimes],
+            shuffled,
+        )
+        backend.close()
+
+
+#: one overwritten element of what a worker attaches -> the ranks whose
+#: check must fire
+DAMAGED_RANKS = {
+    "offset past the end": (0, 1),      # rank 0's hi and rank 1's lo
+    "last offset past the end": (1,),
+    "row out of range": (1,),
+    "rows unsorted": (0,),
+    "column out of range": (0,),
+}
+
+
+def damage(backend: ProcessBackend, how: str) -> None:
+    ratings, offsets = backend.ratings, backend._offsets.array
+    rows, cols, _ = (seg.array for seg in backend._shard_segs)
+    array, index, value = {
+        "offset past the end": (offsets, 1, ratings.nnz + 5),
+        "last offset past the end": (offsets, 2, ratings.nnz + 5),
+        "row out of range": (rows, ratings.nnz - 1, ratings.m),
+        "rows unsorted": (rows, 0, ratings.m - 1),
+        "column out of range": (cols, 0, ratings.n),
+    }[how]
+    array[index] = value
+
+
+class TestWorkerChecksItsShard:
+    """Offsets and indices reach a worker through shared memory; it
+    checks its slice once, after the first start barrier, and a damaged
+    one ends the attempt as a ``WorkerSyncError`` naming the rank — not
+    as an out-of-bounds scatter into the shared P.  (Damaged from the
+    server side: a monkeypatch does not reach a spawned worker.)"""
+
+    @pytest.mark.parametrize("how", sorted(DAMAGED_RANKS))
+    def test_damaged_shard_is_a_sync_error_naming_the_rank(self, how):
+        ranks = DAMAGED_RANKS[how]
+        before = shm_segments()
+        backend = ProcessBackend(
+            random_ratings(20_000), k=8, n_workers=2, barrier_timeout_s=30.0
+        )
+        open_backend(backend)
+        try:
+            damage(backend, how)
+            backend.pull(0)
+            backend.compute(0)
+            with pytest.raises(WorkerSyncError) as ei:
+                backend.push(0)
+            assert ei.value.point == "end"
+            assert ei.value.missing_ranks == ranks
+            assert all(f"worker-{rank}" in str(ei.value) for rank in ranks)
+            report = backend.health_report(ei.value)
+        finally:
+            backend.close()
+        assert report.dead_ranks == ranks
+        assert shm_segments() == before
+
 
 class TestColumnSetNumericsPinned:
-    """Recorded at the parent commit, where every wire was whole.
+    """``FACTORS`` recorded where every wire was whole and unchanged
+    since; ``HISTORY`` re-pinned once with the ratings stored once (see
+    ``TestNumericsPinned``).
 
     The R1-shaped toy is 11,465 x 6,481 with 4,000 ratings: each of two
     workers rates 21 % of the columns, each of three 15 %, so every
@@ -197,24 +309,31 @@ class TestColumnSetNumericsPinned:
     HISTORY = {
         (2, "q-only"): [
             "0x1.5e6fef3740765p+4", "0x1.20033973f6fbbp+4",
-            "0x1.ea7a738de1bf4p+3", "0x1.aecd824632d3bp+3",
+            "0x1.ea7a738de1bf5p+3", "0x1.aecd824632d3cp+3",
         ],
         (2, "fp16"): [
-            "0x1.5e703b6de21aap+4", "0x1.2003c3111ea60p+4",
+            "0x1.5e703b6de21aap+4", "0x1.2003c3111ea61p+4",
             "0x1.ea7b3b36568d3p+3", "0x1.aecdd1c26dde4p+3",
         ],
         (3, "q-only"): [
             "0x1.5f0eb05f89572p+4", "0x1.21a62007bcb2cp+4",
-            "0x1.eeb1be7d28fc2p+3", "0x1.b322d475af6ebp+3",
+            "0x1.eeb1be7d28fc3p+3", "0x1.b322d475af6ecp+3",
         ],
         (3, "fp16"): [
             "0x1.5f0ef0425e7e7p+4", "0x1.21a630d73d3ccp+4",
-            "0x1.eeb15924a9105p+3", "0x1.b322b53de66b3p+3",
+            "0x1.eeb15924a9105p+3", "0x1.b322b53de66b4p+3",
         ],
+    }
+    FACTORS = {
+        (2, "q-only"): ("d6d170e6", "c4f87ed4"),
+        (2, "fp16"): ("793e94d6", "27c11fcc"),
+        (3, "q-only"): ("fd1873bd", "e838083b"),
+        (3, "fp16"): ("444385f3", "20fb0e9f"),
     }
     # rotating pull wires change which wire a column is gathered from,
     # not its bits (recorded as well: equal at the parent)
     HISTORY[2, "double-buffer"] = HISTORY[2, "q-only"]
+    FACTORS[2, "double-buffer"] = FACTORS[2, "q-only"]
     CHANNELS = {
         "q-only": QOnlyChannel(),
         "fp16": Fp16Channel(QOnlyChannel()),
@@ -232,6 +351,7 @@ class TestColumnSetNumericsPinned:
             seed=3, barrier_timeout_s=60.0,
         )
         result = EpochEngine(backend, channel=self.CHANNELS[name]).run(4)
+        assert factor_crcs(backend.model) == self.FACTORS[n_workers, name]
         assert [float(r).hex() for r in result.rmse_history] == self.HISTORY[n_workers, name]
         # every worker's wire was a column set: a fifth of Q or less crossed
         pushes = [e.detail for e in result.stage_trace if e.stage == "push"]

@@ -31,6 +31,9 @@ class TestPlatform:
         plat.add_worker(Processor(RTX_2080, instance="g"), PCIE3_X16)
         with pytest.raises(ValueError, match="duplicate"):
             plat.add_worker(Processor(RTX_2080, instance="g"), PCIE3_X16)
+        with pytest.raises(ValueError, match="duplicate"):      # the server's name
+            plat.add_worker(Processor(XEON_6242, instance="s"), PCIE3_X16)
+        assert plat.n_workers == 1
 
     def test_unknown_bus_lookup(self):
         plat = Platform(server=Processor(XEON_6242, instance="s"))

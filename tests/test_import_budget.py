@@ -68,6 +68,21 @@ class TestImportBudget:
             assert module not in modules, module
         assert len(modules) < 240
 
+    def test_sim_plane_epoch_loads_no_graph_library(self):
+        """A ``Platform`` is a star with one bus per worker, kept as a
+        dict: building the paper's and training on it loads no
+        ``networkx`` (338 modules and 15 MB when it did)."""
+        modules = modules_after(
+            "from repro import EpochEngine, NETFLIX, QOnlyChannel; "
+            "from repro import paper_workstation; "
+            "from repro.engine.backends import SimBackend; "
+            "data = NETFLIX.scaled(2000).generate(seed=0).shuffle(0); "
+            "backend = SimBackend(paper_workstation(), ratings=data, k=4); "
+            "EpochEngine(backend, channel=QOnlyChannel()).run(1)"
+        )
+        assert "repro.engine.backends" in modules
+        assert not loaded(modules, "networkx")
+
 
 class TestLazyExports:
     @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -101,25 +101,37 @@ class TestBlockedResidual:
         )
 
     def test_rmse_is_the_float64_reduction_of_the_residual(self):
-        ratings = random_ratings(3 * BLOCK + 7, 900, 700)
+        """... a block at a time: the float32 residual of each ``_BLOCK``
+        squared and summed in float64, the block sums added in order."""
         model = MFModel.init(900, 700, 16, seed=2)
-        err = full_array_residual(model, ratings)
-        want = float(np.sqrt(np.mean(np.square(err, dtype=np.float64))))
-        assert model.rmse(ratings) == want
+        for nnz in (0, 1, BLOCK - 1, BLOCK, 3 * BLOCK + 7):
+            ratings = random_ratings(nnz, 900, 700, seed=nnz)
+            err = full_array_residual(model, ratings)
+            total = 0.0
+            for lo in range(0, nnz, BLOCK):
+                total += float(np.square(err[lo : lo + BLOCK], dtype=np.float64).sum())
+            want = float(np.sqrt(total / nnz)) if nnz else 0.0
+            assert model.rmse(ratings) == want
+            # one ulp or so from the whole-vector mean it replaced
+            whole = float(np.sqrt(np.mean(np.square(err, dtype=np.float64)))) if nnz else 0.0
+            assert model.rmse(ratings) == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_rmse_peak_does_not_grow_with_k(self):
-        nnz = 200_000
-        ratings = random_ratings(nnz, 20_000, 3_000)
+        """... nor with nnz: an evaluate holds two ``_BLOCK`` gathers,
+        the block's residual and its float64 squares, whatever it walks."""
         peaks = {}
-        for k in (8, 64):
-            model = MFModel.init(20_000, 3_000, k)
-            model.rmse(ratings)     # first call pays einsum's one-time caches
-            peaks[k] = peak_bytes(lambda: model.rmse(ratings))
+        for nnz in (100_000, 400_000):
+            ratings = random_ratings(nnz, 20_000, 3_000)
+            for k in (8, 64):
+                model = MFModel.init(20_000, 3_000, k)
+                model.rmse(ratings)     # first call pays einsum's one-time caches
+                peaks[nnz, k] = peak_bytes(lambda: model.rmse(ratings))
         one_block = 2 * BLOCK * 64 * 4      # both factor gathers at k = 64
-        assert abs(peaks[64] - peaks[8]) <= one_block
-        # the float32 error vector plus its float64 squares, never the
-        # 2 * nnz * k * 4 B (102 MB at k = 64) of whole-array gathers
-        assert max(peaks.values()) <= 16 * nnz + one_block
+        around = BLOCK * (4 + 8) + 64 * 1024    # residual, squares, index slices
+        assert max(peaks.values()) <= one_block + around
+        # never the 2 * nnz * k * 4 B (205 MB at k = 64) of whole-array
+        # gathers, nor the 12 B a rating of an error vector and its squares
+        assert max(peaks.values()) < 12 * 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +364,14 @@ K, N = 16, 40_000
 KN_BYTES = 4 * K * N
 
 
-def arrays_of_shape(obj, shape, seen=None):
-    """Every ndarray of ``shape`` reachable from an object's attributes."""
+def reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from an object's attributes."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
-        return [obj] if obj.shape == shape else []
+        return [obj]
     if isinstance(obj, (list, tuple)):
         children = list(obj)
     elif isinstance(obj, dict):
@@ -368,7 +380,18 @@ def arrays_of_shape(obj, shape, seen=None):
         children = list(vars(obj).values())
     else:
         return []
-    return [a for child in children for a in arrays_of_shape(child, shape, seen)]
+    return [a for child in children for a in reachable_arrays(child, seen)]
+
+
+def arrays_of_shape(obj, shape):
+    return [a for a in reachable_arrays(obj) if a.shape == shape]
+
+
+def owns_its_memory(a: np.ndarray) -> bool:
+    """False for a view of a foreign buffer — a shared segment, a mapping."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.base is None
 
 
 class TestParameterServer:
@@ -516,6 +539,55 @@ class TestProcessBackend:
         kept = arrays_of_shape(backend, (K, N))
         assert [id(a) for a in kept] == [id(backend.model.Q)]
 
+    def test_nothing_that_outlives_close_views_a_segment(self, ratings):
+        """A view kept past ``SharedArray.unlink()`` does not raise when
+        read, it segfaults: after ``close()`` every array the result, the
+        backend and the telemetry still reach is private memory — the
+        update-rate probe reads the ratings long after — and the model
+        still publishes."""
+        telemetry = Telemetry()
+        backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
+        result = EpochEngine(backend, channel=QOnlyChannel(), telemetry=telemetry).run(2)
+        assert backend._stack is None and backend._eval_set is None
+        kept = reachable_arrays([result, backend, telemetry])
+        assert len(kept) >= 5       # P, Q and the caller's three columns
+        for a in kept:
+            assert owns_its_memory(a)
+            a.sum()                 # alive: a stale view would crash here
+        report = telemetry.drift_report(bandwidth_gbs=10.0)
+        assert "probe_update_rate" in telemetry.registry      # it read the ratings
+        assert report.rows
+        assert np.isfinite(backend.model.rmse(ratings))
+        server = ParameterServer(backend.model, 1, channel=QOnlyChannel())
+        server.begin_epoch()        # "publish": the factors still encode
+
+    def test_open_stores_the_ratings_once_and_only_in_the_segments(self):
+        """The shuffle is a gather into the shard segments and the sort
+        is in place: after ``open()`` the server holds no anonymous array
+        as long as the ratings, and inside it at most the permutation or
+        the sort order beside one column temporary (16 B a rating; the
+        retained shuffled copy alone was 20)."""
+        nnz = 200_000
+        ratings = random_ratings(nnz, 2_000, 300)
+        backend = ProcessBackend(ratings, k=8, n_workers=2, barrier_timeout_s=60.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backend.open(PLAN, QOnlyChannel(), AdditiveDeltaSync(), None, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            assert held - before < 4 * nnz          # not even the float32 column
+            assert peak - before < ratings.nbytes()
+            store = backend._eval_set
+            assert store.nnz == nnz and not owns_its_memory(store.vals)
+            for column, seg in zip((store.rows, store.cols, store.vals), backend._shard_segs):
+                assert np.shares_memory(column, seg.array)
+        finally:
+            backend.close()
+
     def test_non_finite_push_is_refused_before_any_merge(self, ratings):
         backend = ProcessBackend(
             ratings, k=K, n_workers=2, barrier_timeout_s=60.0,
@@ -561,6 +633,36 @@ class TestSimBackend:
         backend.close()
         kept = arrays_of_shape(backend, (K, N))
         assert [id(a) for a in kept] == [id(backend.model.Q)]
+
+    def test_open_keeps_one_sorted_copy_that_the_runtimes_view(self):
+        nnz = 200_000
+        platform = paper_workstation()
+        ratings = random_ratings(nnz, 2_000, 300)
+        backend = SimBackend(platform, ratings, k=8)
+        fractions = tuple(1.0 / platform.n_workers for _ in platform.workers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backend.open(
+                PartitionPlan("even", fractions), QOnlyChannel(),
+                AdditiveDeltaSync(), None, 1,
+            )
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the store (20 B a rating), the factors and the local Qs: not two
+        assert ratings.nbytes() <= held < 1.2 * ratings.nbytes()
+        store = backend._eval_set
+        assert store.nnz == nnz and (np.diff(store.rows) >= 0).all()
+        assert sum(rt.nnz for rt in backend.runtimes) == nnz
+        for rt in backend.runtimes:
+            for mine, stored in zip(
+                (rt.data.rows, rt.data.cols, rt.data.vals),
+                (store.rows, store.cols, store.vals),
+            ):
+                assert not mine.flags.owndata and np.shares_memory(mine, stored)
+        backend.close()
+        assert backend._eval_set is None and backend.runtimes == []
 
     def test_open_and_an_epoch_allocate_nothing_k_by_n_per_worker(self):
         """Each shard rates a few percent of the columns, so what a worker
