@@ -9,7 +9,9 @@ the process plane in place over the shard segments the shuffle was
 gathered into.  ``bench_open`` times the three ways at the benchmark's
 four workload shapes; ``bench_rmse`` times ``MFModel.rmse`` over the
 shuffled order a backend used to evaluate on against the row-sorted
-store it evaluates on now.
+store it evaluates on now.  ``bench_order`` times the orders themselves:
+the comparison sorts ``open()`` and ``SeenIndex`` used to run — kept
+here, as the reference — against ``data.ratings.stable_order``.
 
     pytest benchmarks/bench_open.py --benchmark-only
 
@@ -25,7 +27,7 @@ from repro.core.config import PartitionStrategy
 from repro.core.cost_model import TimeCostModel
 from repro.data.datasets import MOVIELENS_20M, NETFLIX
 from repro.data.grid import GridKind, partition_rows, row_sorted_shards
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.hardware.topology import paper_workstation
 from repro.mf.model import MFModel
@@ -96,6 +98,32 @@ def bench_open(benchmark, name, how):
         assert offsets[-1] == ratings.nnz
     assert len(rows) == ratings.nnz and (np.diff(rows) >= 0).all()
     benchmark.extra_info["nnz"] = ratings.nnz
+
+
+#: key -> (the comparison sort that was there, the radix order that is)
+ORDERS = {
+    # ``row_sorted_shards`` / ``sort_by_row``: what ``open()`` runs
+    "row-col": (
+        lambda r: np.lexsort((r.cols, r.rows)),
+        lambda r: stable_order(r.rows, r.m, stable_order(r.cols, r.n)),
+    ),
+    # ``SeenIndex.from_ratings`` / ``partition_rows``
+    "row": (
+        lambda r: np.argsort(r.rows, kind="stable"),
+        lambda r: stable_order(r.rows, r.m),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+@pytest.mark.parametrize("key", list(ORDERS))
+@pytest.mark.parametrize("how", ["comparison", "radix"])
+def bench_order(benchmark, name, key, how):
+    shuffled = shape(name)[0].shuffle(SEED)
+    comparison, radix = ORDERS[key]
+    order = benchmark(comparison if how == "comparison" else radix, shuffled)
+    np.testing.assert_array_equal(order, comparison(shuffled))
+    benchmark.extra_info["nnz"] = shuffled.nnz
 
 
 @pytest.mark.parametrize("name", SHAPES)

@@ -10,6 +10,7 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "RatingMatrix",
+    "stable_order",
     "SyntheticConfig",
     "generate_low_rank",
     "sample_sparsity_pattern",
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.data.ratings": ("RatingMatrix",),
+    "repro.data.ratings": ("RatingMatrix", "stable_order"),
     "repro.data.synthetic": (
         "SyntheticConfig", "generate_low_rank", "sample_sparsity_pattern",
     ),

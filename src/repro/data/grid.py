@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 
 
 class GridKind(enum.Enum):
@@ -62,8 +62,11 @@ class GridAssignment:
         return ratings.take(self.entries)
 
 
-def _fractions_to_boundaries(counts: np.ndarray, fractions: Sequence[float]) -> list[tuple[int, int]]:
-    """Find index boundaries so cumulative counts track cumulative fractions."""
+def _fractions_to_boundaries(
+    counts: np.ndarray, fractions: Sequence[float]
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Index ranges whose cumulative counts track the cumulative fractions,
+    and those cumulative counts (``cum[i]`` entries lie below index ``i``)."""
     fr = np.asarray(fractions, dtype=np.float64)
     if len(fr) == 0:
         raise ValueError("need at least one worker fraction")
@@ -84,7 +87,7 @@ def _fractions_to_boundaries(counts: np.ndarray, fractions: Sequence[float]) -> 
     # enforce monotonicity (degenerate fractions can produce equal cuts)
     for i in range(1, len(bounds)):
         bounds[i] = max(bounds[i], bounds[i - 1])
-    return [(bounds[i], bounds[i + 1]) for i in range(len(fr))]
+    return [(bounds[i], bounds[i + 1]) for i in range(len(fr))], cum_counts
 
 
 def partition_rows(
@@ -109,18 +112,15 @@ def partition_rows(
         axis_len = ratings.n
 
     counts = np.bincount(axis_idx, minlength=axis_len)
-    ranges = _fractions_to_boundaries(counts, fractions)
-
-    order = np.argsort(axis_idx, kind="stable")
-    sorted_axis = axis_idx[order]
-    assignments = []
-    for worker, (lo, hi) in enumerate(ranges):
-        start = np.searchsorted(sorted_axis, lo, side="left")
-        stop = np.searchsorted(sorted_axis, hi, side="left")
-        assignments.append(
-            GridAssignment(worker=worker, kind=kind, lo=int(lo), hi=int(hi), entries=order[start:stop])
+    ranges, first_entry = _fractions_to_boundaries(counts, fractions)
+    order = stable_order(axis_idx, axis_len)
+    return [
+        GridAssignment(
+            worker=worker, kind=kind, lo=int(lo), hi=int(hi),
+            entries=order[first_entry[lo]:first_entry[hi]],
         )
-    return assignments
+        for worker, (lo, hi) in enumerate(ranges)
+    ]
 
 
 def row_sorted_shards(
@@ -136,7 +136,7 @@ def row_sorted_shards(
     the ``[lo, hi)`` rows of P that shard rates — shard by shard the
     bytes of ``partition_rows(ratings, fractions, GridKind.ROW)`` →
     ``extract`` → ``sort_by_row`` (paper footnote 1), from one stable
-    sort over all entries instead of one per step.
+    radix order over all entries instead of a sort per step.
 
     With ``out`` — three arrays of at least ``nnz`` elements, typed as
     ``rows`` / ``cols`` / ``vals`` — the store is written into them, one
@@ -145,10 +145,9 @@ def row_sorted_shards(
     place, and ``ratings`` must not be read afterwards.
     """
     counts = np.bincount(ratings.rows, minlength=ratings.m)
-    p_rows = _fractions_to_boundaries(counts, fractions)
-    first_entry = np.concatenate([[0], np.cumsum(counts)])
+    p_rows, first_entry = _fractions_to_boundaries(counts, fractions)
     offsets = first_entry[[lo for lo, _ in p_rows] + [ratings.m]]
-    order = np.lexsort((ratings.cols, ratings.rows))
+    order = stable_order(ratings.rows, ratings.m, stable_order(ratings.cols, ratings.n))
     if out is None:
         return ratings.take(order), offsets, p_rows
     views = [dest[: ratings.nnz] for dest in out]

@@ -38,6 +38,43 @@ def _as_value_array(a) -> np.ndarray:
     return arr
 
 
+_GATHER_BLOCK = 1 << 16
+
+
+def stable_order(ids: np.ndarray, bound: int, order: np.ndarray | None = None) -> np.ndarray:
+    """The permutation that stably sorts ``ids``, all in ``[0, bound)``.
+
+    A least-significant-digit radix sort: one stable pass per 16 bits of
+    ``bound - 1``, each NumPy's own counting sort over ``uint16`` keys,
+    so the cost is linear in ``len(ids)`` where a comparison sort over
+    ``int64`` is not.  Equal to ``np.argsort(ids, kind="stable")``, as
+    any stable sort of the same keys is.  ``order`` is a permutation the
+    entries are already in; ties keep it, which composes keys from the
+    least significant up: ``stable_order(rows, m, stable_order(cols, n))``
+    equals ``np.lexsort((cols, rows))``.
+
+    Precondition: ``0 <= id < bound``.  It is not checked here — the
+    kernel calls this once per batch — and an id outside it loses its
+    high bits and lands in another id's group, silently.  Ids reach
+    every caller checked: through :class:`RatingMatrix`, whose
+    constructor rejects any other, or through
+    ``engine.worker_proc.attached_shard``.
+    """
+    for shift in range(0, (int(bound) - 1).bit_length(), 16):
+        digit = (ids >> shift if shift else ids).astype(np.uint16)
+        if order is not None:
+            digit = digit[order]
+        step = np.argsort(digit, kind="stable")
+        del digit
+        if order is not None:
+            # ``order[step]`` a block at a time into ``step`` itself: two
+            # index-sized arrays alive, not three
+            for lo in range(0, len(step), _GATHER_BLOCK):
+                step[lo:lo + _GATHER_BLOCK] = order[step[lo:lo + _GATHER_BLOCK]]
+        order = step
+    return np.arange(len(ids)) if order is None else order
+
+
 @dataclass(frozen=True)
 class RatingMatrix:
     """A sparse rating matrix in COO form.
@@ -169,12 +206,10 @@ class RatingMatrix:
         This is the "block sorting by row" cache optimization the paper's
         authors retro-fitted onto CuMF_SGD (footnote 1, item iii).
         """
-        order = np.lexsort((self.cols, self.rows))
-        return self.take(order)
+        return self.take(stable_order(self.rows, self.m, stable_order(self.cols, self.n)))
 
     def sort_by_col(self) -> "RatingMatrix":
-        order = np.lexsort((self.rows, self.cols))
-        return self.take(order)
+        return self.take(stable_order(self.cols, self.n, stable_order(self.rows, self.m)))
 
     def take(self, idx: np.ndarray) -> "RatingMatrix":
         """Entry subset / reorder by index array (keeps m, n)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 from repro.mf.model import MFModel
 from repro.mf.sgd import TrainHistory
 
@@ -52,12 +52,12 @@ class ALS:
     ) -> np.ndarray:
         """Solve every entity's ridge regression against the fixed side.
 
-        Ratings are grouped by entity with one argsort; each group's
+        Ratings are grouped by entity with one stable order; each group's
         normal equations ``(F F^T + reg*nnz_e*I) x = F r`` are solved
         exactly (the LIBMF/cuMF_ALS weighting of the penalty).
         """
         out = np.zeros((n_entities, k), dtype=np.float32)
-        order = np.argsort(indices, kind="stable")
+        order = stable_order(indices, n_entities)
         sorted_idx = indices[order]
         sorted_other = others[order]
         sorted_vals = vals[order].astype(np.float64)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.ratings import RatingMatrix
-from repro.mf.kernels import _scatter_add
+from repro.mf.kernels import _scatter_mean
 from repro.mf.model import MFModel
 from repro.mf.sgd import TrainHistory
 
@@ -86,12 +86,8 @@ class BiasedMF:
         dbi = lr * (err - breg * self.item_bias[cols])
 
         # duplicate-averaged atomic accumulation, as in the plain kernel
-        row_counts = np.bincount(rows, minlength=P.shape[0])[rows]
-        col_counts = np.bincount(cols, minlength=Q.shape[1])[cols]
-        _scatter_add(P, rows, (dp / row_counts[:, None]).astype(np.float32))
-        _scatter_add(Q.T, cols, (dq / col_counts[:, None]).astype(np.float32))
-        _scatter_add(self.user_bias, rows, (dbu / row_counts).astype(np.float32))
-        _scatter_add(self.item_bias, cols, (dbi / col_counts).astype(np.float32))
+        _scatter_mean(rows, P.shape[0], (P, dp), (self.user_bias[:, None], dbu[:, None]))
+        _scatter_mean(cols, Q.shape[1], (Q.T, dq), (self.item_bias[:, None], dbi[:, None]))
 
     def fit(
         self,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 from repro.mf.kernels import ConflictPolicy, sgd_batch_update
 from repro.mf.model import MFModel
 from repro.mf.sgd import TrainHistory
@@ -53,7 +53,7 @@ class BlockGrid:
         rb = np.clip(np.searchsorted(row_edges, ratings.rows, side="right") - 1, 0, nb - 1)
         cb = np.clip(np.searchsorted(col_edges, ratings.cols, side="right") - 1, 0, nb - 1)
         keys = rb * nb + cb
-        order = np.argsort(keys, kind="stable")
+        order = stable_order(keys, nb * nb)
         sorted_keys = keys[order]
         starts = np.searchsorted(sorted_keys, np.arange(nb * nb), side="left")
         stops = np.searchsorted(sorted_keys, np.arange(nb * nb), side="right")

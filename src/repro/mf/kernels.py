@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 from repro.mf.model import MFModel
 
 
@@ -57,30 +57,44 @@ class BatchStats:
 
 def conflict_stats(rows: np.ndarray, cols: np.ndarray) -> BatchStats:
     """Count batch entries whose row (column) appears more than once."""
-    size = len(rows)
-    _, row_counts = np.unique(rows, return_counts=True)
-    _, col_counts = np.unique(cols, return_counts=True)
+    row_counts = np.bincount(rows)
+    col_counts = np.bincount(cols)
     return BatchStats(
-        size=size,
-        row_conflicts=int(np.sum(row_counts[row_counts > 1])),
-        col_conflicts=int(np.sum(col_counts[col_counts > 1])),
+        size=len(rows),
+        row_conflicts=int(row_counts[row_counts > 1].sum()),
+        col_conflicts=int(col_counts[col_counts > 1].sum()),
     )
 
 
-def _scatter_add(target: np.ndarray, idx: np.ndarray, updates: np.ndarray) -> None:
-    """``target[idx] += updates`` with duplicate accumulation, fast.
+def _scatter_mean(idx: np.ndarray, bound: int, *pairs: "tuple[np.ndarray, np.ndarray]") -> None:
+    """For each ``(target, updates)``: ``target[i] +=`` the mean of the
+    ``updates`` rows whose ``idx`` is ``i``; ids lie in ``[0, bound)``.
 
     ``np.add.at`` is correct but unbuffered (one scattered write per
-    element, ~20x slower here); grouping duplicates with a sort and
-    ``np.add.reduceat`` keeps everything in buffered vector ops.
+    element, ~20x slower here); grouping equal ids with
+    :func:`stable_order` keeps everything in buffered vector ops.
+    ``np.add.reduceat`` pays per group, so only ids that repeat go
+    through it.  Float32 by a float32 count is, for counts up to 2**24,
+    the float64 quotient rounded to float32, bit for bit.
     """
     if len(idx) == 0:
         return
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_idx)) + 1))
-    sums = np.add.reduceat(updates[order], starts, axis=0)
-    target[sorted_idx[starts]] += sums
+    order = stable_order(idx, bound)
+    ids = idx[order]
+    edges = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1], [True])))
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+    alone = sizes == 1
+    dup = ~alone
+    single_ids, single_at = ids[starts[alone]], order[starts[alone]]
+    dup_ids, dup_at = ids[starts[dup]], order[np.repeat(dup, sizes)]
+    sizes = sizes[dup]
+    dup_starts = np.cumsum(sizes) - sizes
+    counts = np.repeat(sizes, sizes).astype(np.float32, copy=False)[:, None]
+    for target, updates in pairs:
+        target[single_ids] += updates[single_at].astype(np.float32, copy=False)
+        if len(dup_ids):
+            shares = (updates[dup_at] / counts).astype(np.float32, copy=False)
+            target[dup_ids] += np.add.reduceat(shares, dup_starts, axis=0)
 
 
 def sgd_batch_update(
@@ -111,10 +125,8 @@ def sgd_batch_update(
         # *stale* gradients would multiply the effective step size by the
         # duplicate count and diverge; averaging over intra-batch
         # duplicates is the convergent serializable approximation.
-        row_counts = np.bincount(rows, minlength=P.shape[0])[rows]
-        col_counts = np.bincount(cols, minlength=Q.shape[1])[cols]
-        _scatter_add(P, rows, (dp / row_counts[:, None]).astype(np.float32, copy=False))
-        _scatter_add(Q.T, cols, (dq / col_counts[:, None]).astype(np.float32, copy=False))
+        _scatter_mean(rows, P.shape[0], (P, dp))
+        _scatter_mean(cols, Q.shape[1], (Q.T, dq))
     elif policy is ConflictPolicy.LAST_WRITE:
         # duplicate indices: NumPy fancy assignment keeps the last
         # occurrence, exactly the lost-update behaviour of unsynchronized

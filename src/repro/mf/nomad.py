@@ -22,7 +22,7 @@ from collections import deque
 import numpy as np
 
 from repro.data.grid import GridKind, partition_rows
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 from repro.mf.kernels import ConflictPolicy, sgd_batch_update
 from repro.mf.model import MFModel
 from repro.mf.sgd import TrainHistory
@@ -60,7 +60,7 @@ class NOMAD:
         out: list[dict[int, np.ndarray]] = []
         for shard in shards:
             cols = ratings.cols[shard.entries]
-            order = np.argsort(cols, kind="stable")
+            order = stable_order(cols, ratings.n)
             sorted_cols = cols[order]
             sorted_entries = shard.entries[order]
             mapping: dict[int, np.ndarray] = {}

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, stable_order
 from repro.serving.store import ModelStore
 
 #: scoring precisions: fp32 = raw snapshot factors; fp16 = wire-quantized
@@ -50,11 +50,9 @@ class SeenIndex:
     @classmethod
     def from_ratings(cls, ratings: RatingMatrix) -> "SeenIndex":
         """Index every observed (user, item) pair of a rating matrix."""
-        order = np.argsort(ratings.rows, kind="stable")
-        rows = ratings.rows[order]
-        items = ratings.cols[order]
+        items = ratings.cols[stable_order(ratings.rows, ratings.m)]
         indptr = np.zeros(ratings.m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=ratings.m), out=indptr[1:])
+        np.cumsum(np.bincount(ratings.rows, minlength=ratings.m), out=indptr[1:])
         return cls(indptr, items, ratings.m)
 
     def items_for(self, user: int) -> np.ndarray:

@@ -175,6 +175,19 @@ class TestRowSortedShards:
         assert store.vals.tolist() == [1, 2, 3, 5, 4]
         assert offsets.tolist() == [0, 2, 5] and p_rows == [(0, 1), (1, 4)]
 
+    def test_ties_across_a_radix_digit(self):
+        """The same five ratings with row 2 moved to 65 536, whose low 16
+        bits are row 0's: one radix pass too few would merge the rows."""
+        top = 65_536
+        data = RatingMatrix(top + 1, 3, [top, 0, top, top, 0], [1, 2, 1, 0, 2], [5, 1, 4, 3, 2])
+        store, offsets, p_rows = row_sorted_shards(data, [0.4, 0.6])
+        assert store.rows.tolist() == [0, 0, top, top, top]
+        assert store.cols.tolist() == [2, 2, 0, 1, 1]
+        assert store.vals.tolist() == [1, 2, 3, 5, 4]
+        assert offsets.tolist() == [0, 2, 5] and p_rows == [(0, 1), (1, top + 1)]
+        parts = partition_rows(data, [0.4, 0.6])
+        assert [a.entries.tolist() for a in parts] == [[1, 4], [0, 2, 3]]
+
     def test_out_may_be_the_input_itself(self, medium_ratings):
         """The process plane's call: sorted in place over longer arrays."""
         data = medium_ratings.shuffle(5)

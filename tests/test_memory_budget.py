@@ -39,6 +39,7 @@ from repro.mf.kernels import ConflictPolicy, sgd_batch_update, sgd_epoch
 from repro.mf.model import MFModel
 from repro.obs import Telemetry
 from repro.resilience.faults import FaultPlan
+from repro.serving.scorer import SeenIndex
 
 BLOCK = model_mod._BLOCK
 PLAN = PartitionPlan("dp0", (0.5, 0.5))
@@ -189,6 +190,48 @@ class TestShardEpoch:
         assert abs(above_order[400_000] - above_order[200_000]) <= 256 * 1024
         # ... and is nowhere near the 20 B per rating of a permuted copy
         assert above_order[400_000] <= 20 * 400_000 // 2
+
+
+class TestAtomicBatch:
+    """One ATOMIC step allocates by the batch: nothing as long as a
+    factor (the ``bincount(..., minlength=m | n)`` passes it replaced
+    were) and no float64 ``(b, k)`` quotient."""
+
+    B = 4096
+
+    def step_peak(self, m, n, k):
+        rng = np.random.default_rng(0)
+        rows, cols = rng.integers(0, 4_000, self.B), rng.integers(0, 4_000, self.B)
+        vals = rng.uniform(1.0, 5.0, self.B).astype(np.float32)
+        model = MFModel.init(m, n, k)
+
+        def step():
+            sgd_batch_update(model, rows, cols, vals, 0.005, 0.01)
+
+        step()          # first call pays einsum's one-time caches
+        return peak_bytes(step)
+
+    def test_nothing_sized_m_or_n(self):
+        """The same batch against factors a hundred times as long."""
+        assert abs(self.step_peak(400_000, 400_000, 4) - self.step_peak(4_000, 4_000, 4)) <= 4096
+
+    def test_no_float64_block(self):
+        """Six float32 blocks are live where ``dq`` is formed (``p``,
+        ``q``, ``dp``, ``dq`` and its two operands) and fewer in the
+        scatter; a float64 quotient beside the first four and its
+        float32 rounding made seven."""
+        k = 64
+        block = 4 * self.B * k
+        assert self.step_peak(4_000, 4_000, k) <= 6.5 * block
+
+
+class TestSeenIndex:
+    def test_build_gathers_the_items_and_no_second_column(self):
+        """The order and the items it gathers, 16 B a rating; a sorted
+        copy of the rows, made only to be counted, was a third 8."""
+        nnz = 200_000
+        ratings = random_ratings(nnz, 2_000, 300)
+        assert peak_bytes(lambda: SeenIndex.from_ratings(ratings)) <= 17 * nnz
 
 
 class TestInitPeak:

@@ -114,6 +114,87 @@ class TestConflictPolicies:
         assert np.abs(model.Q).max() < 100
 
 
+
+def _scatter_add_before_radix(target, idx, updates):
+    """``_scatter_add`` as it stood before ``stable_order``, verbatim."""
+    if len(idx) == 0:
+        return
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_idx)) + 1))
+    sums = np.add.reduceat(updates[order], starts, axis=0)
+    target[sorted_idx[starts]] += sums
+
+
+def _atomic_update_before_radix(model, rows, cols, vals, lr, reg):
+    """``sgd_batch_update``'s ATOMIC branch as it stood before
+    ``stable_order``, verbatim: two ``bincount`` passes over the factors'
+    lengths, a float64 quotient, a comparison sort and a ``reduceat``
+    over every group.  The reference the kernel must match bit for bit."""
+    P, Q = model.P, model.Q
+    p = P[rows]
+    q = Q[:, cols].T
+    err = (vals - np.einsum("ij,ij->i", p, q)).astype(np.float32, copy=False)
+    dp = lr * (err[:, None] * q - reg * p)
+    dq = lr * (err[:, None] * p - reg * q)
+    row_counts = np.bincount(rows, minlength=P.shape[0])[rows]
+    col_counts = np.bincount(cols, minlength=Q.shape[1])[cols]
+    _scatter_add_before_radix(P, rows, (dp / row_counts[:, None]).astype(np.float32, copy=False))
+    _scatter_add_before_radix(Q.T, cols, (dq / col_counts[:, None]).astype(np.float32, copy=False))
+    return float(np.mean(np.square(err, dtype=np.float64))) if len(err) else 0.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+def _zipf_ids(rng, bound, size):
+    return np.minimum(rng.zipf(1.2, size) - 1, bound - 1).astype(np.int64)
+
+
+class TestAtomicBitIdentity:
+    """Grouping by radix, float32 counts and the singleton bypass change
+    how the ATOMIC step is computed, not one bit of what it computes."""
+
+    M, N, K = 70_000, 900, 8       # row ids need two radix passes, columns one
+
+    BATCHES = {
+        "uniform": lambda rng, b: (rng.integers(0, 70_000, b), rng.integers(0, 900, b)),
+        "zipf": lambda rng, b: (_zipf_ids(rng, 70_000, b), _zipf_ids(rng, 900, b)),
+        "all_singletons": lambda rng, b: (
+            rng.permutation(70_000)[:b], rng.permutation(900)[:b]
+        ),
+        "one_id": lambda rng, b: (np.full(b, 65_536), np.full(b, 7)),
+    }
+
+    @pytest.mark.parametrize("lr", [0.01, np.float64(0.01)], ids=["float", "np.float64"])
+    @pytest.mark.parametrize("b", [0, 1, 600])
+    @pytest.mark.parametrize("kind", list(BATCHES))
+    def test_three_steps_match_the_old_branch(self, kind, b, lr):
+        rng = np.random.default_rng(11)
+        got, want = (MFModel.init(self.M, self.N, self.K, seed=2) for _ in range(2))
+        for _ in range(3):
+            rows, cols = self.BATCHES[kind](rng, b)
+            vals = rng.uniform(1.0, 5.0, b).astype(np.float32)
+            mse = sgd_batch_update(got, rows, cols, vals, lr, 0.02)
+            assert mse == _atomic_update_before_radix(want, rows, cols, vals, lr, 0.02)
+        np.testing.assert_array_equal(_bits(got.P), _bits(want.P))
+        np.testing.assert_array_equal(_bits(got.Q), _bits(want.Q))
+
+    def test_a_thousand_duplicates_of_one_column(self):
+        """Counts far from a power of two, so the quotient is rounded."""
+        rng = np.random.default_rng(5)
+        got, want = (MFModel.init(300, 40, 16, seed=4) for _ in range(2))
+        rows = rng.integers(0, 300, 4096)
+        cols = np.where(rng.random(4096) < 0.26, 3, rng.integers(0, 40, 4096))
+        assert np.bincount(cols)[3] > 1_000
+        vals = rng.uniform(1.0, 5.0, 4096).astype(np.float32)
+        sgd_batch_update(got, rows, cols, vals, 0.005, 0.01)
+        _atomic_update_before_radix(want, rows, cols, vals, 0.005, 0.01)
+        np.testing.assert_array_equal(_bits(got.P), _bits(want.P))
+        np.testing.assert_array_equal(_bits(got.Q), _bits(want.Q))
+
+
 class TestEpoch:
     def test_epoch_reduces_loss(self, small_ratings):
         model = MFModel.init_for(small_ratings, 8, seed=0)
@@ -162,6 +243,12 @@ class TestConflictStats:
         s = conflict_stats(np.array([0, 0, 1]), np.array([0, 1, 2]))
         assert s.row_conflicts == 2
         assert s.col_conflicts == 0
+
+    def test_empty_batch(self):
+        none = np.array([], dtype=np.int64)
+        s = conflict_stats(none, none)
+        assert (s.size, s.row_conflicts, s.col_conflicts) == (0, 0, 0)
+        assert s.conflict_fraction == 0.0
 
 
 class TestLoss:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.ratings import RatingMatrix
 from repro.serving.scorer import Scorer, SeenIndex
 from repro.serving.store import ModelSnapshot, ModelStore
 
@@ -197,6 +198,18 @@ class TestFilters:
             assert sorted(seen.items_for(user).tolist()) == want
         assert seen.items_for(-1).size == 0
         assert seen.items_for(tiny_ratings.m).size == 0
+
+    def test_seen_index_keeps_input_order_and_int64(self):
+        """Also across a radix digit: user 65 536's low 16 bits are user 0's."""
+        rng = np.random.default_rng(3)
+        m = 65_537
+        rows = rng.permutation(np.concatenate([rng.integers(0, 4, 40), np.full(5, m - 1)]))
+        cols = rng.integers(0, 9, rows.size)
+        seen = SeenIndex.from_ratings(RatingMatrix(m, 9, rows, cols, np.ones(rows.size)))
+        for user in (0, 1, 2, 3, 17, m - 1):
+            got = seen.items_for(user)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, cols[rows == user])
 
     def test_short_list_when_k_exceeds_allowed(self):
         store = store_for(np.ones((1, 2)), np.ones((2, 3)))
