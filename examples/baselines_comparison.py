@@ -6,7 +6,7 @@ comparison: FPSGD (multi-core blocks), CuMF_SGD (GPU waves), DSGD
 (synchronous strata), NOMAD (column passing), and HCC-MF (heterogeneous
 parameter server), all on the same Netflix-shaped data:
 
-* convergence per epoch for every method, plus candidate-ranking NDCG;
+* convergence per epoch for every method;
 * DSGD's bucket effect on heterogeneous workers (modeled);
 * NOMAD's message overhead vs HCC-MF's bulk transfers.
 
@@ -14,7 +14,7 @@ Run:  python examples/baselines_comparison.py
 """
 
 from repro import HCCConfig, HCCMF, NETFLIX, paper_workstation
-from repro.mf import DSGD, NOMAD, CuMFSGD, FPSGD, candidate_ndcg
+from repro.mf import DSGD, NOMAD, CuMFSGD, FPSGD
 from repro.mf.dsgd import dsgd_epoch_time
 
 
@@ -31,7 +31,7 @@ def main() -> None:
         HCCConfig(k=k, epochs=epochs, learning_rate=lr, seed=5),
         ratings=train,
     ).train(eval_data=test)
-    results["HCC-MF"] = (hcc.rmse_history, hcc.model)
+    results["HCC-MF"] = hcc.rmse_history
 
     for name, algo in [
         ("FPSGD", FPSGD(k=k, threads=4, lr=lr, reg=NETFLIX.reg, seed=5)),
@@ -40,18 +40,13 @@ def main() -> None:
         ("NOMAD", NOMAD(k=k, workers=4, lr=lr, reg=NETFLIX.reg, seed=5)),
     ]:
         algo.fit(train, epochs=epochs, eval_data=test)
-        results[name] = (algo.history.rmse, algo.model)
+        results[name] = algo.history.rmse
         if name == "NOMAD":
             nomad = algo
 
     print(f"{'method':10s} " + " ".join(f"ep{e + 1:><6d}"[1:] for e in range(epochs)))
-    for name, (history, _) in results.items():
+    for name, history in results.items():
         print(f"{name:10s} " + " ".join(f"{r:6.3f}" for r in history))
-
-    print("\nheld-out candidate-ranking NDCG (1.0 = perfect ordering):")
-    for name, (_, model) in results.items():
-        ndcg = candidate_ndcg(model, test, max_users=400, seed=5)
-        print(f"  {name:10s} {ndcg:.3f}")
 
     # --- the section-5 critiques, quantified -------------------------
     import numpy as np

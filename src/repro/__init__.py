@@ -15,7 +15,9 @@ Quickstart::
 
 Subpackages:
 
-* :mod:`repro.core` — the HCC-MF framework: cost model, DP0/DP1/DP2
+* :mod:`repro.framework` — ``HCCMF``: the cost model's timing plane
+  beside a numeric run of the engine, above both.
+* :mod:`repro.core` — the HCC-MF model: cost model, DP0/DP1/DP2
   partitioning, communication strategies, parameter server.
 * :mod:`repro.mf` — SGD-based MF algorithms (Hogwild, FPSGD, CuMF_SGD).
 * :mod:`repro.hardware` — the calibrated multi-CPU/GPU platform model.
@@ -73,9 +75,10 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.framework": ("HCCMF", "TrainResult"),
     "repro.core": (
-        "HCCMF", "HCCConfig", "CommConfig", "PartitionStrategy", "TransmitMode",
-        "CommBackendKind", "TrainResult", "TimeCostModel", "PartitionPlan", "dp0",
+        "HCCConfig", "CommConfig", "PartitionStrategy", "TransmitMode",
+        "CommBackendKind", "TimeCostModel", "PartitionPlan", "dp0",
         "dp1", "dp2", "computing_power", "utilization",
     ),
     "repro.data": (

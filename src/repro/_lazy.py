@@ -2,7 +2,7 @@
 
 A spawned worker process imports ``repro`` and ``repro.engine`` just to
 reach its entry point; with eager ``__init__`` files that dragged the
-whole tree (scipy included) into every child.  Packages
+whole tree into every child.  Packages
 instead declare *where* each public name lives and resolve it on first
 access, so a process pays only for what it uses.
 """

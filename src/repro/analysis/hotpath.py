@@ -61,7 +61,7 @@ PQ_OWNER_PREFIXES = ("repro/mf/",)
 PQ_OWNER_MODULES = frozenset(
     {
         "repro/core/server.py",
-        "repro/core/framework.py",
+        "repro/framework.py",
         "repro/core/checkpoint.py",
         "repro/engine/backends.py",
     }
@@ -93,7 +93,7 @@ TIMING_MODULES = frozenset(
 EPOCH_LOOP_MODULE_PREFIXES = ("repro/engine/",)
 EPOCH_LOOP_GUARDED_MODULES = frozenset(
     {
-        "repro/core/framework.py",
+        "repro/framework.py",
         "repro/core/server.py",
         "repro/core/worker.py",
         "repro/parallel/tuning.py",

@@ -86,7 +86,7 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.transmit == "q-rotate" and not args.timing_only:
-        from repro.core.framework import Q_ROTATE_IS_PRICED_NOT_TRAINED
+        from repro.framework import Q_ROTATE_IS_PRICED_NOT_TRAINED
 
         print(Q_ROTATE_IS_PRICED_NOT_TRAINED, file=sys.stderr)
         return 2
@@ -110,7 +110,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _train_model(args: argparse.Namespace) -> int:
     """The default executor: timing plane + in-process numeric plane."""
     from repro.core.config import CommConfig, HCCConfig, PartitionStrategy, TransmitMode
-    from repro.core.framework import HCCMF
+    from repro.framework import HCCMF
     from repro.data.datasets import get_dataset
     from repro.experiments.platforms import overall_platform
 

@@ -6,7 +6,8 @@ of paper Figure 4: a server CPU manages data distribution and
 synchronization while worker CPUs/GPUs compute asynchronously on their
 row-grid assignments.
 
-Public entry point: :class:`repro.core.framework.HCCMF`.
+The public entry point, :class:`repro.framework.HCCMF`, sits above this
+package and :mod:`repro.engine`; nothing here imports either.
 """
 
 from repro._lazy import lazy_exports
@@ -35,8 +36,6 @@ __all__ = [
     "exposed_sync_time",
     "ParameterServer",
     "WorkerRuntime",
-    "HCCMF",
-    "TrainResult",
     "autotune",
     "tuned_config",
     "TunedConfig",
@@ -82,7 +81,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.core.server": ("ParameterServer",),
     "repro.core.worker": ("WorkerRuntime",),
-    "repro.core.framework": ("HCCMF", "TrainResult"),
     "repro.core.autotune": ("autotune", "tuned_config", "TunedConfig", "TuningReport"),
     "repro.core.checkpoint": (
         "Checkpoint", "CheckpointVersionError", "save_checkpoint",

@@ -1,8 +1,9 @@
 """The COMM module's cost accounting: pull/push transfer plans (paper 3.5).
 
-:class:`CommPlan` computes how many bytes each worker moves per epoch
-under the active strategies (Q-only, FP16), and :class:`CommModel`
-turns bytes into seconds for either backend:
+:class:`WireTraffic` states how many feature values each transmit mode
+moves, :class:`CommPlan` turns that into the bytes each worker moves
+per epoch under the active strategies (Q-only, FP16), and
+:class:`CommModel` turns bytes into seconds for either backend:
 
 - ``COMM``: HCC-MF's shared-pinned-memory module.  The pull buffer is
   mapped into every worker and the push buffers into the server, so a
@@ -20,16 +21,64 @@ the sim plane, shared segments on the process plane — driven by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.config import CommBackendKind, CommConfig, TransmitMode
-from repro.data.datasets import DatasetSpec
-from repro.hardware.specs import BusSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only: a worker process loads this module
+    from repro.data.datasets import DatasetSpec
+    from repro.hardware.specs import BusSpec
 
 #: COMM-P calibration (Table 5): ps-lite-style messaging achieves about
 #: 1/7 of the raw channel bandwidth (extra serialization copies + kernel
 #: crossings) and pays a per-message software overhead.
 COMM_P_BANDWIDTH_FACTOR = 1.0 / 6.8
 COMM_P_MESSAGE_OVERHEAD_S = 250e-6
+
+
+@dataclass(frozen=True)
+class WireTraffic:
+    """Per-worker feature *values* a transmit mode moves (not bytes).
+
+    ``m``/``n`` are the as-trained orientation (HCC-MF transposes
+    column-grid problems, so the recurring matrix is always the Q
+    side).  Bytes follow from :func:`wire_itemsize`.
+    """
+
+    pull_values: int          # values pulled per worker per epoch
+    push_values: int          # values pushed per worker per epoch
+    final_push_values: int    # once, after the last epoch (Strategy 1's P)
+    sync_values: int          # values the server merges per worker sync
+
+    def __post_init__(self) -> None:
+        for field_name in ("pull_values", "push_values",
+                           "final_push_values", "sync_values"):
+            if getattr(self, field_name) < 0:
+                raise ValueError(f"{field_name} must be non-negative")
+
+    @classmethod
+    def of(cls, mode: TransmitMode, m: int, n: int, k: int) -> "WireTraffic":
+        """Traffic of a resolved ``mode`` on an ``m x n`` problem at rank k.
+
+        The one statement of what each Strategy-1 mode moves; the
+        channel stack (:mod:`repro.engine.channels`) and
+        :meth:`CommPlan.for_dataset` both read it.
+        """
+        both, q = k * (m + n), k * n
+        if mode is TransmitMode.P_AND_Q:
+            return cls(both, both, 0, both)
+        if mode is TransmitMode.Q_ONLY:
+            # P stays where it is updated and is pushed once, after training
+            return cls(q, q, k * m, q)
+        if mode is TransmitMode.Q_ROTATE:
+            # same gross bytes as Q-only; ownership removes the server merge
+            return cls(q, q, both, 0)
+        raise ValueError(f"{mode} is not a resolved transmit mode")
+
+
+def wire_itemsize(fp16: bool) -> int:
+    """Bytes per feature value on the wire: binary16 under Strategy 2."""
+    return 2 if fp16 else 4
 
 
 @dataclass(frozen=True)
@@ -47,6 +96,16 @@ class CommPlan:
     sync_values: int  # feature values the server merges per worker sync
 
     @classmethod
+    def from_traffic(cls, traffic: WireTraffic, itemsize: int) -> "CommPlan":
+        """``traffic`` in bytes at ``itemsize`` bytes per value."""
+        return cls(
+            epoch_pull=traffic.pull_values * itemsize,
+            epoch_push=traffic.push_values * itemsize,
+            final_push_extra=traffic.final_push_values * itemsize,
+            sync_values=traffic.sync_values,
+        )
+
+    @classmethod
     def for_dataset(cls, spec: DatasetSpec, k: int, comm: CommConfig) -> "CommPlan":
         """Traffic plan from the dataset shape and strategy switches.
 
@@ -56,17 +115,14 @@ class CommPlan:
         The AUTO transmit mode resolves against the *grid-major* side:
         HCC-MF transposes column-grid problems, so the recurring matrix
         is whichever side is smaller.
-
-        The strategy byte math itself lives in one place — the channel
-        middlewares of :mod:`repro.engine.channels` — and this method
-        simply materializes the stack the config describes and asks it
-        (imported lazily: core stays import-independent of the engine).
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        from repro.engine.channels import channel_for
-
-        return channel_for(comm, spec.m, spec.n).comm_plan(spec, k)
+        big, small = max(spec.m, spec.n), min(spec.m, spec.n)
+        mode = comm.resolve_transmit(big, small)
+        return cls.from_traffic(
+            WireTraffic.of(mode, big, small, k), wire_itemsize(comm.fp16)
+        )
 
     def total_bytes(self, epochs: int) -> int:
         """All bytes one worker moves over a full training run."""

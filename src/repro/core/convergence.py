@@ -9,6 +9,11 @@ where they end up.  These helpers make that analysis a library feature:
   to a curve, yielding the convergence floor and time constant;
 * :func:`speedup_at_target` — the Figure 7(d-f) metric: the ratio of
   two methods' times to a common target.
+
+No entry point imports this module: it stays as the reading of
+Figure 7(d-f), run by ``tests/test_core_convergence.py`` and the two
+``tests/test_*_extensions.py`` files (pinned in
+``tests/test_reach_census.py``).
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ it *numerically* — solve the equalizing partition in closed form, then
 show no random perturbation on the simplex does better — turning the
 proof into a reproducible experiment (and a hypothesis-testable
 property).
+
+No entry point imports this module: it stays as the paper's Theorem 1,
+run by ``tests/test_core_theorem.py`` (pinned in
+``tests/test_reach_census.py``).
 """
 
 from __future__ import annotations

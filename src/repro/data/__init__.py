@@ -33,10 +33,6 @@ __all__ = [
     "render_profile",
     "gini",
     "conflict_probability",
-    "stream_text_batches",
-    "count_statistics",
-    "external_shuffle",
-    "StreamStats",
     "GridKind",
     "GridAssignment",
     "choose_grid",
@@ -61,10 +57,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.data.analysis": (
         "DatasetProfile", "profile", "profile_spec", "render_profile", "gini",
         "conflict_probability",
-    ),
-    "repro.data.streaming": (
-        "stream_text_batches", "count_statistics", "external_shuffle",
-        "StreamStats",
     ),
     "repro.data.grid": (
         "GridKind", "GridAssignment", "choose_grid", "partition_rows",

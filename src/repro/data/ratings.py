@@ -16,12 +16,9 @@ workers can never alias each other's training order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - scipy loads only where it is used
-    from scipy import sparse as sp
 
 
 def _as_index_array(a) -> np.ndarray:
@@ -166,21 +163,6 @@ class RatingMatrix:
             raise ValueError("dense rating matrix must be 2-D")
         rows, cols = np.nonzero(dense != missing)
         return cls(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
-
-    @classmethod
-    def from_scipy(cls, mat) -> "RatingMatrix":
-        from scipy import sparse as sp
-
-        coo = sp.coo_matrix(mat)
-        return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
-
-    def to_scipy_coo(self) -> "sp.coo_matrix":
-        from scipy import sparse as sp
-
-        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=self.shape)
-
-    def to_scipy_csr(self) -> "sp.csr_matrix":
-        return self.to_scipy_coo().tocsr()
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float32)

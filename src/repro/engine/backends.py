@@ -376,7 +376,7 @@ class SimBackend(_EpochBackend):
     """In-process workers over private wire arrays, with a simulated clock.
 
     ``ratings`` must already be in row-grid orientation and shuffled
-    (what :meth:`repro.core.framework.HCCMF.prepare` produces); the
+    (what :meth:`repro.framework.HCCMF.prepare` produces); the
     backend partitions them by the engine-resolved plan.  ``cost_model``
     is optional: when given, every epoch advances :attr:`sim_seconds`
     by that plan's analytic epoch cost — priced over the *surviving*

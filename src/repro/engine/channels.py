@@ -28,16 +28,17 @@ A channel stack serves **both planes** with the same object:
   :func:`~repro.engine.worker_proc.worker_epoch`.
 
 Channels hold no run state, so one instance is safely pickled into
-spawned worker processes; the single source of truth for what a
-strategy does to the wire is this file.
+spawned worker processes; what a strategy does to the wire *format* is
+decided in this file, and how many values each transmit mode moves in
+:class:`repro.core.comm.WireTraffic`, which the ``traffic`` overrides
+here call down into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.core.comm import CommPlan, WireTraffic, wire_itemsize
 from repro.core.compression import compress_fp16, decompress_fp16
 from repro.core.config import CommConfig, TransmitMode
 
@@ -57,27 +58,6 @@ def all_finite(values: np.ndarray) -> bool:
         np.isfinite(flat[lo : lo + _BLOCK]).all()
         for lo in range(0, flat.size, _BLOCK)
     )
-
-
-@dataclass(frozen=True)
-class WireTraffic:
-    """Per-worker feature *values* a channel stack moves (not bytes).
-
-    ``m``/``n`` are the as-trained orientation (HCC-MF transposes
-    column-grid problems, so the recurring matrix is always the Q
-    side).  Bytes follow from the stack's wire dtype.
-    """
-
-    pull_values: int          # values pulled per worker per epoch
-    push_values: int          # values pushed per worker per epoch
-    final_push_values: int    # once, after the last epoch (Strategy 1's P)
-    sync_values: int          # values the server merges per worker sync
-
-    def __post_init__(self) -> None:
-        for field_name in ("pull_values", "push_values",
-                           "final_push_values", "sync_values"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be non-negative")
 
 
 class Channel:
@@ -105,12 +85,12 @@ class Channel:
         return self.inner.wire_dtype if self.inner is not None else "float32"
 
     @property
-    def wire_itemsize(self) -> int:
-        return np.dtype(self.wire_dtype).itemsize
-
-    @property
     def wire_is_fp16(self) -> bool:
         return self.wire_dtype == "float16"
+
+    @property
+    def wire_itemsize(self) -> int:
+        return wire_itemsize(self.wire_is_fp16)
 
     def encode(self, values: np.ndarray, out: np.ndarray) -> None:
         """FP32 payload -> wire buffer ``out`` (the sender's single copy)."""
@@ -150,8 +130,7 @@ class Channel:
         """Feature values on the wire for an ``m x n`` problem at rank k."""
         if self.inner is not None:
             return self.inner.traffic(m, n, k)
-        values = k * (m + n)
-        return WireTraffic(values, values, 0, values)
+        return WireTraffic.of(TransmitMode.P_AND_Q, m, n, k)
 
     @property
     def transmits_p(self) -> bool:
@@ -169,24 +148,15 @@ class Channel:
         return self.inner.streams if self.inner is not None else 1
 
     # -- sim-plane bridge -----------------------------------------------
-    def comm_plan(self, spec, k: int):
+    def comm_plan(self, spec, k: int) -> CommPlan:
         """This stack's per-epoch byte plan for :class:`CommModel`.
 
         ``spec`` is a :class:`~repro.data.datasets.DatasetSpec`; the
         grid-major orientation (big side = P rows) mirrors
         ``CommPlan.for_dataset``.
         """
-        from repro.core.comm import CommPlan
-
         big, small = max(spec.m, spec.n), min(spec.m, spec.n)
-        t = self.traffic(big, small, k)
-        size = self.wire_itemsize
-        return CommPlan(
-            epoch_pull=t.pull_values * size,
-            epoch_push=t.push_values * size,
-            final_push_extra=t.final_push_values * size,
-            sync_values=t.sync_values,
-        )
+        return CommPlan.from_traffic(self.traffic(big, small, k), self.wire_itemsize)
 
     # -- description -----------------------------------------------------
     def describe(self) -> str:
@@ -212,12 +182,7 @@ class QOnlyChannel(Channel):
         super().__init__(inner if inner is not None else Channel())
 
     def traffic(self, m: int, n: int, k: int) -> WireTraffic:
-        return WireTraffic(
-            pull_values=k * n,
-            push_values=k * n,
-            final_push_values=k * m,
-            sync_values=k * n,
-        )
+        return WireTraffic.of(TransmitMode.Q_ONLY, m, n, k)
 
     @property
     def transmits_p(self) -> bool:
@@ -290,12 +255,7 @@ class QRotateChannel(Channel):
         super().__init__(inner if inner is not None else Channel())
 
     def traffic(self, m: int, n: int, k: int) -> WireTraffic:
-        return WireTraffic(
-            pull_values=k * n,
-            push_values=k * n,
-            final_push_values=k * (m + n),
-            sync_values=0,
-        )
+        return WireTraffic.of(TransmitMode.Q_ROTATE, m, n, k)
 
     @property
     def transmits_p(self) -> bool:

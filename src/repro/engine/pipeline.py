@@ -281,6 +281,15 @@ class EpochEngine:
             from repro.core.checkpoint import load_checkpoint
 
             ckpt = load_checkpoint(self.resume_from)
+            ratings = self.backend.ratings
+            if (ckpt.model.m, ckpt.model.n) != (ratings.m, ratings.n):
+                # checked where it crosses, before anything is mapped or
+                # spawned; k follows the checkpoint (ProcessBackend.open)
+                raise ValueError(
+                    f"checkpoint {os.fspath(self.resume_from)!r} holds "
+                    f"factors of a {ckpt.model.m} x {ckpt.model.n} rating "
+                    f"matrix, this run's is {ratings.m} x {ratings.n}"
+                )
             if ckpt.epoch >= epochs:
                 raise ValueError(
                     f"checkpoint already at epoch {ckpt.epoch}; nothing to "

@@ -25,10 +25,10 @@ from repro.core.config import (
     HCCConfig,
     TransmitMode,
 )
-from repro.core.framework import HCCMF
 from repro.data.datasets import DatasetSpec, MOVIELENS_20M, NETFLIX, YAHOO_R1
 from repro.experiments.platforms import workers_platform
 from repro.experiments.tables import ExperimentResult
+from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
 from repro.mf.dsgd import dsgd_epoch_time
 

@@ -15,6 +15,11 @@ Checks:
   ``TimeCostModel.sync_time``;
 * **Strategy 3's 1/streams law** against the pipeline scheduler;
 * **Eq. 6 / Theorem 1** against the DP0 implementation.
+
+No entry point imports this module: it stays as the cost model's
+self-audit against Eq. 2-4, run by
+``tests/test_experiments_crosscheck.py`` (pinned in
+``tests/test_reach_census.py``).
 """
 
 from __future__ import annotations

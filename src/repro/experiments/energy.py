@@ -3,7 +3,7 @@
 Extends Figure 3's "more economical" argument with operating cost: a
 cheaper platform that draws more watt-hours per training run may lose
 over its lifetime.  :func:`energy_of` prices one
-:class:`~repro.core.framework.TrainResult`;
+:class:`~repro.framework.TrainResult`;
 :func:`compare_platform_energy` reruns Figure 3(a)'s platform survey
 with joules and joules-per-million-updates columns.
 """
@@ -11,11 +11,11 @@ with joules and joules-per-million-updates columns.
 from __future__ import annotations
 
 from repro.core.config import HCCConfig
-from repro.core.framework import HCCMF, TrainResult
 from repro.data.datasets import DatasetSpec, NETFLIX
 from repro.experiments.platforms import build_combo, combo_price
 from repro.experiments.runners import single_processor_time
 from repro.experiments.tables import ExperimentResult
+from repro.framework import HCCMF, TrainResult
 from repro.hardware.energy import EnergyReport, run_energy
 from repro.hardware.processor import Processor
 from repro.hardware.specs import PROCESSOR_CATALOG

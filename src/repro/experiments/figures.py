@@ -18,7 +18,6 @@ from repro.core.config import (
     PartitionStrategy,
     TransmitMode,
 )
-from repro.core.framework import HCCMF
 from repro.core.metrics import speedup as speedup_of
 from repro.data.datasets import (
     MOVIELENS_20M,
@@ -36,6 +35,7 @@ from repro.experiments.platforms import (
 )
 from repro.experiments.runners import dataset_config, run_hcc, single_processor_time
 from repro.experiments.tables import ExperimentResult
+from repro.framework import HCCMF
 from repro.hardware.calibration import table2_bandwidth
 from repro.hardware.specs import PROCESSOR_CATALOG
 from repro.hardware.streams import pipeline_schedule

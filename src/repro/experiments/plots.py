@@ -4,6 +4,11 @@ The repository has no plotting dependency, so the figures the paper
 draws as line charts (Figure 7's RMSE-vs-epoch and RMSE-vs-time) are
 rendered as fixed-width ASCII — good enough to *see* the crossovers the
 tests assert, in any terminal or CI log.
+
+No entry point imports this module: it stays as Figure 7's charts,
+drawn by ``examples/reproduce_paper.py`` and checked by
+``tests/test_experiments_plots.py`` (pinned in
+``tests/test_reach_census.py``).
 """
 
 from __future__ import annotations

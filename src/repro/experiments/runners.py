@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.config import CommConfig, HCCConfig
-from repro.core.framework import HCCMF, TrainResult
 from repro.data.datasets import DatasetSpec
 from repro.data.ratings import RatingMatrix
+from repro.framework import HCCMF, TrainResult
 from repro.hardware.specs import PROCESSOR_CATALOG
 from repro.hardware.topology import Platform
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.core.config import CommConfig, HCCConfig
-from repro.core.framework import HCCMF
 from repro.data.datasets import DatasetSpec
+from repro.framework import HCCMF
 from repro.hardware.processor import Processor
 from repro.hardware.specs import (
     BusKind,

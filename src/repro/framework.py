@@ -3,8 +3,8 @@
 Ties everything together:
 
 1. **Preprocess** (steps 1-3): shuffle the rating matrix, pick the grid
-   orientation, derive the data partition (DP0 -> DP1 -> DP2 per the
-   cost-model regime), and build per-worker assignments.
+   orientation and derive the data partition (DP0 -> DP1 -> DP2 per the
+   cost-model regime); the backend shards the ratings by it at open.
 2. **Train** (steps 4-7): per epoch, workers pull the feature matrix,
    compute asynchronous SGD on their shards, push results; the server
    synchronizes with the weighted multiply-add merge.
@@ -20,6 +20,9 @@ Two execution planes run side by side:
 
 Pass ``ratings=None`` to run the timing plane alone (used by the
 benchmark harness when convergence is not under study).
+
+This module sits above both :mod:`repro.core` (which prices a run) and
+:mod:`repro.engine` (which trains one), and neither imports it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from repro.core.cost_model import EpochCost, Regime, TimeCostModel
 from repro.core.metrics import computing_power, ideal_computing_power, utilization
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import DatasetSpec
-from repro.data.grid import GridKind, choose_grid, partition_rows
+from repro.data.grid import GridKind, choose_grid
 from repro.data.ratings import RatingMatrix
+from repro.engine.backends import SimBackend
+from repro.engine.channels import channel_for
+from repro.engine.pipeline import EpochEngine
 from repro.hardware.timeline import Phase, Timeline
 from repro.hardware.topology import Platform
 from repro.mf.model import MFModel
@@ -145,7 +151,6 @@ class HCCMF:
         )
         self.reg = self.config.reg if self.config.reg is not None else dataset.reg
         self.plan: PartitionPlan | None = None
-        self._grid_kind: GridKind | None = None
 
     # ------------------------------------------------------------------
     # preprocessing (steps 1-3)
@@ -153,7 +158,6 @@ class HCCMF:
     def prepare(self) -> PartitionPlan:
         """Shuffle, choose grid, derive the data partition."""
         self.plan = self.cost_model.derive_partition(self.config.partition)
-        self._grid_kind = choose_grid(self.dataset.m, self.dataset.n)
         if self.ratings is not None:
             data = self.ratings
             if choose_grid(data.m, data.n) is GridKind.COLUMN:
@@ -162,9 +166,6 @@ class HCCMF:
                 # only" — transposing makes Q the recurring matrix again.
                 data = data.transpose()
             self._numeric_data = data.shuffle(self.config.seed)
-            self._assignments = partition_rows(
-                self._numeric_data, self.plan.fractions, GridKind.ROW
-            )
         return self.plan
 
     # ------------------------------------------------------------------
@@ -284,9 +285,6 @@ class HCCMF:
         the same object the cost model's byte accounting uses.
         """
         data = self._numeric_data
-        # imported lazily: core stays importable without the engine layer
-        from repro.engine import EpochEngine, SimBackend, channel_for
-
         backend = SimBackend(
             self.platform,
             ratings=data,

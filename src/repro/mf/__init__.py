@@ -37,25 +37,6 @@ __all__ = [
     "dsgd_epoch_time",
     "stratum_schedule",
     "NOMAD",
-    "HSGD",
-    "ALS",
-    "als_flops_per_rating",
-    "BiasedMF",
-    "SearchSpace",
-    "SearchReport",
-    "SearchResult",
-    "grid_search",
-    "CCDPlusPlus",
-    "fold_in_user",
-    "ConstantLR",
-    "InverseTimeDecay",
-    "ExponentialDecay",
-    "BoldDriver",
-    "mae",
-    "recommend_top_n",
-    "evaluate_ranking",
-    "candidate_ndcg",
-    "RankingReport",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -69,16 +50,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.mf.cumf": ("CuMFSGD",),
     "repro.mf.dsgd": ("DSGD", "dsgd_epoch_time", "stratum_schedule"),
     "repro.mf.nomad": ("NOMAD",),
-    "repro.mf.hsgd": ("HSGD",),
-    "repro.mf.als": ("ALS", "als_flops_per_rating"),
-    "repro.mf.biased": ("BiasedMF",),
-    "repro.mf.search": ("SearchSpace", "SearchReport", "SearchResult", "grid_search"),
-    "repro.mf.ccd": ("CCDPlusPlus", "fold_in_user"),
-    "repro.mf.schedules": (
-        "ConstantLR", "InverseTimeDecay", "ExponentialDecay", "BoldDriver",
-    ),
-    "repro.mf.evaluation": (
-        "mae", "recommend_top_n", "evaluate_ranking", "candidate_ndcg",
-        "RankingReport",
-    ),
 })

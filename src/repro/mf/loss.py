@@ -7,6 +7,10 @@ The training objective is the regularized squared error
 
 with lambda1 = lambda2 in all of the paper's experiments (Table 3).
 RMSE over observed entries is the convergence metric of Figure 7.
+
+No entry point imports this module: it stays as the reference
+``tests/test_mf_kernels.py`` compares the kernels against (pinned in
+``tests/test_reach_census.py``).
 """
 
 from __future__ import annotations

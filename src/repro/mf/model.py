@@ -143,9 +143,8 @@ class MFModel:
     def residual(self, ratings: RatingMatrix) -> np.ndarray:
         """Signed errors ``r_ij - p_i . q_j`` of the observed entries (float32).
 
-        The vector the metrics other than :meth:`rmse` reduce (MAE, the
-        loss, the CCD and biased models): nothing larger than this
-        O(nnz) vector and one block of gathers is allocated.
+        The vector :mod:`repro.mf.loss` reduces: nothing larger than
+        this O(nnz) vector and one block of gathers is allocated.
         """
         err = np.empty(ratings.nnz, dtype=np.float32)
         for block, predicted in self._predict_blocks(ratings.rows, ratings.cols):

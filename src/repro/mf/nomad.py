@@ -13,6 +13,11 @@ communication overhead", and skewed rating distributions unbalance the
 queues.  This implementation counts the column messages so the ablation
 benchmark can put a number on that overhead, and exposes the queue
 imbalance statistics.
+
+A comparator, not part of HCC-MF: reached by
+``benchmarks/bench_kernels.py`` (EXPERIMENTS.md, "Radix grouping": the
+one solver that calls the kernel per (worker, column)) and by
+``examples/baselines_comparison.py``.
 """
 
 from __future__ import annotations

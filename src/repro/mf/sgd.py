@@ -84,7 +84,6 @@ class HogwildSGD:
         batch_size: int = 4096,
         policy: ConflictPolicy = ConflictPolicy.ATOMIC,
         seed: int = 0,
-        lr_schedule=None,
     ):
         if k <= 0:
             raise ValueError("k must be positive")
@@ -96,9 +95,6 @@ class HogwildSGD:
         self.batch_size = batch_size
         self.policy = policy
         self.seed = seed
-        #: optional epoch -> learning-rate callable (repro.mf.schedules);
-        #: adaptive schedules with an ``observe`` method get the epoch RMSE
-        self.lr_schedule = lr_schedule
         self.model: MFModel | None = None
         self.history = TrainHistory()
 
@@ -118,17 +114,12 @@ class HogwildSGD:
         eval_data = eval_data if eval_data is not None else ratings
         self.model = MFModel.init_for(ratings, self.k, seed=self.seed)
         rng = np.random.default_rng(self.seed)
-        for epoch in range(epochs):
-            lr = self.lr_schedule(epoch) if self.lr_schedule is not None else self.lr
+        for _ in range(epochs):
             mse = sgd_epoch(
-                self.model, ratings, lr, self.reg,
+                self.model, ratings, self.lr, self.reg,
                 batch_size=self.batch_size, policy=self.policy, rng=rng,
             )
-            rmse_value = self.model.rmse(eval_data)
-            self.history.record(rmse_value, mse)
-            observe = getattr(self.lr_schedule, "observe", None)
-            if observe is not None:
-                observe(rmse_value)
+            self.history.record(self.model.rmse(eval_data), mse)
             if early_stop_tol > 0 and self.history.converged(early_stop_tol):
                 break
         return self.model

@@ -588,7 +588,7 @@ class TestWallClock:
 
 
 class TestEpochLoop:
-    FRAMEWORK = "src/repro/core/framework.py"  # legacy plane facade
+    FRAMEWORK = "src/repro/framework.py"  # legacy plane facade
 
     LOOP = """
     def train(self, server, epochs):

@@ -10,8 +10,8 @@ from repro.core.config import (
     TransmitMode,
 )
 from repro.core.cost_model import Regime
-from repro.core.framework import HCCMF, _without_time_shared
 from repro.data.datasets import NETFLIX, YAHOO_R1
+from repro.framework import HCCMF, _without_time_shared
 from repro.hardware.timeline import Phase
 from repro.hardware.topology import paper_workstation
 

@@ -5,8 +5,8 @@ import pytest
 from repro.core.comm import CommPlan
 from repro.core.config import CommConfig, HCCConfig, TransmitMode
 from repro.core.cost_model import Regime, TimeCostModel
-from repro.core.framework import HCCMF
 from repro.data.datasets import MOVIELENS_20M, NETFLIX
+from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
 
 

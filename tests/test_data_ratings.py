@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse as sp
 
 from repro.data.ratings import RatingMatrix
 
@@ -88,16 +87,6 @@ class TestConverters:
         back = RatingMatrix.from_dense(dense)
         assert back.nnz == tiny_ratings.nnz
         np.testing.assert_array_equal(back.to_dense(), dense)
-
-    def test_scipy_roundtrip(self, tiny_ratings):
-        coo = tiny_ratings.to_scipy_coo()
-        back = RatingMatrix.from_scipy(coo)
-        np.testing.assert_array_equal(back.to_dense(), tiny_ratings.to_dense())
-
-    def test_csr_matches_dense(self, tiny_ratings):
-        csr = tiny_ratings.to_scipy_csr()
-        assert isinstance(csr, sp.csr_matrix)
-        np.testing.assert_allclose(csr.toarray(), tiny_ratings.to_dense())
 
     def test_from_dense_2d_required(self):
         with pytest.raises(ValueError, match="2-D"):

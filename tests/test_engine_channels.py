@@ -1,5 +1,7 @@
 """Unit tests for the channel middlewares (repro.engine.channels)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ class TestWireTraffic:
         t = WireTraffic(1, 2, 3, 4)
         with pytest.raises(AttributeError):
             t.pull_values = 9
+
+
+    def test_auto_must_be_resolved_first(self):
+        with pytest.raises(ValueError, match="not a resolved"):
+            WireTraffic.of(TransmitMode.AUTO, M, N, K)
 
 
 class TestTrafficAccounting:
@@ -139,7 +146,7 @@ class TestChannelFor:
 
 
 class TestCommPlanBridge:
-    """CommPlan.for_dataset delegates its byte math to the channel stack."""
+    """CommPlan.for_dataset and the channel stack read one traffic table."""
 
     @pytest.mark.parametrize("transmit", [TransmitMode.P_AND_Q,
                                           TransmitMode.Q_ONLY,
@@ -163,7 +170,14 @@ class TestCommPlanBridge:
             assert plan.sync_values == 0
 
     def test_comm_plan_equals_channel_comm_plan(self):
-        comm = CommConfig(fp16=True)
-        via_classmethod = CommPlan.for_dataset(NETFLIX, 32, comm)
-        via_channel = channel_for(comm, NETFLIX.m, NETFLIX.n).comm_plan(NETFLIX, 32)
-        assert via_classmethod == via_channel
+        """``core`` prices from the config, the engine from its stack:
+        the same plan, field for field, over every mode and wire format
+        (and on a wide matrix, where both take the grid-major side)."""
+        for spec in (NETFLIX, replace(NETFLIX, m=NETFLIX.n, n=NETFLIX.m)):
+            for transmit in TransmitMode:
+                for fp16 in (False, True):
+                    for streams in (1, 2):
+                        comm = CommConfig(transmit=transmit, fp16=fp16, streams=streams)
+                        via_config = CommPlan.for_dataset(spec, 32, comm)
+                        via_stack = channel_for(comm, spec.m, spec.n).comm_plan(spec, 32)
+                        assert vars(via_config) == vars(via_stack), comm

@@ -7,6 +7,7 @@ timeout, so the kill tests stay fast.
 """
 
 import multiprocessing as mp
+import os
 import signal
 import time
 
@@ -15,12 +16,13 @@ import pytest
 
 from repro.core.checkpoint import load_checkpoint
 from repro.core.config import HCCConfig, RecoveryPolicy
-from repro.core.framework import HCCMF
 from repro.core.partition import PartitionPlan, redistribute
 from repro.data.datasets import NETFLIX, YAHOO_R1
 from repro.data.grid import GridKind, partition_rows
-from repro.engine import ProcessBackend, QOnlyChannel, WorkerSyncError
+from repro.data.ratings import RatingMatrix
+from repro.engine import ProcessBackend, QOnlyChannel, SimBackend, WorkerSyncError
 from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
 from repro.resilience import FaultPlan, TrainingAborted, WorkerState
 
@@ -334,6 +336,44 @@ class TestCheckpointResume:
             engine_for(
                 data, k=8, n_workers=2, lr=0.01, seed=0, resume_from=path
             ).run(3)
+
+    @pytest.mark.parametrize("plane", ["sim", "process"])
+    def test_resume_checks_the_shape_once_where_it_crosses(
+        self, plane, data, tmp_path
+    ):
+        """A checkpoint of another matrix's factors is refused with one
+        error on both planes, before a segment or a process exists; the
+        rank is not part of it — ``k`` follows the checkpoint."""
+
+        def engine(ratings, k, **kw):
+            if plane == "sim":
+                backend = SimBackend(
+                    paper_workstation(16), ratings=ratings, k=k, lr=0.01, seed=0
+                )
+            else:
+                backend = ProcessBackend(ratings, k=k, n_workers=2, lr=0.01, seed=0)
+            return EpochEngine(backend, channel=QOnlyChannel(), **kw)
+
+        path = tmp_path / "k4"
+        engine(data, 4, checkpoint_every=1, checkpoint_path=path).run(1)
+        keep = data.rows < data.m - 500
+        other = RatingMatrix(
+            data.m - 500, data.n, data.rows[keep], data.cols[keep], data.vals[keep]
+        )
+
+        segments = set(os.listdir("/dev/shm"))
+        with pytest.raises(ValueError) as refused:
+            engine(other, 8, resume_from=path).run(2)
+        assert str(refused.value) == (
+            f"checkpoint {str(path)!r} holds factors of a {data.m} x {data.n} "
+            f"rating matrix, this run's is {other.m} x {other.n}"
+        )
+        assert set(os.listdir("/dev/shm")) == segments
+        assert not mp.active_children()
+
+        resumed = engine(data, 8, resume_from=path).run(2)
+        assert resumed.model.P.shape == (data.m, 4)
+        assert len(resumed.rmse_history) == 2
 
     def test_engine_validates_checkpoint_config(self, data):
         backend = ProcessBackend(data, k=8, n_workers=2, seed=0)

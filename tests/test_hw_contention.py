@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.config import HCCConfig, PartitionStrategy
 from repro.core.cost_model import TimeCostModel
-from repro.core.framework import HCCMF
 from repro.data.datasets import MOVIELENS_20M, NETFLIX
 from repro.experiments.whatif import gpu_pool, sweep_channel_contention
+from repro.framework import HCCMF
 from repro.hardware.processor import Processor
 from repro.hardware.specs import PCIE3_X16, RTX_2080, RTX_2080S, XEON_6242
 from repro.hardware.topology import Platform, paper_workstation

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.config import HCCConfig
-from repro.core.framework import HCCMF
 from repro.data.datasets import NETFLIX
 from repro.experiments.energy import compare_platform_energy, energy_of
+from repro.framework import HCCMF
 from repro.hardware.energy import (
     IDLE_POWER_FRACTION,
     processor_energy,

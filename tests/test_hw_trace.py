@@ -192,7 +192,7 @@ class TestExport:
 
     def test_framework_timeline_exports(self, tmp_path):
         from repro.core.config import HCCConfig
-        from repro.core.framework import HCCMF
+        from repro.framework import HCCMF
         from repro.data.datasets import NETFLIX
         from repro.hardware.topology import paper_workstation
 

@@ -52,7 +52,7 @@ class TestImportBudget:
     def test_worker_module_closure(self):
         modules = modules_after("import repro.engine.worker_proc")
         for package in (
-            "scipy", "networkx", "repro.obs", "repro.core.framework",
+            "scipy", "networkx", "repro.obs", "repro.framework",
             "repro.analysis", "repro.experiments", "repro.serving",
         ):
             assert not loaded(modules, package), package

@@ -1,31 +1,37 @@
-"""Ratchet on the package import graph (ROADMAP item 2: "acyclic").
+"""The package import graph is acyclic, at any cycle length.
 
-Every ``import`` under ``src/repro`` is counted — module level and
-inside functions alike, since a function-level import only hides a
-cycle from the interpreter, not from the reader.  ``if TYPE_CHECKING:``
-blocks are skipped: annotations create no runtime edge.  The test pins
-the *exact* set of package pairs that still import each other, so a PR
-that removes a pair must shrink the list and a PR that adds one fails.
+Nodes are the sub-packages of ``repro`` and its top-level modules
+(``cli``, ``framework``, ``_lazy``, ``__init__`` ...).  Every ``import``
+under ``src/repro`` is an edge — module level and inside functions
+alike, since a function-level import only hides a cycle from the
+interpreter, not from the reader — and so is every module string in a
+package's ``lazy_exports`` table, which is an import spelled as data.
+``if TYPE_CHECKING:`` blocks are skipped: annotations create no runtime
+edge.  The test asserts that no strongly connected component holds more
+than one node.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-#: package pairs that import each other today, each with what removes it
-KNOWN_CYCLES = {
-    # core/framework.py (HCCMF.train builds an EpochEngine) and
-    # core/comm.py (CommPlan.for_dataset asks engine.channels for the
-    # traffic): the next slice of ROADMAP item 2 moves both callers up
-    frozenset({"core", "engine"}),
-}
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def _is_type_checking(test: ast.expr) -> bool:
     return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
         isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
     )
+
+
+def _lazy_table_modules(node: ast.Call):
+    """The module strings of a ``lazy_exports(__name__, {...})`` call."""
+    if isinstance(node.func, ast.Name) and node.func.id == "lazy_exports":
+        for arg in node.args[1:]:
+            if isinstance(arg, ast.Dict):
+                yield from (
+                    key.value for key in arg.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
 
 
 def _runtime_imports(tree: ast.AST):
@@ -37,24 +43,51 @@ def _runtime_imports(tree: ast.AST):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             yield node.module
+        elif isinstance(node, ast.Call):
+            yield from _lazy_table_modules(node)
         if isinstance(node, ast.If) and _is_type_checking(node.test):
             stack.extend(node.orelse)
         else:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def package_edges() -> set[tuple[str, str]]:
-    """``(importer, imported)`` over the sub-packages of ``repro``."""
-    edges = set()
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        importer = path.relative_to(SRC / "repro").parts[0]
-        if importer.endswith(".py"):
-            continue    # cli.py, _lazy.py, __init__.py: leaves, not packages
-        for name in _runtime_imports(ast.parse(path.read_text(encoding="utf-8"))):
+def import_graph(sources) -> dict[str, set[str]]:
+    """``node -> imported nodes`` from ``(path under repro/, text)`` pairs."""
+    graph: dict[str, set[str]] = {}
+    for path, text in sources:
+        importer = path.split("/")[0].removesuffix(".py")
+        edges = graph.setdefault(importer, set())
+        for name in _runtime_imports(ast.parse(text)):
             parts = name.split(".")
-            if parts[0] == "repro" and len(parts) > 1 and parts[1] != importer:
-                edges.add((importer, parts[1]))
-    return edges
+            if parts[0] != "repro":
+                continue
+            imported = parts[1] if len(parts) > 1 else "__init__"
+            if imported != importer:
+                edges.add(imported)
+    return graph
+
+
+def cycles(graph: dict[str, set[str]]) -> list[list[str]]:
+    """Strongly connected components of more than one node, sorted."""
+
+    def reach(start: str) -> set[str]:
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in graph.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    reachable = {node: reach(node) for node in graph}
+    components = {
+        frozenset(
+            other for other in reachable[node]
+            if node in reachable.get(other, ())
+        )
+        for node in graph
+    }
+    return sorted(sorted(c) for c in components if len(c) > 1)
 
 
 def test_type_checking_blocks_and_function_bodies():
@@ -70,8 +103,29 @@ def test_type_checking_blocks_and_function_bodies():
     assert sorted(_runtime_imports(tree)) == ["repro.engine", "repro.mf", "typing"]
 
 
-def test_mutually_importing_packages_are_exactly_the_known_ones():
-    edges = package_edges()
-    assert len(edges) > 20      # the walk found the tree
-    cycles = {frozenset(e) for e in edges if (e[1], e[0]) in edges}
-    assert cycles == KNOWN_CYCLES, sorted(sorted(pair) for pair in cycles)
+def test_a_three_cycle_through_a_function_and_a_lazy_table_is_reported():
+    graph = import_graph([
+        ("a/__init__.py",
+         "from repro._lazy import lazy_exports\n"
+         "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+         "    'repro.a.inner': ('A',), 'repro.b.mod': ('B',)})\n"),
+        ("b/mod.py", "def f():\n    from repro.c import C\n"),
+        ("c/__init__.py", "import repro.a\n"),
+        ("top.py", "import repro.a\nimport repro\n"),
+        ("__init__.py", "import numpy\n"),
+        ("_lazy.py", "import sys\n"),
+    ])
+    assert graph["a"] == {"_lazy", "b"}
+    assert graph["top"] == {"a", "__init__"}
+    assert cycles(graph) == [["a", "b", "c"]]
+
+
+def test_no_import_cycle_of_any_length():
+    graph = import_graph(
+        (path.relative_to(SRC).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+    )
+    assert sum(map(len, graph.values())) > 20      # the walk found the tree
+    assert {"cli", "framework", "_lazy", "core", "engine"} <= set(graph)
+    assert graph["__init__"] >= {"framework", "core", "engine"}   # lazy table
+    assert cycles(graph) == []

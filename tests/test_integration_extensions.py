@@ -39,8 +39,8 @@ class TestCheckpointedHCCModel:
     def test_hcc_model_checkpoints_and_ranks(self, tmp_path):
         """A model trained by the framework survives checkpointing and
         still produces sensible recommendations."""
-        from repro.core.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-        from repro.mf.evaluation import recommend_top_n
+        from repro.core.checkpoint import Checkpoint, save_checkpoint
+        from repro.serving import ModelStore, Scorer
 
         data = NETFLIX.scaled(12_000).generate(seed=4)
         cfg = HCCConfig(k=8, epochs=5, learning_rate=0.01, seed=4)
@@ -49,10 +49,9 @@ class TestCheckpointedHCCModel:
             Checkpoint(model=res.model, epoch=5, rmse_history=res.rmse_history),
             tmp_path / "hcc",
         )
-        loaded = load_checkpoint(tmp_path / "hcc")
-        items, scores = recommend_top_n(loaded.model, 0, n=5)
-        assert len(items) == 5
-        assert np.all(np.isfinite(scores))
+        top = Scorer(ModelStore(str(tmp_path / "hcc"))).top_k([0], 5)
+        assert len(top.items[0]) == 5
+        assert np.all(np.isfinite(top.scores[0]))
 
     def test_convergence_diagnostics_on_hcc_curve(self):
         from repro.core.convergence import epochs_to_target, fit_exponential

@@ -138,7 +138,7 @@ class TestHostPredictions:
 class TestEpochCostPredictions:
     def test_flattens_modeled_cost(self):
         from repro.core.config import HCCConfig
-        from repro.core.framework import HCCMF
+        from repro.framework import HCCMF
         from repro.data.datasets import NETFLIX
         from repro.hardware.topology import paper_workstation
 

@@ -9,39 +9,6 @@ from repro.core.convergence import epochs_to_target, fit_exponential
 from repro.hardware.energy import processor_energy
 from repro.hardware.processor import Processor
 from repro.hardware.specs import RTX_2080S, XEON_6242
-from repro.mf.schedules import BoldDriver, ExponentialDecay, InverseTimeDecay
-
-
-class TestScheduleProperties:
-    @given(
-        lr0=st.floats(1e-5, 1.0),
-        decay=st.floats(0.0, 5.0),
-        e1=st.integers(0, 500),
-        e2=st.integers(0, 500),
-    )
-    def test_inverse_time_monotone(self, lr0, decay, e1, e2):
-        s = InverseTimeDecay(lr0, decay)
-        lo, hi = sorted((e1, e2))
-        assert s(hi) <= s(lo) + 1e-12
-        assert 0 < s(hi) <= lr0
-
-    @given(
-        lr0=st.floats(1e-5, 1.0),
-        gamma=st.floats(0.01, 1.0, exclude_min=True),
-        epoch=st.integers(0, 200),
-    )
-    def test_exponential_bounded(self, lr0, gamma, epoch):
-        s = ExponentialDecay(lr0, gamma)
-        # tiny gamma at large epochs underflows to exactly 0.0 (a no-op
-        # learning rate), which is still within bounds
-        assert 0 <= s(epoch) <= lr0 * (1 + 1e-12)
-
-    @given(losses=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=30))
-    def test_bold_driver_stays_positive(self, losses):
-        s = BoldDriver(0.1, grow=1.05, shrink=0.5)
-        for loss in losses:
-            s.observe(loss)
-            assert s(0) > 0
 
 
 class TestAdaptiveProperties:

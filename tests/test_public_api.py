@@ -31,7 +31,7 @@ class TestPublicAPI:
 
     def test_subpackages_importable(self):
         for mod in (
-            "repro.core", "repro.mf", "repro.data",
+            "repro.framework", "repro.core", "repro.mf", "repro.data",
             "repro.hardware", "repro.parallel", "repro.experiments",
             "repro.analysis", "repro.resilience", "repro.testing",
         ):

@@ -5,8 +5,8 @@ Every grouping of row, column or block ids goes through
 ``np.lexsort`` and ``np.argsort(kind="stable")`` on int64 are not.  The
 test pins the *exact* calls of those two that remain, each with why it
 stays, so a new comparison sort over ids fails here instead of arriving
-unnoticed.  (An ``argsort`` without ``kind="stable"`` orders scores —
-``mf/evaluation.py`` — and is not counted.)
+unnoticed.  (An ``argsort`` without ``kind="stable"`` orders values,
+not ids, and is not counted.)
 """
 
 import ast
