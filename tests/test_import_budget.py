@@ -4,10 +4,20 @@ Every spawned worker imports ``repro``, ``repro.engine`` and the worker
 module before it can attach, so what those pull in is start-up time on
 the process plane's critical path.  The budgets are enforced in fresh
 interpreters; the export tables are checked in-process.
+
+A fresh interpreter is started with ``-S``, with ``src/`` and the
+parent's site directories on ``PYTHONPATH``: numpy still resolves, but
+``site`` runs no ``.pth`` start-up hook.  Such a hook counts against
+``repro`` what ``repro`` never imports: one that imports ``certifi``
+loads ``importlib.resources`` and with it ``tempfile``, ``shutil``,
+``zipfile`` and about 60 other modules before the statement under test
+runs.
 """
 
 import importlib
 import json
+import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +33,19 @@ LAZY_PACKAGES = [
 
 
 def fresh_python(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that sees only ``src/``."""
+    """Stdout of ``code`` run in a fresh interpreter that sees only ``src/``.
+
+    The child runs with ``-S`` so that no ``.pth`` hook of the host loads
+    modules before ``code`` does; the parent's site directories go on
+    ``PYTHONPATH`` after ``src/`` so that installed packages still import.
+    """
+    path = [str(SRC), *site.getsitepackages()]
+    if site.ENABLE_USER_SITE:
+        path.append(site.getusersitepackages())
     return subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC), "PATH": ""}, capture_output=True,
-        text=True, timeout=120, check=True,
+        [sys.executable, "-S", "-c", code],
+        env={"PYTHONPATH": os.pathsep.join(path), "PATH": ""},
+        capture_output=True, text=True, timeout=120, check=True,
     ).stdout
 
 
@@ -43,6 +61,13 @@ def loaded(modules: set[str], package: str) -> bool:
 
 
 class TestImportBudget:
+    def test_bare_interpreter_runs_no_site_hook(self):
+        """The budgets below count what ``repro`` loads: a host hook that
+        got past ``-S`` shows up here under its own name."""
+        modules = modules_after("pass")
+        for module in ("site", "certifi", "statistics", "subprocess", "tempfile"):
+            assert module not in modules, module
+
     def test_import_repro_loads_no_heavy_third_party(self):
         modules = modules_after("import repro")
         assert not loaded(modules, "scipy")
