@@ -77,5 +77,5 @@ def bench_scan(benchmark, wire):
 
 def bench_merge(benchmark, wire):
     _, Q, pull_wire, cols, _, pushed = wire
-    benchmark(merge_delta, Q, pushed, pull_wire, 1.0, merge_scratch(), cols)
+    benchmark(merge_delta, Q, pushed, pull_wire, merge_scratch(), cols)
     _values(benchmark, pushed)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-PR gate: hcclint (+ flow rules) + dynamic checks + ruff + mypy + pytest.
+# Pre-PR gate: hcclint + dynamic checks + ruff + mypy + pytest.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the tier-1 pytest stage (lint/type gates, the smoke
@@ -75,14 +75,9 @@ skipped() {  # skipped <lint|test> <name> <reason>
     record "$2" "$1" "SKIPPED" 0
 }
 
-# 1. hcclint: the AST domain rules (docs/static_analysis.md)
-stage lint "hcclint" python -m repro lint \
-    --baseline .hcclint-baseline.json src
-
-# 1b. flow-lint: the flow-sensitive HCC2xx rules (CFG + dataflow over
-# resource lifecycle, exception safety, dtype taint, stage protocol)
-stage lint "flow-lint" python -m repro lint \
-    --flow --select HCC2 --baseline .hcclint-baseline.json src
+# 1. hcclint: every domain rule, the AST tier and the flow-sensitive
+# HCC2xx tier (docs/static_analysis.md); any finding fails the stage
+stage lint "hcclint" python -m repro lint src
 
 # 2. race-check: dynamic P-row ownership + one-copy discipline proof
 stage test "race-check" python -m repro race-check --inject-overlap

@@ -32,10 +32,8 @@ Built on :mod:`repro.analysis.cfg`, this module provides:
                                →finalize→close
   ======= ==================== =========================================
 
-These registrations live in the *flow* registry (``lint.flow_rules()``),
-not the default AST registry, because each rule pays for a CFG build
-plus a fixpoint per function: ``repro lint --flow`` opts in, and the
-``flow-lint`` stage of ``scripts/check.sh`` keeps ``src/`` clean.
+They register with the AST rules of :mod:`repro.analysis.rules` in one
+registry, so every ``repro lint`` run applies both tiers.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from repro.analysis.cfg import (
     stmt_atoms,
 )
 from repro.analysis.hotpath import is_exception_safety_module
-from repro.analysis.lint import FileContext, LintIssue, Rule, Severity, flow_rule
+from repro.analysis.lint import FileContext, LintIssue, Rule, rule
 
 __all__ = [
     "FlowAnalysis",
@@ -528,7 +526,7 @@ class _ResourceAnalysis(FlowAnalysis):
         return {v: info for v, info in post2.items() if v not in acquired}
 
 
-@flow_rule
+@rule
 class FlowResourceLeakRule(_FlowRule):
     """HCC201: acquisitions must be released on every path.
 
@@ -539,7 +537,6 @@ class FlowResourceLeakRule(_FlowRule):
 
     rule_id = "HCC201"
     name = "flow-resource-leak"
-    severity = Severity.ERROR
     rationale = (
         "A SharedMemory segment that misses close/unlink on any path leaks "
         "kernel memory until reboot (paper 3.3's one-copy buffers are "
@@ -665,7 +662,7 @@ class _ExcSafetyAnalysis(FlowAnalysis):
         return (pq, attempts)
 
 
-@flow_rule
+@rule
 class FlowExceptionSafetyRule(_FlowRule):
     """HCC202: no raise may escape with P/Q half-mutated or an attempt open.
 
@@ -678,7 +675,6 @@ class FlowExceptionSafetyRule(_FlowRule):
 
     rule_id = "HCC202"
     name = "flow-exception-safety"
-    severity = Severity.ERROR
     rationale = (
         "The attempt/recovery loop retries after failures; a raise that "
         "escapes with P/Q half-mutated or a backend attempt still open "
@@ -730,7 +726,7 @@ class FlowExceptionSafetyRule(_FlowRule):
 # ---------------------------------------------------------------------------
 # HCC203: float64 taint into FP32 kernel arguments
 # ---------------------------------------------------------------------------
-_KERNEL_SINKS = frozenset({"sgd_batch_update", "sgd_epoch", "sgd_step"})
+_KERNEL_SINKS = frozenset({"sgd_batch_update", "sgd_shard_epoch", "sgd_epoch"})
 _SHAPE_PRESERVING = frozenset(
     {
         "copy",
@@ -860,7 +856,7 @@ class _DtypeTaintAnalysis(FlowAnalysis):
         return state if new is None else new
 
 
-@flow_rule
+@rule
 class FlowDtypeTaintRule(_FlowRule):
     """HCC203: float64 taint must not reach FP32 kernel arguments.
 
@@ -872,7 +868,6 @@ class FlowDtypeTaintRule(_FlowRule):
 
     rule_id = "HCC203"
     name = "flow-dtype-taint"
-    severity = Severity.WARNING
     rationale = (
         "Kernels are FP32-only (paper 3.4: FP32 compute, FP16 wire); a "
         "float64 array reaching them silently doubles bandwidth and "
@@ -1003,7 +998,7 @@ class _StageProtocolAnalysis(FlowAnalysis):
         return dotted if dotted in state else None
 
 
-@flow_rule
+@rule
 class FlowStageProtocolRule(_FlowRule):
     """HCC204: backend calls must follow the declared stage machine.
 
@@ -1016,7 +1011,6 @@ class FlowStageProtocolRule(_FlowRule):
 
     rule_id = "HCC204"
     name = "flow-stage-protocol"
-    severity = Severity.WARNING
     rationale = (
         "The epoch protocol (paper 3.2) is pull→compute→push→sync; a "
         "backend driven out of order trains on stale factors or merges "

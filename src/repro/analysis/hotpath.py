@@ -6,15 +6,9 @@ cost-model formula modules, and the set of modules allowed to mutate
 the P/Q feature matrices directly.  Membership is keyed on the
 repo-relative module path (``repro/mf/kernels.py``), so the linter
 classifies files the same way regardless of the working directory.
-
-Functions outside these modules can opt into the hot-path rules with a
-``# hcclint: hot-path`` comment on (or directly above) their ``def``
-line.
 """
 
 from __future__ import annotations
-
-import re
 
 #: Per-sample / per-batch SGD code: allocation there multiplies by nnz.
 HOT_PATH_MODULES = frozenset(
@@ -36,7 +30,7 @@ KERNEL_MODULES = frozenset(
     }
 )
 
-#: Worker/server loop bodies: a blocking call here stalls an epoch.
+#: Worker/server loop bodies: a sleep here stalls an epoch.
 WORKER_LOOP_MODULES = frozenset(
     {
         "repro/core/worker.py",
@@ -106,21 +100,19 @@ EPOCH_LOOP_GUARDED_MODULES = frozenset(
 #: state half-mutated corrupts the next attempt instead of failing it.
 EXCEPTION_SAFETY_PREFIXES = ("repro/engine/", "repro/resilience/")
 
-#: Multi-process coordination code (HCC112): an unbounded ``.wait()`` /
-#: ``.join()`` / ``.get()`` here deadlocks forever when a peer process
-#: dies instead of surfacing a detectable failure — every blocking
-#: rendezvous must carry a timeout so the failure detector gets a turn.
+#: Multi-process coordination code (HCC107, with the worker-loop
+#: modules): an unbounded ``.wait()`` / ``.join()`` / ``.acquire()`` /
+#: ``.get()`` here deadlocks forever when a peer process dies instead of
+#: surfacing a detectable failure — every blocking rendezvous must carry
+#: a timeout so the failure detector gets a turn.
 BOUNDED_WAIT_PREFIXES = ("repro/parallel/", "repro/engine/")
-
-HOT_MARKER_RE = re.compile(r"#\s*hcclint:\s*hot-path\b")
 
 
 def module_key(path: str) -> str:
     """Repo-relative module key: the path from the ``repro/`` package root.
 
     Falls back to the bare filename for paths outside the package (test
-    fixtures, scratch files), which keeps every scoped rule inert there
-    unless the file opts in via marker comments.
+    fixtures, scratch files), which keeps every scoped rule inert there.
     """
     posix = path.replace("\\", "/")
     marker = "/repro/"
@@ -163,7 +155,7 @@ def is_epoch_loop_guarded_module(key: str) -> bool:
 
 
 def is_bounded_wait_module(key: str) -> bool:
-    return key.startswith(BOUNDED_WAIT_PREFIXES)
+    return key in WORKER_LOOP_MODULES or key.startswith(BOUNDED_WAIT_PREFIXES)
 
 
 def is_exception_safety_module(key: str) -> bool:

@@ -1,58 +1,38 @@
-"""hcclint: the AST lint framework (rule registry, suppression, runner).
+"""hcclint: the lint framework (rule registry, suppression, runner).
 
 A :class:`Rule` inspects one parsed file (:class:`FileContext`) and
 yields :class:`LintIssue` records.  Rules register themselves with the
-:func:`rule` decorator; the runner applies every registered rule to
-every file and drops issues suppressed by comment:
+:func:`rule` decorator: the AST rules of :mod:`repro.analysis.rules`
+(HCC1xx) and the flow-sensitive rules of :mod:`repro.analysis.flow`
+(HCC2xx) share one registry, and the runner applies every registered
+rule to every file.  Any finding fails ``repro lint``.
 
-* ``# hcclint: disable=hot-copy`` on a line suppresses the named
-  rule(s) for that line (comma-separate to suppress several; rule ids
-  like ``HCC102`` work too, and ``all`` suppresses everything);
-* ``# hcclint: disable-file=frozen-dataclass`` anywhere in the file
-  suppresses the rule(s) for the whole file.
-
-Suppression is deliberately explicit — a disabled rule leaves a visible
-audit trail next to the code it excuses, which is the point: the lint
-encodes paper invariants (section 3.4/3.5, Eq. 1-7), and every exception
-should say why the invariant still holds.
+``# hcclint: disable=hot-copy`` suppresses the named rule(s) — by slug
+or by id, comma-separated — on its own line, or on the line below when
+the comment stands alone.  Suppression is deliberately explicit and
+local: a disabled rule leaves a visible audit trail next to the code it
+excuses, which is the point — the lint encodes paper invariants
+(section 3.4/3.5, Eq. 1-7), and every exception should say why the
+invariant still holds.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.hotpath import HOT_MARKER_RE, is_hot_module, module_key
-
-
-class Severity(enum.IntEnum):
-    """Issue severity; the CLI fails on >= WARNING by default."""
-
-    INFO = 10
-    WARNING = 20
-    ERROR = 30
-
-    @classmethod
-    def parse(cls, name: str) -> "Severity":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r} (expected info, warning or error)"
-            ) from None
+from repro.analysis.hotpath import module_key
 
 
 @dataclass(frozen=True)
 class LintIssue:
-    """One finding: where, which rule, how bad, and why."""
+    """One finding: where, which rule, and why."""
 
     rule: str
     rule_id: str
-    severity: Severity
     path: str
     line: int
     col: int
@@ -62,9 +42,7 @@ class LintIssue:
         return (self.path, self.line, self.col, self.rule_id)
 
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*hcclint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_\-, ]+)"
-)
+_SUPPRESS_RE = re.compile(r"#\s*hcclint:\s*disable\s*=\s*([A-Za-z0-9_\-, ]+)")
 
 
 class FileContext:
@@ -76,34 +54,23 @@ class FileContext:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
         self.module = module_key(path)
-        self._line_disable: dict[int, set[str]] = {}
-        self._file_disable: set[str] = set()
-        self._scan_suppressions()
-        self._functions: list[ast.AST] | None = None
-
-    # -- suppressions --------------------------------------------------
-    def _scan_suppressions(self) -> None:
+        self._disabled: dict[int, set[str]] = {}
         for lineno, text in enumerate(self.lines, start=1):
             m = _SUPPRESS_RE.search(text)
-            if not m:
-                continue
-            names = {n.strip().lower() for n in m.group(2).split(",") if n.strip()}
-            if m.group(1) == "disable-file":
-                self._file_disable |= names
-            else:
+            if m:
                 # a comment-only line suppresses the line below it (the
                 # eslint-disable-next-line idiom); a trailing comment
                 # suppresses its own line
                 target = lineno + 1 if text.lstrip().startswith("#") else lineno
-                self._line_disable.setdefault(target, set()).update(names)
+                self._disabled.setdefault(target, set()).update(
+                    n.strip().lower() for n in m.group(1).split(",") if n.strip()
+                )
+        self._functions: list[ast.AST] | None = None
 
-    def is_suppressed(self, rule_name: str, rule_id: str, line: int) -> bool:
-        keys = {rule_name.lower(), rule_id.lower(), "all"}
-        if keys & self._file_disable:
-            return True
-        return bool(keys & self._line_disable.get(line, set()))
+    def is_suppressed(self, issue: LintIssue) -> bool:
+        names = self._disabled.get(issue.line, set())
+        return issue.rule.lower() in names or issue.rule_id.lower() in names
 
-    # -- function scoping ----------------------------------------------
     def iter_functions(self) -> Iterator[ast.AST]:
         """Every function/method definition in the file."""
         if self._functions is None:
@@ -114,45 +81,26 @@ class FileContext:
             ]
         return iter(self._functions)
 
-    def function_is_hot(self, node: ast.AST) -> bool:
-        """Hot iff the module is a hot path or the def carries a marker."""
-        if is_hot_module(self.module):
-            return True
-        for lineno in (node.lineno, node.lineno - 1):
-            if 1 <= lineno <= len(self.lines) and HOT_MARKER_RE.search(
-                self.lines[lineno - 1]
-            ):
-                return True
-        return False
-
 
 class Rule:
     """Base class for lint rules.
 
     Subclasses set ``rule_id`` (``HCCnnn``), ``name`` (the slug used in
-    suppression comments), ``severity``, and ``rationale`` (the paper
-    invariant the rule protects — surfaced by ``repro lint --rules``).
+    suppression comments) and ``rationale`` (the paper invariant the
+    rule protects — surfaced by ``repro lint --rules``).
     """
 
     rule_id = "HCC000"
     name = "abstract-rule"
-    severity = Severity.WARNING
     rationale = ""
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:  # pragma: no cover
         raise NotImplementedError
 
-    def issue(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        message: str,
-        severity: Severity | None = None,
-    ) -> LintIssue:
+    def issue(self, ctx: FileContext, node: ast.AST, message: str) -> LintIssue:
         return LintIssue(
             rule=self.name,
             rule_id=self.rule_id,
-            severity=self.severity if severity is None else severity,
             path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
@@ -162,79 +110,22 @@ class Rule:
 
 _REGISTRY: dict[str, Rule] = {}
 
-#: Flow-sensitive rules (HCC2xx) live in their own registry: they cost a
-#: CFG + fixpoint per function, so the default ``repro lint`` run stays
-#: AST-only and ``--flow`` (or ``--select HCC2``) opts in.
-_FLOW_REGISTRY: dict[str, Rule] = {}
 
-
-def _register(cls: type, registry: dict[str, Rule]) -> type:
+def rule(cls: type) -> type:
+    """Class decorator: instantiate and register a rule."""
     instance = cls()
-    for existing in (*_REGISTRY.values(), *_FLOW_REGISTRY.values()):
-        if existing.rule_id == instance.rule_id:
-            raise ValueError(f"duplicate rule id {instance.rule_id}")
-    registry[instance.name] = instance
+    if any(r.rule_id == instance.rule_id for r in _REGISTRY.values()):
+        raise ValueError(f"duplicate rule id {instance.rule_id}")
+    _REGISTRY[instance.name] = instance
     return cls
 
 
-def rule(cls: type) -> type:
-    """Class decorator: instantiate and register an AST rule."""
-    return _register(cls, _REGISTRY)
-
-
-def flow_rule(cls: type) -> type:
-    """Class decorator: instantiate and register a flow-sensitive rule."""
-    return _register(cls, _FLOW_REGISTRY)
-
-
 def all_rules() -> list[Rule]:
-    """Registered AST rules, importing the built-in rule set on first use."""
+    """Every registered rule, both tiers, importing them on first use."""
+    import repro.analysis.flow  # noqa: F401  (registration side effect)
     import repro.analysis.rules  # noqa: F401  (registration side effect)
 
     return sorted(_REGISTRY.values(), key=lambda r: r.rule_id)
-
-
-def flow_rules() -> list[Rule]:
-    """Registered flow-sensitive rules (the HCC2xx set)."""
-    import repro.analysis.flow  # noqa: F401  (registration side effect)
-
-    return sorted(_FLOW_REGISTRY.values(), key=lambda r: r.rule_id)
-
-
-def filter_rules(
-    rules: Sequence[Rule],
-    select: str | None = None,
-    ignore: str | None = None,
-) -> list[Rule]:
-    """Apply ``--select`` / ``--ignore`` tokens to a rule list.
-
-    Tokens are comma-separated and case-insensitive; each matches a rule
-    by id prefix (``HCC2`` selects every HCC2xx rule, ``HCC101`` exactly
-    one) or by exact slug (``shm-lifecycle``).  ``select`` keeps only
-    matching rules; ``ignore`` then drops matches.  Unknown tokens raise
-    so typos fail loudly instead of silently disabling a gate.
-    """
-
-    def parse(spec: str | None) -> list[str]:
-        if not spec:
-            return []
-        return [tok.strip().lower() for tok in spec.split(",") if tok.strip()]
-
-    def matches(r: Rule, token: str) -> bool:
-        return r.rule_id.lower().startswith(token) or r.name.lower() == token
-
-    chosen = list(rules)
-    for label, tokens in (("select", parse(select)), ("ignore", parse(ignore))):
-        for token in tokens:
-            if not any(matches(r, token) for r in rules):
-                raise ValueError(f"--{label} token {token!r} matches no known rule")
-        if not tokens:
-            continue
-        if label == "select":
-            chosen = [r for r in chosen if any(matches(r, t) for t in tokens)]
-        else:
-            chosen = [r for r in chosen if not any(matches(r, t) for t in tokens)]
-    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +145,18 @@ def lint_source(
             LintIssue(
                 rule="parse-error",
                 rule_id="HCC000",
-                severity=Severity.ERROR,
                 path=path,
                 line=exc.lineno or 1,
                 col=exc.offset or 0,
                 message=f"could not parse file: {exc.msg}",
             )
         ]
-    issues: list[LintIssue] = []
-    for r in chosen:
-        for issue in r.check(ctx):
-            if not ctx.is_suppressed(issue.rule, issue.rule_id, issue.line):
-                issues.append(issue)
+    issues = [
+        issue
+        for r in chosen
+        for issue in r.check(ctx)
+        if not ctx.is_suppressed(issue)
+    ]
     return sorted(issues, key=LintIssue.sort_key)
 
 
@@ -287,25 +178,12 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 
 
 def lint_paths(
-    paths: Sequence[str],
-    rules: Sequence[Rule] | None = None,
-    on_file: Callable[[str], None] | None = None,
+    paths: Sequence[str], rules: Sequence[Rule] | None = None
 ) -> list[LintIssue]:
     """Lint every ``.py`` file under ``paths``; issues sorted by location."""
     issues: list[LintIssue] = []
     for fpath in iter_python_files(paths):
-        if on_file is not None:
-            on_file(fpath)
         with open(fpath, "r", encoding="utf-8") as fh:
             source = fh.read()
         issues.extend(lint_source(source, fpath, rules))
     return sorted(issues, key=LintIssue.sort_key)
-
-
-def max_severity(issues: Iterable[LintIssue]) -> Severity | None:
-    """Highest severity present, or None for a clean run."""
-    worst: Severity | None = None
-    for issue in issues:
-        if worst is None or issue.severity > worst:
-            worst = issue.severity
-    return worst

@@ -402,7 +402,7 @@ def tracked_train(
             log.record(
                 log.server_actor, READ, f"push:{wid}", 0, server.pushed(wid).size
             )
-            server.sync(wid, 1.0)
+            server.sync(wid)
         log.advance_epoch()
         history.append(model.rmse(ratings))
 

@@ -1,215 +1,29 @@
-"""Output formats for analysis findings.
-
-Text for humans, JSON for scripting, and SARIF 2.1.0 for code-scanning
-UIs (GitHub code scanning, VS Code SARIF viewers).  Both ``repro lint``
-and ``repro race-check`` emit through this layer, so every checker in
-:mod:`repro.analysis` shares one wire format per consumer.
-"""
+"""Text output for ``repro lint``: findings, the summary line, the rule catalogue."""
 
 from __future__ import annotations
 
-import json
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.analysis.lint import LintIssue, Rule, Severity
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-_SEVERITY_TAG = {
-    Severity.INFO: "info",
-    Severity.WARNING: "warning",
-    Severity.ERROR: "error",
-}
+from repro.analysis.lint import LintIssue, Rule
 
 
 def render_text(issues: Sequence[LintIssue]) -> str:
-    """``path:line:col: severity RULEID (slug): message`` lines + summary."""
+    """``path:line:col: RULEID (slug): message`` lines + summary."""
     lines = [
-        f"{i.path}:{i.line}:{i.col}: {_SEVERITY_TAG[i.severity]} "
-        f"{i.rule_id} ({i.rule}): {i.message}"
+        f"{i.path}:{i.line}:{i.col}: {i.rule_id} ({i.rule}): {i.message}"
         for i in issues
     ]
     lines.append(summary_line(issues))
     return "\n".join(lines)
 
 
-def summary_line(issues: Iterable[LintIssue]) -> str:
-    counts = Counter(i.severity for i in issues)
-    total = sum(counts.values())
-    if total == 0:
+def summary_line(issues: Sequence[LintIssue]) -> str:
+    if not issues:
         return "hcclint: clean (0 issues)"
-    parts = [
-        f"{counts[sev]} {_SEVERITY_TAG[sev]}{'s' if counts[sev] != 1 else ''}"
-        for sev in (Severity.ERROR, Severity.WARNING, Severity.INFO)
-        if counts[sev]
-    ]
-    return f"hcclint: {total} issue{'s' if total != 1 else ''} ({', '.join(parts)})"
-
-
-def render_json(issues: Sequence[LintIssue]) -> str:
-    counts = Counter(i.severity for i in issues)
-    payload = {
-        "issues": [
-            {
-                "rule": i.rule,
-                "rule_id": i.rule_id,
-                "severity": _SEVERITY_TAG[i.severity],
-                "path": i.path,
-                "line": i.line,
-                "col": i.col,
-                "message": i.message,
-            }
-            for i in issues
-        ],
-        "summary": {
-            "total": len(issues),
-            "errors": counts[Severity.ERROR],
-            "warnings": counts[Severity.WARNING],
-            "infos": counts[Severity.INFO],
-        },
-    }
-    return json.dumps(payload, indent=2)
-
-
-_SARIF_LEVEL = {
-    Severity.INFO: "note",
-    Severity.WARNING: "warning",
-    Severity.ERROR: "error",
-}
-
-
-def sarif_log(runs: Sequence[dict]) -> dict:
-    """The SARIF 2.1.0 top-level envelope."""
-    return {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": list(runs)}
-
-
-def _sarif_driver(name: str, rules: Sequence[dict]) -> dict:
-    return {
-        "tool": {
-            "driver": {
-                "name": name,
-                "informationUri": "https://github.com/hcc-mf/repro",
-                "rules": list(rules),
-            }
-        }
-    }
-
-
-def sarif_for_issues(
-    issues: Sequence[LintIssue], rules: Sequence[Rule] | None = None
-) -> dict:
-    """One SARIF run for a set of lint issues."""
-    known = {r.rule_id: r for r in (rules or [])}
-    used_ids = sorted({i.rule_id for i in issues} | set(known))
-    rule_objs = []
-    index_of: dict[str, int] = {}
-    for idx, rule_id in enumerate(used_ids):
-        index_of[rule_id] = idx
-        rule = known.get(rule_id)
-        obj: dict = {"id": rule_id}
-        if rule is not None:
-            obj["name"] = rule.name
-            obj["shortDescription"] = {"text": rule.name}
-            if rule.rationale:
-                obj["fullDescription"] = {"text": rule.rationale}
-            obj["defaultConfiguration"] = {
-                "level": _SARIF_LEVEL[Severity(rule.severity)]
-            }
-        rule_objs.append(obj)
-    results = [
-        {
-            "ruleId": i.rule_id,
-            "ruleIndex": index_of[i.rule_id],
-            "level": _SARIF_LEVEL[i.severity],
-            "message": {"text": i.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": i.path.replace("\\", "/"),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": max(i.line, 1),
-                            "startColumn": i.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for i in issues
-    ]
-    run = _sarif_driver("hcclint", rule_objs)
-    run["results"] = results
-    run["columnKind"] = "utf16CodeUnits"
-    return run
-
-
-def render_sarif(
-    issues: Sequence[LintIssue], rules: Sequence[Rule] | None = None
-) -> str:
-    """SARIF 2.1.0 document for ``repro lint --format sarif``."""
-    return json.dumps(sarif_log([sarif_for_issues(issues, rules)]), indent=2)
-
-
-def sarif_for_race(result) -> dict:
-    """One SARIF run for a :class:`~repro.analysis.race.RaceCheckResult`.
-
-    Race findings are dynamic (event-trace) facts without a source
-    location, so results carry only rule ids and messages; the per-label
-    report context is folded into the message text.
-    """
-    rule_ids: list[str] = []
-    results = []
-
-    def add(rule_id: str, message: str) -> None:
-        if rule_id not in rule_ids:
-            rule_ids.append(rule_id)
-        results.append(
-            {
-                "ruleId": rule_id,
-                "ruleIndex": rule_ids.index(rule_id),
-                "level": "error",
-                "message": {"text": message},
-            }
-        )
-
-    for report in result.reports:
-        for violation in report.violations:
-            add(
-                f"race/{violation.kind}",
-                f"[{report.label}] {violation.message}",
-            )
-    for label, violations in sorted(result.static_violations.items()):
-        for violation in violations:
-            add(f"race/{violation.kind}", f"[static:{label}] {violation.message}")
-    run = _sarif_driver(
-        "repro-race-check", [{"id": rule_id} for rule_id in sorted(rule_ids)]
-    )
-    # rebuild indices against the sorted rule array
-    order = {rule_id: i for i, rule_id in enumerate(sorted(rule_ids))}
-    for res in results:
-        res["ruleIndex"] = order[res["ruleId"]]
-    run["results"] = results
-    return run
-
-
-def render_race_sarif(result) -> str:
-    """SARIF 2.1.0 document for ``repro race-check --format sarif``."""
-    return json.dumps(sarif_log([sarif_for_race(result)]), indent=2)
+    n = len(issues)
+    return f"hcclint: {n} issue{'s' if n != 1 else ''}"
 
 
 def render_rules(rules: Sequence[Rule]) -> str:
     """Rule catalogue for ``repro lint --rules``."""
-    blocks = []
-    for r in rules:
-        blocks.append(
-            f"{r.rule_id} {r.name} [{_SEVERITY_TAG[Severity(r.severity)]}]\n"
-            f"    {r.rationale}"
-        )
-    return "\n".join(blocks)
+    return "\n".join(f"{r.rule_id} {r.name}\n    {r.rationale}" for r in rules)

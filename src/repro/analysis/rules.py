@@ -14,26 +14,24 @@ HCC103 kernel-promotion   kernels stay FP32; no silent float64 promotion
                           (3.4 Strategy 2: FP32 compute / FP16 wire)
 HCC104 frozen-dataclass   Spec/Plan/Config/Stats dataclasses are immutable
                           (plans are shared across worker processes)
-HCC105 mutable-default    no mutable default arguments (shared-state hazard)
 HCC106 pq-mutation        P/Q mutated only by kernels and the server sync
                           (3.4 Strategy 1: row-grid ownership)
-HCC107 blocking-call      no sleep / unbounded join-wait in worker loops
-                          (Eq. 1: the epoch ends at max_i{T_i})
+HCC107 blocking-call      no sleep in worker loops, and no unbounded
+                          .wait/.join/.acquire/.get there or anywhere in
+                          repro/parallel/ and repro/engine/ (Eq. 1: the
+                          epoch ends at max_i{T_i}; a dead peer must
+                          surface as a failure, not a hang)
 HCC108 unit-mix           cost-model formulas never add bytes to seconds
                           (Eq. 1-7 unit discipline)
-HCC109 hot-gather         advisory: fancy-index gathers inside hot loops
-                          allocate per iteration
-HCC110 wall-clock         advisory: timing code uses time.perf_counter(),
+HCC110 wall-clock         timing code uses time.perf_counter(),
                           never time.time() (telemetry spans need one
                           monotonic cross-process time base)
 HCC111 epoch-loop         epoch-loop orchestration lives in repro/engine/
                           only; the legacy plane modules are facades that
                           delegate to EpochEngine
-HCC112 unbounded-wait     cross-process rendezvous (.wait/.join/.get) in
-                          repro/parallel/ and repro/engine/ always carry a
-                          timeout, so a dead peer surfaces as a detectable
-                          failure instead of a hang
 ====== ================== ========================================================
+
+The flow-sensitive HCC2xx rules live in :mod:`repro.analysis.flow`.
 """
 
 from __future__ import annotations
@@ -45,12 +43,13 @@ from repro.analysis.hotpath import (
     is_bounded_wait_module,
     is_cost_model_module,
     is_epoch_loop_guarded_module,
+    is_hot_module,
     is_kernel_module,
     is_pq_owner_module,
     is_timing_module,
     is_worker_loop_module,
 )
-from repro.analysis.lint import FileContext, LintIssue, Rule, Severity, rule
+from repro.analysis.lint import FileContext, LintIssue, Rule, rule
 
 _CLEANUP_ATTRS = {"close", "unlink", "terminate", "shutdown"}
 _OWNERSHIP_SINKS = {"enter_context", "callback", "push"}
@@ -135,6 +134,27 @@ def _try_has_cleanup(node: ast.Try) -> bool:
     return False
 
 
+def _self_attrs_released(
+    fn: ast.AST, tree_parents: dict[ast.AST, ast.AST]
+) -> set[str]:
+    """Attributes ``a`` whose ``self.a.close``/``.unlink``/... the class of
+    ``fn`` reads anywhere — called, or registered as a callback."""
+    cls = tree_parents.get(fn)
+    while cls is not None and not isinstance(cls, ast.ClassDef):
+        cls = tree_parents.get(cls)
+    if cls is None:
+        return set()
+    return {
+        node.value.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and node.attr in _CLEANUP_ATTRS
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "self"
+    }
+
+
 # ---------------------------------------------------------------------------
 # HCC101: SharedMemory lifecycle
 # ---------------------------------------------------------------------------
@@ -142,12 +162,12 @@ def _try_has_cleanup(node: ast.Try) -> bool:
 class ShmLifecycleRule(Rule):
     rule_id = "HCC101"
     name = "shm-lifecycle"
-    severity = Severity.ERROR
     rationale = (
         "Named shared-memory segments survive process crashes (paper 3.5 maps "
         "pull/push buffers this way); every creation or attach needs a "
         "guaranteed close()/unlink() — a finally block, a context manager, an "
-        "ExitStack registration, or an explicit ownership transfer."
+        "ExitStack registration, or an explicit ownership transfer.  A segment "
+        "stored on self counts only if its class releases self.<attr>."
     )
 
     _CREATORS = {"SharedMemory"}
@@ -164,6 +184,7 @@ class ShmLifecycleRule(Rule):
         )
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:
+        tree_parents: dict[ast.AST, ast.AST] | None = None
         for fn in ctx.iter_functions():
             creations = [
                 node
@@ -172,20 +193,28 @@ class ShmLifecycleRule(Rule):
             ]
             if not creations:
                 continue
+            if tree_parents is None:
+                tree_parents = _parent_map(ctx.tree)
+            released = _self_attrs_released(fn, tree_parents)
             parents = _parent_map(fn)
             for creation in creations:
-                if not self._is_guarded(fn, creation, parents):
+                if not self._is_guarded(fn, creation, parents, released):
                     yield self.issue(
                         ctx,
                         creation,
                         "shared-memory segment created without a guaranteed "
                         "close()/unlink() (use try/finally, a context manager, "
-                        "ExitStack, or return it to transfer ownership)",
+                        "ExitStack, or return it to transfer ownership; one "
+                        "stored on self needs its class to release it)",
                     )
 
     # -- guard detection ------------------------------------------------
     def _is_guarded(
-        self, fn: ast.AST, creation: ast.Call, parents: dict[ast.AST, ast.AST]
+        self,
+        fn: ast.AST,
+        creation: ast.Call,
+        parents: dict[ast.AST, ast.AST],
+        released: set[str],
     ) -> bool:
         node: ast.AST = creation
         while node is not fn:
@@ -200,28 +229,37 @@ class ShmLifecycleRule(Rule):
             if isinstance(parent, ast.Return):
                 return True
             if isinstance(parent, (ast.Assign, ast.AnnAssign)):
-                if self._assignment_guarded(fn, parent, parents):
-                    return True
+                guarded = self._assignment_guarded(fn, parent, parents, released)
+                if guarded is not None:
+                    return guarded
             if isinstance(parent, ast.Try) and _try_has_cleanup(parent):
                 return True
             node = parent
         return False
 
     def _assignment_guarded(
-        self, fn: ast.AST, assign: ast.AST, parents: dict[ast.AST, ast.AST]
-    ) -> bool:
+        self,
+        fn: ast.AST,
+        assign: ast.AST,
+        parents: dict[ast.AST, ast.AST],
+        released: set[str],
+    ) -> bool | None:
+        """True/False when the binding decides it; None to look further out."""
         targets = (
             assign.targets if isinstance(assign, ast.Assign) else [assign.target]
         )
         for target in targets:
-            # stored on an object: lifecycle owned by that object's close()
             if isinstance(target, ast.Attribute):
+                # stored on self: guarded only where the class releases
+                # that attribute; stored on another object: handed over
+                if isinstance(target.value, ast.Name) and target.value.id == "self":
+                    return target.attr in released
                 return True
             if isinstance(target, ast.Name) and self._name_escapes(
                 fn, target.id, assign, parents
             ):
                 return True
-        return False
+        return None
 
     def _name_escapes(
         self,
@@ -267,7 +305,6 @@ class ShmLifecycleRule(Rule):
 class HotCopyRule(Rule):
     rule_id = "HCC102"
     name = "hot-copy"
-    severity = Severity.WARNING
     rationale = (
         "Hot-path functions run once per sample/batch, so a hidden NumPy copy "
         "multiplies by nnz and lands straight in T_comp (Eq. 2).  The paper's "
@@ -276,9 +313,9 @@ class HotCopyRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:
+        if not is_hot_module(ctx.module):
+            return
         for fn in ctx.iter_functions():
-            if not ctx.function_is_hot(fn):
-                continue
             for node in _walk_shallow(fn):
                 if not isinstance(node, ast.Call):
                     continue
@@ -314,43 +351,6 @@ class HotCopyRule(Rule):
                     )
 
 
-@rule
-class HotGatherRule(Rule):
-    rule_id = "HCC109"
-    name = "hot-gather"
-    severity = Severity.INFO
-    rationale = (
-        "Fancy indexing (a[idx]) materializes a new array every loop "
-        "iteration.  Batched SGD needs its gathers, so this is advisory — "
-        "but each one should be a deliberate part of the kernel."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[LintIssue]:
-        for fn in ctx.iter_functions():
-            if not ctx.function_is_hot(fn):
-                continue
-            seen: set[tuple[int, int]] = set()
-            for loop in _walk_shallow(fn):
-                if not isinstance(loop, (ast.For, ast.While)):
-                    continue
-                for node in ast.walk(loop):
-                    if (
-                        isinstance(node, ast.Subscript)
-                        and isinstance(node.ctx, ast.Load)
-                        and isinstance(node.slice, (ast.Name, ast.Attribute))
-                    ):
-                        key = (node.lineno, node.col_offset)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield self.issue(
-                            ctx,
-                            node,
-                            "fancy-index gather inside a hot loop allocates "
-                            "a new array per iteration",
-                        )
-
-
 # ---------------------------------------------------------------------------
 # HCC103: float64 promotion in kernel code
 # ---------------------------------------------------------------------------
@@ -358,7 +358,6 @@ class HotGatherRule(Rule):
 class KernelPromotionRule(Rule):
     rule_id = "HCC103"
     name = "kernel-promotion"
-    severity = Severity.ERROR
     rationale = (
         "Training is FP32 with an FP16 wire (3.4 Strategy 2); a float64 "
         "intermediate doubles memory traffic and silently changes the "
@@ -394,13 +393,12 @@ class KernelPromotionRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# HCC104 / HCC105: dataclass and default hygiene
+# HCC104: dataclass hygiene
 # ---------------------------------------------------------------------------
 @rule
 class FrozenDataclassRule(Rule):
     rule_id = "HCC104"
     name = "frozen-dataclass"
-    severity = Severity.WARNING
     rationale = (
         "Spec/Plan/Config/Stats dataclasses cross process boundaries (plans "
         "are pickled to spawn workers); freezing makes aliasing across the "
@@ -437,47 +435,6 @@ class FrozenDataclassRule(Rule):
                     )
 
 
-@rule
-class MutableDefaultRule(Rule):
-    rule_id = "HCC105"
-    name = "mutable-default"
-    severity = Severity.ERROR
-    rationale = (
-        "A mutable default argument is shared across every call — in a "
-        "framework whose workers are long-lived processes, that is hidden "
-        "global state."
-    )
-
-    _MUTABLE_CALLS = {"list", "dict", "set"}
-    _MUTABLE_NODES = (
-        ast.List,
-        ast.Dict,
-        ast.Set,
-        ast.ListComp,
-        ast.DictComp,
-        ast.SetComp,
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[LintIssue]:
-        for fn in ctx.iter_functions():
-            defaults = list(fn.args.defaults) + [
-                d for d in fn.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                bad = isinstance(default, self._MUTABLE_NODES) or (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in self._MUTABLE_CALLS
-                )
-                if bad:
-                    yield self.issue(
-                        ctx,
-                        default,
-                        f"mutable default argument in {fn.name}(); default to "
-                        "None and allocate inside the function",
-                    )
-
-
 # ---------------------------------------------------------------------------
 # HCC106: P/Q ownership
 # ---------------------------------------------------------------------------
@@ -485,7 +442,6 @@ class MutableDefaultRule(Rule):
 class PQMutationRule(Rule):
     rule_id = "HCC106"
     name = "pq-mutation"
-    severity = Severity.WARNING
     rationale = (
         "Strategy 1 ('transmit Q only') holds because P rows are written "
         "only by their owning worker and Q only through the server's merge; "
@@ -496,22 +452,19 @@ class PQMutationRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:
         if is_pq_owner_module(ctx.module):
             return
+        # every store, so ``m.P, m.Q = p, q`` and ``m.Q += d`` count too
         for node in ast.walk(ctx.tree):
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                attr = self._pq_attr(target)
-                if attr is not None:
-                    yield self.issue(
-                        ctx,
-                        target,
-                        f"direct mutation of .{attr} outside the kernel/server "
-                        "modules; go through sgd_batch_update or "
-                        "ParameterServer.push/sync",
-                    )
+            if not isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            attr = self._pq_attr(node)
+            if attr is not None:
+                yield self.issue(
+                    ctx,
+                    node,
+                    f"direct mutation of .{attr} outside the kernel/server "
+                    "modules; go through sgd_batch_update or "
+                    "ParameterServer.push/sync",
+                )
 
     @staticmethod
     def _pq_attr(target: ast.AST) -> str | None:
@@ -525,45 +478,50 @@ class PQMutationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# HCC107: blocking calls in worker loops
+# HCC107: blocking calls in worker loops and coordination code
 # ---------------------------------------------------------------------------
 @rule
 class BlockingCallRule(Rule):
     rule_id = "HCC107"
     name = "blocking-call"
-    severity = Severity.ERROR
     rationale = (
-        "The epoch ends at max_i{T_i} (Eq. 1): one worker sleeping or "
-        "waiting without a timeout stalls every other worker at the barrier "
-        "and can deadlock the whole run on a crashed peer."
+        "The epoch ends at max_i{T_i} (Eq. 1): one worker sleeping stalls "
+        "every other worker at the barrier, and fault tolerance starts at "
+        "detection — a .wait()/.join()/.acquire()/.get() with no timeout "
+        "in the worker loops, repro/parallel/ or repro/engine/ blocks "
+        "forever when a peer process dies, so the failure never surfaces "
+        "and recovery never runs."
     )
 
-    _WAIT_ATTRS = {"join", "wait", "acquire"}
+    _WAIT_ATTRS = {"wait", "join", "acquire", "get"}
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:
-        if not is_worker_loop_module(ctx.module):
+        if not is_bounded_wait_module(ctx.module):
             return
-        for fn in ctx.iter_functions():
-            for node in _walk_shallow(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                tail = _func_tail(node.func)
-                if tail == "sleep":
-                    yield self.issue(
-                        ctx, node, "sleep() in a worker/server loop inflates "
-                        "max_i{T_i}; use event- or barrier-based waiting"
-                    )
-                elif (
-                    tail in self._WAIT_ATTRS
-                    and isinstance(node.func, ast.Attribute)
-                    and not isinstance(node.func.value, (ast.Constant, ast.JoinedStr))
-                    and not node.args
-                    and not any(kw.arg == "timeout" for kw in node.keywords)
-                ):
-                    yield self.issue(
-                        ctx, node, f".{tail}() without a timeout can hang the "
-                        "epoch forever if a peer worker dies; pass timeout="
-                    )
+        worker_loop = is_worker_loop_module(ctx.module)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            tail = _func_tail(node.func)
+            if tail == "sleep" and worker_loop:
+                yield self.issue(
+                    ctx, node, "sleep() in a worker/server loop inflates "
+                    "max_i{T_i}; use event- or barrier-based waiting"
+                )
+            elif (
+                tail in self._WAIT_ATTRS
+                and isinstance(node.func, ast.Attribute)
+                # "sep".join(parts) / f"{x}".join(...) are string operations
+                and not isinstance(node.func.value, (ast.Constant, ast.JoinedStr))
+                # a positional argument is the timeout for these APIs
+                and not node.args
+                and not any(kw.arg == "timeout" for kw in node.keywords)
+            ):
+                yield self.issue(
+                    ctx, node, f".{tail}() without a timeout blocks forever "
+                    "on a dead peer process; pass timeout= so failure "
+                    "detection can run"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +531,6 @@ class BlockingCallRule(Rule):
 class UnitMixRule(Rule):
     rule_id = "HCC108"
     name = "unit-mix"
-    severity = Severity.WARNING
     rationale = (
         "Eq. 1-7 mix byte counts, bandwidths and times; adding a *_bytes "
         "quantity to a *_s/*_time quantity is always a bug (divide by a "
@@ -637,7 +594,6 @@ class UnitMixRule(Rule):
 class WallClockRule(Rule):
     rule_id = "HCC110"
     name = "wall-clock"
-    severity = Severity.INFO
     rationale = (
         "Telemetry spans and probes are compared across processes, so they "
         "need one monotonic time base.  time.time() jumps under NTP slew — "
@@ -657,9 +613,11 @@ class WallClockRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:
         if not is_timing_module(ctx.module):
             return
+        # the attribute, not only its call: ``clock=time.time`` passes
+        # the wall clock on to whoever calls it
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                message = self._BANNED.get(_dotted(node.func))
+            if isinstance(node, ast.Attribute):
+                message = self._BANNED.get(_dotted(node))
                 if message is not None:
                     yield self.issue(ctx, node, message)
 
@@ -671,7 +629,6 @@ class WallClockRule(Rule):
 class EpochLoopRule(Rule):
     rule_id = "HCC111"
     name = "epoch-loop"
-    severity = Severity.WARNING
     rationale = (
         "Both planes execute one epoch pipeline — pull, compute, push, sync "
         "— and since the planes were unified that loop lives only in "
@@ -740,51 +697,3 @@ class EpochLoopRule(Rule):
                 ):
                     return True
         return False
-
-
-# ---------------------------------------------------------------------------
-# HCC112: unbounded cross-process rendezvous
-# ---------------------------------------------------------------------------
-@rule
-class UnboundedWaitRule(Rule):
-    rule_id = "HCC112"
-    name = "unbounded-wait"
-    severity = Severity.ERROR
-    rationale = (
-        "Fault tolerance starts at detection: a .wait()/.join()/.get() "
-        "with no timeout in coordination code blocks forever when a peer "
-        "process dies, so the failure never surfaces and recovery never "
-        "runs.  Every cross-process rendezvous in repro/parallel/ and "
-        "repro/engine/ must be bounded (the server's barrier timeout is "
-        "the run's failure detector)."
-    )
-
-    _WAIT_ATTRS = {"wait", "join", "get"}
-
-    def check(self, ctx: FileContext) -> Iterator[LintIssue]:
-        if not is_bounded_wait_module(ctx.module):
-            return
-        # worker-loop modules already get wait/join coverage from HCC107;
-        # there this rule only adds the .get() check (no double reports)
-        covered = is_worker_loop_module(ctx.module)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            tail = _func_tail(node.func)
-            if tail not in self._WAIT_ATTRS:
-                continue
-            if covered and tail != "get":
-                continue
-            if not isinstance(node.func, ast.Attribute):
-                continue
-            # "sep".join(parts) / f"{x}".join(...) are string operations
-            if isinstance(node.func.value, (ast.Constant, ast.JoinedStr)):
-                continue
-            if node.args or any(kw.arg == "timeout" for kw in node.keywords):
-                continue
-            yield self.issue(
-                ctx,
-                node,
-                f".{tail}() without timeout= blocks forever on a dead peer "
-                "process; bound every rendezvous so failure detection can run",
-            )

@@ -21,7 +21,8 @@ Commands
 ``ablate``
     Run the ablation sweeps (all, or selected ids).
 ``lint``
-    Run hcclint, the domain static analyzer, over source paths.
+    Run hcclint, the domain static analyzer (every rule), over source
+    paths; any finding fails the run.
 ``obs-report``
     Summarize an instrumented run offline from its ``--trace`` /
     ``--metrics`` / ``--hotpaths`` artifacts (ASCII Gantt, phase
@@ -455,74 +456,19 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.baseline import Baseline, BaselineError
-    from repro.analysis.lint import (
-        Severity,
-        all_rules,
-        filter_rules,
-        flow_rules,
-        lint_paths,
-    )
-    from repro.analysis.reporters import (
-        render_json,
-        render_rules,
-        render_sarif,
-        render_text,
-    )
+    from repro.analysis.lint import all_rules, lint_paths
+    from repro.analysis.reporters import render_rules, render_text
 
-    ast_rules = all_rules()
-    hcc2xx = flow_rules()
     if args.rules:
-        print(render_rules(ast_rules + hcc2xx))
+        print(render_rules(all_rules()))
         return 0
-    # flow rules are opt-in (--flow), but an explicit --select naming
-    # them (e.g. --select HCC2) enables exactly what it names
     try:
-        chosen = filter_rules(ast_rules + hcc2xx, args.select, args.ignore)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not args.flow and not args.select:
-        flow_ids = {r.rule_id for r in hcc2xx}
-        chosen = [r for r in chosen if r.rule_id not in flow_ids]
-    paths = args.paths or ["src"]
-    threshold = Severity.parse(args.min_severity)
-    try:
-        issues = lint_paths(paths, rules=chosen)
+        issues = lint_paths(args.paths or ["src"])
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            fh.write(Baseline.from_issues(issues).to_json() + "\n")
-        print(
-            f"wrote baseline with {len(issues)} finding(s) to {args.write_baseline}"
-        )
-        return 0
-
-    baselined: list = []
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (FileNotFoundError, BaselineError) as exc:
-            print(f"cannot use baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        issues, baselined = baseline.apply(issues)
-
-    fmt = args.format or ("json" if args.json else "text")
-    if fmt == "json":
-        print(render_json(issues))
-    elif fmt == "sarif":
-        print(render_sarif(issues, rules=chosen))
-    else:
-        print(render_text(issues))
-        if baselined:
-            print(
-                f"(+ {len(baselined)} baselined finding(s) "
-                f"suppressed by {args.baseline})"
-            )
-    return 1 if any(i.severity >= threshold for i in issues) else 0
+    print(render_text(issues))
+    return 1 if issues else 0
 
 
 def _cmd_fault_smoke(args: argparse.Namespace) -> int:
@@ -672,12 +618,7 @@ def _cmd_race_check(args: argparse.Namespace) -> int:
         seed=args.seed,
         with_injected_overlap=args.inject_overlap,
     )
-    if args.format == "sarif":
-        from repro.analysis.reporters import render_race_sarif
-
-        print(render_race_sarif(result))
-    else:
-        print(result.render())
+    print(result.render())
     return 0 if result.ok else 1
 
 
@@ -747,28 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser("lint", help="run the hcclint domain static analyzer")
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: src)")
-    lint.add_argument("--json", action="store_true",
-                      help="machine-readable output (alias for --format json)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      help="output format (default: text)")
     lint.add_argument("--rules", action="store_true",
                       help="list the rule catalogue and exit")
-    lint.add_argument("--min-severity", default="warning",
-                      choices=["info", "warning", "error"],
-                      help="lowest severity that fails the run (default: warning)")
-    lint.add_argument("--flow", action="store_true",
-                      help="also run the flow-sensitive HCC2xx rules "
-                           "(CFG + dataflow; slower)")
-    lint.add_argument("--select", metavar="RULES",
-                      help="only run these rules: comma-separated ids, id "
-                           "prefixes or slugs (e.g. HCC2,shm-lifecycle)")
-    lint.add_argument("--ignore", metavar="RULES",
-                      help="skip these rules (same syntax as --select)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="subtract known findings recorded in FILE; only "
-                           "new findings fail the run")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="record the current findings to FILE and exit")
 
     obs = sub.add_parser(
         "obs-report",
@@ -839,8 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     race.add_argument("--inject-overlap", action="store_true",
                       help="also run a deliberately corrupted plan and "
                            "require the detector to catch it")
-    race.add_argument("--format", choices=["text", "sarif"], default="text",
-                      help="output format (default: text)")
 
     return parser
 

@@ -5,9 +5,9 @@ pull wire every worker maps (one copy), and once the workers have
 pushed it validates every push wire and folds each into the global
 matrix — the "Sync" thread of Figure 4.
 
-Merging uses a weighted delta update:
+Merging uses an additive delta update:
 
-    Q_global += w_i * (Q_i_local - Q_epoch_base)
+    Q_global += Q_i_local - Q_epoch_base
 
 where ``Q_epoch_base`` is the global Q snapshot the workers pulled —
 the epoch's pull wire itself, read where it lies.  The wire stays
@@ -15,13 +15,12 @@ intact until the next ``begin_epoch`` that rotates onto it and widens to
 FP32 exactly, so the server keeps no decoded copy of it, and because
 the base is what the workers started from, quantization included,
 wire-format error on the pull side cancels out of every delta.
-This is the multiply-add merge the cost model charges three memory
+This is the delta merge the cost model charges three memory
 operations for (Eq. 3) and it resolves the write-after-write races
-row-grid partitioning cannot avoid on Q.  HCC-MF uses ``w_i = 1``:
+row-grid partitioning cannot avoid on Q.  Every delta applies whole:
 row-grid workers train on *disjoint* samples, so their deltas are
-distinct SGD steps that all apply (summing, not averaging — averaging
-would under-apply the epoch's updates); fractional weights remain
-available for entry-level partitions whose shards overlap.
+distinct SGD steps (summing, not averaging — averaging would
+under-apply the epoch's updates).
 
 With a row grid the P rows are worker-exclusive, so workers write them
 in place ("transmit Q only", Strategy 1): the server never merges P.
@@ -96,20 +95,18 @@ def merge_delta(
     Q: np.ndarray,
     wire: np.ndarray,
     q_base: np.ndarray,
-    weight: float,
     scratch: np.ndarray,
     cols: "np.ndarray | None" = None,
 ) -> None:
-    """``Q += weight * (wire - q_base)`` in place, one scratch block at a time.
+    """``Q += wire - q_base`` in place, one scratch block at a time.
 
     ``wire`` is a worker's push buffer and ``q_base`` the epoch's pull
     wire, both as they crossed — FP32 or binary16.  Widening binary16 is
     exact, and the subtraction does it while it reads, so decode and
     subtract are one pass into ``scratch`` and the add is the second:
-    the three memory operations plus multiply-add per value that Eq. 3
-    charges, with no array beyond ``scratch`` (1-D FP32; its length is
-    the block size).  Validate the payload *before* calling: a merge is
-    not undone.
+    the three memory operations per value that Eq. 3 charges, with no
+    array beyond ``scratch`` (1-D FP32; its length is the block size).
+    Validate the payload *before* calling: a merge is not undone.
 
     With ``cols`` (a :func:`column_set`) ``wire`` is the ``(k, t)``
     :func:`wire_view` of the push and only ``Q[:, cols]`` is touched:
@@ -121,7 +118,6 @@ def merge_delta(
     """
     if not Q.flags.c_contiguous:
         raise ValueError("Q must be C-contiguous to be merged in place")
-    w = np.float32(weight)
     if cols is not None:
         for q_row, wire_row, base_row in zip(Q, wire, q_base):
             for lo in range(0, cols.size, len(scratch)):
@@ -131,8 +127,6 @@ def merge_delta(
                     wire_row[lo : lo + block.size], base_row.take(block),
                     out=delta, dtype=np.float32,
                 )
-                if weight != 1.0:
-                    np.multiply(delta, w, out=delta)
                 np.add(q_row.take(block), delta, out=delta)
                 q_row[block] = delta
         return
@@ -143,8 +137,6 @@ def merge_delta(
         # dtype= names the loop: two binary16 operands would otherwise
         # be subtracted in half precision and the delta rounded
         np.subtract(wire_flat[lo:hi], base_flat[lo:hi], out=delta, dtype=np.float32)
-        if weight != 1.0:
-            np.multiply(delta, w, out=delta)
         np.add(q_flat[lo:hi], delta, out=q_flat[lo:hi])
 
 
@@ -251,12 +243,10 @@ class ParameterServer:
                 return worker_id
         return None
 
-    def sync(self, worker_id: int, weight: float = 1.0) -> None:
+    def sync(self, worker_id: int) -> None:
         """Merge one worker's push, straight off its wire, into Q."""
         self._require_epoch()
-        if not (0.0 <= weight <= 1.0):
-            raise ValueError("weight must be in [0, 1]")
         merge_delta(
-            self.model.Q, self.pushed(worker_id), self.pull_wire, weight,
+            self.model.Q, self.pushed(worker_id), self.pull_wire,
             self._merge_scratch, self.columns[worker_id],
         )

@@ -2,7 +2,7 @@
 
 One epoch is the same pipeline everywhere::
 
-    PartitionProvider -> Channel.pull -> ComputeBackend -> Channel.push -> SyncPolicy
+    PartitionProvider -> Channel.pull -> ComputeBackend -> Channel.push -> sync
 
 * :mod:`repro.engine.pipeline` — :class:`EpochEngine` drives the stage
   sequence and owns run-level telemetry emission;
@@ -25,7 +25,6 @@ epoch-loop code belongs here (enforced by hcclint rule HCC111).
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "AdditiveDeltaSync",
     "Channel",
     "ComputeBackend",
     "CostModelProvider",
@@ -45,8 +44,6 @@ __all__ = [
     "STAGES",
     "SimBackend",
     "StageEvent",
-    "SyncPolicy",
-    "WeightedAverageSync",
     "WirePayloadError",
     "WireTraffic",
     "WorkerSyncError",
@@ -68,8 +65,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "FractionsProvider", "PartitionProvider", "as_provider",
     ),
     "repro.engine.pipeline": (
-        "RECOVERABLE_ERRORS", "STAGES", "AdditiveDeltaSync", "ComputeBackend",
-        "EngineResult", "EpochEngine", "StageEvent", "SyncPolicy",
-        "WeightedAverageSync",
+        "RECOVERABLE_ERRORS", "STAGES", "ComputeBackend", "EngineResult",
+        "EpochEngine", "StageEvent",
     ),
 })

@@ -31,7 +31,7 @@ import os
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from repro.mf.model import MFModel
 from repro.parallel.shm import SharedArray
 from repro.resilience.faults import DELAY, FaultPlan, fault_before_barrier
 from repro.resilience.health import HealthReport, classify
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.pipeline import SyncPolicy
 
 #: Default ceiling on any cross-process rendezvous (barriers, joins);
 #: overridable per run via ``HCCConfig.barrier_timeout_s``.
@@ -206,16 +203,13 @@ class _EpochBackend:
         self._run_timeline: Timeline | None = None
 
     # -- attempt set-up --------------------------------------------------
-    def _begin_attempt(self, plan, channel: Channel, sync_policy: "SyncPolicy",
-                       telemetry, epochs: int) -> None:
+    def _begin_attempt(self, channel: Channel, telemetry, epochs: int) -> None:
         if channel.traffic(2, 1, 1).sync_values == 0:
             raise ValueError(
                 "q-rotate channels have no pull/push/sync stages to drive; "
                 "the mode exists on the timing plane only"
             )
         self._channel = channel
-        self._sync_policy = sync_policy
-        self._fractions = plan.fractions
         self._epochs = epochs
         self._attempt += 1
         if self._run_origin is None:
@@ -286,9 +280,7 @@ class _EpochBackend:
                 # additive delta merge: workers trained on disjoint
                 # row-grid shards, so their Q deltas are distinct SGD
                 # steps and all of them apply
-                self.server.sync(
-                    wid, self._sync_policy.weight(wid, self._fractions)
-                )
+                self.server.sync(wid)
         return {"merges": self.n_workers,
                 "merged_values": sum(pushed.size for pushed in self._pushed())}
 
@@ -426,11 +418,10 @@ class SimBackend(_EpochBackend):
         self.cost_log: list[tuple[int, float, bool]] = []
 
     # -- lifecycle -------------------------------------------------------
-    def open(self, plan, channel: Channel, sync_policy: "SyncPolicy",
-             telemetry, epochs: int) -> None:
+    def open(self, plan, channel: Channel, telemetry, epochs: int) -> None:
         from repro.core.worker import WorkerRuntime
 
-        self._begin_attempt(plan, channel, sync_policy, telemetry, epochs)
+        self._begin_attempt(channel, telemetry, epochs)
         data = self.ratings
         self.model = self._initial_model(data)
         # the plane's one copy of the ratings: row-sorted, trained on
@@ -654,8 +645,7 @@ class ProcessBackend(_EpochBackend):
                 proc.join(timeout=grace_s)
 
     # -- lifecycle -------------------------------------------------------
-    def open(self, plan, channel: Channel, sync_policy: "SyncPolicy",
-             telemetry, epochs: int) -> None:
+    def open(self, plan, channel: Channel, telemetry, epochs: int) -> None:
         if channel.transmits_p:
             raise ValueError(
                 "the process plane is Strategy-1 by construction (P lives in "
@@ -667,7 +657,7 @@ class ProcessBackend(_EpochBackend):
         k = warm.k if warm is not None else self.k
         ctx = mp.get_context("spawn")
 
-        self._begin_attempt(plan, channel, sync_policy, telemetry, epochs)
+        self._begin_attempt(channel, telemetry, epochs)
         self._barriers = {
             point: ctx.Barrier(self.n_workers + 1) for point in ("start", "end")
         }

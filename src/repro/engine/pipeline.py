@@ -3,7 +3,7 @@
 The paper's training step (Figure 4, steps 4-7) is the same pipeline no
 matter which substrate executes it::
 
-    PartitionProvider -> Channel.pull -> ComputeBackend -> Channel.push -> SyncPolicy
+    PartitionProvider -> Channel.pull -> ComputeBackend -> Channel.push -> sync
 
 :class:`EpochEngine` drives that stage sequence.  Everything
 substrate-specific lives behind the :class:`ComputeBackend` protocol
@@ -61,45 +61,14 @@ def _peak_rss_mb() -> float:
 
 
 # ---------------------------------------------------------------------------
-# sync policies (how worker results merge into the global model)
-# ---------------------------------------------------------------------------
-class SyncPolicy:
-    """Weighting of the server's delta merge ``Q += w * (Q_i - Q_base)``."""
-
-    name = "additive-delta"
-
-    def weight(self, worker_id: int, fractions: Sequence[float]) -> float:
-        """Merge weight for one worker's push."""
-        return 1.0
-
-
-class AdditiveDeltaSync(SyncPolicy):
-    """HCC-MF's default: ``w_i = 1``.
-
-    Row-grid workers train on disjoint samples, so their deltas are
-    distinct SGD steps that all apply; averaging would under-apply the
-    epoch's updates (see :mod:`repro.core.server`).
-    """
-
-
-class WeightedAverageSync(SyncPolicy):
-    """``w_i = x_i``: for entry-level partitions whose shards overlap."""
-
-    name = "weighted-average"
-
-    def weight(self, worker_id: int, fractions: Sequence[float]) -> float:
-        return float(fractions[worker_id])
-
-
-# ---------------------------------------------------------------------------
 # backend protocol
 # ---------------------------------------------------------------------------
 @runtime_checkable
 class ComputeBackend(Protocol):
     """One epoch substrate: what each pipeline stage means for real.
 
-    ``open`` receives the resolved plan, channel stack, sync policy,
-    telemetry and epoch count before the first epoch (process backends
+    ``open`` receives the resolved plan, channel stack, telemetry and
+    epoch count before the first epoch (process backends
     need the count up front to size span rings and spawn workers); the
     four stage methods run once
     per epoch in :data:`STAGES` order and return an accounting detail
@@ -111,8 +80,8 @@ class ComputeBackend(Protocol):
     name: str
     n_workers: int
 
-    def open(self, plan: PartitionPlan, channel: Channel,
-             sync_policy: SyncPolicy, telemetry, epochs: int) -> None: ...
+    def open(self, plan: PartitionPlan, channel: Channel, telemetry,
+             epochs: int) -> None: ...
     def pull(self, epoch: int) -> Mapping: ...
     def compute(self, epoch: int) -> Mapping: ...
     def push(self, epoch: int) -> Mapping: ...
@@ -140,7 +109,6 @@ class EngineResult:
 
     backend: str
     channel: str
-    sync_policy: str
     plan: PartitionPlan
     epochs: int
     stage_trace: tuple[StageEvent, ...]
@@ -230,7 +198,6 @@ class EpochEngine:
         backend: ComputeBackend,
         channel: Channel | None = None,
         partitions: "PartitionProvider | PartitionPlan | Sequence[float] | None" = None,
-        sync_policy: SyncPolicy | None = None,
         telemetry=None,
         recovery: RecoveryPolicy | None = None,
         checkpoint_every: int = 0,
@@ -245,7 +212,6 @@ class EpochEngine:
         self.backend = backend
         self.channel = channel if channel is not None else Channel()
         self.partitions = as_provider(partitions)
-        self.sync_policy = sync_policy if sync_policy is not None else AdditiveDeltaSync()
         self.telemetry = telemetry
         self.recovery = recovery
         self.checkpoint_every = checkpoint_every
@@ -306,8 +272,7 @@ class EpochEngine:
             remaining = epochs - done
             self._stage_warm_start(warm, offset)
             self.backend.open(
-                current_plan, self.channel, self.sync_policy, self.telemetry,
-                remaining,
+                current_plan, self.channel, self.telemetry, remaining
             )
             failure: Exception | None = None
             report: HealthReport | None = None
@@ -376,7 +341,6 @@ class EpochEngine:
         return EngineResult(
             backend=self.backend.name,
             channel=self.channel.describe(),
-            sync_policy=self.sync_policy.name,
             plan=plan,
             epochs=epochs,
             stage_trace=tuple(trace),

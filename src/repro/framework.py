@@ -7,7 +7,7 @@ Ties everything together:
    cost-model regime); the backend shards the ratings by it at open.
 2. **Train** (steps 4-7): per epoch, workers pull the feature matrix,
    compute asynchronous SGD on their shards, push results; the server
-   synchronizes with the weighted multiply-add merge.
+   adds every worker's delta into the global Q (the delta merge).
 
 Two execution planes run side by side:
 

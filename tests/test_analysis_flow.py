@@ -1,4 +1,4 @@
-"""Tests for the flow-sensitive HCC2xx rules, summaries and baselines."""
+"""Tests for the flow-sensitive HCC2xx rules and function summaries."""
 
 import ast
 import re
@@ -7,24 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.flow import (
     module_summaries,
     summarize_function,
 )
-from repro.analysis.lint import (
-    LintIssue,
-    Severity,
-    all_rules,
-    filter_rules,
-    flow_rules,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.lint import all_rules, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).resolve().parent / "data" / "flow_corpus"
 EXPECT_RE = re.compile(r"#\s*expect:\s*(HCC\d+)")
+
+
+def flow_rules():
+    """The HCC2xx tier: the rules the corpus below is annotated for."""
+    return [r for r in all_rules() if r.rule_id.startswith("HCC2")]
 
 
 def flow_issues(source: str, path: str = "corpus.py"):
@@ -73,7 +69,7 @@ def test_src_tree_is_clean_under_flow_rules():
 
 
 # ---------------------------------------------------------------------------
-# registries and filtering
+# registry
 # ---------------------------------------------------------------------------
 class TestRegistryAndFiltering:
     def test_flow_registry_ids(self):
@@ -83,28 +79,6 @@ class TestRegistryAndFiltering:
             "HCC203",
             "HCC204",
         ]
-
-    def test_flow_rules_not_in_default_registry(self):
-        default_ids = {r.rule_id for r in all_rules()}
-        assert not any(rule_id.startswith("HCC2") for rule_id in default_ids)
-
-    def test_select_by_prefix(self):
-        chosen = filter_rules(all_rules() + flow_rules(), select="HCC2")
-        assert [r.rule_id for r in chosen] == ["HCC201", "HCC202", "HCC203", "HCC204"]
-
-    def test_select_by_slug_and_id(self):
-        chosen = filter_rules(
-            all_rules() + flow_rules(), select="flow-dtype-taint,HCC201"
-        )
-        assert [r.rule_id for r in chosen] == ["HCC201", "HCC203"]
-
-    def test_ignore_drops_rules(self):
-        chosen = filter_rules(flow_rules(), ignore="flow-dtype-taint")
-        assert [r.rule_id for r in chosen] == ["HCC201", "HCC202", "HCC204"]
-
-    def test_unknown_token_raises(self):
-        with pytest.raises(ValueError, match="matches no known rule"):
-            filter_rules(flow_rules(), select="HCC999")
 
 
 # ---------------------------------------------------------------------------
@@ -268,51 +242,3 @@ class TestSummaries:
         summaries = module_summaries(tree)
         assert set(summaries) == {"a", "b"}
         assert summaries["b"].effects["y"].closes
-
-
-# ---------------------------------------------------------------------------
-# baseline files
-# ---------------------------------------------------------------------------
-def make_issue(path="src/x.py", rule_id="HCC201", message="leak", line=3):
-    return LintIssue(
-        rule="flow-resource-leak",
-        rule_id=rule_id,
-        severity=Severity.ERROR,
-        path=path,
-        line=line,
-        col=0,
-        message=message,
-    )
-
-
-class TestBaseline:
-    def test_apply_splits_new_from_baselined(self):
-        recorded = make_issue(line=3)
-        baseline = Baseline.from_issues([recorded])
-        # same shape on a different line still matches (line-agnostic)...
-        new, baselined = baseline.apply([make_issue(line=99)])
-        assert new == [] and len(baselined) == 1
-        # ...but a different message is a new finding
-        new, baselined = baseline.apply([make_issue(message="other leak")])
-        assert len(new) == 1 and baselined == []
-
-    def test_counts_bound_repeats(self):
-        baseline = Baseline.from_issues([make_issue(), make_issue()])
-        found = [make_issue(), make_issue(), make_issue()]
-        new, baselined = baseline.apply(found)
-        assert len(baselined) == 2 and len(new) == 1
-
-    def test_roundtrip(self):
-        baseline = Baseline.from_issues([make_issue()])
-        again = Baseline.from_json(baseline.to_json())
-        assert again.entries == baseline.entries
-
-    def test_rejects_garbage(self):
-        with pytest.raises(BaselineError):
-            Baseline.from_json("not json")
-        with pytest.raises(BaselineError):
-            Baseline.from_json('{"version": 99}')
-
-    def test_repo_baseline_is_valid_and_empty(self):
-        baseline = Baseline.load(str(REPO_ROOT / ".hcclint-baseline.json"))
-        assert baseline.entries == {}

@@ -1,41 +1,22 @@
-"""Tests for the reporter layer (text/JSON/SARIF) and suppression comments."""
+"""Tests for the reporter layer (text output) and suppression comments."""
 
-import json
 import textwrap
 
-import pytest
-
-from repro.analysis.lint import (
-    LintIssue,
-    Severity,
-    all_rules,
-    flow_rules,
-    lint_source,
-)
-from repro.analysis.race import RaceCheckResult, RaceReport, RaceViolation
-from repro.analysis.reporters import (
-    render_json,
-    render_race_sarif,
-    render_rules,
-    render_sarif,
-    render_text,
-    summary_line,
-)
+from repro.analysis.lint import LintIssue, all_rules, lint_source
+from repro.analysis.reporters import render_rules, render_text, summary_line
 
 
 def make_issue(
-    rule="mutable-default",
-    rule_id="HCC105",
-    severity=Severity.WARNING,
+    rule="frozen-dataclass",
+    rule_id="HCC104",
     path="src/repro/x.py",
     line=10,
     col=4,
-    message="mutable default argument",
+    message="dataclass FooPlan looks like shared plan/spec state",
 ):
     return LintIssue(
         rule=rule,
         rule_id=rule_id,
-        severity=severity,
         path=path,
         line=line,
         col=col,
@@ -44,223 +25,29 @@ def make_issue(
 
 
 # ---------------------------------------------------------------------------
-# text and JSON renderers
+# text renderer
 # ---------------------------------------------------------------------------
 class TestTextAndJson:
     def test_text_line_format(self):
         text = render_text([make_issue()])
         assert (
-            "src/repro/x.py:10:4: warning HCC105 (mutable-default): "
-            "mutable default argument" in text
+            "src/repro/x.py:10:4: HCC104 (frozen-dataclass): "
+            "dataclass FooPlan looks like shared plan/spec state" in text
         )
 
     def test_summary_line_clean(self):
         assert summary_line([]) == "hcclint: clean (0 issues)"
 
-    def test_summary_line_counts_by_severity(self):
-        issues = [
-            make_issue(severity=Severity.ERROR),
-            make_issue(severity=Severity.WARNING),
-            make_issue(severity=Severity.WARNING),
-        ]
-        line = summary_line(issues)
-        assert "3 issues" in line
-        assert "1 error" in line and "2 warnings" in line
-
-    def test_json_payload_shape(self):
-        payload = json.loads(render_json([make_issue(severity=Severity.ERROR)]))
-        assert payload["summary"] == {
-            "total": 1,
-            "errors": 1,
-            "warnings": 0,
-            "infos": 0,
-        }
-        (issue,) = payload["issues"]
-        assert issue["rule_id"] == "HCC105"
-        assert issue["severity"] == "error"
-        assert issue["line"] == 10
+    def test_summary_line_counts_issues(self):
+        assert summary_line([make_issue()]) == "hcclint: 1 issue"
+        assert summary_line([make_issue()] * 3) == "hcclint: 3 issues"
 
     def test_rules_catalogue_lists_flow_rules(self):
-        catalogue = render_rules(all_rules() + flow_rules())
+        catalogue = render_rules(all_rules())
         assert "HCC201 flow-resource-leak" in catalogue
         assert "HCC204 flow-stage-protocol" in catalogue
-        for rule in flow_rules():
+        for rule in all_rules():
             assert rule.rationale.split()[0] in catalogue
-
-
-# ---------------------------------------------------------------------------
-# SARIF 2.1.0
-# ---------------------------------------------------------------------------
-#: Subset of the SARIF 2.1.0 schema covering everything we emit; the
-#: full OASIS schema is ~500 KB, so the structural core is inlined.
-SARIF_MINI_SCHEMA = {
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "$schema": {"type": "string"},
-        "version": {"const": "2.1.0"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                            "properties": {
-                                                "id": {"type": "string"}
-                                            },
-                                        },
-                                    },
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["message"],
-                            "properties": {
-                                "ruleId": {"type": "string"},
-                                "ruleIndex": {"type": "integer", "minimum": 0},
-                                "level": {
-                                    "enum": ["none", "note", "warning", "error"]
-                                },
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                    "properties": {"text": {"type": "string"}},
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "properties": {
-                                                    "artifactLocation": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "uri": {
-                                                                "type": "string"
-                                                            }
-                                                        },
-                                                    },
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                            "startColumn": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            }
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-def validate_sarif(document: dict) -> None:
-    jsonschema = pytest.importorskip("jsonschema")
-    jsonschema.validate(document, SARIF_MINI_SCHEMA)
-
-
-class TestSarif:
-    def test_lint_sarif_validates_against_schema(self):
-        issues = [
-            make_issue(severity=Severity.ERROR),
-            make_issue(rule_id="HCC201", rule="flow-resource-leak", line=3),
-        ]
-        document = json.loads(render_sarif(issues, rules=all_rules() + flow_rules()))
-        validate_sarif(document)
-
-    def test_lint_sarif_result_contents(self):
-        issue = make_issue(severity=Severity.ERROR)
-        document = json.loads(render_sarif([issue], rules=all_rules()))
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "hcclint"
-        (result,) = run["results"]
-        assert result["ruleId"] == "HCC105"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/x.py"
-        assert location["region"]["startLine"] == 10
-        assert location["region"]["startColumn"] == 5  # 1-based
-        # ruleIndex must point at the matching rule metadata entry
-        rules = run["tool"]["driver"]["rules"]
-        assert rules[result["ruleIndex"]]["id"] == "HCC105"
-
-    def test_empty_run_still_validates(self):
-        document = json.loads(render_sarif([], rules=all_rules()))
-        validate_sarif(document)
-        assert document["runs"][0]["results"] == []
-
-    def test_race_sarif_validates_and_carries_violations(self):
-        result = RaceCheckResult(
-            reports=[
-                RaceReport(
-                    label="dp0",
-                    n_workers=2,
-                    epochs=1,
-                    violations=[
-                        RaceViolation(
-                            kind="p-row-overlap",
-                            message="workers 0 and 1 both updated P row 7",
-                        )
-                    ],
-                    n_events=100,
-                )
-            ],
-            static_violations={
-                "dp0": [
-                    RaceViolation(kind="row-overlap", message="plan rows overlap")
-                ]
-            },
-        )
-        document = json.loads(render_race_sarif(result))
-        validate_sarif(document)
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-race-check"
-        texts = [r["message"]["text"] for r in run["results"]]
-        assert any("P row 7" in t for t in texts)
-        assert any("plan rows overlap" in t for t in texts)
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert rule_ids == {"race/p-row-overlap", "race/row-overlap"}
-
-    def test_clean_race_sarif_is_empty(self):
-        result = RaceCheckResult(reports=[], static_violations={})
-        document = json.loads(render_race_sarif(result))
-        validate_sarif(document)
-        assert document["runs"][0]["results"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,68 +59,57 @@ def issues_for(source: str):
 
 class TestSuppressionComments:
     SOURCE = """
-        def f(x={}):
-            return x
+        @dataclass
+        class FooPlan:
+            x: int = 0
     """
 
     def test_unsuppressed_fires(self):
-        assert any(i.rule == "mutable-default" for i in issues_for(self.SOURCE))
+        assert any(i.rule == "frozen-dataclass" for i in issues_for(self.SOURCE))
 
     def test_trailing_comment_suppresses_own_line(self):
         src = """
-            def f(x={}):  # hcclint: disable=mutable-default
-                return x
+            @dataclass  # hcclint: disable=frozen-dataclass
+            class FooPlan:
+                x: int = 0
         """
         assert issues_for(src) == []
 
     def test_comment_line_suppresses_next_line(self):
         src = """
-            # hcclint: disable=mutable-default
-            def f(x={}):
-                return x
+            # hcclint: disable=frozen-dataclass
+            @dataclass
+            class FooPlan:
+                x: int = 0
         """
         assert issues_for(src) == []
 
     def test_rule_id_works_like_slug(self):
         src = """
-            def f(x={}):  # hcclint: disable=HCC105
-                return x
-        """
-        assert issues_for(src) == []
-
-    def test_disable_all(self):
-        src = """
-            def f(x={}):  # hcclint: disable=all
-                return x
-        """
-        assert issues_for(src) == []
-
-    def test_disable_file(self):
-        src = """
-            # hcclint: disable-file=mutable-default
-            def f(x={}):
-                return x
-
-            def g(y=[]):
-                return y
+            @dataclass  # hcclint: disable=HCC104
+            class FooPlan:
+                x: int = 0
         """
         assert issues_for(src) == []
 
     def test_unrelated_rule_does_not_suppress(self):
         src = """
-            def f(x={}):  # hcclint: disable=hot-copy
-                return x
+            @dataclass  # hcclint: disable=hot-copy
+            class FooPlan:
+                x: int = 0
         """
-        assert any(i.rule == "mutable-default" for i in issues_for(src))
+        assert any(i.rule == "frozen-dataclass" for i in issues_for(src))
 
     def test_suppression_only_hits_its_line(self):
         src = """
-            def f(x={}):  # hcclint: disable=mutable-default
-                return x
+            @dataclass  # hcclint: disable=frozen-dataclass
+            class FooPlan:
+                x: int = 0
 
-            def g(y=[]):
-                return y
+            @dataclass
+            class BarPlan:
+                y: int = 0
         """
         issues = issues_for(src)
         assert len(issues) == 1
-        assert issues[0].line == 5
+        assert issues[0].line == 6

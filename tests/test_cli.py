@@ -25,12 +25,7 @@ class TestParser:
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
-        assert not args.json
-        assert args.min_severity == "warning"
-
-    def test_lint_bad_severity(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["lint", "--min-severity", "fatal"])
+        assert not args.rules
 
     def test_race_check_defaults(self):
         args = build_parser().parse_args(["race-check"])
@@ -121,38 +116,22 @@ class TestCommands:
         assert "unknown ablation" in capsys.readouterr().err
 
     def test_lint_src_is_clean(self, capsys):
-        """Acceptance gate: the shipped tree lints clean at the default
-        (warning) threshold."""
-        assert main(["lint", "src"]) == 0
-        assert "hcclint:" in capsys.readouterr().out
+        """Acceptance gate: the shipped tree lints clean under every rule
+        of both tiers, with no flags."""
+        assert main(["lint"]) == 0
+        assert capsys.readouterr().out.strip() == "hcclint: clean (0 issues)"
 
     def test_lint_reports_violations(self, capsys, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(a=[]):\n    return a\n")
-        assert main(["lint", str(bad)]) == 1
+        """Any finding fails the run — the wall-clock rule included: a
+        span stamped with time.time() in the telemetry tree exits 1."""
+        spans = tmp_path / "repro" / "obs" / "spans.py"
+        spans.parent.mkdir(parents=True)
+        source = open("src/repro/obs/spans.py", encoding="utf-8").read()
+        spans.write_text(source.replace("start = self.clock()", "start = time.time()"))
+        assert main(["lint", str(spans)]) == 1
         out = capsys.readouterr().out
-        assert "HCC105" in out and "mutable-default" in out
-
-    def test_lint_json_output(self, capsys, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(a=[]):\n    return a\n")
-        assert main(["lint", "--json", str(bad)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["errors"] == 1
-        assert payload["issues"][0]["rule_id"] == "HCC105"
-
-    def test_lint_min_severity_gates_exit_code(self, capsys, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(a=[]):\n    return a\n")
-        assert main(["lint", "--min-severity", "error", str(bad)]) == 1
-        capsys.readouterr()
-        # a warning-level finding passes under --min-severity error
-        warn = tmp_path / "warn.py"
-        warn.write_text(
-            "from dataclasses import dataclass\n\n"
-            "@dataclass\nclass FooPlan:\n    x: int = 0\n"
-        )
-        assert main(["lint", "--min-severity", "error", str(warn)]) == 0
+        assert "HCC110" in out and "wall-clock" in out
+        assert "hcclint: 1 issue" in out
 
     def test_lint_rule_catalogue(self, capsys):
         assert main(["lint", "--rules"]) == 0

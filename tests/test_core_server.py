@@ -14,9 +14,9 @@ def server():
     return ParameterServer(model, n_workers=2, channel=Channel())
 
 
-def push_then_sync(server, worker_id, q_local, weight):
+def push_then_sync(server, worker_id, q_local):
     server.push(worker_id, q_local)
-    server.sync(worker_id, weight)
+    server.sync(worker_id)
 
 
 class TestLifecycle:
@@ -28,7 +28,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="begin_epoch"):
             server.push(0, server.model.Q.copy())
         with pytest.raises(RuntimeError, match="begin_epoch"):
-            server.sync(0, 0.5)
+            server.sync(0)
 
     def test_begin_epoch_publishes_snapshot(self, server):
         server.begin_epoch()
@@ -64,25 +64,18 @@ class TestLifecycle:
 
 
 class TestSync:
-    def test_weighted_delta_merge(self, server):
-        server.begin_epoch()
-        base = server.model.Q.copy()
-        delta = np.ones_like(base)
-        push_then_sync(server, 0, base + delta, weight=0.25)
-        np.testing.assert_allclose(server.model.Q, base + 0.25, rtol=1e-6)
-
     def test_two_workers_merge_additively(self, server):
         server.begin_epoch()
         base = server.model.Q.copy()
-        push_then_sync(server, 0, base + 1.0, weight=0.5)
-        push_then_sync(server, 1, base + 3.0, weight=0.5)
-        # deltas are both measured against the epoch base
-        np.testing.assert_allclose(server.model.Q, base + 0.5 + 1.5, rtol=1e-5)
+        push_then_sync(server, 0, base + 1.0)
+        push_then_sync(server, 1, base + 3.0)
+        # deltas are both measured against the epoch base, and both apply
+        np.testing.assert_allclose(server.model.Q, base + 1.0 + 3.0, rtol=1e-5)
 
     def test_unchanged_push_is_noop(self, server):
         server.begin_epoch()
         base = server.model.Q.copy()
-        push_then_sync(server, 0, base.copy(), weight=1.0)
+        push_then_sync(server, 0, base.copy())
         np.testing.assert_allclose(server.model.Q, base, atol=1e-6)
 
     def test_every_push_is_scanned_before_any_merge(self, server):
@@ -95,15 +88,10 @@ class TestSync:
         assert server.first_bad_push() == 1
         np.testing.assert_array_equal(server.model.Q, base)
 
-    def test_weight_bounds(self, server):
-        server.begin_epoch()
-        with pytest.raises(ValueError):
-            push_then_sync(server, 0, server.model.Q.copy(), 1.5)
-
     def test_worker_id_bounds(self, server):
         server.begin_epoch()
         with pytest.raises(IndexError):
-            push_then_sync(server, 5, server.model.Q.copy(), 0.5)
+            push_then_sync(server, 5, server.model.Q.copy())
 
     def test_fp16_channel_roundtrip(self):
         model = MFModel.init(4, 4, 2, seed=1)
@@ -112,7 +100,7 @@ class TestSync:
         pulled = server.channel.decode(server.pull_wire)
         # FP16 wire: small relative error against the true Q
         np.testing.assert_allclose(pulled, model.Q, rtol=1e-3)
-        push_then_sync(server, 0, pulled + 0.5, weight=1.0)
+        push_then_sync(server, 0, pulled + 0.5)
         np.testing.assert_allclose(model.Q, pulled + 0.5, rtol=2e-3, atol=2e-3)
 
     def test_needs_workers(self):
@@ -131,7 +119,7 @@ class TestSync:
         server.begin_epoch()
         base = model.Q.copy()
         np.testing.assert_array_equal(server.pull_wire, base)
-        push_then_sync(server, 0, base + 0.5, weight=1.0)
+        push_then_sync(server, 0, base + 0.5)
         np.testing.assert_array_equal(model.Q, base + 0.5)
 
 
@@ -167,13 +155,12 @@ class TestColumnSets:
         with pytest.raises(ValueError, match="shape mismatch"):
             sparse.push(0, sparse.model.Q)
 
-    @pytest.mark.parametrize("weight", [1.0, 0.5])
-    def test_sync_adds_the_weighted_delta_into_its_columns_only(self, sparse, weight):
+    def test_sync_adds_the_delta_into_its_columns_only(self, sparse):
         base = sparse.model.Q.copy()
         sparse.push(0, base[:, self.COLS] + 2.0)
-        sparse.sync(0, weight)
+        sparse.sync(0)
         want = base.copy()
-        want[:, self.COLS] += np.float32(weight) * 2.0
+        want[:, self.COLS] += 2.0
         np.testing.assert_allclose(sparse.model.Q, want, rtol=1e-6)
         others = np.setdiff1d(np.arange(8), self.COLS)
         np.testing.assert_array_equal(sparse.model.Q[:, others], base[:, others])

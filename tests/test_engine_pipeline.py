@@ -1,4 +1,4 @@
-"""The epoch engine: providers, policies, results, and backend parity.
+"""The epoch engine: providers, results, and backend parity.
 
 The parity tests spawn real worker processes; sizes are kept small so
 the module runs in a few seconds.
@@ -10,12 +10,10 @@ import pytest
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
 from repro.engine import (
-    AdditiveDeltaSync,
     Channel,
     EngineResult,
     EpochEngine,
     EvenProvider,
-    Fp16Channel,
     FixedPlanProvider,
     FractionsProvider,
     ProcessBackend,
@@ -24,7 +22,6 @@ from repro.engine import (
     SimBackend,
     STAGES,
     StageEvent,
-    WeightedAverageSync,
     as_provider,
 )
 from repro.experiments.platforms import workers_platform
@@ -69,21 +66,10 @@ class TestPartitionProviders:
             FractionsProvider((0.5, 0.5)).plan(3)
 
 
-class TestSyncPolicies:
-    def test_additive_delta_weight_is_one(self):
-        assert AdditiveDeltaSync().weight(1, (0.3, 0.7)) == 1.0
-        assert AdditiveDeltaSync().name == "additive-delta"
-
-    def test_weighted_average_uses_fractions(self):
-        policy = WeightedAverageSync()
-        assert policy.weight(1, (0.3, 0.7)) == pytest.approx(0.7)
-        assert policy.name == "weighted-average"
-
-
 class TestEngineResult:
     def _result(self, trace):
         return EngineResult(
-            backend="sim", channel="q-only(full)", sync_policy="additive-delta",
+            backend="sim", channel="q-only(full)",
             plan=PartitionPlan("even", (1.0,)), epochs=2,
             stage_trace=tuple(trace), rmse_history=[1.0, 0.9],
         )
@@ -175,5 +161,4 @@ class TestBackendParity:
         res = self._run(data, "sim")
         assert res.backend == "sim"
         assert res.channel == "q-only(full)"
-        assert res.sync_policy == "additive-delta"
         assert res.plan.fractions == pytest.approx((0.5, 0.5))

@@ -25,7 +25,7 @@ from repro.engine.channels import (
     QOnlyChannel,
     QRotateChannel,
 )
-from repro.engine.pipeline import STAGES, AdditiveDeltaSync, EpochEngine
+from repro.engine.pipeline import STAGES, EpochEngine
 from repro.experiments.platforms import workers_platform
 from repro.hardware.topology import paper_workstation
 from repro.resilience import FaultPlan
@@ -107,7 +107,7 @@ def open_sim(n_workers, data, channel=None, **kw):
         workers_platform(n_workers), ratings=data, k=8, lr=0.01, seed=0, **kw
     )
     even = PartitionPlan("even", (1.0 / n_workers,) * n_workers)
-    backend.open(even, channel or QOnlyChannel(), AdditiveDeltaSync(), None, 3)
+    backend.open(even, channel or QOnlyChannel(), None, 3)
     return backend
 
 
@@ -218,7 +218,7 @@ def open_sparse(plane, n_workers, data, **kw):
             workers_platform(n_workers), ratings=data.shuffle(0), **SPARSE_KW, **kw
         )
     even = PartitionPlan("even", (1.0 / n_workers,) * n_workers)
-    backend.open(even, QOnlyChannel(), AdditiveDeltaSync(), None, 3)
+    backend.open(even, QOnlyChannel(), None, 3)
     return backend
 
 

@@ -21,7 +21,7 @@ from repro.data.datasets import NETFLIX, YAHOO_R1
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
 from repro.engine import ProcessBackend, QOnlyChannel, SimBackend, WorkerSyncError
-from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.engine.pipeline import EpochEngine
 from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
 from repro.resilience import FaultPlan, TrainingAborted, WorkerState
@@ -217,7 +217,7 @@ class TestRealDeadWorkerDiagnostics:
             data, k=8, n_workers=2, lr=0.01, seed=0, barrier_timeout_s=30.0
         )
         plan = PartitionPlan("dp0", (0.5, 0.5))
-        backend.open(plan, QOnlyChannel(), AdditiveDeltaSync(), None, 3)
+        backend.open(plan, QOnlyChannel(), None, 3)
         try:
             # run epoch 0 to completion so both workers are provably live
             backend.pull(0)

@@ -27,7 +27,7 @@ from repro.data.ratings import RatingMatrix
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.engine.backends import ProcessBackend, SimBackend, WorkerSyncError
 from repro.engine.channels import DoubleBufferChannel, Fp16Channel, QOnlyChannel
-from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.engine.pipeline import EpochEngine
 from repro.experiments.platforms import workers_platform
 from repro.parallel.shm import SharedArray
 
@@ -48,7 +48,7 @@ def shm_segments() -> set[str]:
 
 
 def open_backend(backend, channel=None, epochs: int = 1) -> None:
-    backend.open(PLAN, channel or QOnlyChannel(), AdditiveDeltaSync(), None, epochs)
+    backend.open(PLAN, channel or QOnlyChannel(), None, epochs)
 
 
 def factor_crcs(model) -> tuple[str, str]:

@@ -32,7 +32,7 @@ from repro.data.datasets import YAHOO_R1
 from repro.data.ratings import RatingMatrix
 from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
 from repro.engine.channels import Channel, Fp16Channel, QOnlyChannel
-from repro.engine.pipeline import AdditiveDeltaSync, EpochEngine
+from repro.engine.pipeline import EpochEngine
 from repro.engine.worker_proc import local_view
 from repro.hardware.topology import paper_workstation
 from repro.mf.kernels import ConflictPolicy, sgd_batch_update, sgd_epoch
@@ -312,32 +312,38 @@ class TestFusedCodec:
 # ---------------------------------------------------------------------------
 # merge
 # ---------------------------------------------------------------------------
-def reference_merge(Q, wire, q_base, weight):
+def reference_merge(Q, wire, q_base):
     """The formula both servers used to spell out, whole-array."""
     received = wire.astype(np.float32)
-    return Q + np.float32(weight) * (received - q_base)
+    return Q + (received - q_base)
+
+
+#: the trained step each merge test pushes, as a multiple of its default:
+#: a full step and a half one, so every merge is checked on two deltas
+STEPS = [1.0, 0.5]
 
 
 class TestMergeDelta:
-    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("wire_dtype", ["float32", "float16"])
     @pytest.mark.parametrize("block", [None, 1, 1000, 7 * 1013])
-    def test_bit_identical_to_reference_formula(self, weight, wire_dtype, block):
+    def test_bit_identical_to_reference_formula(self, step, wire_dtype, block):
         rng = np.random.default_rng(11)
         shape = (7, 1013)
         q_base = rng.standard_normal(shape).astype(np.float32)
         Q = q_base.copy()
-        trained = q_base + 0.01 * rng.standard_normal(shape).astype(np.float32)
+        noise = rng.standard_normal(shape).astype(np.float32)
+        trained = q_base + np.float32(0.01 * step) * noise
         wire = trained.astype(wire_dtype)
-        want = reference_merge(Q, wire, q_base, weight)
+        want = reference_merge(Q, wire, q_base)
         scratch = (
             merge_scratch() if block is None else np.empty(block, dtype=np.float32)
         )
-        merge_delta(Q, wire, q_base, weight, scratch)
+        merge_delta(Q, wire, q_base, scratch)
         np.testing.assert_array_equal(bits(Q), bits(want))
 
-    @pytest.mark.parametrize("weight", [1.0, 0.5])
-    def test_binary16_base_merges_like_its_decoded_copy(self, weight):
+    @pytest.mark.parametrize("step", STEPS)
+    def test_binary16_base_merges_like_its_decoded_copy(self, step):
         """The pull wire is the base: with a binary16 push *and* a binary16
         base the subtraction must still run in FP32, bit for bit what the
         decoded FP32 base gave."""
@@ -345,23 +351,23 @@ class TestMergeDelta:
         shape = (7, 1013)
         # unrelated values: their differences do not fit binary16 (values
         # within a factor of two subtract exactly, and would hide the trap)
-        push = rng.standard_normal(shape).astype(np.float16)
+        push = (step * rng.standard_normal(shape)).astype(np.float16)
         base = rng.standard_normal(shape).astype(np.float16)
         Q = rng.standard_normal(shape).astype(np.float32)
-        want = reference_merge(Q, push, base.astype(np.float32), weight)
+        want = reference_merge(Q, push, base.astype(np.float32))
 
         half = np.empty(shape, dtype=np.float32)
         np.subtract(push, base, out=half)       # NumPy picks the binary16 loop
         assert (bits(half) != bits(push.astype(np.float32) - base.astype(np.float32))).any()
 
-        merge_delta(Q, push, base, weight, merge_scratch())
+        merge_delta(Q, push, base, merge_scratch())
         np.testing.assert_array_equal(bits(Q), bits(want))
 
-    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("wire_dtype", ["float32", "float16"])
     @pytest.mark.parametrize("t, block", [(300, None), (300, 128), (300, 300), (1, 1), (0, 64)])
     def test_selected_merge_is_the_whole_wire_merge_on_its_columns(
-        self, weight, wire_dtype, t, block
+        self, step, wire_dtype, t, block
     ):
         """A push that carries ``t`` columns packed into the wire's front
         merges, on those columns, to the bits the whole wire gives them —
@@ -373,14 +379,14 @@ class TestMergeDelta:
         Q = rng.standard_normal((k, n)).astype(np.float32)
         # what a worker returns: its columns trained, the rest as pulled
         whole = q_base.copy()
-        whole[:, cols] += (0.01 * rng.standard_normal((k, t))).astype(wire_dtype)
+        whole[:, cols] += (0.01 * step * rng.standard_normal((k, t))).astype(wire_dtype)
         scratch = (
             merge_scratch() if block is None else np.empty(block, dtype=np.float32)
         )
         want = Q.copy()
-        merge_delta(want, whole, q_base, weight, scratch)
+        merge_delta(want, whole, q_base, scratch)
         np.testing.assert_array_equal(
-            bits(want), bits(reference_merge(Q, whole, q_base.astype(np.float32), weight))
+            bits(want), bits(reference_merge(Q, whole, q_base.astype(np.float32)))
         )
 
         push_wire = np.full((k, n), np.nan, dtype=wire_dtype)   # the tail is never read
@@ -388,7 +394,7 @@ class TestMergeDelta:
         assert pushed.shape == (k, t) and pushed.base is not None
         pushed[...] = whole[:, cols]
         got = Q.copy()
-        merge_delta(got, pushed, q_base, weight, scratch, cols)
+        merge_delta(got, pushed, q_base, scratch, cols)
         np.testing.assert_array_equal(bits(got), bits(want))
         others = np.setdiff1d(np.arange(n), cols)
         np.testing.assert_array_equal(bits(got[:, others]), bits(Q[:, others]))
@@ -397,7 +403,7 @@ class TestMergeDelta:
         Q = np.zeros((4, 6), dtype=np.float32)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
             merge_delta(Q, np.zeros((4, 3), np.float32), np.zeros((4, 3), np.float32),
-                        1.0, merge_scratch())
+                        merge_scratch())
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +458,7 @@ class TestParameterServer:
                 server.push(wid, q_local)
             assert server.first_bad_push() is None
             for wid in range(2):
-                server.sync(wid, 1.0)
+                server.sync(wid)
 
         epoch()
         assert peak_bytes(epoch) < KN_BYTES // 8
@@ -540,7 +546,7 @@ class TestProcessBackend:
     @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
     def test_pull_and_sync_allocate_nothing_sized_k_by_n(self, ratings, channel):
         backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
-        backend.open(PLAN, channel, AdditiveDeltaSync(), None, 3)
+        backend.open(PLAN, channel, None, 3)
         try:
             peaks = []
             for epoch in range(3):
@@ -571,7 +577,7 @@ class TestProcessBackend:
 
     def test_close_drops_every_k_by_n_buffer(self, ratings):
         backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
-        backend.open(PLAN, Fp16Channel(QOnlyChannel()), AdditiveDeltaSync(), None, 1)
+        backend.open(PLAN, Fp16Channel(QOnlyChannel()), None, 1)
         try:
             for stage in ("pull", "compute", "push", "sync"):
                 getattr(backend, stage)(0)
@@ -617,7 +623,7 @@ class TestProcessBackend:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            backend.open(PLAN, QOnlyChannel(), AdditiveDeltaSync(), None, 1)
+            backend.open(PLAN, QOnlyChannel(), None, 1)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -636,7 +642,7 @@ class TestProcessBackend:
             ratings, k=K, n_workers=2, barrier_timeout_s=60.0,
             fault_plan=FaultPlan().corrupt_payload(1, epoch=1),
         )
-        backend.open(PLAN, Fp16Channel(QOnlyChannel()), AdditiveDeltaSync(), None, 2)
+        backend.open(PLAN, Fp16Channel(QOnlyChannel()), None, 2)
         try:
             for stage in ("pull", "compute", "push", "sync"):
                 getattr(backend, stage)(0)
@@ -666,8 +672,7 @@ class TestSimBackend:
         backend = SimBackend(platform, ratings, k=K)
         fractions = tuple(1.0 / platform.n_workers for _ in platform.workers)
         backend.open(
-            PartitionPlan("even", fractions), QOnlyChannel(), AdditiveDeltaSync(),
-            None, 1,
+            PartitionPlan("even", fractions), QOnlyChannel(), None, 1,
         )
         for stage in ("pull", "compute", "push", "sync"):
             getattr(backend, stage)(0)
@@ -688,7 +693,7 @@ class TestSimBackend:
             before = tracemalloc.get_traced_memory()[0]
             backend.open(
                 PartitionPlan("even", fractions), QOnlyChannel(),
-                AdditiveDeltaSync(), None, 1,
+                None, 1,
             )
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -718,7 +723,7 @@ class TestSimBackend:
         fractions = tuple(1.0 / platform.n_workers for _ in platform.workers)
         plan = PartitionPlan("even", fractions)
         opened = peak_bytes(lambda: backend.open(
-            plan, QOnlyChannel(), AdditiveDeltaSync(), None, 2,
+            plan, QOnlyChannel(), None, 2,
         ))
         assert len(arrays_of_shape(backend, (K, N))) == 2
         # those two, the locals and shards, and open()'s transients; a
@@ -766,8 +771,7 @@ class TestLocalView:
     def test_sim_workers_hold_compact_locals(self, toy):
         backend = SimBackend(paper_workstation(), toy, k=K)
         backend.open(
-            PartitionPlan("even", (0.25,) * 4), QOnlyChannel(), AdditiveDeltaSync(),
-            None, 1,
+            PartitionPlan("even", (0.25,) * 4), QOnlyChannel(), None, 1,
         )
         for (model, _, cols), wire in zip(backend._locals, backend.server.push_wires):
             assert cols is not None

@@ -74,8 +74,7 @@ class TestProcessPlane:
 class TestUpdatesPerSecond:
     def _result(self, elapsed: float) -> EngineResult:
         return EngineResult(
-            backend="process", channel="q-only(full)",
-            sync_policy="additive-delta", plan=None, epochs=1,
+            backend="process", channel="q-only(full)", plan=None, epochs=1,
             stage_trace=(StageEvent(0, "compute", {"updates": (600, 400)}),),
             rmse_history=[1.0],
             elapsed_seconds=elapsed,
