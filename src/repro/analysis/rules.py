@@ -121,38 +121,82 @@ def _name_used_as_value(root: ast.AST, name: str) -> bool:
     return False
 
 
-def _try_has_cleanup(node: ast.Try) -> bool:
-    scopes: list[ast.AST] = list(node.finalbody) + list(node.handlers)
-    for scope in scopes:
-        for sub in ast.walk(scope):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _CLEANUP_ATTRS
-            ):
-                return True
-    return False
+def _cleanup_receivers(root: ast.AST) -> Iterator[ast.AST]:
+    """``x`` of every ``x.close``/``x.unlink``/... read inside ``root`` —
+    called, or registered as a callback."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Attribute) and node.attr in _CLEANUP_ATTRS:
+            yield node.value
+
+
+def _assign_targets(assign: ast.AST) -> list[ast.AST]:
+    return assign.targets if isinstance(assign, ast.Assign) else [assign.target]
+
+
+def _self_attr(node: ast.AST) -> str | None:
+    """``a`` for ``self.a``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _releases_name(root: ast.AST, name: str) -> bool:
+    """Does ``root`` close or unlink ``name``, or each item of it?"""
+    items = {name} | {
+        loop.target.id
+        for loop in ast.walk(root)
+        if isinstance(loop, ast.For)
+        and isinstance(loop.target, ast.Name)
+        and isinstance(loop.iter, ast.Name)
+        and loop.iter.id == name
+    }
+    return any(
+        isinstance(recv, ast.Name) and recv.id in items
+        for recv in _cleanup_receivers(root)
+    )
+
+
+def _try_releases(node: ast.Try, name: str) -> bool:
+    """Does a handler or the ``finally`` of ``node`` release ``name``?
+
+    Cleanup of something else — an ``ExitStack`` closed on the way out —
+    covers only what was registered with it, which the registration
+    itself shows.
+    """
+    return any(
+        _releases_name(scope, name)
+        for scope in list(node.finalbody) + list(node.handlers)
+    )
 
 
 def _self_attrs_released(
     fn: ast.AST, tree_parents: dict[ast.AST, ast.AST]
 ) -> set[str]:
-    """Attributes ``a`` whose ``self.a.close``/``.unlink``/... the class of
-    ``fn`` reads anywhere — called, or registered as a callback."""
+    """Attributes ``a`` the class of ``fn`` releases anywhere: it reads
+    ``self.a.close``/``.unlink``/..., or closes each item of a
+    ``for x in self.a`` loop."""
     cls = tree_parents.get(fn)
     while cls is not None and not isinstance(cls, ast.ClassDef):
         cls = tree_parents.get(cls)
     if cls is None:
         return set()
-    return {
-        node.value.attr
-        for node in ast.walk(cls)
-        if isinstance(node, ast.Attribute)
-        and node.attr in _CLEANUP_ATTRS
-        and isinstance(node.value, ast.Attribute)
-        and isinstance(node.value.value, ast.Name)
-        and node.value.value.id == "self"
+    released = {
+        attr for recv in _cleanup_receivers(cls)
+        if (attr := _self_attr(recv)) is not None
     }
+    for loop in ast.walk(cls):
+        if (
+            isinstance(loop, ast.For)
+            and isinstance(loop.target, ast.Name)
+            and (attr := _self_attr(loop.iter)) is not None
+            and _releases_name(loop, loop.target.id)
+        ):
+            released.add(attr)
+    return released
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +211,14 @@ class ShmLifecycleRule(Rule):
         "pull/push buffers this way); every creation or attach needs a "
         "guaranteed close()/unlink() — a finally block, a context manager, an "
         "ExitStack registration, or an explicit ownership transfer.  A segment "
-        "stored on self counts only if its class releases self.<attr>."
+        "stored on self, or appended to a self.<list>, counts only if its "
+        "class releases that attribute; an enclosing try counts only if it "
+        "releases the segment itself."
     )
 
     _CREATORS = {"SharedMemory"}
     _FACTORY_TAILS = {"create", "attach"}
+    _FACTORY_CLASSES = {"SharedArray", "SpanRing"}
 
     def _is_creation(self, node: ast.Call) -> bool:
         tail = _func_tail(node.func)
@@ -180,7 +227,7 @@ class ShmLifecycleRule(Rule):
         dotted = _dotted(node.func)
         return (
             tail in self._FACTORY_TAILS
-            and "SharedArray" in dotted.split(".")
+            and not self._FACTORY_CLASSES.isdisjoint(dotted.split("."))
         )
 
     def check(self, ctx: FileContext) -> Iterator[LintIssue]:
@@ -217,6 +264,7 @@ class ShmLifecycleRule(Rule):
         released: set[str],
     ) -> bool:
         node: ast.AST = creation
+        bound: set[str] = set()    # the names the segment is bound to
         while node is not fn:
             parent = parents.get(node)
             if parent is None:
@@ -232,7 +280,12 @@ class ShmLifecycleRule(Rule):
                 guarded = self._assignment_guarded(fn, parent, parents, released)
                 if guarded is not None:
                     return guarded
-            if isinstance(parent, ast.Try) and _try_has_cleanup(parent):
+                bound |= {
+                    t.id for t in _assign_targets(parent) if isinstance(t, ast.Name)
+                }
+            if isinstance(parent, ast.Try) and any(
+                _try_releases(parent, name) for name in bound
+            ):
                 return True
             node = parent
         return False
@@ -245,10 +298,7 @@ class ShmLifecycleRule(Rule):
         released: set[str],
     ) -> bool | None:
         """True/False when the binding decides it; None to look further out."""
-        targets = (
-            assign.targets if isinstance(assign, ast.Assign) else [assign.target]
-        )
-        for target in targets:
+        for target in _assign_targets(assign):
             if isinstance(target, ast.Attribute):
                 # stored on self: guarded only where the class releases
                 # that attribute; stored on another object: handed over
@@ -256,7 +306,7 @@ class ShmLifecycleRule(Rule):
                     return target.attr in released
                 return True
             if isinstance(target, ast.Name) and self._name_escapes(
-                fn, target.id, assign, parents
+                fn, target.id, assign, parents, released
             ):
                 return True
         return None
@@ -267,6 +317,7 @@ class ShmLifecycleRule(Rule):
         name: str,
         assign: ast.AST,
         parents: dict[ast.AST, ast.AST],
+        released: set[str],
     ) -> bool:
         for node in _walk_shallow(fn):
             if isinstance(node, ast.Return) and node.value is not None:
@@ -276,26 +327,42 @@ class ShmLifecycleRule(Rule):
                 node.context_expr, name
             ):
                 return True
-            if isinstance(node, ast.Call) and _func_tail(node.func) in _OWNERSHIP_SINKS:
-                if any(_contains_name(arg, name) for arg in node.args):
-                    return True
+        followers = self._following_statements(assign, parents)
         # acquisition immediately followed by a try whose cleanup releases it
-        follower = self._next_statement(fn, assign, parents)
-        return isinstance(follower, ast.Try) and _try_has_cleanup(follower)
+        if followers and isinstance(followers[0], ast.Try):
+            if _try_releases(followers[0], name):
+                return True
+        # handed over further down its block, before the name is rebound:
+        # registered with a stack, or appended to a list its class releases
+        for stmt in followers:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in _assign_targets(stmt)
+            ):
+                return False
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call) or not any(
+                    _contains_name(arg, name) for arg in node.args
+                ):
+                    continue
+                tail = _func_tail(node.func)
+                if tail in _OWNERSHIP_SINKS:
+                    return True
+                if tail == "append" and _self_attr(node.func.value) in released:
+                    return True
+        return False
 
     @staticmethod
-    def _next_statement(
-        fn: ast.AST, stmt: ast.AST, parents: dict[ast.AST, ast.AST]
-    ) -> ast.AST | None:
+    def _following_statements(
+        stmt: ast.AST, parents: dict[ast.AST, ast.AST]
+    ) -> list[ast.AST]:
+        """The statements after ``stmt`` in its own block."""
         parent = parents.get(stmt)
-        if parent is None:
-            return None
         for field in ("body", "orelse", "finalbody"):
             block = getattr(parent, field, None)
             if isinstance(block, list) and stmt in block:
-                idx = block.index(stmt)
-                return block[idx + 1] if idx + 1 < len(block) else None
-        return None
+                return block[block.index(stmt) + 1 :]
+        return []
 
 
 # ---------------------------------------------------------------------------

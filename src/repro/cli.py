@@ -87,7 +87,7 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.transmit == "q-rotate" and not args.timing_only:
-        from repro.framework import Q_ROTATE_IS_PRICED_NOT_TRAINED
+        from repro.engine.channels import Q_ROTATE_IS_PRICED_NOT_TRAINED
 
         print(Q_ROTATE_IS_PRICED_NOT_TRAINED, file=sys.stderr)
         return 2

@@ -42,7 +42,7 @@ class WireTraffic:
 
     ``m``/``n`` are the as-trained orientation (HCC-MF transposes
     column-grid problems, so the recurring matrix is always the Q
-    side).  Bytes follow from :func:`wire_itemsize`.
+    side).  :meth:`CommPlan.for_dataset` turns values into bytes.
     """
 
     pull_values: int          # values pulled per worker per epoch
@@ -60,9 +60,8 @@ class WireTraffic:
     def of(cls, mode: TransmitMode, m: int, n: int, k: int) -> "WireTraffic":
         """Traffic of a resolved ``mode`` on an ``m x n`` problem at rank k.
 
-        The one statement of what each Strategy-1 mode moves; the
-        channel stack (:mod:`repro.engine.channels`) and
-        :meth:`CommPlan.for_dataset` both read it.
+        The one statement of what each Strategy-1 mode moves, which
+        :meth:`CommPlan.for_dataset` prices.
         """
         both, q = k * (m + n), k * n
         if mode is TransmitMode.P_AND_Q:
@@ -74,11 +73,6 @@ class WireTraffic:
             # same gross bytes as Q-only; ownership removes the server merge
             return cls(q, q, both, 0)
         raise ValueError(f"{mode} is not a resolved transmit mode")
-
-
-def wire_itemsize(fp16: bool) -> int:
-    """Bytes per feature value on the wire: binary16 under Strategy 2."""
-    return 2 if fp16 else 4
 
 
 @dataclass(frozen=True)
@@ -96,16 +90,6 @@ class CommPlan:
     sync_values: int  # feature values the server merges per worker sync
 
     @classmethod
-    def from_traffic(cls, traffic: WireTraffic, itemsize: int) -> "CommPlan":
-        """``traffic`` in bytes at ``itemsize`` bytes per value."""
-        return cls(
-            epoch_pull=traffic.pull_values * itemsize,
-            epoch_push=traffic.push_values * itemsize,
-            final_push_extra=traffic.final_push_values * itemsize,
-            sync_values=traffic.sync_values,
-        )
-
-    @classmethod
     def for_dataset(cls, spec: DatasetSpec, k: int, comm: CommConfig) -> "CommPlan":
         """Traffic plan from the dataset shape and strategy switches.
 
@@ -114,14 +98,19 @@ class CommPlan:
         ``m x k`` user matrix is pushed once after the last epoch.
         The AUTO transmit mode resolves against the *grid-major* side:
         HCC-MF transposes column-grid problems, so the recurring matrix
-        is whichever side is smaller.
+        is whichever side is smaller.  Strategy 2 moves binary16, two
+        bytes per value instead of four.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         big, small = max(spec.m, spec.n), min(spec.m, spec.n)
-        mode = comm.resolve_transmit(big, small)
-        return cls.from_traffic(
-            WireTraffic.of(mode, big, small, k), wire_itemsize(comm.fp16)
+        traffic = WireTraffic.of(comm.resolve_transmit(big, small), big, small, k)
+        itemsize = 2 if comm.fp16 else 4
+        return cls(
+            epoch_pull=traffic.pull_values * itemsize,
+            epoch_push=traffic.push_values * itemsize,
+            final_push_extra=traffic.final_push_values * itemsize,
+            sync_values=traffic.sync_values,
         )
 
     def total_bytes(self, epochs: int) -> int:

@@ -150,15 +150,6 @@ class HCCConfig:
     lambda_threshold: float = 10.0       # Eq. 5's lambda (paper uses 10)
     batch_size: int = 4096
     seed: int = 0
-    dp1_tolerance: float = 0.1           # Algorithm 1's 10% gap criterion
-    dp1_max_rounds: int = 8
-    #: ceiling on any cross-process rendezvous (barrier waits, process
-    #: joins) in the process plane; a breach names the missing ranks
-    barrier_timeout_s: float = 120.0
-    #: opt-in fault tolerance: None (the default) preserves the classic
-    #: fail-fast behaviour, a RecoveryPolicy turns on retry /
-    #: redistribute / checkpoint-and-abort handling in the engine
-    recovery: RecoveryPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -169,10 +160,6 @@ class HCCConfig:
             raise ValueError("lambda_threshold must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if not (0 < self.dp1_tolerance < 1):
-            raise ValueError("dp1_tolerance must be in (0, 1)")
-        if self.barrier_timeout_s <= 0:
-            raise ValueError("barrier_timeout_s must be positive")
 
     def with_comm(self, **kwargs) -> "HCCConfig":
         """Convenience: a copy with updated communication settings."""

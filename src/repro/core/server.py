@@ -11,7 +11,7 @@ Merging uses an additive delta update:
 
 where ``Q_epoch_base`` is the global Q snapshot the workers pulled —
 the epoch's pull wire itself, read where it lies.  The wire stays
-intact until the next ``begin_epoch`` that rotates onto it and widens to
+intact until the next ``begin_epoch`` encodes into it and widens to
 FP32 exactly, so the server keeps no decoded copy of it, and because
 the base is what the workers started from, quantization included,
 wire-format error on the pull side cancels out of every delta.
@@ -144,8 +144,8 @@ class ParameterServer:
     """The server half of an epoch, over the wires it is given.
 
     A wire is a Q-shaped array of ``channel.wire_dtype``.  ``wires`` is
-    ``(pull_wires, push_wires)``: the pull wires the epochs rotate over
-    (``channel.depth`` of them) and one push wire per worker.  The
+    ``(pull_wire, push_wires)``: the one pull wire every epoch encodes
+    into and one push wire per worker.  The
     process plane passes the arrays of its shared segments; without
     ``wires`` the server allocates private ones.  ``channel`` is a
     :mod:`repro.engine.channels` stack (duck-typed — core never imports
@@ -162,7 +162,7 @@ class ParameterServer:
         model: MFModel,
         n_workers: int,
         channel,
-        wires: "tuple[Sequence[np.ndarray], Sequence[np.ndarray]] | None" = None,
+        wires: "tuple[np.ndarray, Sequence[np.ndarray]] | None" = None,
         columns: "Sequence[np.ndarray | None] | None" = None,
     ):
         if n_workers <= 0:
@@ -176,13 +176,13 @@ class ParameterServer:
         if wires is None:
             (k, n), dtype = model.Q.shape, channel.wire_dtype
             wires = (
-                [np.zeros((k, n), dtype) for _ in range(max(1, channel.depth))],
+                np.zeros((k, n), dtype),
                 [
                     np.zeros((k, n if cols is None else cols.size), dtype)
                     for cols in self.columns
                 ],
             )
-        self.pull_wires, self.push_wires = wires
+        self._pull_wire, self.push_wires = wires
         self._merge_scratch = merge_scratch()
         self.epochs_started = 0
 
@@ -205,10 +205,9 @@ class ParameterServer:
     @property
     def pull_wire(self) -> np.ndarray:
         """The wire this epoch's workers decode and its deltas are measured
-        against: epoch ``e`` uses wire ``e % depth``, the rotation a worker
-        process follows on its own."""
+        against; every epoch encodes into the same one."""
         self._require_epoch()
-        return self.pull_wires[(self.epochs_started - 1) % len(self.pull_wires)]
+        return self._pull_wire
 
     def pushed(self, worker_id: int) -> np.ndarray:
         """What worker ``worker_id`` deposits: its push wire, or the

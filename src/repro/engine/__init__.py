@@ -2,18 +2,15 @@
 
 One epoch is the same pipeline everywhere::
 
-    PartitionProvider -> Channel.pull -> ComputeBackend -> Channel.push -> sync
+    PartitionPlan -> Channel.pull -> ComputeBackend -> Channel.push -> sync
 
 * :mod:`repro.engine.pipeline` — :class:`EpochEngine` drives the stage
   sequence and owns run-level telemetry emission;
 * :mod:`repro.engine.channels` — the paper's communication strategies
-  (3.4) as stackable middlewares serving both the sim byte accounting
-  and the real wire buffers;
+  (3.4) as stackable wire codecs over the real wire buffers;
 * :mod:`repro.engine.backends` — :class:`SimBackend` (in-process +
   cost-model clock) and :class:`ProcessBackend` (OS workers over shared
-  memory) behind one protocol;
-* :mod:`repro.engine.partitions` — providers that turn DP0/DP1/DP2
-  plans, raw fractions or measurements into the engine's partition.
+  memory) behind one protocol.
 
 ``EpochEngine(backend, ...).run(epochs)`` is the one way to run the
 training loop — ``EpochEngine(ProcessBackend(ratings, k=, n_workers=),
@@ -27,27 +24,19 @@ from repro._lazy import lazy_exports
 __all__ = [
     "Channel",
     "ComputeBackend",
-    "CostModelProvider",
     "DEFAULT_BARRIER_TIMEOUT_S",
     "DoubleBufferChannel",
     "EngineResult",
     "EpochEngine",
-    "EvenProvider",
-    "FixedPlanProvider",
     "Fp16Channel",
-    "FractionsProvider",
-    "PartitionProvider",
     "ProcessBackend",
     "QOnlyChannel",
-    "QRotateChannel",
     "RECOVERABLE_ERRORS",
     "STAGES",
     "SimBackend",
     "StageEvent",
     "WirePayloadError",
-    "WireTraffic",
     "WorkerSyncError",
-    "as_provider",
     "channel_for",
 ]
 
@@ -58,11 +47,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.engine.channels": (
         "Channel", "DoubleBufferChannel", "Fp16Channel", "QOnlyChannel",
-        "QRotateChannel", "WireTraffic", "channel_for",
-    ),
-    "repro.engine.partitions": (
-        "CostModelProvider", "EvenProvider", "FixedPlanProvider",
-        "FractionsProvider", "PartitionProvider", "as_provider",
+        "channel_for",
     ),
     "repro.engine.pipeline": (
         "RECOVERABLE_ERRORS", "STAGES", "ComputeBackend", "EngineResult",

@@ -11,10 +11,9 @@ protocol:
 * :class:`ProcessBackend` — the wall-clock plane.  The calling process
   is the server, every worker is an OS process (paper 3.5), and the
   wires are :class:`~repro.parallel.shm.SharedArray` segments, so
-  Q-only payloads, FP16 wire and double-buffered pulls cross process
-  boundaries for real.  What a worker process runs lives in
-  :mod:`repro.engine.worker_proc`, which imports far less than this
-  module does.
+  Q-only payloads and the FP16 wire cross process boundaries for real.
+  What a worker process runs lives in :mod:`repro.engine.worker_proc`,
+  which imports far less than this module does.
 
 Both run one epoch over one wire: :class:`_EpochBackend` drives a
 :class:`~repro.core.server.ParameterServer` (the server half), the
@@ -54,7 +53,7 @@ from repro.resilience.faults import DELAY, FaultPlan, fault_before_barrier
 from repro.resilience.health import HealthReport, classify
 
 #: Default ceiling on any cross-process rendezvous (barriers, joins);
-#: overridable per run via ``HCCConfig.barrier_timeout_s``.
+#: overridable per run via the backends' ``barrier_timeout_s=``.
 DEFAULT_BARRIER_TIMEOUT_S = 120.0
 
 #: ring slots per epoch when instrumented: pull + compute + push + two
@@ -204,11 +203,6 @@ class _EpochBackend:
 
     # -- attempt set-up --------------------------------------------------
     def _begin_attempt(self, channel: Channel, telemetry, epochs: int) -> None:
-        if channel.traffic(2, 1, 1).sync_values == 0:
-            raise ValueError(
-                "q-rotate channels have no pull/push/sync stages to drive; "
-                "the mode exists on the timing plane only"
-            )
         self._channel = channel
         self._epochs = epochs
         self._attempt += 1
@@ -413,9 +407,6 @@ class SimBackend(_EpochBackend):
         #: :meth:`remap_fault_ranks` when a redistribution removes ranks,
         #: so degraded epochs are priced over the survivors
         self._platform_workers = list(platform.workers)
-        #: per synced epoch: (global epoch, modeled cost, degraded?) —
-        #: the chaos-parity harness reads degraded-epoch costs off this
-        self.cost_log: list[tuple[int, float, bool]] = []
 
     # -- lifecycle -------------------------------------------------------
     def open(self, plan, channel: Channel, telemetry, epochs: int) -> None:
@@ -537,11 +528,6 @@ class SimBackend(_EpochBackend):
     def _accept_epoch(self, epoch: int) -> None:
         self._p_snapshot = None
         self.sim_seconds += self._epoch_sim_cost
-        self.cost_log.append((
-            epoch + self.epoch_offset,
-            self._epoch_sim_cost,
-            len(self._platform_workers) < self.platform.n_workers,
-        ))
 
     # -- the one stage the planes do not share ---------------------------
     def compute(self, epoch: int) -> Mapping:
@@ -685,11 +671,8 @@ class ProcessBackend(_EpochBackend):
             wire = channel.wire_dtype
             self._p_shared = SharedArray.create((ratings.m, k), "float32")
             self._stack.callback(self._p_shared.unlink)
-            self._pull_bufs = []
-            for _ in range(max(1, channel.depth)):
-                buf = SharedArray.create((k, ratings.n), wire)
-                self._stack.callback(buf.unlink)
-                self._pull_bufs.append(buf)
+            self._pull_buf = SharedArray.create((k, ratings.n), wire)
+            self._stack.callback(self._pull_buf.unlink)
             self._push_bufs = []
             for _ in range(self.n_workers):
                 buf = SharedArray.create((k, ratings.n), wire)
@@ -729,7 +712,7 @@ class ProcessBackend(_EpochBackend):
                     args=(
                         wid,
                         self._p_shared.spec,
-                        tuple(buf.spec for buf in self._pull_bufs),
+                        self._pull_buf.spec,
                         self._push_bufs[wid].spec,
                         self._progress.spec,
                         tuple(seg.spec for seg in self._shard_segs),
@@ -791,7 +774,7 @@ class ProcessBackend(_EpochBackend):
             self.server = ParameterServer(
                 self.model, self.n_workers, channel,
                 wires=(
-                    [buf.array for buf in self._pull_bufs],
+                    self._pull_buf.array,
                     [buf.array for buf in self._push_bufs],
                 ),
                 columns=[

@@ -1,6 +1,18 @@
-"""Communication strategies as stackable channel middlewares (paper 3.4).
+"""Communication strategies as stackable wire codecs (paper 3.4).
 
-Each optimization from section 3.4 becomes one wrapper around a base
+A channel is what the trained planes need of a strategy: the wire
+format (:attr:`Channel.wire_dtype`), the sender's and the receiver's
+single copy (:meth:`Channel.encode` / :meth:`Channel.decode`), the
+payload check (:meth:`Channel.payload_ok`) and whether P travels
+(:attr:`Channel.transmits_p`).  They run over actual wires — plain
+arrays in process, :class:`~repro.parallel.shm.SharedArray` segments
+across processes — through :class:`~repro.core.server.ParameterServer`
+and :func:`~repro.engine.worker_proc.worker_epoch`.  What a strategy
+costs in bytes and seconds is priced from the
+:class:`~repro.core.config.CommConfig` itself
+(:meth:`repro.core.comm.CommPlan.for_dataset`), not from a channel.
+
+Each optimization from section 3.4 is one wrapper around a base
 :class:`Channel`:
 
 * :class:`QOnlyChannel` — Strategy 1, "transmit Q only": the recurring
@@ -11,39 +23,32 @@ Each optimization from section 3.4 becomes one wrapper around a base
   :func:`repro.core.compression.compress_fp16` /
   :func:`~repro.core.compression.decompress_fp16`), halving traffic.
 * :class:`DoubleBufferChannel` — Strategy 3, asynchronous
-  computing-transmission: the transport keeps ``depth`` buffers in
-  flight so transfers overlap compute (the sim plane maps this onto the
-  stream pipeline schedule; the process plane rotates pull buffers).
-
-A channel stack serves **both planes** with the same object:
-
-* the *sim* plane asks it for a :class:`~repro.core.comm.CommPlan`
-  (:meth:`Channel.comm_plan`) and feeds that to
-  :class:`~repro.core.comm.CommModel` for bytes-to-seconds accounting;
-* the *real* planes use its wire codec (:meth:`Channel.encode` /
-  :meth:`Channel.decode` + :attr:`Channel.wire_dtype`) and its payload
-  check (:meth:`Channel.payload_ok`) over actual wires — plain arrays
-  in process, :class:`~repro.parallel.shm.SharedArray` segments across
-  processes — through :class:`~repro.core.server.ParameterServer` and
-  :func:`~repro.engine.worker_proc.worker_epoch`.
+  computing-transmission, as a label only: the trained planes have no
+  transfer that could overlap compute, so Strategy 3 is priced by the
+  cost model's stream schedule and not trained (EXPERIMENTS.md,
+  "Strategy 3 on the trained planes").
 
 Channels hold no run state, so one instance is safely pickled into
-spawned worker processes; what a strategy does to the wire *format* is
-decided in this file, and how many values each transmit mode moves in
-:class:`repro.core.comm.WireTraffic`, which the ``traffic`` overrides
-here call down into.
+spawned worker processes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.comm import CommPlan, WireTraffic, wire_itemsize
 from repro.core.compression import compress_fp16, decompress_fp16
 from repro.core.config import CommConfig, TransmitMode
 
 #: values per block of :func:`all_finite`'s scan
 _BLOCK = 1 << 16
+
+#: what asking for Q_ROTATE numerics is told, by :func:`channel_for`,
+#: ``HCCMF`` and ``repro train``
+Q_ROTATE_IS_PRICED_NOT_TRAINED = (
+    "Q_ROTATE exists on the timing plane only: the cost model prices the "
+    "rotation and nothing trains it numerically (run without ratings — "
+    "repro train --timing-only — or see mf.dsgd for a numeric block rotation)"
+)
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -72,7 +77,6 @@ class Channel:
     def __init__(self, inner: "Channel | None" = None):
         self.inner = inner
 
-    # -- wire format ----------------------------------------------------
     @property
     def wire_dtype(self) -> str:
         """NumPy dtype name of buffers on the wire.
@@ -83,14 +87,6 @@ class Channel:
         :meth:`decode` for such a format and for no other.
         """
         return self.inner.wire_dtype if self.inner is not None else "float32"
-
-    @property
-    def wire_is_fp16(self) -> bool:
-        return self.wire_dtype == "float16"
-
-    @property
-    def wire_itemsize(self) -> int:
-        return wire_itemsize(self.wire_is_fp16)
 
     def encode(self, values: np.ndarray, out: np.ndarray) -> None:
         """FP32 payload -> wire buffer ``out`` (the sender's single copy)."""
@@ -125,40 +121,11 @@ class Channel:
             return self.inner.payload_ok(received)
         return all_finite(received)
 
-    # -- traffic accounting ---------------------------------------------
-    def traffic(self, m: int, n: int, k: int) -> WireTraffic:
-        """Feature values on the wire for an ``m x n`` problem at rank k."""
-        if self.inner is not None:
-            return self.inner.traffic(m, n, k)
-        return WireTraffic.of(TransmitMode.P_AND_Q, m, n, k)
-
     @property
     def transmits_p(self) -> bool:
         """Does the recurring payload include the user matrix P?"""
         return self.inner.transmits_p if self.inner is not None else True
 
-    @property
-    def depth(self) -> int:
-        """Buffers kept in flight (1 = fully synchronous transport)."""
-        return self.inner.depth if self.inner is not None else 1
-
-    @property
-    def streams(self) -> int:
-        """Strategy-3 stream count the sim pipeline schedule should use."""
-        return self.inner.streams if self.inner is not None else 1
-
-    # -- sim-plane bridge -----------------------------------------------
-    def comm_plan(self, spec, k: int) -> CommPlan:
-        """This stack's per-epoch byte plan for :class:`CommModel`.
-
-        ``spec`` is a :class:`~repro.data.datasets.DatasetSpec`; the
-        grid-major orientation (big side = P rows) mirrors
-        ``CommPlan.for_dataset``.
-        """
-        big, small = max(spec.m, spec.n), min(spec.m, spec.n)
-        return CommPlan.from_traffic(self.traffic(big, small, k), self.wire_itemsize)
-
-    # -- description -----------------------------------------------------
     def describe(self) -> str:
         """Stack description, outermost first: ``fp16(q-only(full))``."""
         if self.inner is not None:
@@ -180,9 +147,6 @@ class QOnlyChannel(Channel):
 
     def __init__(self, inner: Channel | None = None):
         super().__init__(inner if inner is not None else Channel())
-
-    def traffic(self, m: int, n: int, k: int) -> WireTraffic:
-        return WireTraffic.of(TransmitMode.Q_ONLY, m, n, k)
 
     @property
     def transmits_p(self) -> bool:
@@ -214,52 +178,22 @@ class Fp16Channel(Channel):
 
 
 class DoubleBufferChannel(Channel):
-    """Strategy 3: asynchronous computing-transmission via buffering.
+    """Strategy 3, asynchronous computing-transmission: a label only.
 
-    ``streams`` chunks each transfer so it pipelines against compute
-    (what the sim plane's stream schedule models); the transport keeps
-    two buffers in flight so the producer can fill one while the
-    consumer still reads the other.
+    It names the strategy in a stack's :meth:`describe` and changes no
+    bit on the wire.  Strategy 3 hides PCIe copies under compute through
+    copy engines; on the trained planes the server encodes the pull
+    wire before the start barrier, workers read it only between the
+    start and end barriers, and the merge and the next encode follow
+    the end barrier, so no transfer can overlap another epoch's compute.
+    The cost model prices the strategy (``CommConfig.streams``,
+    :func:`repro.hardware.streams.pipeline_schedule`); nothing trains it.
     """
 
     label = "double-buffer"
 
-    def __init__(self, inner: Channel | None = None, streams: int = 2):
-        if streams < 2:
-            raise ValueError("DoubleBufferChannel needs streams >= 2")
-        super().__init__(inner if inner is not None else Channel())
-        self._streams = streams
-
-    @property
-    def depth(self) -> int:
-        return 2
-
-    @property
-    def streams(self) -> int:
-        return self._streams
-
-
-class QRotateChannel(Channel):
-    """Future-work mode: ring-rotated Q ownership (sim accounting only).
-
-    Same gross bytes as Q-only, but the transfers are peer-to-peer hops
-    that overlap rotation steps and ownership removes the server merge.
-    The execution engine does not drive this mode — a rotation has no
-    pull/push/sync stages, and both backends refuse the channel — so it
-    only exists to keep the accounting in one place.
-    """
-
-    label = "q-rotate"
-
     def __init__(self, inner: Channel | None = None):
         super().__init__(inner if inner is not None else Channel())
-
-    def traffic(self, m: int, n: int, k: int) -> WireTraffic:
-        return WireTraffic.of(TransmitMode.Q_ROTATE, m, n, k)
-
-    @property
-    def transmits_p(self) -> bool:
-        return False
 
 
 def channel_for(comm: CommConfig, m: int, n: int) -> Channel:
@@ -267,17 +201,18 @@ def channel_for(comm: CommConfig, m: int, n: int) -> Channel:
 
     ``m``/``n`` resolve the AUTO transmit mode exactly as the trainers
     do.  Stacking order is fixed — payload selection innermost, then
-    wire format, then transport buffering — so equal configs produce
-    equal stacks.
+    wire format, then the Strategy 3 label — so equal configs produce
+    equal stacks.  Q_ROTATE is refused: it has no pull/push/sync stages
+    to drive.
     """
     mode = comm.resolve_transmit(m, n)
+    if mode is TransmitMode.Q_ROTATE:
+        raise ValueError(Q_ROTATE_IS_PRICED_NOT_TRAINED)
     channel: Channel = Channel()
     if mode is TransmitMode.Q_ONLY:
         channel = QOnlyChannel(channel)
-    elif mode is TransmitMode.Q_ROTATE:
-        channel = QRotateChannel(channel)
     if comm.fp16:
         channel = Fp16Channel(channel)
     if comm.streams > 1:
-        channel = DoubleBufferChannel(channel, streams=comm.streams)
+        channel = DoubleBufferChannel(channel)
     return channel

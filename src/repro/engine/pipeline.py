@@ -3,7 +3,7 @@
 The paper's training step (Figure 4, steps 4-7) is the same pipeline no
 matter which substrate executes it::
 
-    PartitionProvider -> Channel.pull -> ComputeBackend -> Channel.push -> sync
+    PartitionPlan -> Channel.pull -> ComputeBackend -> Channel.push -> sync
 
 :class:`EpochEngine` drives that stage sequence.  Everything
 substrate-specific lives behind the :class:`ComputeBackend` protocol
@@ -11,9 +11,9 @@ substrate-specific lives behind the :class:`ComputeBackend` protocol
 cost model and runs the in-process numeric kernels; the process plane
 coordinates real worker processes over shared memory.  Everything
 strategy-specific lives in the channel stack
-(:mod:`repro.engine.channels`) and the partition provider
-(:mod:`repro.engine.partitions`), so a strategy knob is turned in
-exactly one place and both planes feel it.
+(:mod:`repro.engine.channels`) and the
+:class:`~repro.core.partition.PartitionPlan` the engine is handed, so a
+strategy knob is turned in exactly one place and both planes feel it.
 
 The engine is also the single emission point for run-level telemetry:
 per-epoch RMSE gauges and events, and the stage trace — an auditable
@@ -27,13 +27,12 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 from repro.core.config import RecoveryPolicy
-from repro.core.partition import PartitionPlan, redistribute
+from repro.core.partition import PartitionPlan, even_partition, redistribute
 from repro.engine.backends import WirePayloadError, WorkerSyncError
 from repro.engine.channels import Channel
-from repro.engine.partitions import PartitionProvider, as_provider
 from repro.resilience.health import HealthReport
 from repro.resilience.policy import (
     RecoveryAction,
@@ -187,6 +186,11 @@ class EpochEngine:
     directory, yielding a stage-attributed hotpath report
     (docs/observability.md).
 
+    ``partitions=`` is the :class:`~repro.core.partition.PartitionPlan`
+    the workers' shards follow — DP0/DP1/DP2 from the cost model, or one
+    measured by :mod:`repro.parallel.tuning` — and ``None`` an even
+    split; its worker count must be the backend's.
+
     Backends run *local* epoch indices (each (re)open counts from 0)
     while the stage trace, telemetry, faults and checkpoints speak
     *global* epochs; with no resume and no failure the two coincide and
@@ -197,7 +201,7 @@ class EpochEngine:
         self,
         backend: ComputeBackend,
         channel: Channel | None = None,
-        partitions: "PartitionProvider | PartitionPlan | Sequence[float] | None" = None,
+        partitions: PartitionPlan | None = None,
         telemetry=None,
         recovery: RecoveryPolicy | None = None,
         checkpoint_every: int = 0,
@@ -211,13 +215,25 @@ class EpochEngine:
             raise ValueError("checkpoint_every needs a checkpoint_path")
         self.backend = backend
         self.channel = channel if channel is not None else Channel()
-        self.partitions = as_provider(partitions)
+        self.partitions = partitions
         self.telemetry = telemetry
         self.recovery = recovery
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.resume_from = resume_from
         self.profile = profile
+
+    def _plan(self) -> PartitionPlan:
+        """The run's shard fractions: ``partitions=``, or an even split."""
+        n_workers = self.backend.n_workers
+        if self.partitions is None:
+            return even_partition(n_workers)
+        if self.partitions.n_workers != n_workers:
+            raise ValueError(
+                f"partition plan has {self.partitions.n_workers} fractions "
+                f"but the backend runs {n_workers} workers"
+            )
+        return self.partitions
 
     @property
     def _resilience_active(self) -> bool:
@@ -232,7 +248,7 @@ class EpochEngine:
         if epochs <= 0:
             raise ValueError("epochs must be positive")
         t_run = time.perf_counter()
-        plan = self.partitions.plan(self.backend.n_workers)
+        plan = self._plan()
         registry = self.telemetry.registry if self.telemetry is not None else None
         trace: list[StageEvent] = []
         rmse_history: list[float] = []

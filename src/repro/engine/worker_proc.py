@@ -216,7 +216,7 @@ def worker_epoch(
 def worker_main(
     worker_id: int,
     p_spec: SharedArraySpec,
-    pull_specs: tuple[SharedArraySpec, ...],
+    pull_spec: SharedArraySpec,
     push_spec: SharedArraySpec,
     progress_spec: SharedArraySpec,
     shard_specs: tuple[SharedArraySpec, SharedArraySpec, SharedArraySpec],
@@ -251,10 +251,10 @@ def worker_main(
     The channel stack travels into the process by pickling (channels are
     stateless) and owns the wire codec: ``decode`` is the worker's
     single per-epoch copy out of the shared pull buffer, ``encode`` its
-    single copy into the push buffer.  ``pull_specs`` carries
-    ``channel.depth`` rotating buffers (Strategy 3).  Before each
-    barrier the worker stamps ``progress[worker_id]`` so the server can
-    name missing ranks on a broken rendezvous.
+    single copy into the push buffer; every epoch reads the same pull
+    buffer, which the server rewrites only after the end barrier.
+    Before each barrier the worker stamps ``progress[worker_id]`` so the
+    server can name missing ranks on a broken rendezvous.
 
     ``epoch_offset`` is how many *global* epochs already completed
     before this spawn (checkpoint resume, recovery restart): stamps and
@@ -278,9 +278,7 @@ def worker_main(
     # earlier mappings on that path)
     with ExitStack() as stack:
         p_shared = stack.enter_context(SharedArray.attach(p_spec))
-        pull_bufs = [
-            stack.enter_context(SharedArray.attach(spec)) for spec in pull_specs
-        ]
+        pull_buf = stack.enter_context(SharedArray.attach(pull_spec))
         push_buf = stack.enter_context(SharedArray.attach(push_spec))
         progress = stack.enter_context(SharedArray.attach(progress_spec))
         shard_segs = [
@@ -306,7 +304,7 @@ def worker_main(
                 start_barrier.wait(timeout=patience_s)
             if shard is None:
                 lo, hi = offsets.array[worker_id : worker_id + 2]
-                n = pull_bufs[0].array.shape[1]
+                n = pull_buf.array.shape[1]
                 # the local Q, allocated once: every epoch's pull
                 # decodes into it
                 model, shard, cols = local_view(
@@ -324,7 +322,7 @@ def worker_main(
                     rng.permutation(len(shard[2]))
             worker_epoch(
                 channel, model, shard, cols,
-                pull_bufs[epoch % len(pull_bufs)].array, push_buf.array,
+                pull_buf.array, push_buf.array,
                 lr, reg, batch_size, ConflictPolicy.ATOMIC, rng,
                 faults, epoch, global_epoch, rec, prof,
             )

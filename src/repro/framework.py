@@ -38,19 +38,11 @@ from repro.data.datasets import DatasetSpec
 from repro.data.grid import GridKind, choose_grid
 from repro.data.ratings import RatingMatrix
 from repro.engine.backends import SimBackend
-from repro.engine.channels import channel_for
+from repro.engine.channels import Q_ROTATE_IS_PRICED_NOT_TRAINED, channel_for
 from repro.engine.pipeline import EpochEngine
 from repro.hardware.timeline import Phase, Timeline
 from repro.hardware.topology import Platform
 from repro.mf.model import MFModel
-
-
-#: what asking for Q_ROTATE numerics is told, by ``HCCMF`` and ``repro train``
-Q_ROTATE_IS_PRICED_NOT_TRAINED = (
-    "Q_ROTATE exists on the timing plane only: the cost model prices the "
-    "rotation and nothing trains it numerically (run without ratings — "
-    "repro train --timing-only — or see mf.dsgd for a numeric block rotation)"
-)
 
 
 @dataclass
@@ -281,8 +273,8 @@ class HCCMF:
 
         The engine runs the pull/compute/push/sync stage pipeline over a
         :class:`~repro.engine.backends.SimBackend`; the channel stack is
-        built from this run's CommConfig, so Strategy 1/2/3 knobs act on
-        the same object the cost model's byte accounting uses.
+        built from this run's CommConfig, the same switches the cost
+        model prices the run's bytes from.
         """
         data = self._numeric_data
         backend = SimBackend(

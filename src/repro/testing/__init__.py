@@ -5,8 +5,7 @@ The differential enforcement mechanism for the resilience plane
 run through *both* compute backends, and the outcomes are held to a
 parity contract (:mod:`repro.testing.parity`) — identical recovery
 decisions, identical final partition fractions and RMSE within
-tolerance; each plane's degraded/healthy epoch-cost ratio is reported
-beside the verdict, not gated.  ``repro chaos-parity`` is the CLI entry
+tolerance.  ``repro chaos-parity`` is the CLI entry
 point; ``tests/test_chaos_parity.py`` the pytest one.
 """
 

@@ -22,10 +22,8 @@ Two sources of scenarios:
 
 :func:`parity_platform` builds the sim platform a parity run must use:
 identical CPUs over shared memory, mirroring the process plane's
-homogeneous host-CPU substrate.  A heterogeneous platform (a GPU next
-to CPUs) would make the reported degraded/healthy cost ratio diverge
-from the measured process timeline for reasons unrelated to the fault
-path.
+homogeneous host-CPU substrate, so the sim prices its epochs on the
+kind of worker the process plane really runs.
 """
 
 from __future__ import annotations
@@ -111,8 +109,7 @@ def default_matrix(seed: int = 0) -> tuple[ChaosScenario, ...]:
             seed=seed,
             n_workers=3,
             epochs=4,
-            # kill at epoch 2 so a warm healthy epoch (1) survives the
-            # degraded-ratio measurement's warm-up exclusion of epoch 0
+            # two healthy epochs, then two degraded ones over the survivors
             fault_plan=FaultPlan().kill(2, epoch=2),
             recovery=RecoveryPolicy(min_workers=2, **_FAST),
         ),

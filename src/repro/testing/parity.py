@@ -1,9 +1,9 @@
 """Cross-plane chaos parity: the same fault scenario, both substrates.
 
 :func:`run_scenario` executes one :class:`~repro.testing.chaos.ChaosScenario`
-on either plane — the sim backend with its injected faults, simulated
-exit codes and degraded-epoch cost log, or the process backend with
-real spawned workers — and condenses the run into a
+on either plane — the sim backend with its injected faults and
+simulated exit codes, or the process backend with real spawned
+workers — and condenses the run into a
 :class:`PlaneOutcome`.  :func:`check_parity` then holds the two
 outcomes to the differential contract:
 
@@ -16,13 +16,10 @@ outcomes to the differential contract:
   contents (different partitioning substrate), so convergence agrees
   to a relative tolerance, not bitwise.
 
-Each outcome also carries its degraded/healthy epoch-cost ratio — the
-sim's analytic one, the process plane's measured one — which the report
-prints as a line that always passes: at harness scale the measured
-ratio is one 4 k-rating epoch against a mean that includes a re-opened
-attempt's cold first epoch, and ranged 0.61–3.01 over 15 runs against
-the sim's constant 1.02.  The sim's degraded pricing is held by its own
-tests (``cost_log``, ``tests/test_core_cost_model.py``).
+Epoch cost is not compared: at harness scale the process plane's
+measured degraded/healthy ratio is noise (docs/resilience.md).  The
+sim's degraded pricing is held by its own tests
+(``tests/test_chaos_parity.py``, ``tests/test_core_cost_model.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.data.datasets import NETFLIX
 from repro.engine.backends import ProcessBackend, SimBackend
 from repro.engine.channels import QOnlyChannel
 from repro.engine.pipeline import EpochEngine
-from repro.hardware.timeline import Phase, Timeline
 from repro.resilience.policy import RecoveryAction, TrainingAborted
 from repro.testing.chaos import ChaosScenario, parity_platform
 
@@ -58,9 +54,6 @@ class PlaneOutcome:
     final_fractions: tuple[float, ...]
     final_workers: int
     rmse_history: tuple[float, ...]
-    #: mean degraded epoch cost / mean healthy epoch cost (None when
-    #: the run had no degraded epochs, no healthy ones, or no timing)
-    degraded_ratio: "float | None"
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,6 @@ def run_scenario(
             checkpoint_dir if checkpoint_dir is not None else tmp,
             f"{scenario.name}-{plane}.ckpt",
         )
-        telemetry = None
         if plane == "sim":
             platform = parity_platform(scenario.n_workers)
             backend = SimBackend(
@@ -128,9 +120,6 @@ def run_scenario(
                 barrier_timeout_s=scenario.barrier_timeout_s,
             )
         else:
-            from repro.obs import Telemetry
-
-            telemetry = Telemetry()
             backend = ProcessBackend(
                 data,
                 k=scenario.k,
@@ -143,7 +132,6 @@ def run_scenario(
         engine = EpochEngine(
             backend,
             channel=QOnlyChannel(),
-            telemetry=telemetry,
             recovery=scenario.recovery,
             checkpoint_path=ckpt_path,
         )
@@ -160,10 +148,6 @@ def run_scenario(
             summary = err.summary
             checkpoint_written = _checkpoint_readable(err.checkpoint_path)
         decisions = tuple(summary.decisions) if summary is not None else ()
-        if plane == "sim":
-            ratio = _sim_degraded_ratio(backend.cost_log)
-        else:
-            ratio = _process_degraded_ratio(telemetry, decisions)
         return PlaneOutcome(
             plane=plane,
             scenario_name=scenario.name,
@@ -180,7 +164,6 @@ def run_scenario(
             rmse_history=(
                 tuple(result.rmse_history) if result is not None else ()
             ),
-            degraded_ratio=ratio,
         )
 
 
@@ -195,67 +178,6 @@ def _checkpoint_readable(path: "str | None") -> bool:
     except (FileNotFoundError, ValueError):
         return False
     return True
-
-
-def _sim_degraded_ratio(cost_log) -> "float | None":
-    """Degraded/healthy mean analytic epoch cost off the sim's log."""
-    healthy = [cost for _, cost, degraded in cost_log if not degraded]
-    degraded = [cost for _, cost, degraded in cost_log if degraded]
-    if not healthy or not degraded:
-        return None
-    mean_h = sum(healthy) / len(healthy)
-    if mean_h <= 0:
-        return None
-    return (sum(degraded) / len(degraded)) / mean_h
-
-
-def _process_degraded_ratio(telemetry, decisions) -> "float | None":
-    """Degraded/healthy mean measured epoch duration off the timeline.
-
-    An epoch's duration follows Eq. 1's shape: the slowest worker's
-    pull+compute+push for the attempt that completed it (its SYNC span
-    names that attempt), plus the server's merge time.  An epoch is
-    degraded iff a redistribute decision landed at or before it.
-
-    The earliest completed epoch is excluded: its measured duration is
-    dominated by warm-up (cold caches, first-touch page faults) that
-    the sim's analytic cost has no counterpart for, and at harness
-    scale it can swing the baseline mean by multiples either way.
-    """
-    timeline: "Timeline | None" = getattr(telemetry, "timeline", None)
-    if timeline is None or not len(timeline):
-        return None
-    spans = timeline.spans
-    completed: dict[int, int] = {}  # epoch -> attempt of its sync
-    for s in spans:
-        if s.phase is Phase.SYNC:
-            completed[s.epoch] = max(s.attempt, completed.get(s.epoch, -1))
-    if completed:
-        completed.pop(min(completed))  # warm-up epoch
-    redist = [e for e, _, action in decisions
-              if action == RecoveryAction.REDISTRIBUTE.value]
-    healthy: list[float] = []
-    degraded: list[float] = []
-    for epoch, attempt in completed.items():
-        per_worker: dict[str, float] = {}
-        sync_s = 0.0
-        for s in spans:
-            if s.epoch != epoch or s.attempt != attempt:
-                continue
-            if s.phase in (Phase.PULL, Phase.COMPUTE, Phase.PUSH):
-                per_worker[s.worker] = per_worker.get(s.worker, 0.0) + s.duration
-            elif s.phase is Phase.SYNC:
-                sync_s += s.duration
-        if not per_worker:
-            continue
-        duration = max(per_worker.values()) + sync_s
-        (degraded if any(r <= epoch for r in redist) else healthy).append(duration)
-    if not healthy or not degraded:
-        return None
-    mean_h = sum(healthy) / len(healthy)
-    if mean_h <= 0:
-        return None
-    return (sum(degraded) / len(degraded)) / mean_h
 
 
 def check_parity(
@@ -305,14 +227,6 @@ def check_parity(
                 f"missing history: sim={len(sim.rmse_history)} "
                 f"process={len(process.rmse_history)} epochs",
             ))
-    ratios = (
-        "n/a" if r is None else f"{r:.3f}"
-        for r in (sim.degraded_ratio, process.degraded_ratio)
-    )
-    checks.append(ParityCheck(
-        "cost-ratio", True,
-        "degraded/healthy sim={} process={} (reported, not gated)".format(*ratios),
-    ))
     return ParityReport(sim.scenario_name, tuple(checks))
 
 

@@ -19,6 +19,7 @@ HOT = "src/repro/mf/kernels.py"          # hot path + kernel module
 WORKER = "src/repro/engine/worker_proc.py"  # hot path + worker loop
 COST = "src/repro/core/cost_model.py"    # cost-model module
 NEUTRAL = "src/repro/experiments/report.py"  # none of the above
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def issues_for(source, path=NEUTRAL, rule=None):
@@ -194,6 +195,63 @@ class TestShmLifecycle:
             register_global(shm)
         """
         assert issues_for(src, rule="shm-lifecycle") == []
+
+    def test_a_try_that_closes_something_else_covers_nothing(self):
+        """The handler closes a stack the segment was never registered
+        with, and the list it is kept in is released by nobody."""
+        src = """
+        class Holder:
+            def open(self, stack, n):
+                self._bufs = []
+                try:
+                    for _ in range(n):
+                        buf = SharedArray.create((n,))
+                        self._bufs.append(buf)
+                except BaseException:
+                    stack.close()
+                    raise
+        """
+        issues = issues_for(src, rule="shm-lifecycle")
+        assert [i.line for i in issues] == [7]
+
+    def test_appended_to_a_list_its_class_releases_is_clean(self):
+        src = """
+        class Holder:
+            def open(self, n):
+                self._bufs = []
+                for _ in range(n):
+                    buf = SharedArray.create((n,))
+                    self._bufs.append(buf)
+
+            def close(self):
+                for buf in self._bufs:
+                    buf.unlink()
+        """
+        assert issues_for(src, rule="shm-lifecycle") == []
+
+    def test_a_registration_for_an_earlier_binding_of_the_name_covers_nothing(self):
+        src = """
+        def open(stack, n):
+            buf = SharedArray.create((n,))
+            stack.callback(buf.unlink)
+            buf = SharedArray.create((n,))
+            return buf.spec
+        """
+        issues = issues_for(src, rule="shm-lifecycle")
+        assert [i.line for i in issues] == [5]
+
+    @pytest.mark.parametrize("line", [
+        # a push wire: appended to self._push_bufs, which close() never reads
+        "                self._stack.callback(buf.unlink)\n",
+        # a span ring: SpanRing.create makes a segment like SharedArray.create
+        "                    self._stack.callback(ring.unlink)\n",
+    ], ids=["push-wire", "span-ring"])
+    def test_process_backend_segment_left_unregistered(self, line):
+        rel = "repro/engine/backends.py"
+        source = (SRC / rel).read_text(encoding="utf-8")
+        assert source.count(line) == 1, f"{rel} no longer holds the line"
+        found = lint_source(source.replace(line, ""), str(SRC / rel))
+        assert [i.rule_id for i in found] == ["HCC101"], render_text(found)
 
 
 class TestHotCopy:
@@ -729,7 +787,6 @@ class TestRepoIsClean:
 # ---------------------------------------------------------------------------
 # the mutation table: one edit of real src/ code per rule
 # ---------------------------------------------------------------------------
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: (rule id, file under src/, a line of it, what replaces that line).
 #: Each edit is a slip the rule exists for; the edited file must report

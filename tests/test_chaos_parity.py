@@ -17,6 +17,9 @@ import pytest
 from repro.core.cost_model import Regime, TimeCostModel
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
+from repro.engine.backends import SimBackend
+from repro.engine.channels import QOnlyChannel
+from repro.engine.pipeline import EpochEngine
 from repro.hardware.topology import paper_workstation
 from repro.core.partition import redistribute
 from repro.testing import (
@@ -25,6 +28,7 @@ from repro.testing import (
     check_parity,
     default_matrix,
     generate_scenarios,
+    parity_platform,
     run_scenario,
 )
 
@@ -89,14 +93,38 @@ class TestDefaultMatrixSim:
         b = run_scenario(scenario, "sim")
         assert a.rmse_history == b.rmse_history
         assert a.decisions == b.decisions
-        assert a.degraded_ratio == b.degraded_ratio
 
-    def test_degraded_epochs_logged_and_priced(self):
-        """After a kill the sim's cost log flips to degraded pricing."""
+    def test_degraded_epochs_are_priced_over_the_survivors(self):
+        """Each synced epoch adds its plan's analytic cost to the sim
+        clock: before the kill over all three workers, and after the
+        redistribution over the two survivors and their fractions."""
         scenario = _by_name("kill-soft")
-        outcome = run_scenario(scenario, "sim")
-        assert outcome.degraded_ratio is not None
-        assert outcome.degraded_ratio > 0
+        (kill,) = scenario.fault_plan.faults
+        platform = parity_platform(scenario.n_workers)
+        cost_model = TimeCostModel(
+            platform, NETFLIX.scaled(scenario.data_nnz), k=scenario.k
+        )
+        data = NETFLIX.scaled(scenario.data_nnz).generate(seed=scenario.seed)
+        backend = SimBackend(
+            platform, data.shuffle(scenario.seed), k=scenario.k,
+            lr=scenario.lr, seed=scenario.seed, cost_model=cost_model,
+            fault_plan=scenario.fault_plan,
+            barrier_timeout_s=scenario.barrier_timeout_s,
+        )
+        result = EpochEngine(
+            backend, channel=QOnlyChannel(), recovery=scenario.recovery
+        ).run(scenario.epochs)
+        assert [d[2] for d in result.resilience.decisions] == ["redistribute"]
+        survivors = [w for r, w in enumerate(platform.workers) if r != kill.rank]
+        healthy = cost_model.epoch_cost(result.plan.fractions).total
+        degraded = cost_model.epoch_cost(
+            result.final_plan.fractions, workers=survivors
+        ).total
+        assert result.final_plan.n_workers == len(survivors) == 2
+        assert degraded != healthy
+        assert backend.sim_seconds == pytest.approx(
+            kill.epoch * healthy + (scenario.epochs - kill.epoch) * degraded
+        )
 
 
 class TestRandomizedSweep:

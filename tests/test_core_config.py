@@ -43,7 +43,6 @@ class TestHCCConfig:
         assert c.k == 128
         assert c.lambda_threshold == 10.0  # the paper's lambda
         assert c.partition is PartitionStrategy.AUTO
-        assert c.dp1_tolerance == 0.1      # Algorithm 1's 10% criterion
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -54,8 +53,6 @@ class TestHCCConfig:
             HCCConfig(lambda_threshold=0)
         with pytest.raises(ValueError):
             HCCConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            HCCConfig(dp1_tolerance=1.0)
 
     def test_with_comm_helper(self):
         c = HCCConfig().with_comm(fp16=True, streams=2)

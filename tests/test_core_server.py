@@ -40,23 +40,23 @@ class TestLifecycle:
         server.begin_epoch()
         assert server.epochs_started == 2
 
-    def test_epochs_rotate_over_the_pull_wires(self):
+    def test_every_epoch_encodes_into_the_same_wire(self):
+        """Strategy 3 included: the wire is rewritten only after the
+        epoch before has merged, so one is all an epoch needs."""
         model = MFModel.init(6, 8, 4, seed=0)
         server = ParameterServer(model, 1, channel=DoubleBufferChannel())
-        assert len(server.pull_wires) == 2
         seen = []
         for _ in range(3):
             server.begin_epoch()
             seen.append(server.pull_wire)
             np.testing.assert_array_equal(server.pull_wire, model.Q)
             model.Q += 1.0
-        assert seen[0] is server.pull_wires[0] is seen[2]
-        assert seen[1] is server.pull_wires[1]
+        assert seen[0] is seen[1] is seen[2]
 
     def test_serves_the_wires_it_is_given(self):
         model = MFModel.init(6, 8, 4, seed=0)
         pull, push = np.zeros((4, 8), np.float32), np.zeros((4, 8), np.float32)
-        server = ParameterServer(model, 1, channel=Channel(), wires=([pull], [push]))
+        server = ParameterServer(model, 1, channel=Channel(), wires=(pull, [push]))
         server.begin_epoch()
         np.testing.assert_array_equal(pull, model.Q)
         server.push(0, model.Q + 1.0)
@@ -108,14 +108,14 @@ class TestSync:
             ParameterServer(MFModel.init(2, 2, 2), n_workers=0, channel=Channel())
 
     def test_q_base_guard(self):
-        """The merge base is *this* epoch's pull wire, not the other one
-        of the rotation, which still holds the epoch before."""
+        """The merge base is *this* epoch's encode of Q, not the one
+        the epoch before left on the wire."""
         model = MFModel.init(6, 8, 4, seed=0)
         server = ParameterServer(model, 1, channel=DoubleBufferChannel())
         with pytest.raises(RuntimeError, match="begin_epoch"):
             server.pull_wire
         server.begin_epoch()
-        model.Q += 1.0      # epoch 2 starts from another Q than wire 0 holds
+        model.Q += 1.0      # epoch 2 starts from another Q than epoch 1 encoded
         server.begin_epoch()
         base = model.Q.copy()
         np.testing.assert_array_equal(server.pull_wire, base)
@@ -134,7 +134,7 @@ class TestColumnSets:
         worker 1 carries everything."""
         model = MFModel.init(6, 8, 4, seed=0)
         pull, push0, push1 = (np.zeros((4, 8), np.float32) for _ in range(3))
-        wires = ([pull], [push0, push1])
+        wires = (pull, [push0, push1])
         server = ParameterServer(
             model, 2, channel=Channel(), wires=wires, columns=[self.COLS, None]
         )

@@ -1,20 +1,17 @@
 """Unit tests for the channel middlewares (repro.engine.channels)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core.comm import CommPlan
+from repro.core.comm import CommPlan, WireTraffic
 from repro.core.config import CommConfig, TransmitMode
 from repro.data.datasets import NETFLIX
 from repro.engine.channels import (
+    Q_ROTATE_IS_PRICED_NOT_TRAINED,
     Channel,
     DoubleBufferChannel,
     Fp16Channel,
     QOnlyChannel,
-    QRotateChannel,
-    WireTraffic,
     channel_for,
 )
 
@@ -39,43 +36,39 @@ class TestWireTraffic:
 
 class TestTrafficAccounting:
     def test_base_channel_moves_both_matrices(self):
-        t = Channel().traffic(M, N, K)
+        t = WireTraffic.of(TransmitMode.P_AND_Q, M, N, K)
         assert t.pull_values == t.push_values == K * (M + N)
         assert t.final_push_values == 0
         assert t.sync_values == K * (M + N)
 
     def test_q_only_strategy1(self):
-        t = QOnlyChannel().traffic(M, N, K)
+        t = WireTraffic.of(TransmitMode.Q_ONLY, M, N, K)
         assert t.pull_values == t.push_values == K * N
         assert t.final_push_values == K * M  # P, once after training
         assert t.sync_values == K * N
 
     def test_q_rotate_has_no_server_sync(self):
-        t = QRotateChannel().traffic(M, N, K)
+        t = WireTraffic.of(TransmitMode.Q_ROTATE, M, N, K)
+        assert t.pull_values == t.push_values == K * N
         assert t.sync_values == 0
         assert t.final_push_values == K * (M + N)
 
-    def test_wrappers_delegate_traffic_inward(self):
-        assert Fp16Channel(QOnlyChannel()).traffic(M, N, K) == QOnlyChannel().traffic(M, N, K)
-        assert DoubleBufferChannel(QOnlyChannel()).traffic(M, N, K) == QOnlyChannel().traffic(M, N, K)
-
     def test_fp16_halves_bytes_not_values(self):
-        fp32 = QOnlyChannel()
-        fp16 = Fp16Channel(QOnlyChannel())
-        assert fp16.traffic(M, N, K) == fp32.traffic(M, N, K)
-        assert fp16.wire_itemsize == fp32.wire_itemsize // 2
+        fp32 = CommPlan.for_dataset(NETFLIX, K, CommConfig())
+        fp16 = CommPlan.for_dataset(NETFLIX, K, CommConfig(fp16=True))
+        assert fp16.sync_values == fp32.sync_values
+        assert fp16.epoch_pull == fp32.epoch_pull // 2
+        assert fp16.epoch_push == fp32.epoch_push // 2
+        assert fp16.final_push_extra == fp32.final_push_extra // 2
 
 
 class TestWireFormat:
     def test_base_is_fp32(self):
-        ch = Channel()
-        assert ch.wire_dtype == "float32"
-        assert not ch.wire_is_fp16
+        assert Channel().wire_dtype == "float32"
 
     def test_fp16_wrapper_changes_wire_dtype_only(self):
         ch = Fp16Channel(QOnlyChannel())
         assert ch.wire_dtype == "float16"
-        assert ch.wire_is_fp16
         assert not ch.transmits_p  # payload selection still delegates inward
 
     def test_fp32_codec_roundtrip_exact(self):
@@ -99,17 +92,6 @@ class TestWireFormat:
 
 
 class TestStacking:
-    def test_depth_and_streams(self):
-        assert Channel().depth == 1
-        assert QOnlyChannel().depth == 1
-        db = DoubleBufferChannel(QOnlyChannel(), streams=3)
-        assert db.depth == 2
-        assert db.streams == 3
-
-    def test_double_buffer_needs_two_streams(self):
-        with pytest.raises(ValueError, match="streams >= 2"):
-            DoubleBufferChannel(QOnlyChannel(), streams=1)
-
     def test_describe_reads_outermost_first(self):
         stack = DoubleBufferChannel(Fp16Channel(QOnlyChannel()))
         assert stack.describe() == "double-buffer(fp16(q-only(full)))"
@@ -132,7 +114,15 @@ class TestChannelFor:
         comm = CommConfig(transmit=TransmitMode.Q_ONLY, fp16=True, streams=2)
         ch = channel_for(comm, NETFLIX.m, NETFLIX.n)
         assert ch.describe() == "double-buffer(fp16(q-only(full)))"
-        assert ch.wire_is_fp16 and ch.depth == 2
+        assert ch.wire_dtype == "float16" and not ch.transmits_p
+
+    def test_q_rotate_is_refused(self):
+        """Q_ROTATE has no pull/push/sync stages to drive: no stack is
+        built for it, on either plane."""
+        comm = CommConfig(transmit=TransmitMode.Q_ROTATE)
+        with pytest.raises(ValueError) as err:
+            channel_for(comm, NETFLIX.m, NETFLIX.n)
+        assert str(err.value) == Q_ROTATE_IS_PRICED_NOT_TRAINED
 
     def test_pq_mode_is_bare_channel(self):
         ch = channel_for(CommConfig(transmit=TransmitMode.P_AND_Q), NETFLIX.m, NETFLIX.n)
@@ -146,7 +136,7 @@ class TestChannelFor:
 
 
 class TestCommPlanBridge:
-    """CommPlan.for_dataset and the channel stack read one traffic table."""
+    """CommPlan.for_dataset prices the traffic table in bytes."""
 
     @pytest.mark.parametrize("transmit", [TransmitMode.P_AND_Q,
                                           TransmitMode.Q_ONLY,
@@ -168,16 +158,3 @@ class TestCommPlanBridge:
             assert plan.sync_values == k * small
         if transmit is TransmitMode.Q_ROTATE:
             assert plan.sync_values == 0
-
-    def test_comm_plan_equals_channel_comm_plan(self):
-        """``core`` prices from the config, the engine from its stack:
-        the same plan, field for field, over every mode and wire format
-        (and on a wide matrix, where both take the grid-major side)."""
-        for spec in (NETFLIX, replace(NETFLIX, m=NETFLIX.n, n=NETFLIX.m)):
-            for transmit in TransmitMode:
-                for fp16 in (False, True):
-                    for streams in (1, 2):
-                        comm = CommConfig(transmit=transmit, fp16=fp16, streams=streams)
-                        via_config = CommPlan.for_dataset(spec, 32, comm)
-                        via_stack = channel_for(comm, spec.m, spec.n).comm_plan(spec, 32)
-                        assert vars(via_config) == vars(via_stack), comm

@@ -1,4 +1,4 @@
-"""The epoch engine: providers, results, and backend parity.
+"""The epoch engine: partition plans, results, and backend parity.
 
 The parity tests spawn real worker processes; sizes are kept small so
 the module runs in a few seconds.
@@ -7,22 +7,19 @@ the module runs in a few seconds.
 import numpy as np
 import pytest
 
+from repro.core.config import CommConfig, TransmitMode
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
 from repro.engine import (
     Channel,
     EngineResult,
     EpochEngine,
-    EvenProvider,
-    FixedPlanProvider,
-    FractionsProvider,
     ProcessBackend,
     QOnlyChannel,
-    QRotateChannel,
     SimBackend,
     STAGES,
     StageEvent,
-    as_provider,
+    channel_for,
 )
 from repro.experiments.platforms import workers_platform
 
@@ -32,38 +29,26 @@ def data():
     return NETFLIX.scaled(5000).generate(seed=7)
 
 
-class TestPartitionProviders:
-    def test_as_provider_none_is_even(self):
-        plan = as_provider(None).plan(3)
-        assert plan.fractions == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+class TestPartitionPlans:
+    def test_no_plan_is_an_even_split(self, data):
+        backend = SimBackend(workers_platform(3), ratings=data, k=4)
+        result = EpochEngine(backend, channel=QOnlyChannel()).run(1)
+        assert result.plan.fractions == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
-    def test_as_provider_wraps_plan(self):
+    def test_the_plan_is_used_as_given(self, data):
         fixed = PartitionPlan("dp1", (0.25, 0.75))
-        provider = as_provider(fixed)
-        assert isinstance(provider, FixedPlanProvider)
-        assert provider.plan(2) is fixed
+        backend = SimBackend(workers_platform(2), ratings=data, k=4)
+        result = EpochEngine(backend, channel=QOnlyChannel(), partitions=fixed).run(1)
+        assert result.plan is fixed
 
-    def test_as_provider_wraps_fractions(self):
-        provider = as_provider([0.4, 0.6])
-        assert isinstance(provider, FractionsProvider)
-        assert provider.plan(2).fractions == pytest.approx((0.4, 0.6))
-
-    def test_as_provider_passes_providers_through(self):
-        even = EvenProvider()
-        assert as_provider(even) is even
-
-    def test_as_provider_rejects_garbage(self):
-        with pytest.raises(TypeError, match="partition provider"):
-            as_provider(42)
-
-    def test_fixed_plan_worker_count_must_match(self):
-        provider = FixedPlanProvider(PartitionPlan("dp0", (0.5, 0.5)))
-        with pytest.raises(ValueError, match="2 fractions"):
-            provider.plan(3)
-
-    def test_fractions_length_must_match(self):
-        with pytest.raises(ValueError, match="for 3 workers"):
-            FractionsProvider((0.5, 0.5)).plan(3)
+    def test_fixed_plan_worker_count_must_match(self, data):
+        backend = SimBackend(workers_platform(3), ratings=data, k=4)
+        engine = EpochEngine(
+            backend, channel=QOnlyChannel(),
+            partitions=PartitionPlan("dp0", (0.5, 0.5)),
+        )
+        with pytest.raises(ValueError, match="2 fractions but the backend runs 3"):
+            engine.run(1)
 
 
 class TestEngineResult:
@@ -114,10 +99,11 @@ class TestProcessChannelGuards:
             engine.run(1)
 
     def test_rejects_q_rotate_channel(self, data):
-        engine = EpochEngine(ProcessBackend(data, k=4, n_workers=1),
-                             channel=QRotateChannel())
-        with pytest.raises(ValueError, match="q-rotate"):
-            engine.run(1)
+        """The process plane gets its stack from ``channel_for``, which
+        builds none for Q_ROTATE: no worker process is ever started."""
+        comm = CommConfig(transmit=TransmitMode.Q_ROTATE)
+        with pytest.raises(ValueError, match="timing plane only"):
+            channel_for(comm, data.m, data.n)
 
 
 class TestBackendParity:

@@ -12,21 +12,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.config import PartitionStrategy
+from repro.core.config import CommConfig, HCCConfig, PartitionStrategy, TransmitMode
 from repro.core.cost_model import TimeCostModel
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX, YAHOO_R1
 from repro.data.grid import GridKind, partition_rows
 from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
-from repro.engine.channels import (
-    DoubleBufferChannel,
-    Fp16Channel,
-    QOnlyChannel,
-    QRotateChannel,
-)
+from repro.engine.channels import DoubleBufferChannel, Fp16Channel, QOnlyChannel
 from repro.engine.pipeline import STAGES, EpochEngine
 from repro.experiments.platforms import workers_platform
+from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
 from repro.resilience import FaultPlan
 from tests.test_engine_startup import factor_crcs
@@ -140,6 +136,14 @@ class TestBadNumbers:
                 EpochEngine(backend, channel=QOnlyChannel()).run(6)
         assert np.isfinite(backend.model.Q).all()
 
+    def test_sim_refuses_a_q_rotate_channel_like_the_process_plane(self, data):
+        """``HCCMF`` with ratings trains on the sim plane; it refuses
+        Q_ROTATE with the same message ``channel_for`` gives the
+        process plane."""
+        config = HCCConfig(k=8, comm=CommConfig(transmit=TransmitMode.Q_ROTATE))
+        with pytest.raises(ValueError, match="timing plane only"):
+            HCCMF(workers_platform(2), NETFLIX.scaled(data.nnz), config, ratings=data)
+
     def test_sim_scans_every_push_once_per_epoch(self, data):
         class Counting(QOnlyChannel):
             calls = 0
@@ -171,10 +175,6 @@ class TestBadNumbers:
         # trained in place, is rolled back to the last synced epoch
         np.testing.assert_array_equal(bits(backend.model.Q), bits(q_before))
         np.testing.assert_array_equal(bits(backend.model.P), bits(p_before))
-
-    def test_sim_refuses_a_q_rotate_channel_like_the_process_plane(self, data):
-        with pytest.raises(ValueError, match="timing plane"):
-            open_sim(2, data, QRotateChannel())
 
 
 class TestDropOnTheWire:
@@ -238,7 +238,7 @@ class TestColumnSetNumerics:
     ):
         """The same run with the rule patched to "all" — what every run
         was before — has the same ``rmse_history`` to the bit, on FP32,
-        binary16 and depth-2 rotating wires, and moved 5-7x the values."""
+        binary16 and Strategy-3-labelled wires, and moved 5-7x the values."""
         selected = self.sim(sparse, self.CHANNELS[name], n_workers)
         monkeypatch.setattr("repro.engine.worker_proc.column_set", lambda cols, n: None)
         whole = self.sim(sparse, self.CHANNELS[name], n_workers)
@@ -268,7 +268,9 @@ class TestColumnSetNumerics:
         ]
         push = next(e.detail for e in proc.stage_trace if e.stage == "push")
         sync = next(e.detail for e in proc.stage_trace if e.stage == "sync")
-        assert push["per_worker_bytes"] == tuple(8 * ti * channel.wire_itemsize for ti in t)
+        assert push["per_worker_bytes"] == tuple(
+            8 * ti * np.dtype(channel.wire_dtype).itemsize for ti in t
+        )
         assert push["wire_bytes"] == sum(push["per_worker_bytes"])
         assert sync["merged_values"] == 8 * sum(t) < 8 * sparse.n
 

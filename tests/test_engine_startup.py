@@ -177,7 +177,9 @@ class TestNumericsPinned:
     )
     def test_rmse_history_bit_identical(self, data, name, channel):
         backend = self.backend(data)
-        result = EpochEngine(backend, channel=channel, partitions=(0.6, 0.4)).run(4)
+        result = EpochEngine(
+            backend, channel=channel, partitions=PartitionPlan("fixed", (0.6, 0.4))
+        ).run(4)
         assert factor_crcs(backend.model) == self.FACTORS[name]
         assert [float(r).hex() for r in result.rmse_history] == self.HISTORY[name]
 

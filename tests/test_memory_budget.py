@@ -31,7 +31,12 @@ from repro.core.server import (
 from repro.data.datasets import YAHOO_R1
 from repro.data.ratings import RatingMatrix
 from repro.engine.backends import ProcessBackend, SimBackend, WirePayloadError
-from repro.engine.channels import Channel, Fp16Channel, QOnlyChannel
+from repro.engine.channels import (
+    Channel,
+    DoubleBufferChannel,
+    Fp16Channel,
+    QOnlyChannel,
+)
 from repro.engine.pipeline import EpochEngine
 from repro.engine.worker_proc import local_view
 from repro.hardware.topology import paper_workstation
@@ -467,8 +472,9 @@ class TestParameterServer:
     @pytest.mark.parametrize("channel", [QOnlyChannel(), Fp16Channel(QOnlyChannel())])
     def test_server_keeps_no_copy_of_q_beside_its_wires(self, channel):
         model = MFModel.init(50, N, K)
-        wires = tuple(
-            [np.zeros(model.Q.shape, dtype=channel.wire_dtype)] for _ in range(2)
+        wires = (
+            np.zeros(model.Q.shape, dtype=channel.wire_dtype),
+            [np.zeros(model.Q.shape, dtype=channel.wire_dtype)],
         )
         q_local = model.Q + np.float32(0.01)
 
@@ -587,6 +593,21 @@ class TestProcessBackend:
             backend.close()
         kept = arrays_of_shape(backend, (K, N))
         assert [id(a) for a in kept] == [id(backend.model.Q)]
+
+    def test_a_double_buffer_stack_opens_one_pull_wire(self, ratings):
+        """Strategy 3 is a label on the trained planes: no wire is written
+        while another is read, so its stack opens the same ``(k, n)``
+        segments as the Q-only stack it wraps."""
+        held = []
+        for channel in (QOnlyChannel(), DoubleBufferChannel(QOnlyChannel())):
+            backend = ProcessBackend(ratings, k=K, n_workers=2, barrier_timeout_s=60.0)
+            backend.open(PLAN, channel, None, 1)
+            try:
+                held.append(len(arrays_of_shape(backend, (K, N))))
+            finally:
+                backend.close()
+        # the pull wire, two push wires and the model's Q
+        assert held == [4, 4]
 
     def test_nothing_that_outlives_close_views_a_segment(self, ratings):
         """A view kept past ``SharedArray.unlink()`` does not raise when

@@ -7,6 +7,7 @@ runs in a few seconds.
 import numpy as np
 import pytest
 
+from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
 from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
 from repro.engine.pipeline import EngineResult, StageEvent
@@ -40,7 +41,8 @@ class TestProcessPlane:
 
     def test_custom_fractions(self, data):
         res = train(
-            data, 2, partitions=[0.3, 0.7], k=8, n_workers=2, lr=0.01, seed=0
+            data, 2, partitions=PartitionPlan("fixed", (0.3, 0.7)),
+            k=8, n_workers=2, lr=0.01, seed=0,
         )
         assert res.plan.fractions == pytest.approx([0.3, 0.7])
         assert res.updates_applied == 2 * data.nnz
@@ -63,8 +65,8 @@ class TestProcessPlane:
     def test_validation(self, data):
         with pytest.raises(ValueError):
             ProcessBackend(data, n_workers=0)
-        with pytest.raises(ValueError):
-            train(data, 1, partitions=[1.0], n_workers=2)
+        with pytest.raises(ValueError, match="backend runs 2 workers"):
+            train(data, 1, partitions=PartitionPlan("fixed", (1.0,)), n_workers=2)
         with pytest.raises(ValueError):
             ProcessBackend(data, k=0)
         with pytest.raises(ValueError):
@@ -119,8 +121,6 @@ class TestChannelStrategies:
             assert half == pytest.approx(full / 2)
 
     def test_partition_plan_accepted(self, data):
-        from repro.core.partition import PartitionPlan
-
         res = train(
             data, 2, partitions=PartitionPlan("dp0", (0.35, 0.65)),
             k=8, n_workers=2, lr=0.01, seed=0,
@@ -141,7 +141,7 @@ class TestChannelStrategies:
 
         config = HCCConfig(comm=CommConfig(fp16=True))
         channel = channel_for(config.comm, data.m, data.n)
-        assert channel.wire_is_fp16
+        assert channel.wire_dtype == "float16"
         assert channel.describe() == "fp16(q-only(full))"
 
 
@@ -165,10 +165,6 @@ class TestBarrierDiagnostics:
         assert err.epoch == 1
 
     def test_nonpositive_timeout_rejected(self, data):
-        from repro.core.config import HCCConfig
-
-        with pytest.raises(ValueError, match="barrier_timeout_s"):
-            HCCConfig(barrier_timeout_s=0.0)
         with pytest.raises(ValueError, match="barrier_timeout_s"):
             ProcessBackend(data, barrier_timeout_s=0.0)
 

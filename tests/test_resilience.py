@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core.config import HCCConfig, RecoveryPolicy
+from repro.core.config import RecoveryPolicy
 from repro.core.partition import PartitionPlan, redistribute
 from repro.resilience import (
     Fault,
@@ -161,11 +161,6 @@ class TestRecoveryPolicy:
             RecoveryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RecoveryPolicy(min_workers=0)
-
-    def test_rides_on_hcc_config(self):
-        cfg = HCCConfig(recovery=RecoveryPolicy(max_retries=5))
-        assert cfg.recovery.max_retries == 5
-        assert HCCConfig().recovery is None
 
 
 class TestDecide:
