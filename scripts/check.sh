@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Pre-PR gate: hcclint + dynamic checks + ruff + mypy + pytest.
+# Pre-PR gate: hcclint + perf-smoke + memory-budget + ruff + mypy + pytest.
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast  skip the tier-1 pytest stage (lint/type gates, the smoke
-#           stages and the memory-budget tests still run)
+#   --fast  skip the tier-1 pytest stage: the lint/type gates, perf-smoke
+#           and the memory-budget tests still run.  The race detector,
+#           the plane-parity, fault-recovery and chaos checks and the
+#           instrumented-run smoke are tier-1 tests, so they run in the
+#           pytest stage only (which CI always runs).
 #
 # ruff and mypy are part of the dev extra (pip install -e ".[dev]"); when
 # they are not installed the stage is reported as SKIPPED rather than
@@ -11,7 +14,7 @@
 # pytest have no extra dependencies and always run.
 #
 # Stages are classified as "lint" (static analysis, style, types) or
-# "test" (dynamic checks and the tier-1 suite), and the exit code says
+# "test" (the benchmark smoke and the test suites), and the exit code says
 # which side broke:
 #   0  everything passed
 #   2  lint-stage failure(s) only
@@ -79,54 +82,7 @@ skipped() {  # skipped <lint|test> <name> <reason>
 # HCC2xx tier (docs/static_analysis.md); any finding fails the stage
 stage lint "hcclint" python -m repro lint src
 
-# 2. race-check: dynamic P-row ownership + one-copy discipline proof
-stage test "race-check" python -m repro race-check --inject-overlap
-
-# 2b. instrumented-run smoke: a tiny real training must produce a
-# loadable Chrome trace (the telemetry plane's end-to-end guarantee)
-obs_smoke() {
-    local tmpdir trace metrics
-    tmpdir="$(mktemp -d)" || return 1
-    trace="$tmpdir/run.json"
-    metrics="$tmpdir/run.jsonl"
-    python -m repro train --nnz 2000 --epochs 2 --k 8 \
-        --trace "$trace" --metrics "$metrics" \
-        && python -m repro obs-report --trace "$trace" --metrics "$metrics" \
-            > /dev/null
-    local rc=$?
-    rm -rf "$tmpdir"
-    return "$rc"
-}
-stage test "obs-smoke" obs_smoke
-
-# 2c. engine-parity: the sim and process planes must execute the same
-# stage sequence with the same per-epoch update counts (docs/engine.md)
-# — on the Netflix shape, where every shard rates every column, and on
-# the R1 shape, where each rates a fifth of them and its wire is that
-# column set (core.server.column_set)
-engine_parity() {
-    python -m repro engine-parity --nnz 4000 --epochs 2 --k 8 --workers 2 \
-        && python -m repro engine-parity --dataset R1 --nnz 4000 --epochs 2 --k 8 --workers 2
-}
-stage test "engine-parity" engine_parity
-
-# 2d. fault-smoke: kill a worker mid-run; recovery must redistribute its
-# shard and converge within tolerance of the fault-free baseline
-# (docs/resilience.md) — again on both shapes: on R1 the re-open
-# derives the survivors' column sets from their new shards
-fault_smoke() {
-    python -m repro fault-smoke --nnz 4000 --epochs 4 --k 8 --workers 3 --barrier-timeout 5 \
-        && python -m repro fault-smoke --dataset R1 --nnz 4000 --epochs 4 --k 8 --workers 3 --barrier-timeout 5
-}
-stage test "fault-smoke" fault_smoke
-
-# 2e. chaos-parity: a small seeded fault matrix through both planes —
-# one scenario cross-plane, the rest sim-only invariants — plus a
-# randomized sim-only sweep (docs/resilience.md)
-stage test "chaos-parity" python -m repro chaos-parity \
-    --seed 0 --process-scenarios 1 --sim-scenarios 8
-
-# 2f. perf-smoke: the repo benchmark (BENCHMARK.json, perf/README.md)
+# 2. perf-smoke: the repo benchmark (BENCHMARK.json, perf/README.md)
 # at toy sizes — every workload, both passes, every metric emitted and
 # every check green — plus the benchmark's own tests, so a change that
 # breaks a front door the benchmark drives fails here, not in the
@@ -137,7 +93,7 @@ perf_smoke() {
 }
 stage test "perf-smoke" perf_smoke
 
-# 2g. memory-budget: the epoch path's tracemalloc budgets and the
+# 3. memory-budget: the epoch path's tracemalloc budgets and the
 # bit-identity of the blocked residual, fused codec and merge_delta
 # against their full-array references (docs/engine.md, "Memory on the
 # epoch path").  A few seconds, so it also runs under --fast and a
@@ -145,7 +101,7 @@ stage test "perf-smoke" perf_smoke
 # dot among the tier-1 tests.
 stage test "memory-budget" python -m pytest tests/test_memory_budget.py -q
 
-# 3. ruff (style/pyflakes), if installed
+# 4. ruff (style/pyflakes), if installed
 if command -v ruff >/dev/null 2>&1; then
     stage lint "ruff" ruff check src tests
 elif python -c "import ruff" >/dev/null 2>&1; then
@@ -154,7 +110,7 @@ else
     skipped lint "ruff" "not installed; pip install -e '.[dev]'"
 fi
 
-# 4. mypy (types), if installed
+# 5. mypy (types), if installed
 if command -v mypy >/dev/null 2>&1; then
     stage lint "mypy" mypy
 elif python -c "import mypy" >/dev/null 2>&1; then
@@ -163,7 +119,12 @@ else
     skipped lint "mypy" "not installed; pip install -e '.[dev]'"
 fi
 
-# 5. tier-1 tests
+# 6. tier-1 tests: every dynamic check runs here once — the race
+# detector (tests/test_analysis_race.py), plane parity
+# (tests/test_engine_pipeline.py, tests/test_engine_planes.py), kill
+# recovery (tests/test_engine_recovery.py), the chaos matrix
+# (tests/test_chaos_parity.py) and the instrumented-run smoke
+# (tests/test_cli.py)
 if [ "$fast" -eq 1 ]; then
     skipped test "pytest" "--fast"
 else

@@ -19,8 +19,10 @@ Three layers, all guarding properties the paper only *assumes*:
 
 Lint findings print as text through :mod:`repro.analysis.reporters`.
 
-Entry points: ``repro lint`` and ``repro race-check`` on the CLI, or
-:func:`lint_paths` / :func:`race_check` from Python.
+Entry points: ``repro lint`` on the CLI, or :func:`lint_paths` from
+Python.  The race detector has no command: it runs as tier-1 tests
+(``tests/test_analysis_race.py``) over the DP0/DP1/DP2 plans and a
+deliberately overlapping one.
 """
 
 from repro.analysis.cfg import CFG, Block, build_cfg
@@ -46,7 +48,6 @@ from repro.analysis.race import (
     RaceReport,
     RaceViolation,
     check_row_ownership,
-    race_check,
     tracked_train,
 )
 from repro.analysis.reporters import render_text
@@ -69,7 +70,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "module_summaries",
-    "race_check",
     "reaching_definitions",
     "render_text",
     "run_analysis",

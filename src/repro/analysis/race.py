@@ -34,11 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.partition import PartitionPlan, dp0, dp1, dp2
 from repro.core.server import ParameterServer
 from repro.data.grid import GridAssignment
 from repro.data.ratings import RatingMatrix
-from repro.data.synthetic import SyntheticConfig, generate_low_rank
 from repro.engine.channels import Channel
 from repro.engine.worker_proc import NullRecorder, local_view, worker_epoch
 from repro.hardware.timeline import Phase
@@ -417,7 +415,7 @@ def tracked_train(
 
 
 # ---------------------------------------------------------------------------
-# end-to-end check (CLI + test entry point)
+# the detector's self-test: a deliberately overlapping plan
 # ---------------------------------------------------------------------------
 def inject_overlap(
     assignments: Sequence[GridAssignment],
@@ -438,108 +436,3 @@ def inject_overlap(
         entries=np.concatenate([a0.entries, a1.entries]),
     )
     return [assignments[0], corrupted, *assignments[2:]]
-
-
-def _demo_plans(n_workers: int) -> dict[str, PartitionPlan]:
-    """DP0/DP1/DP2 plans over a synthetic heterogeneous platform.
-
-    Worker 0 plays the GPU (fastest independent time); DP1 compensates a
-    modeled CPU-side interference penalty; DP2 staggers by a sync time.
-    """
-    rates = [1.0 + 1.5 * i for i in range(n_workers)]
-    is_gpu = [i == 0 for i in range(n_workers)]
-
-    def measure(x: Sequence[float]) -> list[float]:
-        # co-running interference: CPU-class workers run 25% slow (the
-        # runtime effect DP1's compensation loop exists to absorb)
-        return [
-            r * xi * (1.0 if gpu else 1.25)
-            for r, xi, gpu in zip(rates, x, is_gpu)
-        ]
-
-    plans = {"dp0": dp0(rates)}
-    if n_workers > 1:
-        plans["dp1"] = dp1(plans["dp0"], measure, is_gpu)
-        plans["dp2"] = dp2(plans["dp1"], sync_time=0.02 * min(rates))
-    return plans
-
-
-@dataclass
-class RaceCheckResult:
-    """Everything ``repro race-check`` produced."""
-
-    reports: list[RaceReport]
-    static_violations: dict[str, list[RaceViolation]]
-    injected_report: RaceReport | None = None
-
-    @property
-    def injected_detected(self) -> bool:
-        return self.injected_report is not None and not self.injected_report.ok
-
-    @property
-    def ok(self) -> bool:
-        clean = all(r.ok for r in self.reports) and not any(
-            self.static_violations.values()
-        )
-        if self.injected_report is not None:
-            # the corrupted run must be *caught* for the check to pass
-            clean = clean and self.injected_detected
-        return clean
-
-    def render(self) -> str:
-        lines = []
-        for label, violations in self.static_violations.items():
-            if violations:
-                lines.append(f"[{label}] static ownership check: "
-                             f"{len(violations)} violation(s)")
-                lines += [f"  - [{v.kind}] {v.message}" for v in violations]
-            else:
-                lines.append(f"[{label}] static ownership check: OK")
-        lines += [r.render() for r in self.reports]
-        if self.injected_report is not None:
-            lines.append(self.injected_report.render())
-            lines.append(
-                "injected overlap detected: "
-                + ("yes (detector works)" if self.injected_detected
-                   else "NO — detector miss")
-            )
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(f"race-check: {verdict}")
-        return "\n".join(lines)
-
-
-def race_check(
-    n_workers: int = 3,
-    nnz: int = 2000,
-    epochs: int = 2,
-    seed: int = 0,
-    with_injected_overlap: bool = False,
-) -> RaceCheckResult:
-    """Prove P-row ownership + one-copy discipline for DP0/DP1/DP2 plans.
-
-    With ``with_injected_overlap`` the DP0 plan is additionally run with
-    a deliberately corrupted assignment, demonstrating that the detector
-    catches the collision (that run is *expected* to report violations
-    and does not affect :attr:`RaceCheckResult.ok`).
-    """
-    config = SyntheticConfig(
-        m=40 * n_workers, n=20 * n_workers, nnz=nnz, rating_step=0.5
-    )
-    ratings = generate_low_rank(config, seed=seed).shuffle(seed)
-    reports: list[RaceReport] = []
-    static: dict[str, list[RaceViolation]] = {}
-    for label, plan in _demo_plans(n_workers).items():
-        assignments = plan.materialize(ratings)
-        static[label] = check_row_ownership(assignments, ratings)
-        reports.append(
-            tracked_train(
-                ratings, assignments, epochs=epochs, seed=seed, label=label
-            )
-        )
-    result = RaceCheckResult(reports=reports, static_violations=static)
-    if with_injected_overlap and n_workers >= 2:
-        corrupted = inject_overlap(_demo_plans(n_workers)["dp0"].materialize(ratings))
-        result.injected_report = tracked_train(
-            ratings, corrupted, epochs=1, seed=seed, label="dp0+injected-overlap"
-        )
-    return result

@@ -27,22 +27,6 @@ Commands
     Summarize an instrumented run offline from its ``--trace`` /
     ``--metrics`` / ``--hotpaths`` artifacts (ASCII Gantt, phase
     totals, metric values, stage-attributed hotpath table).
-``race-check``
-    Prove the P-row ownership and one-copy buffer invariants with the
-    dynamic race detector (DP0/DP1/DP2 plans, optional injected bug).
-``engine-parity``
-    Run the same tiny workload through the sim and process backends of
-    the epoch engine and fail if their stage sequences or per-epoch
-    update counts diverge (the planes-unified gate of scripts/check.sh).
-``fault-smoke``
-    Train twice on the process plane, once with a worker killed
-    mid-run, and fail unless recovery redistributes its shard and the
-    final RMSE stays within tolerance of the fault-free run.
-``chaos-parity``
-    Run the seeded fault matrix through both planes and hold them to
-    the differential contract (identical recovery decisions and final
-    fractions, RMSE within tolerance), plus a randomized sim-only
-    invariant sweep.
 """
 
 from __future__ import annotations
@@ -251,70 +235,6 @@ def _train_process(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engine_parity(args: argparse.Namespace) -> int:
-    """Diff the two planes' executed pipelines through the epoch engine.
-
-    Runs one identical workload (same ratings, channel stack, even
-    partition) through :class:`SimBackend` and :class:`ProcessBackend`
-    and compares the engine's stage trace: the executed ``(epoch,
-    stage)`` sequence and the per-epoch per-worker SGD update counts.
-    Any divergence means the planes no longer run the same pipeline.
-    """
-    from repro.data.datasets import get_dataset
-    from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel, SimBackend
-    from repro.experiments.platforms import workers_platform
-
-    spec = get_dataset(args.dataset)
-    ratings = spec.scaled(args.nnz).generate(seed=args.seed)
-
-    sim_backend = SimBackend(
-        workers_platform(args.workers),
-        ratings=ratings,
-        eval_data=ratings,
-        k=args.k,
-        lr=args.lr,
-        reg=0.02,
-        batch_size=2048,
-        seed=args.seed,
-    )
-    sim = EpochEngine(sim_backend, channel=QOnlyChannel()).run(args.epochs)
-
-    proc_backend = ProcessBackend(
-        ratings,
-        k=args.k,
-        n_workers=args.workers,
-        lr=args.lr,
-        reg=0.02,
-        batch_size=2048,
-        seed=args.seed,
-    )
-    proc = EpochEngine(proc_backend, channel=QOnlyChannel()).run(args.epochs)
-
-    ok = True
-    if sim.stage_sequence() != proc.stage_sequence():
-        ok = False
-        print("FAIL: stage sequences diverge")
-        print(f"  sim ({sim.backend}):     {sim.stage_sequence()}")
-        print(f"  process ({proc.backend}): {proc.stage_sequence()}")
-    else:
-        print(f"stage sequence: identical — {len(sim.stage_trace)} stages "
-              f"over {args.epochs} epochs "
-              f"({' -> '.join(s for _, s in sim.stage_sequence()[:4])} per epoch)")
-    sim_updates, proc_updates = sim.epoch_updates(), proc.epoch_updates()
-    if sim_updates != proc_updates:
-        ok = False
-        print("FAIL: per-epoch update counts diverge")
-        for epoch in sorted(set(sim_updates) | set(proc_updates)):
-            print(f"  epoch {epoch}: sim {sim_updates.get(epoch)} "
-                  f"vs process {proc_updates.get(epoch)}")
-    else:
-        print(f"update counts: identical — {sim.updates_applied:,} SGD "
-              f"updates per plane across {args.workers} workers")
-    print(f"parity: {'OK' if ok else 'FAILED'} "
-          f"(dataset {spec.name}, nnz {ratings.nnz}, k {args.k})")
-    return 0 if ok else 1
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     """Offline view of an instrumented run's artifacts."""
     from repro.hardware.trace import import_chrome_trace
@@ -471,157 +391,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if issues else 0
 
 
-def _cmd_fault_smoke(args: argparse.Namespace) -> int:
-    """End-to-end resilience smoke: kill a worker mid-run, recover, compare.
-
-    Trains the same synthetic workload twice on the process plane — once
-    fault-free, once with a worker killed by an injected fault and a
-    recovery policy active — and requires the recovered run to finish
-    every epoch with a final RMSE within ``--tolerance`` of the
-    fault-free baseline, having redistributed the dead worker's shard.
-    """
-    from repro.core.config import RecoveryPolicy
-    from repro.data.datasets import get_dataset
-    from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
-    from repro.resilience import FaultPlan
-
-    if args.workers < 2:
-        print("fault-smoke needs at least 2 workers (one dies)", file=sys.stderr)
-        return 2
-    spec = get_dataset(args.dataset)
-    ratings = spec.scaled(args.nnz).generate(seed=args.seed)
-
-    kw = dict(k=args.k, n_workers=args.workers, seed=args.seed)
-    baseline = EpochEngine(
-        ProcessBackend(ratings, **kw), channel=QOnlyChannel()
-    ).run(args.epochs)
-
-    victim = args.workers - 1
-    kill_epoch = min(1, args.epochs - 1)
-    faulted = EpochEngine(
-        ProcessBackend(
-            ratings,
-            fault_plan=FaultPlan().kill(victim, epoch=kill_epoch),
-            barrier_timeout_s=args.barrier_timeout,
-            **kw,
-        ),
-        channel=QOnlyChannel(),
-        recovery=RecoveryPolicy(),
-    ).run(args.epochs)
-
-    summary = faulted.resilience
-    rel = abs(faulted.rmse_history[-1] - baseline.rmse_history[-1]) / abs(
-        baseline.rmse_history[-1]
-    )
-    print(f"baseline: rmse {baseline.rmse_history[-1]:.6f} over "
-          f"{args.epochs} epochs, {args.workers} workers")
-    print(f"faulted:  rmse {faulted.rmse_history[-1]:.6f}, "
-          f"worker-{victim} killed at epoch {kill_epoch}")
-    print(f"recovery: {summary.describe()}")
-    for line in summary.failures:
-        print(f"  {line}")
-    ok = True
-    if len(faulted.rmse_history) != args.epochs:
-        ok = False
-        print(f"FAIL: faulted run finished only "
-              f"{len(faulted.rmse_history)}/{args.epochs} epochs")
-    if summary.redistributions < 1:
-        ok = False
-        print("FAIL: dead worker's shard was never redistributed")
-    if summary.final_workers != args.workers - 1:
-        ok = False
-        print(f"FAIL: expected {args.workers - 1} surviving workers, "
-              f"got {summary.final_workers}")
-    if rel > args.tolerance:
-        ok = False
-        print(f"FAIL: final RMSE diverged {rel:.2%} from baseline "
-              f"(tolerance {args.tolerance:.2%})")
-    else:
-        print(f"final RMSE within {rel:.2%} of baseline "
-              f"(tolerance {args.tolerance:.2%})")
-    print(f"fault-smoke: {'OK' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
-def _cmd_chaos_parity(args: argparse.Namespace) -> int:
-    """Differential chaos gate: both planes, same faults, same story.
-
-    Runs the named default matrix: the first ``--process-scenarios``
-    scenarios go through *both* backends and are held to the parity
-    contract; the remainder run sim-only against the safety invariants.
-    Then sweeps ``--sim-scenarios`` seeded randomized scenarios
-    (sim-only, fast) for the same invariants.  Any violation prints the
-    reproducing seed.
-    """
-    from repro.testing import (
-        check_invariants,
-        check_parity,
-        default_matrix,
-        generate_scenarios,
-        run_scenario,
-    )
-
-    matrix = default_matrix(args.seed)
-    n_both = len(matrix) if args.process_scenarios < 0 else args.process_scenarios
-    ok = True
-    for i, scenario in enumerate(matrix):
-        if i < n_both:
-            sim = run_scenario(scenario, "sim")
-            process = run_scenario(scenario, "process")
-            report = check_parity(sim, process, rmse_rel_tol=args.rmse_tol)
-            print(report.describe())
-            if not report.ok:
-                ok = False
-                print(f"  reproduce: {scenario.describe()}")
-            for plane, outcome in (("sim", sim), ("process", process)):
-                for problem in check_invariants(scenario, outcome):
-                    ok = False
-                    print(f"  INVARIANT [{plane}] {problem} "
-                          f"({scenario.describe()})")
-        else:
-            outcome = run_scenario(scenario, "sim")
-            problems = check_invariants(scenario, outcome)
-            status = "ok" if not problems else "FAIL"
-            print(f"scenario {scenario.name} (sim only): {status}")
-            for problem in problems:
-                ok = False
-                print(f"  INVARIANT {problem} ({scenario.describe()})")
-    if args.sim_scenarios > 0:
-        clean = 0
-        for scenario in generate_scenarios(args.seed, args.sim_scenarios):
-            outcome = run_scenario(scenario, "sim")
-            problems = check_invariants(scenario, outcome)
-            if problems:
-                ok = False
-                for problem in problems:
-                    print(f"  INVARIANT {problem} ({scenario.describe()})")
-            else:
-                clean += 1
-        print(f"randomized sweep: {clean}/{args.sim_scenarios} scenarios clean")
-    print(f"chaos-parity: {'OK' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
-def _cmd_race_check(args: argparse.Namespace) -> int:
-    from repro.analysis.race import race_check
-
-    if args.inject_overlap and args.workers < 2:
-        print(
-            "note: --inject-overlap needs at least 2 workers; "
-            "skipping the detector self-test",
-            file=sys.stderr,
-        )
-    result = race_check(
-        n_workers=args.workers,
-        nnz=args.nnz,
-        epochs=args.epochs,
-        seed=args.seed,
-        with_injected_overlap=args.inject_overlap,
-    )
-    print(result.render())
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -704,63 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--top", type=int, default=10,
                      help="hotpath entries to show (default: 10)")
 
-    parity = sub.add_parser(
-        "engine-parity",
-        help="diff the sim and process planes' executed pipelines",
-    )
-    parity.add_argument("--dataset", default="Netflix", help="Table 3 name")
-    parity.add_argument("--nnz", type=int, default=4000, help="synthetic scale")
-    parity.add_argument("--epochs", type=int, default=2)
-    parity.add_argument("--k", type=int, default=8)
-    parity.add_argument("--lr", type=float, default=0.01)
-    parity.add_argument("--seed", type=int, default=0)
-    parity.add_argument("--workers", type=int, default=2,
-                        help="worker count in both planes (1..4)")
-
-    smoke = sub.add_parser(
-        "fault-smoke",
-        help="kill a worker mid-run and prove recovery converges",
-    )
-    smoke.add_argument("--dataset", default="Netflix", help="Table 3 name")
-    smoke.add_argument("--nnz", type=int, default=4000, help="synthetic scale")
-    smoke.add_argument("--epochs", type=int, default=4)
-    smoke.add_argument("--k", type=int, default=8)
-    smoke.add_argument("--seed", type=int, default=0)
-    smoke.add_argument("--workers", type=int, default=3,
-                       help="worker process count (one gets killed)")
-    smoke.add_argument("--barrier-timeout", type=float, default=5.0,
-                       help="server rendezvous timeout (straggler detection "
-                            "bound; dead workers are detected immediately)")
-    smoke.add_argument("--tolerance", type=float, default=0.05,
-                       help="max relative final-RMSE divergence vs baseline")
-
-    chaos = sub.add_parser(
-        "chaos-parity",
-        help="run the seeded fault matrix through both planes and "
-             "require identical recovery stories",
-    )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="matrix seed (offsets data/model seeds too)")
-    chaos.add_argument("--process-scenarios", type=int, default=-1,
-                       help="how many default-matrix scenarios to run on "
-                            "both planes (-1 = all; the rest run sim-only)")
-    chaos.add_argument("--sim-scenarios", type=int, default=8,
-                       help="randomized sim-only invariant scenarios to sweep")
-    chaos.add_argument("--rmse-tol", type=float, default=0.08,
-                       help="max relative final-RMSE divergence across planes")
-
-    race = sub.add_parser(
-        "race-check",
-        help="prove P-row ownership + one-copy discipline dynamically",
-    )
-    race.add_argument("--workers", type=int, default=3)
-    race.add_argument("--nnz", type=int, default=2000, help="synthetic scale")
-    race.add_argument("--epochs", type=int, default=2)
-    race.add_argument("--seed", type=int, default=0)
-    race.add_argument("--inject-overlap", action="store_true",
-                      help="also run a deliberately corrupted plan and "
-                           "require the detector to catch it")
-
     return parser
 
 
@@ -774,10 +486,6 @@ _COMMANDS = {
     "ablate": _cmd_ablate,
     "lint": _cmd_lint,
     "obs-report": _cmd_obs_report,
-    "race-check": _cmd_race_check,
-    "engine-parity": _cmd_engine_parity,
-    "fault-smoke": _cmd_fault_smoke,
-    "chaos-parity": _cmd_chaos_parity,
 }
 
 

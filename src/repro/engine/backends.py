@@ -19,8 +19,9 @@ Both run one epoch over one wire: :class:`_EpochBackend` drives a
 :class:`~repro.core.server.ParameterServer` (the server half), the
 workers run :func:`~repro.engine.worker_proc.worker_epoch` (the worker
 half), and the two classes keep what really differs — where the workers
-run and what a rendezvous with them is.  The ``engine-parity`` CI stage
-diffs their stage traces and per-worker update counts.
+run and what a rendezvous with them is.  ``tests/test_engine_pipeline.py``
+(``TestBackendParity``) diffs their stage traces and per-worker update
+counts.
 """
 
 from __future__ import annotations

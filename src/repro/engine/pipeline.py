@@ -117,7 +117,7 @@ class EngineResult:
     #: what the resilience plane did (None on a plain fail-fast run)
     resilience: ResilienceSummary | None = None
     #: the plan the run *finished* on — differs from ``plan`` after a
-    #: redistribution; the chaos-parity harness compares its fractions
+    #: redistribution; tests/test_chaos_parity.py compares its fractions
     final_plan: PartitionPlan | None = None
     #: wall-clock of the whole ``run()`` call, on either plane
     elapsed_seconds: float = 0.0

@@ -9,7 +9,7 @@ PCM and Nsight Systems:
   exporter renders in Perfetto;
 * :mod:`repro.obs.registry` — counters / gauges / histograms plus
   structured events;
-* :mod:`repro.obs.exporters` — JSONL and Prometheus text renderers;
+* :mod:`repro.obs.exporters` — the JSONL metrics writer and reader;
 * :mod:`repro.obs.drift` — measured phase times joined against the
   Eq. 1-5 cost model, as a per-run report;
 * :mod:`repro.obs.bench` — :func:`host_fingerprint`, the numpy/BLAS
@@ -46,8 +46,6 @@ __all__ = [
     "jsonl_lines",
     "write_metrics_jsonl",
     "read_metrics_jsonl",
-    "prometheus_text",
-    "write_prometheus",
     "host_fingerprint",
     "StageProfiler",
     "StageProfileReport",
@@ -61,8 +59,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "predictions_from_epoch_cost",
     ),
     "repro.obs.exporters": (
-        "jsonl_lines", "prometheus_text", "read_metrics_jsonl",
-        "write_metrics_jsonl", "write_prometheus",
+        "jsonl_lines", "read_metrics_jsonl", "write_metrics_jsonl",
     ),
     "repro.obs.registry": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sample",

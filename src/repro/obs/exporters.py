@@ -1,13 +1,8 @@
-"""Render a :class:`MetricsRegistry` as JSONL events or Prometheus text.
+"""Render a :class:`MetricsRegistry` as JSONL and read it back.
 
-Two formats, two audiences:
-
-* **JSONL** — one structured event per line, followed by one line per
-  metric sample.  Greppable, diffable, replayable; the format the
-  ``repro obs-report`` command reads back.
-* **Prometheus text exposition** — ``# HELP`` / ``# TYPE`` headers and
-  ``name{label="v"} value`` lines, so an instrumented run's final state
-  can be scraped or pushed to a gateway without extra dependencies.
+One structured event per line, followed by one line per metric sample.
+Greppable, diffable, replayable; the format ``repro train --metrics``
+writes and the ``repro obs-report`` command reads back.
 """
 
 from __future__ import annotations
@@ -16,12 +11,9 @@ import json
 import os
 from typing import Iterator
 
-from repro.obs.registry import MetricsRegistry, Sample
+from repro.obs.registry import MetricsRegistry
 
 
-# ---------------------------------------------------------------------------
-# JSONL
-# ---------------------------------------------------------------------------
 def jsonl_lines(registry: MetricsRegistry) -> Iterator[str]:
     """Events first (in order), then every metric sample."""
     for event in registry.events:
@@ -63,56 +55,3 @@ def read_metrics_jsonl(path: str | os.PathLike) -> tuple[list[dict], list[dict]]
                 samples.append(record)
     return events, samples
 
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-def _escape_label_value(value: object) -> str:
-    """Escape a label value per the exposition format spec.
-
-    Inside label values, backslash, double-quote and newline must be
-    escaped (in that order — escaping ``\\`` first keeps the other two
-    escapes unambiguous); anything else passes through raw.
-    """
-    return (
-        str(value)
-        .replace("\\", r"\\")
-        .replace('"', r"\"")
-        .replace("\n", r"\n")
-    )
-
-
-def _escape_help(text: str) -> str:
-    """HELP text allows ``\\`` and newline escapes (quotes stay raw)."""
-    return str(text).replace("\\", r"\\").replace("\n", r"\n")
-
-
-def _format_labels(sample: Sample) -> str:
-    if not sample.labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{_escape_label_value(v)}"' for k, v in sample.labels
-    )
-    return "{" + inner + "}"
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format."""
-    lines: list[str] = []
-    for metric in registry.metrics():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        for sample in metric.samples():
-            value = sample.value
-            text = "+Inf" if value == float("inf") else f"{value:g}"
-            lines.append(f"{sample.name}{_format_labels(sample)} {text}")
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(registry: MetricsRegistry, path: str | os.PathLike) -> int:
-    """Write the Prometheus exposition; returns the byte count."""
-    text = prometheus_text(registry)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return len(text)

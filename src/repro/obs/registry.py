@@ -1,10 +1,10 @@
 """Metrics registry: counters, gauges, histograms, structured events.
 
-The runtime telemetry plane's equivalent of a Prometheus client — kept
-dependency-free so workers and benches can always import it.  Metrics
+The runtime telemetry plane's metrics client — kept dependency-free so
+workers and benches can always import it.  Metrics
 are named, optionally labelled (``counter.inc(1, worker="worker-0")``),
 and collected as flat :class:`Sample` records that the exporters
-(:mod:`repro.obs.exporters`) render as JSONL or Prometheus text.
+(:mod:`repro.obs.exporters`) render as JSONL.
 
 Besides point-in-time metric values, a registry records **structured
 events**: ordered dicts (one per epoch, probe, run, ...) that become

@@ -6,7 +6,7 @@ import os
 
 from repro.hardware.timeline import Timeline
 from repro.obs.drift import DriftReport, HostRunInfo, compare, host_predictions
-from repro.obs.exporters import prometheus_text, write_metrics_jsonl
+from repro.obs.exporters import write_metrics_jsonl
 from repro.obs.registry import MetricsRegistry
 
 
@@ -52,9 +52,6 @@ class Telemetry:
 
     def write_metrics_jsonl(self, path: str | os.PathLike) -> int:
         return write_metrics_jsonl(self.registry, path)
-
-    def prometheus_text(self) -> str:
-        return prometheus_text(self.registry)
 
     # -- drift -----------------------------------------------------------
     def drift_report(

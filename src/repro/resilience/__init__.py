@@ -15,8 +15,8 @@ epoch; this package is what happens when one does not
   re-exported here;
 * :mod:`repro.resilience.faults` — the fault-injection harness
   (:class:`FaultPlan`): kill a worker at an epoch, delay a barrier,
-  drop or corrupt a wire payload — used by the tests and the
-  ``repro fault-smoke`` CLI command to prove every recovery path.
+  drop or corrupt a wire payload — used by the tests
+  (``tests/test_engine_recovery.py``) to prove every recovery path.
 
 The engine (:mod:`repro.engine.pipeline`) consumes all three; nothing
 here imports the engine, so the dependency points one way.

@@ -15,7 +15,8 @@ crash, signal, or a clean exit before finishing its epochs — is dead
 reaped ``Process.exitcode`` values, the sim backend feeds the exit
 codes its injected kills *would* have produced (13 hard, 1 soft, None
 alive) — so both planes hand the recovery policy identical evidence,
-which is what the chaos-parity harness (:mod:`repro.testing`) verifies.
+which is what the chaos-parity harness (:mod:`repro.testing`,
+``tests/test_chaos_parity.py``) verifies.
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ class ResilienceSummary:
     failures: list[str] = field(default_factory=list)
     #: structured record of each failure: (global epoch, error type
     #: name, action value) — plane-independent, unlike ``failures``
-    #: whose prose carries process exit codes; the chaos-parity harness
+    #: whose prose carries process exit codes; tests/test_chaos_parity.py
     #: diffs this sequence across the sim and process planes
     decisions: list[tuple[int, str, str]] = field(default_factory=list)
     final_workers: "int | None" = None

@@ -5,8 +5,9 @@ The differential enforcement mechanism for the resilience plane
 run through *both* compute backends, and the outcomes are held to a
 parity contract (:mod:`repro.testing.parity`) — identical recovery
 decisions, identical final partition fractions and RMSE within
-tolerance.  ``repro chaos-parity`` is the CLI entry
-point; ``tests/test_chaos_parity.py`` the pytest one.
+tolerance.  ``tests/test_chaos_parity.py`` runs it: named scenarios
+through both planes, the whole default matrix and a 50-scenario
+randomized sweep sim-side.
 """
 
 from repro.testing.chaos import (

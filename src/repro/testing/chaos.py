@@ -7,8 +7,8 @@ reproducible from its seed alone.
 
 Two sources of scenarios:
 
-* :func:`default_matrix` — the named, hand-picked matrix the
-  ``repro chaos-parity`` acceptance gate runs through *both* planes
+* :func:`default_matrix` — the named, hand-picked matrix whose
+  scenarios ``tests/test_chaos_parity.py`` runs through *both* planes
   (one scenario per fault kind plus the rank-remap and abort paths).
   These avoid the two spots where the planes legitimately diverge: a
   corrupt payload at the final epoch (process workers exit cleanly

@@ -16,7 +16,6 @@ from repro.analysis.race import (
     RaceLog,
     check_row_ownership,
     inject_overlap,
-    race_check,
     tracked_train,
 )
 from repro.core.partition import PartitionPlan, dp0, dp1, dp2
@@ -250,23 +249,3 @@ class TestPartitionPlans:
         plan = dp2(dp1(dp0(self.rates), self._measure, self.is_gpu),
                    sync_time=0.05)
         self._check(plan, ratings)
-
-
-class TestRaceCheckEntryPoint:
-    def test_full_check_passes_and_catches_injection(self):
-        result = race_check(n_workers=3, nnz=1200, epochs=1,
-                            with_injected_overlap=True)
-        assert result.ok, result.render()
-        assert result.injected_detected
-        assert not any(result.static_violations.values())
-        assert {"dp0", "dp1", "dp2"} <= set(result.static_violations)
-        for report in result.reports:
-            assert report.ok, report.render()
-        text = result.render()
-        assert "PASS" in text
-        assert "injected overlap detected: yes" in text
-
-    def test_without_injection(self):
-        result = race_check(n_workers=2, nnz=800, epochs=1)
-        assert result.ok
-        assert result.injected_report is None

@@ -2,8 +2,8 @@
 
 Three layers of enforcement:
 
-* cross-plane parity on a couple of named scenarios (slow: the process
-  plane spawns real workers) — the full matrix is ``repro chaos-parity``;
+* cross-plane parity, and each plane's safety invariants, on three
+  named scenarios (slow: the process plane spawns real workers);
 * the whole default matrix sim-side, checking expected outcomes and
   the single-plane safety invariants;
 * a seeded randomized regression sweep (~50 scenarios, sim-only,
@@ -38,11 +38,20 @@ def _by_name(name: str) -> ChaosScenario:
     return scenario
 
 
+def _both_planes(scenario: ChaosScenario):
+    """Run a scenario on both planes; each must hold the invariants."""
+    sim = run_scenario(scenario, "sim")
+    process = run_scenario(scenario, "process")
+    for outcome in (sim, process):
+        assert check_invariants(scenario, outcome) == [], (
+            f"{outcome.plane}: {scenario.describe()}"
+        )
+    return sim, process
+
+
 class TestCrossPlaneParity:
     def test_kill_soft_parity(self):
-        scenario = _by_name("kill-soft")
-        sim = run_scenario(scenario, "sim")
-        process = run_scenario(scenario, "process")
+        sim, process = _both_planes(_by_name("kill-soft"))
         report = check_parity(sim, process)
         assert report.ok, report.describe()
         # the contract actually bit on something: a redistribution
@@ -51,18 +60,14 @@ class TestCrossPlaneParity:
     def test_two_deaths_remap_parity(self):
         """Both planes renumber survivors identically: the second kill,
         aimed at an old rank, fires on the remapped worker in each."""
-        scenario = _by_name("two-deaths-remap")
-        sim = run_scenario(scenario, "sim")
-        process = run_scenario(scenario, "process")
+        sim, process = _both_planes(_by_name("two-deaths-remap"))
         report = check_parity(sim, process)
         assert report.ok, report.describe()
         assert len(sim.decisions) == 2
         assert sim.final_workers == process.final_workers == 2
 
     def test_abort_parity(self):
-        scenario = _by_name("abort-checkpointed")
-        sim = run_scenario(scenario, "sim")
-        process = run_scenario(scenario, "process")
+        sim, process = _both_planes(_by_name("abort-checkpointed"))
         report = check_parity(sim, process)
         assert report.ok, report.describe()
         assert sim.aborted and process.aborted

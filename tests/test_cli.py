@@ -27,11 +27,6 @@ class TestParser:
         assert args.paths == []
         assert not args.rules
 
-    def test_race_check_defaults(self):
-        args = build_parser().parse_args(["race-check"])
-        assert args.workers == 3
-        assert not args.inject_overlap
-
 
 class TestCommands:
     def test_datasets(self, capsys):
@@ -141,19 +136,6 @@ class TestCommands:
     def test_lint_missing_path(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2
         assert capsys.readouterr().err
-
-    def test_race_check(self, capsys):
-        assert main(["race-check", "--workers", "2", "--nnz", "800",
-                     "--epochs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "race-check: PASS" in out
-
-    def test_race_check_inject_overlap(self, capsys):
-        assert main(["race-check", "--workers", "2", "--nnz", "800",
-                     "--epochs", "1", "--inject-overlap"]) == 0
-        out = capsys.readouterr().out
-        assert "injected overlap detected: yes" in out
-        assert "race-check: PASS" in out
 
 
 class TestObservabilityCli:
@@ -272,43 +254,3 @@ class TestObservabilityCli:
         bad.write_text("{\"schema\": \"other\"}")
         assert main(["obs-report", "--hotpaths", str(bad)]) == 2
         assert "cannot read hotpaths" in capsys.readouterr().err
-
-    def test_fault_smoke_parser_defaults(self):
-        args = build_parser().parse_args(["fault-smoke"])
-        assert args.workers == 3
-        assert args.epochs == 4
-        assert args.tolerance == pytest.approx(0.05)
-        assert args.barrier_timeout == pytest.approx(5.0)
-
-    def test_fault_smoke_passes(self, capsys):
-        assert main([
-            "fault-smoke", "--nnz", "4000", "--epochs", "3", "--k", "8",
-            "--workers", "2", "--barrier-timeout", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "fault-smoke: OK" in out
-        assert "redistributions=1" in out
-
-    def test_fault_smoke_needs_two_workers(self, capsys):
-        assert main(["fault-smoke", "--workers", "1"]) == 2
-        assert "at least 2 workers" in capsys.readouterr().err
-
-    def test_chaos_parity_parser_defaults(self):
-        args = build_parser().parse_args(["chaos-parity"])
-        assert args.seed == 0
-        assert args.process_scenarios == -1
-        assert args.sim_scenarios == 8
-        assert args.rmse_tol == pytest.approx(0.08)
-
-    def test_chaos_parity_small_gate_passes(self, capsys):
-        # one cross-plane scenario, the rest of the matrix sim-only,
-        # plus a small randomized sweep — the check.sh stage's shape
-        assert main([
-            "chaos-parity", "--seed", "0",
-            "--process-scenarios", "1", "--sim-scenarios", "3",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "scenario kill-soft" in out
-        assert "(sim only)" in out
-        assert "randomized sweep: 3/3 scenarios clean" in out
-        assert "chaos-parity: OK" in out

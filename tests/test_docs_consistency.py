@@ -61,8 +61,10 @@ class TestReadme:
             assert f"``{cmd}``\n" in repro.cli.__doc__, cmd
             assert f"python -m repro {cmd}" in readme_text, cmd
             assert f"`{cmd}`" in skill, cmd
-        # the repo benchmark is python3 -m perf, not a sub-command
-        for gone in ("bench", "serve-bench"):
+        # the repo benchmark is python3 -m perf, not a sub-command; the
+        # parity, fault and race checks are tier-1 tests, not commands
+        for gone in ("bench", "serve-bench", "engine-parity", "fault-smoke",
+                     "chaos-parity", "race-check"):
             with pytest.raises(SystemExit) as exc:
                 repro.cli.build_parser().parse_args([gone])
             assert exc.value.code == 2

@@ -52,7 +52,18 @@ class TestKillRecovery:
         """The headline guarantee: kill 1 of 3 workers mid-run and the
         run still completes every epoch on the survivors, with final
         RMSE within 5% of the fault-free baseline."""
-        kw = dict(k=8, n_workers=3, lr=0.01, seed=0, barrier_timeout_s=5.0)
+        self._kill_one_of_three(data, lr=0.01)
+
+    def test_kill_redistributes_and_converges_on_column_sets(self):
+        """The same guarantee on an R1-shaped matrix, where each wire is
+        its shard's column set and the re-open derives the survivors'
+        sets from their new shards.  R1 rates on a 0-100 scale: at
+        lr=0.01 its fault-free run already overshoots, so it trains at
+        the backend's default step."""
+        self._kill_one_of_three(YAHOO_R1.scaled(4000).generate(seed=4), lr=0.005)
+
+    def _kill_one_of_three(self, data, lr):
+        kw = dict(k=8, n_workers=3, lr=lr, seed=0, barrier_timeout_s=5.0)
         baseline = engine_for(data, **kw).run(4)
         res = engine_for(
             data,

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its exporters."""
+"""Unit tests for the metrics registry and its JSONL exporter."""
 
 import json
 
@@ -6,10 +6,8 @@ import pytest
 
 from repro.obs.exporters import (
     jsonl_lines,
-    prometheus_text,
     read_metrics_jsonl,
     write_metrics_jsonl,
-    write_prometheus,
 )
 from repro.obs.registry import MetricsRegistry
 
@@ -145,48 +143,3 @@ class TestJsonlExport:
         assert lines[0]["type"] == "event"
         assert lines[-1]["type"] == "sample"
 
-
-class TestPrometheusExport:
-    def test_help_type_and_value_lines(self, registry):
-        registry.counter("updates_total", "SGD updates").inc(3, worker="w0")
-        text = prometheus_text(registry)
-        assert "# HELP updates_total SGD updates" in text
-        assert "# TYPE updates_total counter" in text
-        assert 'updates_total{worker="w0"} 3' in text
-
-    def test_histogram_renders_buckets(self, registry):
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        text = prometheus_text(registry)
-        assert 'h_bucket{le="1"} 1' in text
-        assert 'h_bucket{le="+Inf"} 1' in text
-        assert "h_count 1" in text
-
-    def test_label_values_escaped_per_exposition_spec(self, registry):
-        # backslash, double-quote and newline in a label value must be
-        # escaped or the exposition text is unparseable
-        registry.counter("c").inc(1, path='dir\\file "x"\nnext')
-        text = prometheus_text(registry)
-        assert r'c{path="dir\\file \"x\"\nnext"} 1' in text
-        assert "\n".join(text.splitlines()) + "\n" == text  # no raw breaks mid-line
-
-    def test_backslash_escaped_before_quote(self, registry):
-        # a value ending in backslash-quote must not collapse into an
-        # escaped quote (escape order matters)
-        registry.gauge("g").set(1, v='\\"')
-        assert r'g{v="\\\""} 1' in prometheus_text(registry)
-
-    def test_help_text_escapes_newline_and_backslash(self, registry):
-        registry.counter("c", "line1\nline2\\tail").inc()
-        text = prometheus_text(registry)
-        assert r"# HELP c line1\nline2\\tail" in text
-
-    def test_clean_labels_unchanged(self, registry):
-        registry.counter("c").inc(2, worker="w0")
-        assert 'c{worker="w0"} 2' in prometheus_text(registry)
-
-    def test_write_prometheus(self, registry, tmp_path):
-        registry.gauge("g").set(2.5)
-        path = tmp_path / "m.prom"
-        nbytes = write_prometheus(registry, path)
-        assert nbytes == len(path.read_bytes())
-        assert "g 2.5" in path.read_text()

@@ -29,6 +29,12 @@ KNOWN_UNREACHED = {
     "repro.experiments.plots": "paper Fig. 7 charts; examples/reproduce_paper.py",
     # the full-array loss the blocked kernels are compared against
     "repro.mf.loss": "reference for tests/test_mf_kernels.py",
+    # the dynamic P-row ownership / one-copy detector (paper 3.4-3.5)
+    "repro.analysis.race": "tests/test_analysis_race.py",
+    # the cross-plane chaos harness: scenarios, parity contract, invariants
+    "repro.testing": "tests/test_chaos_parity.py",
+    "repro.testing.chaos": "tests/test_chaos_parity.py",
+    "repro.testing.parity": "tests/test_chaos_parity.py",
 }
 
 
