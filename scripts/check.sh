@@ -3,7 +3,9 @@
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the tier-1 pytest stage: the lint/type gates, perf-smoke
-#           and the memory-budget tests still run.  The race detector,
+#           and the memory-budget tests still run.  Every test runs once
+#           per gate: the pytest stage leaves out tests/test_memory_budget.py,
+#           which the memory-budget stage has just run.  The race detector,
 #           the plane-parity, fault-recovery and chaos checks and the
 #           instrumented-run smoke are tier-1 tests, so they run in the
 #           pytest stage only (which CI always runs).
@@ -124,11 +126,12 @@ fi
 # (tests/test_engine_pipeline.py, tests/test_engine_planes.py), kill
 # recovery (tests/test_engine_recovery.py), the chaos matrix
 # (tests/test_chaos_parity.py) and the instrumented-run smoke
-# (tests/test_cli.py)
+# (tests/test_cli.py) — every tier-1 test but the memory-budget file,
+# which stage 3 runs in both modes
 if [ "$fast" -eq 1 ]; then
     skipped test "pytest" "--fast"
 else
-    stage test "pytest" python -m pytest -x -q
+    stage test "pytest" python -m pytest -x -q --ignore=tests/test_memory_budget.py
 fi
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,9 @@ def _train_process(args: argparse.Namespace) -> int:
     instrumented = bool(args.trace or args.metrics or args.drift)
     telemetry = Telemetry() if instrumented else None
     backend = ProcessBackend(
-        ratings, k=args.k, n_workers=args.workers, lr=args.lr, seed=args.seed
+        ratings, k=args.k, n_workers=args.workers,
+        lr=spec.learning_rate if args.lr is None else args.lr, reg=spec.reg,
+        seed=args.seed,
     )
     profiler = StageProfiler() if args.hotpaths else None
     try:
@@ -407,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scaled dataset size for the numeric plane")
     train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--k", type=int, default=16, help="latent dimension")
-    train.add_argument("--lr", type=float, default=0.01)
+    train.add_argument("--lr", type=float, default=None,
+                       help="SGD step (default: the dataset's)")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--partition", default="auto",
                        choices=["auto", "even", "dp0", "dp1", "dp2"])

@@ -66,7 +66,9 @@ def column_set(cols: np.ndarray, n: int) -> "np.ndarray | None":
     A column outside the set is never gathered or scattered by the
     kernel, so leaving it off the wire changes no bit of the merge.
     """
-    rated = np.flatnonzero(np.bincount(cols, minlength=n))
+    seen = np.zeros(n, dtype=bool)
+    seen[cols] = True
+    rated = np.flatnonzero(seen)
     return None if rated.size > _SELECT_BELOW * n else rated
 
 

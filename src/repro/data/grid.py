@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix, stable_order
+from repro.data.ratings import RatingMatrix, id_counts, stable_order
 
 
 class GridKind(enum.Enum):
@@ -111,8 +111,7 @@ def partition_rows(
         axis_idx = ratings.cols
         axis_len = ratings.n
 
-    counts = np.bincount(axis_idx, minlength=axis_len)
-    ranges, first_entry = _fractions_to_boundaries(counts, fractions)
+    ranges, first_entry = _fractions_to_boundaries(id_counts(axis_idx, axis_len), fractions)
     order = stable_order(axis_idx, axis_len)
     return [
         GridAssignment(
@@ -144,8 +143,7 @@ def row_sorted_shards(
     them.  They may be ``ratings``' own arrays: the sort is then in
     place, and ``ratings`` must not be read afterwards.
     """
-    counts = np.bincount(ratings.rows, minlength=ratings.m)
-    p_rows, first_entry = _fractions_to_boundaries(counts, fractions)
+    p_rows, first_entry = _fractions_to_boundaries(ratings.row_counts(), fractions)
     offsets = first_entry[[lo for lo, _ in p_rows] + [ratings.m]]
     order = stable_order(ratings.rows, ratings.m, stable_order(ratings.cols, ratings.n))
     if out is None:

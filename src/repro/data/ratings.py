@@ -21,11 +21,39 @@ from typing import Iterator, Tuple
 import numpy as np
 
 
-def _as_index_array(a) -> np.ndarray:
-    arr = np.ascontiguousarray(a, dtype=np.int64)
+#: the largest id an int32 index holds: ``m`` and ``n`` may not exceed it
+MAX_ID = int(np.iinfo(np.int32).max)
+
+
+def _as_index_array(a, bound: int, axis: str) -> np.ndarray:
+    """``a`` as contiguous int32 ids, each checked to lie in ``[0, bound)``.
+
+    The range check runs on the ids as given, before they are narrowed,
+    so an id that int32 cannot hold is refused and never wraps; int32
+    input is returned as it came, without a copy.
+    """
+    arr = np.asarray(a)
     if arr.ndim != 1:
         raise ValueError(f"index array must be 1-D, got shape {arr.shape}")
-    return arr
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
+    if len(arr) and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+        raise ValueError(f"{axis} index out of bounds")
+    return np.ascontiguousarray(arr, dtype=np.int32)
+
+
+def flat_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The int64 cell keys ``rows * n + cols`` of ``(row, col)`` pairs.
+
+    Ids are int32 and NumPy keeps int32 arithmetic int32, so the product
+    is widened first: ``m * n`` outgrows int32 long before ``m`` or ``n``
+    does (R1* has ~2.1e12 cells).  ``key // n`` and ``key % n`` recover
+    the pair.
+    """
+    keys = np.array(rows, dtype=np.int64)
+    keys *= n
+    keys += cols
+    return keys
 
 
 def _as_value_array(a) -> np.ndarray:
@@ -72,6 +100,20 @@ def stable_order(ids: np.ndarray, bound: int, order: np.ndarray | None = None) -
     return np.arange(len(ids)) if order is None else order
 
 
+def id_counts(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.bincount(ids, minlength=bound)`` for ids in ``[0, bound)``.
+
+    ``bincount`` copies int32 ids into an int64 array before it counts;
+    fed a block no longer than ``max(bound, _GATHER_BLOCK)`` at a time,
+    that copy stays the size of the counts, never of the ratings.
+    """
+    block = max(int(bound), _GATHER_BLOCK)
+    counts = np.zeros(bound, dtype=np.intp)
+    for lo in range(0, len(ids), block):
+        counts += np.bincount(ids[lo:lo + block], minlength=bound)
+    return counts
+
+
 @dataclass(frozen=True)
 class RatingMatrix:
     """A sparse rating matrix in COO form.
@@ -81,9 +123,15 @@ class RatingMatrix:
     m, n:
         Number of rows (users) and columns (items).
     rows, cols:
-        Per-entry row / column indices, ``int64``, length ``nnz``.
+        Per-entry row / column indices, ``int32``, length ``nnz``.
     vals:
         Per-entry rating values, ``float32``, length ``nnz``.
+
+    A rating is 12 bytes — two int32 ids and one float32 value, the
+    ``mf_node`` layout of CuMF_SGD and LIBMF — and every ratings-sized
+    array the planes hold keeps that width.  Ids of any integer type are
+    accepted, checked against ``m`` / ``n`` and then narrowed; ``m`` and
+    ``n`` may not exceed :data:`MAX_ID`.
     """
 
     m: int
@@ -93,20 +141,21 @@ class RatingMatrix:
     vals: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _as_index_array(self.rows))
-        object.__setattr__(self, "cols", _as_index_array(self.cols))
+        if self.m <= 0 or self.n <= 0:
+            raise ValueError(f"matrix dimensions must be positive, got {self.m}x{self.n}")
+        if self.m > MAX_ID or self.n > MAX_ID:
+            raise ValueError(
+                f"matrix dimensions {self.m}x{self.n} exceed the int32 id range "
+                f"(at most {MAX_ID} rows and columns)"
+            )
+        object.__setattr__(self, "rows", _as_index_array(self.rows, self.m, "row"))
+        object.__setattr__(self, "cols", _as_index_array(self.cols, self.n, "column"))
         object.__setattr__(self, "vals", _as_value_array(self.vals))
         if not (len(self.rows) == len(self.cols) == len(self.vals)):
             raise ValueError(
                 "rows, cols, vals must have equal length, got "
                 f"{len(self.rows)}, {len(self.cols)}, {len(self.vals)}"
             )
-        if self.m <= 0 or self.n <= 0:
-            raise ValueError(f"matrix dimensions must be positive, got {self.m}x{self.n}")
-        if len(self.rows) and (self.rows.min() < 0 or self.rows.max() >= self.m):
-            raise ValueError("row index out of bounds")
-        if len(self.cols) and (self.cols.min() < 0 or self.cols.max() >= self.n):
-            raise ValueError("column index out of bounds")
         if len(self.vals) and not np.all(np.isfinite(self.vals)):
             raise ValueError("rating values must be finite")
 
@@ -143,11 +192,11 @@ class RatingMatrix:
 
     def row_counts(self) -> np.ndarray:
         """Number of observed ratings per row (user activity)."""
-        return np.bincount(self.rows, minlength=self.m)
+        return id_counts(self.rows, self.m)
 
     def col_counts(self) -> np.ndarray:
         """Number of observed ratings per column (item popularity)."""
-        return np.bincount(self.cols, minlength=self.n)
+        return id_counts(self.cols, self.n)
 
     def mean_rating(self) -> float:
         return float(self.vals.mean()) if self.nnz else 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, flat_keys
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class SyntheticConfig:
     noise: float = 0.1
     row_skew: float = 0.7
     col_skew: float = 0.7
-    user_bias_std: float = 0.0
-    item_bias_std: float = 0.0
 
     def __post_init__(self) -> None:
         if self.m <= 0 or self.n <= 0:
@@ -123,7 +121,7 @@ def sample_sparsity_pattern(
         batch = int(need * 1.5) + 16
         r = rng.choice(m, size=batch, p=row_p)
         c = rng.choice(n, size=batch, p=col_p)
-        keys = r.astype(np.int64) * n + c
+        keys = flat_keys(r, c, n)
         seen = np.unique(np.concatenate([seen, keys]))
     if len(seen) < nnz:
         # heavy skew can starve deduped sampling; top up uniformly
@@ -157,12 +155,6 @@ def generate_low_rank(config: SyntheticConfig, seed: int = 0) -> RatingMatrix:
     v = base + spread * rng.standard_normal((config.rank, config.n))
 
     vals = np.einsum("ij,ji->i", u[rows], v[:, cols]).astype(np.float64)
-    if config.user_bias_std > 0 or config.item_bias_std > 0:
-        # additive bias structure (harsh raters, popular items): signal
-        # beyond the pure low-rank interaction
-        user_bias = config.user_bias_std * rng.standard_normal(config.m)
-        item_bias = config.item_bias_std * rng.standard_normal(config.n)
-        vals += user_bias[rows] + item_bias[cols]
     if config.noise > 0:
         vals += rng.normal(
             0.0, config.noise * (config.rating_max - config.rating_min), size=len(vals)
@@ -186,7 +178,7 @@ def extend_uniform(ratings: RatingMatrix, target_nnz: int, seed: int = 0) -> Rat
     if target_nnz == ratings.nnz:
         return ratings
     rng = np.random.default_rng(seed)
-    existing = ratings.rows * ratings.n + ratings.cols
+    existing = flat_keys(ratings.rows, ratings.cols, ratings.n)
     existing_set = np.sort(existing)
 
     need = target_nnz - ratings.nnz
@@ -195,7 +187,7 @@ def extend_uniform(ratings: RatingMatrix, target_nnz: int, seed: int = 0) -> Rat
         batch = int((need - len(new_keys)) * 1.5) + 16
         r = rng.integers(0, ratings.m, size=batch)
         c = rng.integers(0, ratings.n, size=batch)
-        keys = r * ratings.n + c
+        keys = flat_keys(r, c, ratings.n)
         keys = keys[np.searchsorted(existing_set, keys) == np.searchsorted(existing_set, keys, side="right")]
         new_keys = np.unique(np.concatenate([new_keys, keys]))
     new_keys = new_keys[:need]

@@ -685,9 +685,10 @@ class ProcessBackend(_EpochBackend):
             self._progress = SharedArray.create((self.n_workers,), "int64")
             self._stack.callback(self._progress.unlink)
             # the ratings, placed once where every worker can address
-            # them (paper 3.5): shard i is [offsets[i], offsets[i+1])
+            # them (paper 3.5), 12 bytes each: shard i is
+            # [offsets[i], offsets[i+1])
             self._shard_segs = []
-            for dtype in ("int64", "int64", "float32"):
+            for dtype in ("int32", "int32", "float32"):
                 seg = SharedArray.create((max(1, ratings.nnz),), dtype)
                 self._stack.callback(seg.unlink)
                 self._shard_segs.append(seg)

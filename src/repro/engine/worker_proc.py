@@ -123,13 +123,18 @@ def local_view(
     and the shard with its column ids renumbered into that Q.  The
     renumbering is monotone, so every sort, count and last-occurrence
     rule of the kernel sees the order it saw before and every update
-    keeps its bits.  With the "all" set the Q is ``(k, n)`` and the
-    shard is returned as it came.
+    keeps its bits.  The renumbered ids are int32, as the shard's are.
+    With the "all" set the Q is ``(k, n)`` and the shard is returned as
+    it came.
     """
     rows, shard_cols, vals = shard
     cols = column_set(shard_cols, n)
     if cols is not None:
-        shard = (rows, np.searchsorted(cols, shard_cols), vals)
+        # position of each id in the sorted set, through an n-long table:
+        # ``searchsorted``'s answer, written as int32 ids directly
+        local = np.empty(n, dtype=np.int32)
+        local[cols] = np.arange(cols.size, dtype=np.int32)
+        shard = (rows, local[shard_cols], vals)
         n = cols.size
     return MFModel(p, np.empty((p.shape[1], n), dtype=np.float32)), shard, cols
 

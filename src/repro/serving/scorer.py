@@ -40,7 +40,11 @@ PRECISIONS = ("fp32", "fp16")
 
 
 class SeenIndex:
-    """Per-user seen-item lookup for exclude-seen filtering (CSR-style)."""
+    """Per-user seen-item lookup for exclude-seen filtering (CSR-style).
+
+    The items are the rating matrix's own int32 column ids, in the order
+    the ratings list them per user.
+    """
 
     def __init__(self, indptr: np.ndarray, items: np.ndarray, m: int):
         self._indptr = indptr
@@ -52,13 +56,13 @@ class SeenIndex:
         """Index every observed (user, item) pair of a rating matrix."""
         items = ratings.cols[stable_order(ratings.rows, ratings.m)]
         indptr = np.zeros(ratings.m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ratings.rows, minlength=ratings.m), out=indptr[1:])
+        np.cumsum(ratings.row_counts(), out=indptr[1:])
         return cls(indptr, items, ratings.m)
 
     def items_for(self, user: int) -> np.ndarray:
         """Item ids the user has already rated (unsorted, possibly empty)."""
         if not 0 <= user < self.m:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=self._items.dtype)
         return self._items[self._indptr[user]:self._indptr[user + 1]]
 
 
@@ -78,7 +82,7 @@ class TopKResult:
 
 def _seen_items(exclude, user: int) -> np.ndarray:
     if hasattr(exclude, "items_for"):
-        return np.asarray(exclude.items_for(user), dtype=np.int64)
+        return np.asarray(exclude.items_for(user))
     seen = exclude.get(user)
     if seen is None:
         return np.empty(0, dtype=np.int64)

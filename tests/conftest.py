@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import NETFLIX
 from repro.data.ratings import RatingMatrix
+from repro.parallel.shm import SharedArray
 
 
 @pytest.fixture
@@ -41,3 +44,33 @@ def small_ratings() -> RatingMatrix:
 def medium_ratings() -> RatingMatrix:
     """A synthetic Netflix-shaped matrix, ~25k entries."""
     return NETFLIX.scaled(25_000).generate(seed=5)
+
+
+class MadeSegments:
+    """The shared-memory segments ``SharedArray.create`` made in one test.
+
+    A leak check over these names sees this test's segments only; a
+    listing of the whole ``/dev/shm`` also sees every other process on
+    the host create and unlink its own.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def surviving(self) -> list[str]:
+        """The recorded segments that still exist."""
+        return [name for name in self.names if os.path.exists(os.path.join("/dev/shm", name))]
+
+
+@pytest.fixture
+def made_segments(monkeypatch) -> MadeSegments:
+    made = MadeSegments()
+    create = SharedArray.create.__func__
+
+    def recording(cls, *args, **kwargs):
+        arr = create(cls, *args, **kwargs)
+        made.names.append(arr.spec.name)
+        return arr
+
+    monkeypatch.setattr(SharedArray, "create", classmethod(recording))
+    return made

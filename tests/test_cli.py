@@ -208,6 +208,21 @@ class TestObservabilityCli:
         assert lanes == {"worker-0", "worker-1", "server"}
         assert metrics.read_text().strip()
 
+    def test_process_executor_takes_the_datasets_step(self, capsys):
+        """R1 trains at its own step and regularisation (0.005 and 1.0)
+        when ``--lr`` is not given; at 0.01 and 0.01 its RMSE rose again
+        within five epochs."""
+        assert build_parser().parse_args(["train"]).lr is None
+        assert main([
+            "train", "--dataset", "R1", "--executor", "process",
+            "--nnz", "4000", "--epochs", "5", "--k", "8",
+        ]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("rmse:"))
+        history = [float(x) for x in line.split()[1:]]
+        assert len(history) == 5
+        assert all(b < a for a, b in zip(history, history[1:])), history
+
     def test_obs_report_requires_an_input(self, capsys):
         assert main(["obs-report"]) == 2
         assert capsys.readouterr().err

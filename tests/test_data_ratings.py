@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import MAX_ID, RatingMatrix, flat_keys
 
 
 class TestConstruction:
@@ -14,9 +14,35 @@ class TestConstruction:
 
     def test_dtypes_normalized(self):
         r = RatingMatrix(3, 4, [0, 1], [1, 2], [1, 2])
-        assert r.rows.dtype == np.int64
-        assert r.cols.dtype == np.int64
+        assert r.rows.dtype == np.int32
+        assert r.cols.dtype == np.int32
         assert r.vals.dtype == np.float32
+
+    def test_int32_ids_are_kept_without_a_copy(self):
+        rows = np.array([0, 2], dtype=np.int32)
+        r = RatingMatrix(3, 4, rows, np.array([1, 3], dtype=np.int32), [1, 2])
+        assert r.rows is rows
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_id_past_int32_is_refused_not_wrapped(self, dtype):
+        """2**32 + 1 narrows to 1, inside any bound: the check must come first."""
+        for bad in (2**31, 2**32 + 1):
+            with pytest.raises(ValueError, match="row index"):
+                RatingMatrix(3, 4, np.array([0, bad], dtype=dtype), [0, 1], [1.0, 2.0])
+            with pytest.raises(ValueError, match="column index"):
+                RatingMatrix(MAX_ID, MAX_ID, [0, 1], np.array([bad, 0], dtype=dtype),
+                             [1.0, 2.0])
+
+    def test_id_at_the_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="column index"):
+            RatingMatrix(3, 4, np.array([0], dtype=np.int64), np.array([4], dtype=np.int64), [1.0])
+
+    def test_dimension_past_int32_is_refused(self):
+        with pytest.raises(ValueError, match="int32"):
+            RatingMatrix(MAX_ID + 1, 4, [], [], [])
+        with pytest.raises(ValueError, match="int32"):
+            RatingMatrix(4, MAX_ID + 1, [], [], [])
+        assert RatingMatrix(MAX_ID, MAX_ID, [MAX_ID - 1], [MAX_ID - 1], [1.0]).nnz == 1
 
     def test_empty_entries_allowed(self):
         r = RatingMatrix(3, 4, [], [], [])
@@ -77,8 +103,22 @@ class TestProperties:
         )
 
     def test_nbytes_counts_all_arrays(self, tiny_ratings):
-        expected = 15 * (8 + 8 + 4)
+        expected = 15 * (4 + 4 + 4)
         assert tiny_ratings.nbytes() == expected
+
+
+class TestFlatKeys:
+    def test_keys_past_int32_do_not_wrap(self):
+        """int32 ids times a Python int stay int32 under NumPy 2."""
+        n = 60_000
+        rows = np.array([0, 35_791, n - 1], dtype=np.int32)
+        cols = np.array([5, 0, n - 1], dtype=np.int32)
+        keys = flat_keys(rows, cols, n)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [5, 35_791 * n, (n - 1) * n + n - 1]
+        np.testing.assert_array_equal(keys // n, rows)
+        np.testing.assert_array_equal(keys % n, cols)
+        assert rows.tolist() == [0, 35_791, n - 1]     # inputs untouched
 
 
 class TestConverters:

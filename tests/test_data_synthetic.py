@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.ratings import RatingMatrix
+from repro.data.ratings import RatingMatrix, flat_keys
 from repro.data.synthetic import (
     SyntheticConfig,
     extend_uniform,
@@ -125,6 +125,23 @@ class TestExtendUniform:
         out = extend_uniform(tiny_ratings, 25, seed=1)
         keys = out.rows * out.n + out.cols
         assert len(np.unique(keys)) == out.nnz
+
+    def test_cell_keys_past_int32(self):
+        """60 k x 60 k is 3.6e9 cells.  The base holds cells the extension
+        draws first (same seed, same first batch), all with keys past
+        2**31: keys computed in int32 wrap, miss them, and add them twice."""
+        m = n = 60_000
+        need, seed = 2_000, 3
+        draw = np.random.default_rng(seed)
+        batch = int(need * 1.5) + 16
+        r, c = draw.integers(0, m, batch), draw.integers(0, n, batch)
+        late = r * n + c > 2**31
+        base = RatingMatrix(m, n, r[late][:300], c[late][:300], np.ones(300))
+        out = extend_uniform(base, base.nnz + need, seed=seed)
+        keys = flat_keys(out.rows, out.cols, n)
+        assert len(np.unique(keys)) == out.nnz == base.nnz + need
+        np.testing.assert_array_equal(out.rows[: base.nnz], base.rows)
+        np.testing.assert_array_equal(out.cols[: base.nnz], base.cols)
 
     def test_noop_at_current_size(self, tiny_ratings):
         assert extend_uniform(tiny_ratings, tiny_ratings.nnz) is tiny_ratings

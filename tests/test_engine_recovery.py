@@ -7,7 +7,6 @@ timeout, so the kill tests stay fast.
 """
 
 import multiprocessing as mp
-import os
 import signal
 import time
 
@@ -350,7 +349,7 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("plane", ["sim", "process"])
     def test_resume_checks_the_shape_once_where_it_crosses(
-        self, plane, data, tmp_path
+        self, plane, data, tmp_path, made_segments
     ):
         """A checkpoint of another matrix's factors is refused with one
         error on both planes, before a segment or a process exists; the
@@ -372,14 +371,14 @@ class TestCheckpointResume:
             data.m - 500, data.n, data.rows[keep], data.cols[keep], data.vals[keep]
         )
 
-        segments = set(os.listdir("/dev/shm"))
+        made_segments.names.clear()
         with pytest.raises(ValueError) as refused:
             engine(other, 8, resume_from=path).run(2)
         assert str(refused.value) == (
             f"checkpoint {str(path)!r} holds factors of a {data.m} x {data.n} "
             f"rating matrix, this run's is {other.m} x {other.n}"
         )
-        assert set(os.listdir("/dev/shm")) == segments
+        assert made_segments.names == []
         assert not mp.active_children()
 
         resumed = engine(data, 8, resume_from=path).run(2)

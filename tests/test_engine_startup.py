@@ -13,7 +13,6 @@ import multiprocessing as mp
 import multiprocessing.reduction
 import multiprocessing.resource_tracker
 import multiprocessing.spawn
-import os
 import time
 import zlib
 
@@ -42,11 +41,6 @@ def random_ratings(nnz: int, m: int = 5000, n: int = 400) -> RatingMatrix:
     )
 
 
-def shm_segments() -> set[str]:
-    # barrier semaphores (sem.*) live as long as the backend object
-    return {f for f in os.listdir("/dev/shm") if not f.startswith("sem.")}
-
-
 def open_backend(backend, channel=None, epochs: int = 1) -> None:
     backend.open(PLAN, channel or QOnlyChannel(), None, epochs)
 
@@ -59,8 +53,7 @@ def factor_crcs(model) -> tuple[str, str]:
 class TestBootstrapDeath:
     """A child that never gets as far as its handshake stamp."""
 
-    def expect_bounded_failure(self, backend, timeout_s):
-        before = shm_segments()
+    def expect_bounded_failure(self, backend, timeout_s, made_segments):
         t0 = time.perf_counter()
         with pytest.raises(WorkerSyncError) as ei:
             open_backend(backend)
@@ -71,9 +64,9 @@ class TestBootstrapDeath:
         assert "worker-0" in str(err) and "worker-1" in str(err)
         assert "start-up" in str(err)
         assert all(not proc.is_alive() for proc in backend._procs)
-        assert shm_segments() == before
+        assert made_segments.names and not made_segments.surviving()
 
-    def test_interpreter_that_exits_1(self, tmp_path):
+    def test_interpreter_that_exits_1(self, tmp_path, made_segments):
         """Both children die before Python even starts; at this nnz the
         old pickled-shard start-up blocked forever in proc.start()."""
         die = tmp_path / "die.sh"
@@ -87,12 +80,12 @@ class TestBootstrapDeath:
         python = mp.spawn.get_executable()
         mp.spawn.set_executable(str(die))
         try:
-            self.expect_bounded_failure(backend, 20.0)
+            self.expect_bounded_failure(backend, 20.0, made_segments)
         finally:
             mp.spawn.set_executable(python)
         assert [proc.exitcode for proc in backend._procs] == [1, 1]
 
-    def test_first_attach_fails_on_stale_spec(self, monkeypatch):
+    def test_first_attach_fails_on_stale_spec(self, monkeypatch, made_segments):
         """The workers boot, then fail attaching P: exit code 1 before
         any stamp, named from open()."""
         create = SharedArray.create.__func__
@@ -109,7 +102,7 @@ class TestBootstrapDeath:
         backend = ProcessBackend(
             random_ratings(50_000), k=8, n_workers=2, barrier_timeout_s=30.0
         )
-        self.expect_bounded_failure(backend, 30.0)
+        self.expect_bounded_failure(backend, 30.0, made_segments)
 
 
 class TestSpecsOnly:
@@ -274,9 +267,8 @@ class TestWorkerChecksItsShard:
     server side: a monkeypatch does not reach a spawned worker.)"""
 
     @pytest.mark.parametrize("how", sorted(DAMAGED_RANKS))
-    def test_damaged_shard_is_a_sync_error_naming_the_rank(self, how):
+    def test_damaged_shard_is_a_sync_error_naming_the_rank(self, how, made_segments):
         ranks = DAMAGED_RANKS[how]
-        before = shm_segments()
         backend = ProcessBackend(
             random_ratings(20_000), k=8, n_workers=2, barrier_timeout_s=30.0
         )
@@ -294,7 +286,7 @@ class TestWorkerChecksItsShard:
         finally:
             backend.close()
         assert report.dead_ranks == ranks
-        assert shm_segments() == before
+        assert made_segments.names and not made_segments.surviving()
 
 
 class TestColumnSetNumericsPinned:

@@ -193,8 +193,8 @@ class TestShardEpoch:
             above_order[nnz] = peak_bytes(epoch) - 8 * nnz
         # what a batch needs does not depend on the shard's length ...
         assert abs(above_order[400_000] - above_order[200_000]) <= 256 * 1024
-        # ... and is nowhere near the 20 B per rating of a permuted copy
-        assert above_order[400_000] <= 20 * 400_000 // 2
+        # ... and is nowhere near the 12 B per rating of a permuted copy
+        assert above_order[400_000] <= 12 * 400_000 // 2
 
 
 class TestAtomicBatch:
@@ -232,11 +232,12 @@ class TestAtomicBatch:
 
 class TestSeenIndex:
     def test_build_gathers_the_items_and_no_second_column(self):
-        """The order and the items it gathers, 16 B a rating; a sorted
-        copy of the rows, made only to be counted, was a third 8."""
+        """The order and the int32 items it gathers, 12 B a rating; a
+        sorted copy of the rows, made only to be counted, was a third 8,
+        and so is ``bincount``'s int64 copy of the rows, counted whole."""
         nnz = 200_000
         ratings = random_ratings(nnz, 2_000, 300)
-        assert peak_bytes(lambda: SeenIndex.from_ratings(ratings)) <= 17 * nnz
+        assert peak_bytes(lambda: SeenIndex.from_ratings(ratings)) <= 13 * nnz
 
 
 class TestInitPeak:
@@ -634,9 +635,10 @@ class TestProcessBackend:
     def test_open_stores_the_ratings_once_and_only_in_the_segments(self):
         """The shuffle is a gather into the shard segments and the sort
         is in place: after ``open()`` the server holds no anonymous array
-        as long as the ratings, and inside it at most the permutation or
-        the sort order beside one column temporary (16 B a rating; the
-        retained shuffled copy alone was 20)."""
+        as long as the ratings, and inside it at most the radix sort's
+        two int64 orders and their uint16 digits, or the order beside
+        one column temporary.  The bound is the 20 B a rating the
+        retained shuffled copy alone used to take."""
         nnz = 200_000
         ratings = random_ratings(nnz, 2_000, 300)
         backend = ProcessBackend(ratings, k=8, n_workers=2, barrier_timeout_s=60.0)
@@ -650,7 +652,7 @@ class TestProcessBackend:
             tracemalloc.stop()
         try:
             assert held - before < 4 * nnz          # not even the float32 column
-            assert peak - before < ratings.nbytes()
+            assert peak - before < 20 * nnz
             store = backend._eval_set
             assert store.nnz == nnz and not owns_its_memory(store.vals)
             for column, seg in zip((store.rows, store.cols, store.vals), backend._shard_segs):
@@ -712,14 +714,20 @@ class TestSimBackend:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             backend.open(
                 PartitionPlan("even", fractions), QOnlyChannel(),
                 None, 1,
             )
-            held = tracemalloc.get_traced_memory()[0] - before
+            held, peak = (x - before for x in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        # the store (20 B a rating), the factors and the local Qs: not two
+        # the sort's two orders and their digits, or the order beside the
+        # store it gathers: 20 B a rating, and the factors; int64 ids in
+        # the store made it 28
+        assert peak < 22 * nnz
+        # the store (12 B a rating), the factors and the local Qs: not two
+        assert ratings.nbytes() == 12 * nnz
         assert ratings.nbytes() <= held < 1.2 * ratings.nbytes()
         store = backend._eval_set
         assert store.nnz == nnz and (np.diff(store.rows) >= 0).all()
@@ -779,6 +787,21 @@ class TestLocalView:
         assert model.Q.shape == (K, t) and cols.shape == (t,)
         np.testing.assert_array_equal(cols, np.unique(shard[1]))
         np.testing.assert_array_equal(cols[local_cols], shard[1])
+
+    def test_renumbered_ids_are_int32_and_nothing_widens_them(self):
+        """The one ratings-sized array ``local_view`` makes is the
+        renumbered int32 column; ``searchsorted``'s int64 answer, or the
+        int64 copy ``bincount`` takes of its input, is twice that."""
+        nnz, n = 400_000, 40_000
+        rng = np.random.default_rng(2)
+        rows = np.zeros(nnz, dtype=np.int32)
+        shard_cols = rng.integers(0, n // 3, nnz).astype(np.int32)
+        shard = (rows, shard_cols, np.ones(nnz, dtype=np.float32))
+        P = np.zeros((1, 1), dtype=np.float32)
+        _, (_, local_cols, _), cols = local_view(P, shard, n)
+        assert local_cols.dtype == np.int32
+        np.testing.assert_array_equal(local_cols, np.searchsorted(cols, shard_cols))
+        assert peak_bytes(lambda: local_view(P, shard, n)) <= 4 * nnz + 16 * n
 
     def test_a_dense_shard_keeps_the_whole_wire(self, toy):
         """More than half the columns rated: "all", the shard as it came."""

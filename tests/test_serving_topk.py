@@ -199,7 +199,7 @@ class TestFilters:
         assert seen.items_for(-1).size == 0
         assert seen.items_for(tiny_ratings.m).size == 0
 
-    def test_seen_index_keeps_input_order_and_int64(self):
+    def test_seen_index_keeps_input_order_and_int32(self):
         """Also across a radix digit: user 65 536's low 16 bits are user 0's."""
         rng = np.random.default_rng(3)
         m = 65_537
@@ -208,8 +208,9 @@ class TestFilters:
         seen = SeenIndex.from_ratings(RatingMatrix(m, 9, rows, cols, np.ones(rows.size)))
         for user in (0, 1, 2, 3, 17, m - 1):
             got = seen.items_for(user)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             np.testing.assert_array_equal(got, cols[rows == user])
+        assert seen.items_for(m).dtype == np.int32
 
     def test_short_list_when_k_exceeds_allowed(self):
         store = store_for(np.ones((1, 2)), np.ones((2, 3)))
