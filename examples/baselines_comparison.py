@@ -14,8 +14,10 @@ Run:  python examples/baselines_comparison.py
 """
 
 from repro import HCCConfig, HCCMF, NETFLIX, paper_workstation
-from repro.mf import DSGD, NOMAD, CuMFSGD, FPSGD
-from repro.mf.dsgd import dsgd_epoch_time
+from repro.mf.cumf import CuMFSGD
+from repro.mf.dsgd import DSGD, dsgd_epoch_time
+from repro.mf.fpsgd import FPSGD
+from repro.mf.nomad import NOMAD
 
 
 def main() -> None:

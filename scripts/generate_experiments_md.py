@@ -1,24 +1,32 @@
 #!/usr/bin/env python
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table & figure.
 
-Run from the repository root:
+Run from anywhere; the script rewrites the repository's EXPERIMENTS.md
+in place:
 
-    python scripts/generate_experiments_md.py > EXPERIMENTS.md
+    python scripts/generate_experiments_md.py
 
-The content comes from :func:`repro.experiments.report.build_markdown_report`;
-pass ``--fast`` to shrink the numeric Figure 7 run.
+The sections come from :func:`repro.experiments.report.build_markdown_report`;
+the hand-written "Wall-clock notes" at the end of the current file are
+kept byte for byte (:func:`repro.experiments.report.with_notes`).  Pass
+``--fast`` to shrink the numeric Figure 7 run.
 """
 
 import sys
+from pathlib import Path
 
-from repro.experiments.report import build_markdown_report
+from repro.experiments.report import build_markdown_report, with_notes
+
+TARGET = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def main(argv: list[str]) -> None:
     fig7_kwargs = None
     if "--fast" in argv:
         fig7_kwargs = {"max_nnz": 12_000, "epochs": 12, "k": 8}
-    print(build_markdown_report(fig7_kwargs=fig7_kwargs), end="")
+    generated = build_markdown_report(fig7_kwargs=fig7_kwargs)
+    current = TARGET.read_bytes().decode("utf-8") if TARGET.exists() else ""
+    TARGET.write_bytes(with_notes(generated, current).encode("utf-8"))
 
 
 if __name__ == "__main__":

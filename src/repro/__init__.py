@@ -76,19 +76,25 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.framework": ("HCCMF", "TrainResult"),
-    "repro.core": (
-        "HCCConfig", "CommConfig", "PartitionStrategy", "TransmitMode",
-        "CommBackendKind", "TimeCostModel", "PartitionPlan", "dp0",
-        "dp1", "dp2", "computing_power", "utilization",
+    "repro.core.config": (
+        "HCCConfig", "CommConfig", "PartitionStrategy", "TransmitMode", "CommBackendKind",
     ),
-    "repro.data": (
-        "RatingMatrix", "DatasetSpec", "NETFLIX", "YAHOO_R1", "R1_STAR", "YAHOO_R2",
-        "MOVIELENS_20M", "generate_low_rank",
+    "repro.core.cost_model": ("TimeCostModel",),
+    "repro.core.partition": ("PartitionPlan", "dp0", "dp1", "dp2"),
+    "repro.core.metrics": ("computing_power", "utilization"),
+    "repro.data.ratings": ("RatingMatrix",),
+    "repro.data.datasets": (
+        "DatasetSpec", "NETFLIX", "YAHOO_R1", "R1_STAR", "YAHOO_R2", "MOVIELENS_20M",
     ),
-    "repro.hardware": (
-        "Platform", "Processor", "paper_workstation", "single_processor",
-    ),
-    "repro.mf": ("MFModel", "HogwildSGD", "FPSGD", "CuMFSGD"),
-    "repro.obs": ("Telemetry",),
-    "repro.engine": ("EpochEngine", "ProcessBackend", "QOnlyChannel"),
+    "repro.data.synthetic": ("generate_low_rank",),
+    "repro.hardware.processor": ("Processor",),
+    "repro.hardware.topology": ("Platform", "paper_workstation", "single_processor"),
+    "repro.mf.model": ("MFModel",),
+    "repro.mf.sgd": ("HogwildSGD",),
+    "repro.mf.fpsgd": ("FPSGD",),
+    "repro.mf.cumf": ("CuMFSGD",),
+    "repro.obs.telemetry": ("Telemetry",),
+    "repro.engine.pipeline": ("EpochEngine",),
+    "repro.engine.backends": ("ProcessBackend",),
+    "repro.engine.channels": ("QOnlyChannel",),
 })

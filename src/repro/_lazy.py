@@ -1,17 +1,15 @@
-"""Lazy package exports (PEP 562), shared by every ``repro`` package.
+"""Lazy package exports (PEP 562) for ``repro`` and ``repro.obs``.
 
-A spawned worker process imports ``repro`` and ``repro.engine`` just to
-reach its entry point; with eager ``__init__`` files that dragged the
-whole tree into every child.  Packages
-instead declare *where* each public name lives and resolve it on first
-access, so a process pays only for what it uses.
+A spawned worker process imports ``repro`` just to reach its entry
+point; an eager ``__init__`` would drag the whole tree into every
+child.  A package instead declares *where* each public name lives and
+resolves it on first access, so a process pays only for what it uses.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from types import ModuleType
 from typing import Callable, Mapping, Sequence
 
 
@@ -25,23 +23,8 @@ def lazy_exports(
     once per name.  Any other attribute falls back to importing the
     submodule of that name, which keeps ``import repro; repro.core``
     working as it did when every subpackage was imported eagerly.
-
-    An export named like the submodule that defines it (``autotune``)
-    keeps winning over that submodule, as the eager ``from ... import``
-    made it: the import system binds a freshly loaded submodule onto
-    its parent, and the package rebinds such a name to the export.
     """
     origin = {name: module for module, names in exports.items() for name in names}
-    shadowing = {name for name, module in origin.items() if module == f"{package}.{name}"}
-    if shadowing:
-
-        class _Package(ModuleType):
-            def __setattr__(self, name: str, value: object) -> None:
-                if name in shadowing and isinstance(value, ModuleType):
-                    value = getattr(value, name)
-                super().__setattr__(name, value)
-
-        sys.modules[package].__class__ = _Package
 
     def __getattr__(name: str) -> object:
         missing = AttributeError(f"module {package!r} has no attribute {name!r}")

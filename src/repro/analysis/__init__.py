@@ -19,60 +19,8 @@ Three layers, all guarding properties the paper only *assumes*:
 
 Lint findings print as text through :mod:`repro.analysis.reporters`.
 
-Entry points: ``repro lint`` on the CLI, or :func:`lint_paths` from
-Python.  The race detector has no command: it runs as tier-1 tests
+Entry points: ``repro lint`` on the CLI, or
+:func:`repro.analysis.lint.lint_paths` from Python.  The race detector has no command: it runs as tier-1 tests
 (``tests/test_analysis_race.py``) over the DP0/DP1/DP2 plans and a
 deliberately overlapping one.
 """
-
-from repro.analysis.cfg import CFG, Block, build_cfg
-from repro.analysis.flow import (
-    FlowAnalysis,
-    FunctionSummary,
-    module_summaries,
-    reaching_definitions,
-    run_analysis,
-    summarize_function,
-)
-from repro.analysis.lint import (
-    FileContext,
-    LintIssue,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.race import (
-    Access,
-    RaceLog,
-    RaceReport,
-    RaceViolation,
-    check_row_ownership,
-    tracked_train,
-)
-from repro.analysis.reporters import render_text
-
-__all__ = [
-    "Access",
-    "Block",
-    "CFG",
-    "FileContext",
-    "FlowAnalysis",
-    "FunctionSummary",
-    "LintIssue",
-    "RaceLog",
-    "RaceReport",
-    "RaceViolation",
-    "Rule",
-    "all_rules",
-    "build_cfg",
-    "check_row_ownership",
-    "lint_paths",
-    "lint_source",
-    "module_summaries",
-    "reaching_definitions",
-    "render_text",
-    "run_analysis",
-    "summarize_function",
-    "tracked_train",
-]

@@ -118,7 +118,7 @@ def _train_model(args: argparse.Namespace) -> int:
     hcc = HCCMF(overall_platform(), spec, config, ratings=ratings)
     telemetry = None
     if args.metrics or args.drift:
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry()
     result = hcc.train(telemetry=telemetry)
@@ -148,7 +148,7 @@ def _train_model(args: argparse.Namespace) -> int:
 
 
 def _model_drift(telemetry, result):
-    from repro.obs import compare, predictions_from_epoch_cost
+    from repro.obs.drift import compare, predictions_from_epoch_cost
 
     predictions = predictions_from_epoch_cost(result.epoch_cost)
     # simulated-plane lanes are worker-<id>; map analytic worker names
@@ -164,8 +164,11 @@ def _train_process(args: argparse.Namespace) -> int:
     """The wall-clock executor: real worker processes over shared memory."""
     from repro.core.config import CommConfig, TransmitMode
     from repro.data.datasets import get_dataset
-    from repro.engine import EpochEngine, ProcessBackend, channel_for
-    from repro.obs import StageProfiler, Telemetry
+    from repro.engine.backends import ProcessBackend
+    from repro.engine.channels import channel_for
+    from repro.engine.pipeline import EpochEngine
+    from repro.obs.profile import StageProfiler
+    from repro.obs.telemetry import Telemetry
 
     if args.timing_only:
         print("--executor process always trains numerically "
@@ -240,7 +243,7 @@ def _train_process(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     """Offline view of an instrumented run's artifacts."""
     from repro.hardware.trace import import_chrome_trace
-    from repro.obs import read_metrics_jsonl
+    from repro.obs.exporters import read_metrics_jsonl
 
     shown = False
     events: list = []

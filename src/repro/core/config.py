@@ -102,7 +102,7 @@ class RecoveryPolicy:
     continuation); and repeated failure past ``max_retries`` — or a
     death that would leave fewer than ``min_workers`` survivors —
     checkpoints (when a checkpoint path is configured) and aborts with
-    :class:`~repro.resilience.TrainingAborted`.
+    :class:`~repro.resilience.policy.TrainingAborted`.
     """
 
     #: transient-failure retries of the same epoch before aborting

@@ -18,39 +18,3 @@ channel=QOnlyChannel()).run(epochs)`` on the process plane;
 ``HCCMF.train`` is a thin facade over it for the sim plane.  New
 epoch-loop code belongs here (enforced by hcclint rule HCC111).
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "Channel",
-    "ComputeBackend",
-    "DEFAULT_BARRIER_TIMEOUT_S",
-    "DoubleBufferChannel",
-    "EngineResult",
-    "EpochEngine",
-    "Fp16Channel",
-    "ProcessBackend",
-    "QOnlyChannel",
-    "RECOVERABLE_ERRORS",
-    "STAGES",
-    "SimBackend",
-    "StageEvent",
-    "WirePayloadError",
-    "WorkerSyncError",
-    "channel_for",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.engine.backends": (
-        "DEFAULT_BARRIER_TIMEOUT_S", "ProcessBackend", "SimBackend",
-        "WirePayloadError", "WorkerSyncError",
-    ),
-    "repro.engine.channels": (
-        "Channel", "DoubleBufferChannel", "Fp16Channel", "QOnlyChannel",
-        "channel_for",
-    ),
-    "repro.engine.pipeline": (
-        "RECOVERABLE_ERRORS", "STAGES", "ComputeBackend", "EngineResult",
-        "EpochEngine", "StageEvent",
-    ),
-})

@@ -171,7 +171,7 @@ class EpochEngine:
       failures retry the epoch with exponential backoff, a dead worker
       triggers a shard redistribution across the survivors, and
       exhausted recovery checkpoints (when a path is configured) and
-      raises :class:`~repro.resilience.TrainingAborted`;
+      raises :class:`~repro.resilience.policy.TrainingAborted`;
     * ``checkpoint_every=``/``checkpoint_path=`` write an atomic
       checkpoint at epoch boundaries;
     * ``resume_from=`` warm-starts from a saved checkpoint, replaying

@@ -2,110 +2,9 @@
 
 Each ``figN``/``tableN`` function runs the corresponding experiment on
 the calibrated platform model (plus the numeric plane where convergence
-is under study) and returns an :class:`ExperimentResult` whose
-``render()`` prints the same rows/series the paper reports.
+is under study) and returns an
+:class:`~repro.experiments.tables.ExperimentResult` whose ``render()`` prints the same rows/series the paper reports.
 
 See DESIGN.md section 4 for the experiment index and EXPERIMENTS.md for
 paper-vs-measured values.
 """
-
-from repro.experiments.tables import ExperimentResult, render_table
-from repro.experiments.platforms import (
-    overall_platform,
-    hetero_platform,
-    single,
-    build_combo,
-    workers_platform,
-)
-from repro.experiments.runners import (
-    run_hcc,
-    single_processor_time,
-    dataset_config,
-)
-from repro.experiments.ablations import (
-    ablate_streams,
-    ablate_lambda,
-    ablate_latent_dim,
-    ablate_heterogeneous_baselines,
-    extension_q_rotate,
-    ALL_ABLATIONS,
-)
-from repro.experiments.energy import energy_of, compare_platform_energy
-from repro.experiments.report import build_markdown_report
-from repro.experiments.plots import ascii_line_chart, convergence_chart
-from repro.experiments.sensitivity import sensitivity_study, perturbed, KNOBS, METRICS
-from repro.experiments.crosscheck import crosscheck_model_vs_formulas, wire_bytes_identity
-from repro.experiments.whatif import (
-    gpu_pool,
-    sweep_gpu_count,
-    sweep_interconnect,
-    sweep_channel_contention,
-    hypothetical_gpu,
-    WhatIfRow,
-    PCIE4_X16,
-    NVLINK2,
-)
-from repro.experiments.figures import (
-    fig3a,
-    fig3b,
-    table2,
-    fig5_timing_sequences,
-    fig6_async_pipeline,
-    fig7,
-    table4,
-    fig8,
-    table5,
-    fig9,
-    table6,
-    ALL_EXPERIMENTS,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "render_table",
-    "overall_platform",
-    "hetero_platform",
-    "single",
-    "build_combo",
-    "workers_platform",
-    "run_hcc",
-    "single_processor_time",
-    "dataset_config",
-    "fig3a",
-    "fig3b",
-    "table2",
-    "fig5_timing_sequences",
-    "fig6_async_pipeline",
-    "fig7",
-    "table4",
-    "fig8",
-    "table5",
-    "fig9",
-    "table6",
-    "ALL_EXPERIMENTS",
-    "ablate_streams",
-    "ablate_lambda",
-    "ablate_latent_dim",
-    "ablate_heterogeneous_baselines",
-    "extension_q_rotate",
-    "ALL_ABLATIONS",
-    "energy_of",
-    "build_markdown_report",
-    "ascii_line_chart",
-    "convergence_chart",
-    "sensitivity_study",
-    "perturbed",
-    "KNOBS",
-    "METRICS",
-    "crosscheck_model_vs_formulas",
-    "wire_bytes_identity",
-    "compare_platform_energy",
-    "gpu_pool",
-    "sweep_gpu_count",
-    "sweep_interconnect",
-    "sweep_channel_contention",
-    "hypothetical_gpu",
-    "WhatIfRow",
-    "PCIE4_X16",
-    "NVLINK2",
-]

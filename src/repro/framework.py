@@ -174,10 +174,10 @@ class HCCMF:
     ) -> TrainResult:
         """Run the simulated-time plane and (if ratings) the numeric plane.
 
-        ``telemetry`` (a :class:`repro.obs.Telemetry`, duck-typed) opts
-        the numeric plane into runtime instrumentation: wall-clock
-        pull/compute/push spans per worker, sync/eval spans for the
-        server, per-epoch RMSE gauges and structured events.  ``None``
+        ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`,
+        duck-typed) opts the numeric plane into runtime instrumentation:
+        wall-clock pull/compute/push spans per worker, sync/eval spans for
+        the server, per-epoch RMSE gauges and structured events.  ``None``
         (the default) keeps every numeric path untimed.
 
         ``checkpoint_every=``/``checkpoint_path=`` write an atomic model

@@ -15,39 +15,3 @@ All kernels are vectorized NumPy with explicit conflict policies so the
 *semantics* (lost updates under asynchrony, block independence under
 FPSGD) match the originals even though the instruction set differs.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "MFModel",
-    "rmse",
-    "regularized_loss",
-    "sgd_batch_update",
-    "sgd_epoch",
-    "conflict_stats",
-    "ConflictPolicy",
-    "SerialSGD",
-    "HogwildSGD",
-    "TrainHistory",
-    "FPSGD",
-    "BlockGrid",
-    "BlockScheduler",
-    "CuMFSGD",
-    "DSGD",
-    "dsgd_epoch_time",
-    "stratum_schedule",
-    "NOMAD",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.mf.model": ("MFModel",),
-    "repro.mf.loss": ("rmse", "regularized_loss"),
-    "repro.mf.kernels": (
-        "sgd_batch_update", "sgd_epoch", "conflict_stats", "ConflictPolicy",
-    ),
-    "repro.mf.sgd": ("SerialSGD", "HogwildSGD", "TrainHistory"),
-    "repro.mf.fpsgd": ("FPSGD", "BlockGrid", "BlockScheduler"),
-    "repro.mf.cumf": ("CuMFSGD",),
-    "repro.mf.dsgd": ("DSGD", "dsgd_epoch_time", "stratum_schedule"),
-    "repro.mf.nomad": ("NOMAD",),
-})

@@ -17,56 +17,18 @@ PCM and Nsight Systems:
 * :mod:`repro.obs.profile` — stage-attributed cProfile hooks
   (``EpochEngine(profile=...)``) and the hotpath report.
 
-:class:`Telemetry` is the facade: pass one to
+:class:`~repro.obs.telemetry.Telemetry` is the facade: pass one to
 ``EpochEngine(..., telemetry=...)`` or ``HCCMF.train(telemetry=...)``
 and everything above is populated for that run.  Passing ``None`` (the
 default) makes every span scope on both planes a no-op.
+
+``Telemetry`` is the one name this package exports, for callers that
+import it as ``repro.obs.Telemetry``; every other name is imported from
+the module that defines it.
 """
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Telemetry",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Sample",
-    "SpanRing",
-    "SpanRingSpec",
-    "SpanRecord",
-    "SpanRecorder",
-    "assemble_timeline",
-    "DriftReport",
-    "DriftRow",
-    "HostRunInfo",
-    "compare",
-    "host_predictions",
-    "predictions_from_epoch_cost",
-    "jsonl_lines",
-    "write_metrics_jsonl",
-    "read_metrics_jsonl",
-    "host_fingerprint",
-    "StageProfiler",
-    "StageProfileReport",
-]
+__all__ = ["Telemetry"]
 
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.obs.telemetry": ("Telemetry",),
-    "repro.obs.bench": ("host_fingerprint",),
-    "repro.obs.drift": (
-        "DriftReport", "DriftRow", "HostRunInfo", "compare", "host_predictions",
-        "predictions_from_epoch_cost",
-    ),
-    "repro.obs.exporters": (
-        "jsonl_lines", "read_metrics_jsonl", "write_metrics_jsonl",
-    ),
-    "repro.obs.registry": (
-        "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sample",
-    ),
-    "repro.obs.profile": ("StageProfileReport", "StageProfiler"),
-    "repro.obs.spans": (
-        "SpanRecord", "SpanRecorder", "SpanRing", "SpanRingSpec",
-        "assemble_timeline",
-    ),
-})
+__getattr__, __dir__ = lazy_exports(__name__, {"repro.obs.telemetry": ("Telemetry",)})

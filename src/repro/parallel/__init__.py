@@ -6,21 +6,7 @@ holds those mechanics' host-CPU substrate: named
 :mod:`multiprocessing.shared_memory` segments (:mod:`repro.parallel.shm`)
 and the wall-clock DP0/DP1 measurement (:mod:`repro.parallel.tuning`).
 The server and worker processes that train over them are
-:class:`repro.engine.ProcessBackend` under
-:class:`repro.engine.EpochEngine`; the calibrated timing plane
+:class:`repro.engine.backends.ProcessBackend` under
+:class:`repro.engine.pipeline.EpochEngine`; the calibrated timing plane
 (:mod:`repro.hardware`) models the paper's actual CPU+GPU testbed.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "SharedArray",
-    "SharedArraySpec",
-    "MeasuredPartition",
-    "measure_partition",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.parallel.shm": ("SharedArray", "SharedArraySpec"),
-    "repro.parallel.tuning": ("MeasuredPartition", "measure_partition"),
-})

@@ -11,40 +11,12 @@ epoch; this package is what happens when one does not
   :class:`~repro.core.config.RecoveryPolicy` into a recovery action
   (retry with backoff, redistribute the dead shard across survivors,
   or checkpoint-and-abort); the renormalization of a partition plan
-  around dead ranks is :func:`repro.core.partition.redistribute`,
-  re-exported here;
+  around dead ranks is :func:`repro.core.partition.redistribute`;
 * :mod:`repro.resilience.faults` — the fault-injection harness
-  (:class:`FaultPlan`): kill a worker at an epoch, delay a barrier,
+  (:class:`~repro.resilience.faults.FaultPlan`): kill a worker at an epoch, delay a barrier,
   drop or corrupt a wire payload — used by the tests
   (``tests/test_engine_recovery.py``) to prove every recovery path.
 
 The engine (:mod:`repro.engine.pipeline`) consumes all three; nothing
 here imports the engine, so the dependency points one way.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "Fault",
-    "FaultPlan",
-    "HealthReport",
-    "RecoveryAction",
-    "ResilienceSummary",
-    "TrainingAborted",
-    "WorkerHealth",
-    "WorkerState",
-    "classify",
-    "decide",
-    "redistribute",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.resilience.faults": ("Fault", "FaultPlan"),
-    "repro.resilience.health": (
-        "HealthReport", "WorkerHealth", "WorkerState", "classify",
-    ),
-    "repro.resilience.policy": (
-        "RecoveryAction", "ResilienceSummary", "TrainingAborted", "decide",
-    ),
-    "repro.core.partition": ("redistribute",),
-})

@@ -16,24 +16,3 @@ Training produces checkpoints; this package turns them into a service
 See docs/serving.md for the architecture; ``python3 -m perf`` measures
 it under load (``perf/serve.py``).
 """
-
-from repro.serving.scorer import PRECISIONS, Scorer, SeenIndex, TopKResult
-from repro.serving.store import (
-    SWAP_FAILURE_REASONS,
-    ModelSnapshot,
-    ModelStore,
-    ServingError,
-    SwapResult,
-)
-
-__all__ = [
-    "PRECISIONS",
-    "SWAP_FAILURE_REASONS",
-    "ModelSnapshot",
-    "ModelStore",
-    "Scorer",
-    "SeenIndex",
-    "ServingError",
-    "SwapResult",
-    "TopKResult",
-]

@@ -9,31 +9,3 @@ tolerance.  ``tests/test_chaos_parity.py`` runs it: named scenarios
 through both planes, the whole default matrix and a 50-scenario
 randomized sweep sim-side.
 """
-
-from repro.testing.chaos import (
-    ChaosScenario,
-    default_matrix,
-    generate_scenarios,
-    parity_platform,
-)
-from repro.testing.parity import (
-    ParityCheck,
-    ParityReport,
-    PlaneOutcome,
-    check_invariants,
-    check_parity,
-    run_scenario,
-)
-
-__all__ = [
-    "ChaosScenario",
-    "ParityCheck",
-    "ParityReport",
-    "PlaneOutcome",
-    "check_invariants",
-    "check_parity",
-    "default_matrix",
-    "generate_scenarios",
-    "parity_platform",
-    "run_scenario",
-]

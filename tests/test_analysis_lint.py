@@ -750,7 +750,7 @@ class TestRepoIsClean:
     def test_scoped_module_lists_name_files_that_exist(self):
         import os
 
-        from repro.analysis import hotpath
+        import repro.analysis.hotpath as hotpath
 
         scoped = set().union(*(
             value for name, value in vars(hotpath).items()

@@ -22,15 +22,13 @@ from repro.engine.channels import QOnlyChannel
 from repro.engine.pipeline import EpochEngine
 from repro.hardware.topology import paper_workstation
 from repro.core.partition import redistribute
-from repro.testing import (
+from repro.testing.chaos import (
     ChaosScenario,
-    check_invariants,
-    check_parity,
     default_matrix,
     generate_scenarios,
     parity_platform,
-    run_scenario,
 )
+from repro.testing.parity import check_invariants, check_parity, run_scenario
 
 
 def _by_name(name: str) -> ChaosScenario:
@@ -161,7 +159,7 @@ class TestRandomizedSweep:
 class TestScenarioValidation:
     def test_fault_rank_must_fit(self):
         from repro.core.config import RecoveryPolicy
-        from repro.resilience import FaultPlan
+        from repro.resilience.faults import FaultPlan
 
         with pytest.raises(ValueError, match="outside"):
             ChaosScenario(

@@ -200,7 +200,7 @@ class TestPartitionIntegration:
 
 class TestSimPlaneTelemetry:
     def test_telemetry_collects_spans_and_metrics(self, platform, medium_ratings):
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         cfg = HCCConfig(k=8, epochs=3, learning_rate=0.01, seed=1)
         tel = Telemetry()
@@ -218,7 +218,7 @@ class TestSimPlaneTelemetry:
         assert rmse.value(epoch=2) > 0
 
     def test_telemetry_does_not_change_numerics(self, platform, medium_ratings):
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         cfg = HCCConfig(k=8, epochs=3, learning_rate=0.01, seed=7)
         plain = HCCMF(platform, NETFLIX, cfg, ratings=medium_ratings).train()

@@ -10,17 +10,9 @@ import pytest
 from repro.core.config import CommConfig, TransmitMode
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
-from repro.engine import (
-    Channel,
-    EngineResult,
-    EpochEngine,
-    ProcessBackend,
-    QOnlyChannel,
-    SimBackend,
-    STAGES,
-    StageEvent,
-    channel_for,
-)
+from repro.engine.backends import ProcessBackend, SimBackend
+from repro.engine.channels import Channel, QOnlyChannel, channel_for
+from repro.engine.pipeline import EngineResult, EpochEngine, STAGES, StageEvent
 from repro.experiments.platforms import workers_platform
 
 

@@ -24,7 +24,7 @@ from repro.engine.pipeline import STAGES, EpochEngine
 from repro.experiments.platforms import workers_platform
 from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
-from repro.resilience import FaultPlan
+from repro.resilience.faults import FaultPlan
 from tests.test_engine_startup import factor_crcs
 
 

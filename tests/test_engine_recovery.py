@@ -19,11 +19,14 @@ from repro.core.partition import PartitionPlan, redistribute
 from repro.data.datasets import NETFLIX, YAHOO_R1
 from repro.data.grid import GridKind, partition_rows
 from repro.data.ratings import RatingMatrix
-from repro.engine import ProcessBackend, QOnlyChannel, SimBackend, WorkerSyncError
+from repro.engine.backends import ProcessBackend, SimBackend, WorkerSyncError
+from repro.engine.channels import QOnlyChannel
 from repro.engine.pipeline import EpochEngine
 from repro.framework import HCCMF
 from repro.hardware.topology import paper_workstation
-from repro.resilience import FaultPlan, TrainingAborted, WorkerState
+from repro.resilience.faults import FaultPlan
+from repro.resilience.health import WorkerState
+from repro.resilience.policy import TrainingAborted
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +203,7 @@ class TestTransientRecovery:
     def test_no_recovery_policy_raises_raw_error(self, data):
         """Without recovery= the engine keeps its historical contract:
         the failure propagates unchanged."""
-        from repro.engine import WirePayloadError
+        from repro.engine.backends import WirePayloadError
 
         with pytest.raises(WirePayloadError):
             engine_for(
@@ -400,7 +403,7 @@ class TestCheckpointResume:
 
 class TestResilienceTelemetry:
     def test_counters_and_events_flow(self, data):
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry()
         engine_for(
@@ -422,7 +425,7 @@ class TestResilienceTelemetry:
         the assembled timeline carries both attempt 0 (up to the kill)
         and attempt 1 (the post-redistribution rerun), tagged apart."""
         from repro.hardware.timeline import Phase
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry()
         engine_for(

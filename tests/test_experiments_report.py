@@ -1,8 +1,10 @@
 """Tests for the markdown report builder."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.report import SECTIONS, build_markdown_report
+from repro.experiments.report import NOTES_HEADING, SECTIONS, build_markdown_report, with_notes
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,29 @@ class TestReport:
             "fig3", "table2", "fig5-6", "fig7", "table4",
             "fig8", "table5", "fig9", "table6",
         ]
+
+
+class TestNotesSplice:
+    GENERATED = "# EXPERIMENTS\n\n## Table 2\n\nnew numbers\n\n"
+
+    def test_report_ends_before_the_notes(self, report_text):
+        assert NOTES_HEADING not in report_text
+
+    def test_notes_are_kept_byte_for_byte(self):
+        notes = f"{NOTES_HEADING} (host)\r\n\n### A\n\n| x |  \n\ttrailing  \n"
+        current = "# EXPERIMENTS\n\n## Table 2\n\nold numbers\n\n" + notes
+        assert with_notes(self.GENERATED, current) == self.GENERATED + notes
+
+    def test_a_heading_not_at_a_line_start_is_text(self):
+        current = f"see `{NOTES_HEADING}` below\n"
+        assert with_notes(self.GENERATED, current) == self.GENERATED
+
+    def test_no_current_file_keeps_nothing(self):
+        assert with_notes(self.GENERATED, "") == self.GENERATED
+
+    def test_the_repository_file_splits_at_its_notes(self):
+        text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
+        kept = with_notes("", text)
+        assert kept.startswith(NOTES_HEADING)
+        assert text.endswith(kept)
+        assert kept.count("\n### ") >= 7

@@ -168,8 +168,10 @@ class TestImport:
         """Traces written by an instrumented real run must re-import
         for offline obs-report analysis."""
         from repro.data.datasets import NETFLIX
-        from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
-        from repro.obs import Telemetry
+        from repro.engine.backends import ProcessBackend
+        from repro.engine.channels import QOnlyChannel
+        from repro.engine.pipeline import EpochEngine
+        from repro.obs.telemetry import Telemetry
 
         data = NETFLIX.scaled(3000).generate(seed=7)
         tel = Telemetry()

@@ -3,7 +3,8 @@
 Every spawned worker imports ``repro``, ``repro.engine`` and the worker
 module before it can attach, so what those pull in is start-up time on
 the process plane's critical path.  The budgets are enforced in fresh
-interpreters; the export tables are checked in-process.
+interpreters; the two export tables (``repro`` and ``repro.obs``) are
+checked in-process.
 
 A fresh interpreter is started with ``-S``, with ``src/`` and the
 parent's site directories on ``PYTHONPATH``: numpy still resolves, but
@@ -26,10 +27,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LAZY_PACKAGES = [
-    "repro", "repro.core", "repro.data", "repro.engine", "repro.hardware",
-    "repro.mf", "repro.parallel", "repro.resilience", "repro.obs",
-]
+LAZY_PACKAGES = ["repro", "repro.obs"]
 
 
 def fresh_python(code: str) -> str:
@@ -93,6 +91,18 @@ class TestImportBudget:
             assert module not in modules, module
         assert len(modules) < 240
 
+    def test_lint_loads_no_numpy(self):
+        """``repro lint`` reads source text: the linter's import stops at
+        the analysis modules it uses, with no numpy behind them."""
+        modules = modules_after("import repro.analysis.lint")
+        assert not loaded(modules, "numpy")
+
+    def test_platforms_load_no_figures(self):
+        """``repro platforms`` and ``repro train`` build a platform
+        without loading the figure generators beside it."""
+        modules = modules_after("import repro.experiments.platforms")
+        assert "repro.experiments.figures" not in modules
+
     def test_sim_plane_epoch_loads_no_graph_library(self):
         """A ``Platform`` is a star with one bus per worker, kept as a
         dict: building the paper's and training on it loads no
@@ -123,22 +133,10 @@ class TestLazyExports:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             repro.no_such_name
-        assert not hasattr(repro.core, "_private_probe")
+        assert not hasattr(repro.obs, "_private_probe")
 
     def test_subpackages_reachable_as_attributes(self):
-        """``import repro; repro.data...`` worked when every subpackage
+        """``import repro; repro.testing`` worked when every subpackage
         was imported eagerly, and still does."""
-        modules = modules_after(
-            "import repro; repro.data.RatingMatrix; repro.testing"
-        )
-        assert "repro.data.ratings" in modules
+        modules = modules_after("import repro; repro.testing")
         assert "repro.testing" in modules
-
-    def test_export_shadows_its_defining_submodule(self):
-        """``repro.core.autotune`` is the function whichever of the
-        function and its module is imported first."""
-        out = fresh_python(
-            "import repro.core.autotune; from repro.core import autotune; "
-            "print(callable(autotune))"
-        )
-        assert out.strip() == "True"

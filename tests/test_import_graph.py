@@ -9,6 +9,10 @@ package's ``lazy_exports`` table, which is an import spelled as data.
 ``if TYPE_CHECKING:`` blocks are skipped: annotations create no runtime
 edge.  The test asserts that no strongly connected component holds more
 than one node.
+
+Every name has one home, the module that defines it: a sub-package
+``__init__`` is its docstring, and only ``repro`` and ``repro.obs``
+keep an export table.
 """
 
 import ast
@@ -23,15 +27,11 @@ def _is_type_checking(test: ast.expr) -> bool:
     )
 
 
-def _lazy_table_modules(node: ast.Call):
-    """The module strings of a ``lazy_exports(__name__, {...})`` call."""
-    if isinstance(node.func, ast.Name) and node.func.id == "lazy_exports":
-        for arg in node.args[1:]:
-            if isinstance(arg, ast.Dict):
-                yield from (
-                    key.value for key in arg.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                )
+def _lazy_table(node: ast.AST) -> dict[str, tuple[str, ...]]:
+    """``module -> names`` of a ``lazy_exports(__name__, {...})`` call, else ``{}``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+        return ast.literal_eval(node.args[1])
+    return {}
 
 
 def _runtime_imports(tree: ast.AST):
@@ -43,8 +43,8 @@ def _runtime_imports(tree: ast.AST):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             yield node.module
-        elif isinstance(node, ast.Call):
-            yield from _lazy_table_modules(node)
+        else:
+            yield from _lazy_table(node)
         if isinstance(node, ast.If) and _is_type_checking(node.test):
             stack.extend(node.orelse)
         else:
@@ -98,9 +98,9 @@ def test_type_checking_blocks_and_function_bodies():
         "else:\n"
         "    import repro.mf\n"
         "def f():\n"
-        "    from repro.engine import EpochEngine\n"
+        "    from repro.engine.pipeline import EpochEngine\n"
     )
-    assert sorted(_runtime_imports(tree)) == ["repro.engine", "repro.mf", "typing"]
+    assert sorted(_runtime_imports(tree)) == ["repro.engine.pipeline", "repro.mf", "typing"]
 
 
 def test_a_three_cycle_through_a_function_and_a_lazy_table_is_reported():
@@ -129,3 +129,22 @@ def test_no_import_cycle_of_any_length():
     assert {"cli", "framework", "_lazy", "core", "engine"} <= set(graph)
     assert graph["__init__"] >= {"framework", "core", "engine"}   # lazy table
     assert cycles(graph) == []
+
+
+def test_every_name_is_imported_from_its_defining_module():
+    """A sub-package ``__init__`` is a docstring and nothing else;
+    ``repro.obs`` keeps ``Telemetry`` alone (``perf/child.py`` imports
+    it from there), and the front door names defining modules, never a
+    package table in between."""
+    def table(tree: ast.AST) -> dict[str, tuple[str, ...]]:
+        return {k: v for node in ast.walk(tree) for k, v in _lazy_table(node).items()}
+
+    for init in sorted(SRC.glob("*/__init__.py")):
+        tree = ast.parse(init.read_text(encoding="utf-8"))
+        if init.parent.name == "obs":
+            assert table(tree) == {"repro.obs.telemetry": ("Telemetry",)}
+        else:
+            assert len(tree.body) == 1 and ast.get_docstring(tree), init
+    front = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    for module in table(front):
+        assert (SRC.parent / f"{module.replace('.', '/')}.py").is_file(), module

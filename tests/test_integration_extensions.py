@@ -40,7 +40,8 @@ class TestCheckpointedHCCModel:
         """A model trained by the framework survives checkpointing and
         still produces sensible recommendations."""
         from repro.core.checkpoint import Checkpoint, save_checkpoint
-        from repro.serving import ModelStore, Scorer
+        from repro.serving.scorer import Scorer
+        from repro.serving.store import ModelStore
 
         data = NETFLIX.scaled(12_000).generate(seed=4)
         cfg = HCCConfig(k=8, epochs=5, learning_rate=0.01, seed=4)

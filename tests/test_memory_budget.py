@@ -42,7 +42,7 @@ from repro.engine.worker_proc import local_view
 from repro.hardware.topology import paper_workstation
 from repro.mf.kernels import ConflictPolicy, sgd_batch_update, sgd_epoch
 from repro.mf.model import MFModel
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.resilience.faults import FaultPlan
 from repro.serving.scorer import SeenIndex
 

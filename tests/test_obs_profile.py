@@ -147,7 +147,9 @@ class TestEngineIntegration:
     engine stages on both planes."""
 
     def test_sim_plane_attribution(self):
-        from repro.engine import EpochEngine, QOnlyChannel, SimBackend
+        from repro.engine.backends import SimBackend
+        from repro.engine.channels import QOnlyChannel
+        from repro.engine.pipeline import EpochEngine
         from repro.experiments.platforms import workers_platform
 
         ratings = NETFLIX.scaled(2000).generate(seed=0)
@@ -167,7 +169,9 @@ class TestEngineIntegration:
         assert any("sgd_shard_epoch" in e.function for e in compute)
 
     def test_process_plane_attribution_with_worker_dumps(self):
-        from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
+        from repro.engine.backends import ProcessBackend
+        from repro.engine.channels import QOnlyChannel
+        from repro.engine.pipeline import EpochEngine
 
         ratings = NETFLIX.scaled(2000).generate(seed=0)
         prof = StageProfiler()
@@ -196,7 +200,9 @@ class TestEngineIntegration:
         assert any("sgd_shard_epoch" in e.function for e in compute)
 
     def test_unprofiled_run_unchanged(self):
-        from repro.engine import EpochEngine, QOnlyChannel, SimBackend
+        from repro.engine.backends import SimBackend
+        from repro.engine.channels import QOnlyChannel
+        from repro.engine.pipeline import EpochEngine
         from repro.experiments.platforms import workers_platform
 
         ratings = NETFLIX.scaled(2000).generate(seed=0)

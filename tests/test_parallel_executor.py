@@ -9,8 +9,9 @@ import pytest
 
 from repro.core.partition import PartitionPlan
 from repro.data.datasets import NETFLIX
-from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
-from repro.engine.pipeline import EngineResult, StageEvent
+from repro.engine.backends import ProcessBackend
+from repro.engine.channels import QOnlyChannel
+from repro.engine.pipeline import EngineResult, EpochEngine, StageEvent
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ class TestProcessPlane:
         """Fault injection: a crashed worker must surface as a clear
         error, not a hang, and shared memory must be reclaimed (the
         next run succeeds)."""
-        from repro.resilience import FaultPlan
+        from repro.resilience.faults import FaultPlan
 
         with pytest.raises(RuntimeError, match="worker process failed"):
             train(data, 3, k=8, n_workers=2, lr=0.01, seed=0,
@@ -101,8 +102,8 @@ class TestChannelStrategies:
         return sum(s.value for s in tel.registry.samples() if s.name == name)
 
     def test_fp16_matches_fp32_with_half_the_wire_bytes(self, data):
-        from repro.engine import Fp16Channel
-        from repro.obs import Telemetry
+        from repro.engine.channels import Fp16Channel
+        from repro.obs.telemetry import Telemetry
 
         tel32, tel16 = Telemetry(), Telemetry()
         kw = dict(k=8, n_workers=2, lr=0.01, seed=0)
@@ -129,7 +130,7 @@ class TestChannelStrategies:
         assert res.rmse_history[-1] < res.rmse_history[0]
 
     def test_double_buffer_stack_runs(self, data):
-        from repro.engine import DoubleBufferChannel, Fp16Channel
+        from repro.engine.channels import DoubleBufferChannel, Fp16Channel
 
         stack = DoubleBufferChannel(Fp16Channel(QOnlyChannel()))
         res = train(data, 2, channel=stack, k=8, n_workers=2, lr=0.01, seed=0)
@@ -137,7 +138,7 @@ class TestChannelStrategies:
 
     def test_config_selects_the_channel_stack(self, data):
         from repro.core.config import CommConfig, HCCConfig
-        from repro.engine import channel_for
+        from repro.engine.channels import channel_for
 
         config = HCCConfig(comm=CommConfig(fp16=True))
         channel = channel_for(config.comm, data.m, data.n)
@@ -150,8 +151,8 @@ class TestBarrierDiagnostics:
     validated where it is configured."""
 
     def test_sync_error_names_the_missing_rank(self, data):
-        from repro.engine import WorkerSyncError
-        from repro.resilience import FaultPlan
+        from repro.engine.backends import WorkerSyncError
+        from repro.resilience.faults import FaultPlan
 
         with pytest.raises(WorkerSyncError) as excinfo:
             train(data, 3, k=8, n_workers=2, lr=0.01, seed=0,
@@ -172,7 +173,7 @@ class TestBarrierDiagnostics:
 class TestExecutorTelemetry:
     def test_disabled_telemetry_takes_zero_overhead_path(self, data, monkeypatch):
         """telemetry=None must never touch the span-ring machinery."""
-        from repro.obs import spans
+        import repro.obs.spans as spans
 
         calls = []
         original = spans.SpanRing.create.__func__
@@ -189,7 +190,7 @@ class TestExecutorTelemetry:
 
     def test_instrumented_run_matches_uninstrumented_numerics(self, data):
         """Telemetry must observe, not perturb: same seed, same RMSE."""
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         plain = train(data, 2, k=8, n_workers=2, seed=0)
         tel = Telemetry()

@@ -41,7 +41,9 @@ class TestMeasurePartition:
         assert mp.plan.fractions == (1.0,)
 
     def test_feeds_shared_memory_trainer(self, medium_ratings):
-        from repro.engine import EpochEngine, ProcessBackend, QOnlyChannel
+        from repro.engine.backends import ProcessBackend
+        from repro.engine.channels import QOnlyChannel
+        from repro.engine.pipeline import EpochEngine
 
         mp = measure_partition(medium_ratings, 2, k=8, seed=0)
         backend = ProcessBackend(medium_ratings, k=8, n_workers=2, lr=0.01, seed=0)

@@ -42,7 +42,7 @@ class TestPublicAPI:
         assert repro.MOVIELENS_20M.name == "MovieLens-20m"
 
     def test_experiment_registry(self):
-        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments.figures import ALL_EXPERIMENTS
 
         assert len(ALL_EXPERIMENTS) == 11
         assert all(callable(f) for f in ALL_EXPERIMENTS.values())

@@ -3,7 +3,7 @@
 The walk starts at what a user or the driver runs — ``repro/cli.py``
 (``python -m repro``), ``perf/``, ``benchmarks/`` and ``scripts/`` —
 and follows every ``import``, function-level ones included.  A package
-``__init__`` is an export table, not a caller: ``from repro.mf import
+``__init__`` is an export table, not a caller: ``from repro import
 FPSGD`` reaches ``repro.mf.fpsgd``, the module the table names for
 ``FPSGD``, and being listed in a table reaches nothing.  The test pins
 the *exact* set of modules the walk does not reach, each with the paper
@@ -50,14 +50,12 @@ def is_package(name: str) -> bool:
     return name in MODULES and MODULES[name].name == "__init__.py"
 
 
-def exports(tree: ast.AST, package: str) -> dict[str, str]:
+def exports(tree: ast.AST) -> dict[str, str]:
     """``public name -> defining module`` of a package ``__init__``,
-    from its ``lazy_exports`` table and its eager re-export imports."""
+    from its ``lazy_exports`` table."""
     table: dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(package + "."):
-            table.update({alias.asname or alias.name: node.module for alias in node.names})
-        elif (
+        if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "lazy_exports"
@@ -67,7 +65,7 @@ def exports(tree: ast.AST, package: str) -> dict[str, str]:
     return table
 
 
-def imported_modules(tree: ast.AST, importer: str | None, tables) -> set[str]:
+def imported_modules(tree: ast.AST, tables) -> set[str]:
     """The ``repro`` modules the code in ``tree`` names when it runs."""
     found: set[str] = set()
     for node in ast.walk(tree):
@@ -76,8 +74,6 @@ def imported_modules(tree: ast.AST, importer: str | None, tables) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             if node.module.split(".")[0] != "repro":
                 continue
-            if importer is not None and is_package(importer) and node.module.startswith(importer + "."):
-                continue        # an __init__ re-exporting its own submodule
             found.add(node.module)
             for alias in node.names:
                 submodule = f"{node.module}.{alias.name}"
@@ -90,15 +86,13 @@ def imported_modules(tree: ast.AST, importer: str | None, tables) -> set[str]:
 
 def reached(entry_points) -> set[str]:
     trees = {name: ast.parse(p.read_text(encoding="utf-8")) for name, p in MODULES.items()}
-    tables = {name: exports(trees[name], name) for name in MODULES if is_package(name)}
+    tables = {name: exports(trees[name]) for name in MODULES if is_package(name)}
     pending: set[str] = set()
     for path in entry_points:
         if SRC in path.parents:
             pending.add(module_name(path))
         else:
-            pending |= imported_modules(
-                ast.parse(path.read_text(encoding="utf-8")), None, tables
-            )
+            pending |= imported_modules(ast.parse(path.read_text(encoding="utf-8")), tables)
     seen: set[str] = set()
     while pending:
         name = pending.pop()
@@ -108,7 +102,7 @@ def reached(entry_points) -> set[str]:
         parent = name.rpartition(".")[0]
         if parent:
             pending.add(parent)     # importing a.b runs a/__init__ first
-        pending |= imported_modules(trees[name], name, tables)
+        pending |= imported_modules(trees[name], tables)
     return seen
 
 
@@ -122,15 +116,13 @@ def entry_points() -> list[Path]:
 
 
 def test_a_name_imported_from_a_package_reaches_the_module_the_table_names():
-    tables = {"repro.mf": exports(ast.parse(MODULES["repro.mf"].read_text()), "repro.mf")}
-    assert tables["repro.mf"]["FPSGD"] == "repro.mf.fpsgd"
-    tree = ast.parse("def f():\n    from repro.mf import FPSGD\n    from repro.data import grid\n")
-    assert imported_modules(tree, None, tables) == {
-        "repro.mf", "repro.mf.fpsgd", "repro.data", "repro.data.grid",
-    }
+    tables = {"repro": exports(ast.parse(MODULES["repro"].read_text()))}
+    assert tables["repro"]["FPSGD"] == "repro.mf.fpsgd"
+    tree = ast.parse("def f():\n    from repro import FPSGD, framework\n")
+    assert imported_modules(tree, tables) == {"repro", "repro.mf.fpsgd", "repro.framework"}
     # the table's own listing is not a caller
     assert "repro.mf.fpsgd" not in imported_modules(
-        ast.parse(MODULES["repro.mf"].read_text()), "repro.mf", tables
+        ast.parse(MODULES["repro"].read_text()), tables
     )
 
 

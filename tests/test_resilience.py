@@ -6,19 +6,14 @@ import pytest
 
 from repro.core.config import RecoveryPolicy
 from repro.core.partition import PartitionPlan, redistribute
-from repro.resilience import (
-    Fault,
-    FaultPlan,
-    HealthReport,
+from repro.resilience.health import HealthReport, WorkerHealth, WorkerState, classify
+from repro.resilience.policy import (
     RecoveryAction,
     ResilienceSummary,
     TrainingAborted,
-    WorkerHealth,
-    WorkerState,
-    classify,
     decide,
 )
-from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, fault_at
+from repro.resilience.faults import CORRUPT, DELAY, DROP, KILL, Fault, FaultPlan, fault_at
 
 
 class TestFaultPlan:
