@@ -8,11 +8,9 @@ in place:
 
 The sections come from :func:`repro.experiments.report.build_markdown_report`;
 the hand-written "Wall-clock notes" at the end of the current file are
-kept byte for byte (:func:`repro.experiments.report.with_notes`).  Pass
-``--fast`` to shrink the numeric Figure 7 run.
+kept byte for byte (:func:`repro.experiments.report.with_notes`).
 """
 
-import sys
 from pathlib import Path
 
 from repro.experiments.report import build_markdown_report, with_notes
@@ -20,14 +18,11 @@ from repro.experiments.report import build_markdown_report, with_notes
 TARGET = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
-def main(argv: list[str]) -> None:
-    fig7_kwargs = None
-    if "--fast" in argv:
-        fig7_kwargs = {"max_nnz": 12_000, "epochs": 12, "k": 8}
-    generated = build_markdown_report(fig7_kwargs=fig7_kwargs)
+def main() -> None:
+    generated = build_markdown_report()
     current = TARGET.read_bytes().decode("utf-8") if TARGET.exists() else ""
     TARGET.write_bytes(with_notes(generated, current).encode("utf-8"))
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

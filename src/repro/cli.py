@@ -17,7 +17,8 @@ Commands
     Profile a dataset's structure (reuse, skew, conflict probability)
     and print the recommended strategy stack.
 ``reproduce``
-    Regenerate paper tables/figures (all, or selected ids).
+    Regenerate paper tables/figures (all, or selected ids), with the
+    Fig. 5 and 6 Gantt charts and the Fig. 7d-f convergence charts.
 ``ablate``
     Run the ablation sweeps (all, or selected ids).
 ``lint``
@@ -350,8 +351,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _indented(title: str, art: str) -> str:
+    return f"\n  -- {title} --\n" + "\n".join(f"  {line}" for line in art.splitlines())
+
+
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments.figures import ALL_EXPERIMENTS
+    from repro.experiments.plots import convergence_chart
 
     ids = args.ids or list(ALL_EXPERIMENTS)
     unknown = set(ids) - set(ALL_EXPERIMENTS)
@@ -360,7 +366,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"available: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
     for exp_id in ids:
-        print(ALL_EXPERIMENTS[exp_id]().render())
+        result = ALL_EXPERIMENTS[exp_id]()
+        print(result.render())
+        for label, art in result.extra.get("gantt", {}).items():
+            print(_indented(label, art))
+        for dataset, curves in result.extra.get("curves", {}).items():
+            print(_indented(f"{dataset}: RMSE vs modeled time (Fig. 7d-f)",
+                            convergence_chart(curves, against="time")))
         print()
     return 0
 

@@ -5,10 +5,8 @@ draws as line charts (Figure 7's RMSE-vs-epoch and RMSE-vs-time) are
 rendered as fixed-width ASCII — good enough to *see* the crossovers the
 tests assert, in any terminal or CI log.
 
-No entry point imports this module: it stays as Figure 7's charts,
-drawn by ``examples/reproduce_paper.py`` and checked by
-``tests/test_experiments_plots.py`` (pinned in
-``tests/test_reach_census.py``).
+``repro reproduce fig7`` draws Figure 7d-f's charts with it;
+``tests/test_experiments_plots.py`` checks the rendering.
 """
 
 from __future__ import annotations

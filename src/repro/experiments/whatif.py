@@ -6,8 +6,8 @@ cannot: what would NVLink buy?  How many GPUs before communication
 saturates?  Is a V100 pool better value than 2080-class cards?
 
 These helpers build hypothetical platforms and sweep them against a
-dataset, returning plain result rows (used by the ablation benches and
-the ``heterogeneous_scaling`` example's what-if section).
+dataset, returning plain result rows (tabulated by ``repro ablate
+whatif`` and swept by ``examples/autotuning_and_whatif.py``).
 """
 
 from __future__ import annotations

@@ -98,6 +98,24 @@ class TestCommands:
         assert main(["reproduce", "fig3b"]) == 0
         assert "[fig3b]" in capsys.readouterr().out
 
+    def test_reproduce_prints_gantts(self, capsys):
+        assert main(["reproduce", "fig5"]) == 0
+        out = capsys.readouterr().out
+        assert "-- optimized, sync hidden (DP2) --" in out
+        assert "legend: < pull" in out
+
+    def test_reproduce_prints_convergence_charts(self, capsys, monkeypatch):
+        from functools import partial
+
+        from repro.experiments.figures import ALL_EXPERIMENTS, fig7
+
+        small = partial(fig7, max_nnz=4_000, epochs=4, k=8)
+        monkeypatch.setitem(ALL_EXPERIMENTS, "fig7", small)
+        assert main(["reproduce", "fig7"]) == 0
+        out = capsys.readouterr().out
+        assert "-- R2: RMSE vs modeled time (Fig. 7d-f) --" in out
+        assert out.count("[RMSE]   * HCC   + FPSGD   o cuMF_SGD") == 3
+
     def test_reproduce_unknown_id(self, capsys):
         assert main(["reproduce", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
@@ -105,6 +123,10 @@ class TestCommands:
     def test_ablate_selected(self, capsys):
         assert main(["ablate", "lambda"]) == 0
         assert "[ablate-lambda]" in capsys.readouterr().out
+
+    def test_ablate_whatif(self, capsys):
+        assert main(["ablate", "whatif"]) == 0
+        assert "[whatif]" in capsys.readouterr().out
 
     def test_ablate_unknown_id(self, capsys):
         assert main(["ablate", "nope"]) == 2

@@ -1,5 +1,6 @@
 """Guard rails keeping the documentation in sync with the code."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,32 @@ class TestDocsDirectory:
         doc = (REPO / "docs" / "architecture.md").read_text()
         assert "numeric plane" in doc
         assert "timing plane" in doc
+
+
+class TestRepoPaths:
+    DOCS = ("README.md", "DESIGN.md", "CONTRIBUTING.md",
+            ".claude/skills/verify/SKILL.md", "docs/*.md")
+
+    def test_every_backticked_repo_path_exists(self):
+        """A backticked word rooted at a top-level entry of the repo
+        (``tests/test_cli.py::TestCommands``, ``benchmarks/bench_*.py``)
+        must name something that exists; run outputs the .gitignore
+        lists (``perf/out/``) and ``<placeholder>`` paths are exempt."""
+        tops = {p.name for p in REPO.iterdir()}
+        ignored = tuple(
+            line for line in (REPO / ".gitignore").read_text().splitlines()
+            if "/" in line.rstrip("/") and not line.startswith("#")
+        )
+        missing = []
+        for doc in (d for pattern in self.DOCS for d in sorted(REPO.glob(pattern))):
+            text = re.sub(r"^[ \t]*```.*$", "", doc.read_text(), flags=re.M)
+            for span in re.findall(r"`([^`\n]+)`", text):
+                for word in span.split():
+                    if "/" not in word or word.split("/")[0] not in tops:
+                        continue
+                    path = re.split(r"::|:\d|'s\b", word)[0].rstrip(".,;)")
+                    if "<" in path or path.startswith(ignored):
+                        continue
+                    if not any(REPO.glob(path)):
+                        missing.append(f"{doc.relative_to(REPO)}: {path}")
+        assert not missing, missing

@@ -8,7 +8,9 @@ from repro.experiments.ablations import (
     ablate_lambda,
     ablate_latent_dim,
     ablate_streams,
+    extension_adaptive,
     extension_q_rotate,
+    extension_whatif,
 )
 
 
@@ -95,5 +97,25 @@ class TestQRotateExtension:
     def test_registry(self):
         assert set(ALL_ABLATIONS) == {
             "streams", "lambda", "latent-dim", "baselines", "q-rotate",
-            "adaptive", "energy", "sensitivity",
+            "adaptive", "energy", "sensitivity", "whatif",
+        }
+
+
+class TestAdaptiveExtension:
+    def test_adaptation_recovers_the_throttle(self):
+        rows = extension_adaptive().row_map()
+        # adaptation must recover a solid chunk of the throttle's damage
+        assert rows["adaptive"][1] < 0.85 * rows["static DP1"][1]
+        assert rows["adaptive"][2] < rows["static DP1"][2]
+        assert rows["static DP1"][3] == 0
+        assert rows["adaptive"][3] >= 1
+
+
+class TestWhatifExtension:
+    def test_every_sweep_tabulated(self):
+        result = extension_whatif()
+        sweeps = result.column("sweep")
+        assert {s: sweeps.count(s) for s in sweeps} == {
+            "MovieLens-20m GPUs": 6, "MovieLens-20m bus": 3,
+            "MovieLens-20m link": 6, "Netflix GPUs": 4,
         }

@@ -58,6 +58,8 @@ class TestFig3:
     def test_bad_configurations_erase_benefit(self, r_fig3a):
         rows = r_fig3a.row_map()
         good = rows["6242-2080S"][2]
+        # bad communication loses even to the collaboration's lone GPU
+        assert rows["6242-2080S(Bad communication)"][2] > rows["2080S"][2]
         for label in (
             "6242-2080S(Bad communication)",
             "6242-2080S(Unbalanced data)",
@@ -122,6 +124,11 @@ class TestTable4:
         rows = r_table4.row_map()
         assert rows["Netflix"][4] == pytest.approx(1_052_866_849, rel=0.01)
         assert rows["R2"][1] == pytest.approx(266_293_289, rel=0.01)
+
+    def test_ideal_matches_paper_cells(self, r_table4):
+        rows = r_table4.row_map()
+        assert rows["Netflix"][5] == pytest.approx(2_592_493_089, rel=0.005)
+        assert rows["R2"][5] == pytest.approx(1_172_502_951, rel=0.005)
 
     def test_ideal_is_sum(self, r_table4):
         for row in r_table4.rows:
@@ -213,8 +220,9 @@ class TestFig9:
                 if row[0] == ds:
                     by_scale[row[1]] = row[5]
             scales = sorted(by_scale)
+            plateau = 1.0 if ds in ("Netflix", "R2") else 0.95  # compute-bound: strictly rising
             for a, b in zip(scales, scales[1:]):
-                assert by_scale[b] > 0.95 * by_scale[a]
+                assert by_scale[b] > plateau * by_scale[a]
             assert by_scale[scales[-1]] > by_scale[scales[0]]
 
     def test_ordinary_worker_efficiency_netflix(self, r_fig9):
@@ -230,6 +238,7 @@ class TestFig9:
         r1_vals = [e for (ds, _), e in eff.items() if ds == "R1"]
         netflix_vals = [e for (ds, _), e in eff.items() if ds == "Netflix"]
         assert max(r1_vals) < min(netflix_vals)
+        assert max(r1_vals) < 0.7  # paper: ~45% of their own power
 
     def test_r1_stops_at_three_workers(self, r_fig9):
         scales = {row[1] for row in r_fig9.rows if row[0] == "R1"}
@@ -277,6 +286,12 @@ class TestFig7Scaled:
         by = {(r[0], r[1]): r[4] for r in result.rows}
         for ds in ("Netflix", "R1", "R2"):
             assert by[(ds, "FPSGD")] > by[(ds, "cuMF_SGD")] >= 1.0
+
+    def test_headline_speedups_vs_cumf(self, result):
+        """Paper: 2.3x on Netflix and 2.9x on R2 against CuMF_SGD."""
+        by = {(r[0], r[1]): r[4] for r in result.rows}
+        assert 1.5 < by[("Netflix", "cuMF_SGD")] < 3.5
+        assert 2.0 < by[("R2", "cuMF_SGD")] < 4.0
 
     def test_time_axes_consistent(self, result):
         for methods in result.extra["curves"].values():

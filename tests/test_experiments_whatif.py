@@ -49,6 +49,13 @@ class TestSweepGpuCount:
         late_gain = times[3] - times[5]
         assert late_gain < 0.2 * first_gain
 
+    def test_scaling_reverses_on_comm_bound_data(self, movielens_rows):
+        """Past the best GPU count, each added GPU costs more sync than
+        it saves compute: the total time rises again."""
+        times = [r.total_time for r in movielens_rows]
+        assert min(times) == min(times[2:5])
+        assert times[5] > min(times)
+
     def test_utilization_decays(self, movielens_rows):
         utils = [r.utilization for r in movielens_rows]
         assert all(b < a for a, b in zip(utils, utils[1:]))

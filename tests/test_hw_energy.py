@@ -74,6 +74,12 @@ class TestPlatformEnergyTable:
     def table(self):
         return compare_platform_energy()
 
+    def test_prices_figure3_platforms(self, table):
+        assert "Netflix" in table.title
+        assert table.column("platform") == [
+            "6242", "2080", "2080S", "V100", "6242-2080", "6242-2080S", "2080-2080S",
+        ]
+
     def test_gpu_more_efficient_than_cpu(self, table):
         rows = table.row_map()
         assert rows["2080S"][4] < rows["6242"][4]  # J per Mupdate

@@ -1,7 +1,8 @@
 """Census of modules under ``src/repro`` that nothing runnable reaches.
 
 The walk starts at what a user or the driver runs — ``repro/cli.py``
-(``python -m repro``), ``perf/``, ``benchmarks/`` and ``scripts/`` —
+(``python -m repro``, whose ``reproduce`` and ``ablate`` print every
+paper figure and study), ``perf/``, ``benchmarks/`` and ``scripts/`` —
 and follows every ``import``, function-level ones included.  A package
 ``__init__`` is an export table, not a caller: ``from repro import
 FPSGD`` reaches ``repro.mf.fpsgd``, the module the table names for
@@ -25,8 +26,6 @@ KNOWN_UNREACHED = {
     "repro.core.convergence": "paper Fig. 7d-f; tests/test_core_convergence.py",
     # the cost model audited against the paper's closed forms (Eq. 2-4, 1/streams)
     "repro.experiments.crosscheck": "cost-model self-audit; tests/test_experiments_crosscheck.py",
-    # terminal rendering of Fig. 7's convergence curves
-    "repro.experiments.plots": "paper Fig. 7 charts; examples/reproduce_paper.py",
     # the full-array loss the blocked kernels are compared against
     "repro.mf.loss": "reference for tests/test_mf_kernels.py",
     # the dynamic P-row ownership / one-copy detector (paper 3.4-3.5)
